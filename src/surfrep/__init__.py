@@ -14,9 +14,7 @@ from surfrep.certificate import (
     min_essential_loop,
     min_essential_arc,
     certify_pieces,
-    certify_lower,
     upper_bound,
-    build_certificate,
     representativity_exact,
 )
 from surfrep.facewidth import RotationSystem, radial, face_width
@@ -51,9 +49,7 @@ __all__ = [
     "min_essential_loop",
     "min_essential_arc",
     "certify_pieces",
-    "certify_lower",
     "upper_bound",
-    "build_certificate",
     "representativity_exact",
     "RotationSystem",
     "radial",

@@ -483,7 +483,8 @@ def propagate(
         for rule in rule_order:
             changed |= _RULES[rule](facts, tags)
         passes += 1
-        assert passes <= 64, "propagation failed to stabilise"
+        if passes > 64:
+            raise RuntimeError("propagation failed to stabilise")
     return FactSet(
         tags,
         {

@@ -17,15 +17,14 @@ n times.  Combined with the cheapest reference class as an upper bound
 this often pins the representativity exactly.
 
 Pieces here are necklace-shaped: boundary circles sit in a cyclic order
-and every arc class joins two cyclically adjacent circles.  Minima are
-computed exactly by enumerating separating configurations; no drawing
-is ever constructed.
+and every arc class joins two cyclically adjacent circles, so a piece is
+a cycle of k sector weights.  Both minima have closed forms in those
+weights, proved in the docstrings below; no drawing is ever constructed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Any
 
 from surfrep.smoothing import PlanarPiece, cut_pieces
@@ -39,45 +38,51 @@ __all__ = [
     "min_essential_arc",
     "evaluate_piece",
     "certify_pieces",
-    "certify_lower",
-    "lower_bound_holds",
-    "best_certified_bound",
     "upper_bound",
-    "build_certificate",
     "representativity_exact",
 ]
 
 
 #-- Exact minima --#
 
+def _sectors(piece: PlanarPiece) -> list[int]:
+    """Arc weight per sector, zeros included; sector u joins circle u to u+1 mod k.
+
+    Raises ValueError when an arc pair is not cyclically adjacent.  With
+    two circles both sectors join the same pair, whose one merged
+    multiplicity lands in sector 0 while sector 1 stays empty.
+    """
+    k = piece.circles
+    weights = [0] * k
+    for a, b, mult in piece.arcs:
+        if b - a == 1:
+            weights[a] = mult
+        elif b - a == k - 1:
+            weights[b] = mult
+        else:
+            raise ValueError(
+                f"arc pair ({a}, {b}) is not cyclically adjacent among {k} circles"
+            )
+    return weights
+
+
 def min_essential_loop(piece: PlanarPiece) -> int:
     """Fewest arcs crossed by any essential loop in the piece.
 
     A loop is essential when it separates the boundary circles into two
-    nonempty groups; isotoping it to cross each arc class at most once
-    per separation, the minimum is attained on a split of the circle
-    set.  Circle 0 stays on the outside, which enumerates each split
-    exactly once.
+    nonempty groups.  Isotoped tight, it crosses exactly the arcs of the
+    sectors whose two circles it separates.  The sectors form a cycle
+    through all k circles (at k = 2, sector 0 and an empty sector 1), and
+    a split of a cycle's vertices into two nonempty groups cuts an even
+    number of its edges, so at least two.  Any two sectors u < v are cut
+    alone by the split {u+1, ..., v} against the rest.  The minimum is
+    therefore the sum of the two smallest sector weights; at k = 2 it is
+    the one merged multiplicity.
+
+    Raises ValueError when the piece is not a necklace.
     """
-    k = piece.circles
-    best: int | None = None
-    for size in range(1, k):
-        for inside in combinations(range(1, k), size):
-            group = set(inside)
-            cost = sum(m for a, b, m in piece.arcs if (a in group) != (b in group))
-            if best is None or cost < best:
-                best = cost
-    assert best is not None  # k >= 2 always yields a split
-    return best
-
-
-def _check_necklace(piece: PlanarPiece) -> None:
-    k = piece.circles
-    for a, b, _ in piece.arcs:
-        if (b - a) % k not in (1, k - 1):
-            raise ValueError(
-                f"arc pair ({a}, {b}) is not cyclically adjacent among {k} circles"
-            )
+    lightest, runner_up = sorted(_sectors(piece))[:2]
+    return lightest + runner_up
 
 
 def min_essential_arc(piece: PlanarPiece, circle: int) -> int | None:
@@ -88,44 +93,24 @@ def min_essential_arc(piece: PlanarPiece, circle: int) -> int | None:
     each side.  Returns None when fewer than three circles make every
     such arc inessential or boundary-parallel.
 
-    Endpoints of the candidate arc sit in gaps between consecutive arc
-    ends on the base circle; those ends come in two contiguous blocks,
-    one per adjacent arc class.  For every endpoint placement and every
-    split of the remaining circles the crossing count is exact, since
-    each configuration is realizable with no excess crossings.
+    The other k-1 circles then split into two nonempty groups.  The
+    sectors c-1 and c touching the base circle c cost nothing: the arc
+    ends can be placed so that every arc end of those two sectors lies
+    on the same side as its far circle.  The remaining k-2 sectors form
+    a path through the other circles, so the split cuts at least one of
+    them, and cutting the path at any one sector is a valid split.  The
+    minimum is therefore the smallest weight among the sectors that do
+    not touch c.
+
+    Raises ValueError when the piece is not a necklace.
     """
     k = piece.circles
     if not (0 <= circle < k):
         raise ValueError(f"no circle {circle} in a piece with {k} circles")
     if k < 3:
         return None
-    _check_necklace(piece)
-
-    cp = (circle - 1) % k  # neighbor circle of the first end block
-    cn = (circle + 1) % k  # neighbor circle of the second end block
-    mu_prev = piece.multiplicity(cp, circle)
-    mu_next = piece.multiplicity(circle, cn)
-    far = [(a, b, m) for a, b, m in piece.arcs if circle not in (a, b)]
-
-    # end r of the canonical order is a prev-class end iff r < mu_prev
-    m = mu_prev + mu_next
-    others = [c for c in range(k) if c != circle]
-
-    best: int | None = None
-    span = range(m) if m else range(1)
-    for s in span:
-        for t in range(s, m if m else 1):
-            p_in = max(0, min(t, mu_prev) - min(s, mu_prev))
-            n_in = (t - s) - p_in
-            for size in range(1, len(others)):
-                for chosen in combinations(others, size):
-                    inside = set(chosen)
-                    cost = sum(mlt for a, b, mlt in far if (a in inside) != (b in inside))
-                    cost += (mu_prev - p_in) if cp in inside else p_in
-                    cost += (mu_next - n_in) if cn in inside else n_in
-                    if best is None or cost < best:
-                        best = cost
-    return best
+    weights = _sectors(piece)
+    return min(w for u, w in enumerate(weights) if u not in ((circle - 1) % k, circle))
 
 
 #-- Certificates --#
@@ -138,31 +123,30 @@ class PieceBounds:
     loop_min: int
     arc_min: int | None
 
+    @property
+    def score(self) -> int:
+        """Largest level n the piece certifies: loop_min >= n and 2 * arc_min >= n."""
+        if self.arc_min is None:
+            return self.loop_min
+        return min(self.loop_min, 2 * self.arc_min)
+
     def to_json(self) -> dict[str, Any]:
         return {"id": self.piece_id, "loop_min": self.loop_min, "arc_min": self.arc_min}
 
 
 @dataclass(frozen=True)
 class Certificate:
-    """Evaluation of the two lower-bound conditions at level n.
-
-    ``exact`` is only set when the certified level n agrees with the
-    cheapest-class upper bound, pinning the representativity to n.
-    """
+    """Evaluation of the two lower-bound conditions at level n."""
 
     n: int
     pieces: tuple[PieceBounds, ...]
     lower_ok: bool
-    upper: int | None
-    exact: int | None
 
     def to_json(self) -> dict[str, Any]:
         return {
             "n": self.n,
             "pieces": [p.to_json() for p in self.pieces],
             "lower_ok": self.lower_ok,
-            "upper": self.upper,
-            "exact": self.exact,
         }
 
 
@@ -190,43 +174,12 @@ def evaluate_piece(piece: PlanarPiece) -> PieceBounds:
     )
 
 
-def lower_bound_holds(bounds: list[PieceBounds], n: int) -> bool:
-    """True when every loop min is >= n and every arc min is >= n/2."""
-    for pb in bounds:
-        if pb.loop_min < n:
-            return False
-        # exact comparison arc_min >= n/2 without rounding
-        if pb.arc_min is not None and 2 * pb.arc_min < n:
-            return False
-    return True
-
-
-def best_certified_bound(bounds: list[PieceBounds]) -> int | None:
-    """Largest n the piece bounds certify, the minimum of the piece scores."""
-    scores: list[int] = []
-    for pb in bounds:
-        vals = [pb.loop_min]
-        if pb.arc_min is not None:
-            vals.append(2 * pb.arc_min)
-        scores.append(min(vals))
-    return min(scores) if scores else None
-
-
 def certify_pieces(pieces: list[PlanarPiece], n: int) -> Certificate:
-    """Evaluate the certificate conditions on explicit pieces."""
+    """Evaluate the certificate conditions at level n on explicit pieces."""
     if not pieces:
         raise ValueError("no pieces to certify")
     bounds = tuple(evaluate_piece(p) for p in pieces)
-    return Certificate(n, bounds, lower_bound_holds(list(bounds), n), None, None)
-
-
-def _all_pieces(mc: MultiCurve) -> list[PlanarPiece]:
-    return [*cut_pieces(mc, "meridians"), *cut_pieces(mc, "longitudes")]
-
-
-def certify_lower(mc: MultiCurve, n: int) -> Certificate:
-    """Cut the multicurve both ways and evaluate the conditions at n."""
-    return certify_pieces(_all_pieces(mc), n)
+    return Certificate(n, bounds, all(pb.score >= n for pb in bounds))
 
 
 def upper_bound(mc: MultiCurve) -> int:
@@ -234,23 +187,19 @@ def upper_bound(mc: MultiCurve) -> int:
     return mc.min_boundary_count()
 
 
-def build_certificate(mc: MultiCurve, n: int) -> Certificate:
-    """Full certificate at level n, including the upper-bound comparison."""
-    cert = certify_lower(mc, n)
-    upper = upper_bound(mc)
-    exact = n if cert.lower_ok and upper == n else None
-    return Certificate(n, cert.pieces, cert.lower_ok, upper, exact)
-
-
 def representativity_exact(mc: MultiCurve) -> Representativity:
     """Best certified window around the representativity.
 
     The upper bound is the cheapest reference class; the lower bound is
-    the largest level all four pieces certify, capped by the upper
-    bound.  ``exact`` is set when the two meet.
+    the largest level the cut pieces certify, capped by the upper bound.
+    The two mirror pieces of a cut carry identical arcs, so one piece
+    per cut direction is evaluated.  ``exact`` is set when the bounds
+    meet.
     """
-    bounds = [evaluate_piece(p) for p in _all_pieces(mc)]
     upper = upper_bound(mc)
-    star = best_certified_bound(bounds)
-    lower = upper if star is None else min(star, upper)
+    scores = [
+        evaluate_piece(cut_pieces(mc, along)[0]).score
+        for along in ("meridians", "longitudes")
+    ]
+    lower = min(upper, *scores)
     return Representativity(lower, upper, upper if lower == upper else None)

@@ -27,7 +27,7 @@ from surfrep.bounds import ATTRIBUTES, Contradiction, SubjectTags, propagate
 from surfrep.certificate import certify_pieces
 from surfrep.facewidth import RotationSystem, face_width
 from surfrep.families import parse_family, verify_family
-from surfrep.smoothing import PlanarPiece
+from surfrep.smoothing import PlanarPiece, _json_int
 
 __all__ = ["build_parser", "main"]
 
@@ -129,13 +129,14 @@ def _cmd_certify(args: argparse.Namespace) -> int:
         if not isinstance(items, list):
             raise ValueError("piece file must hold a list of pieces")
         pieces = [PlanarPiece.from_json(item) for item in items]
+        if file_n is not None:
+            file_n = _json_int(file_n, "stored n")
         n = file_n if args.n is None else args.n
         if n is None:
             raise ValueError("no certificate level: pass --n or store n in the file")
-        certificate = certify_pieces(pieces, int(n))
+        certificate = certify_pieces(pieces, n)
     except (OSError, ValueError, KeyError, TypeError) as exc:
         return _fail_usage(str(exc))
-    n = int(n)
     report = _report(["certify", args.pieces], {"file": args.pieces, "n": n})
     for piece in certificate.pieces:
         report["checks"].append(

@@ -71,7 +71,8 @@ class RotationSystem:
                 paired.add(d)
         if paired != seen:
             raise ValueError(f"darts without an opposite: {sorted(seen - paired)}")
-        assert self.euler_characteristic % 2 == 0
+        if self.euler_characteristic % 2:
+            raise RuntimeError(f"odd Euler characteristic {self.euler_characteristic}")
 
     #-- Derived structure --#
 
@@ -205,7 +206,8 @@ def radial(rs: RotationSystem) -> RotationSystem:
         rotations.append(tuple(idx[d] + 1 for d in reversed(orbit)))
     edges = tuple((idx[d], idx[d] + 1) for d in darts)
     out = RotationSystem(tuple(rotations), edges)
-    assert out.euler_characteristic == rs.euler_characteristic
+    if out.euler_characteristic != rs.euler_characteristic:
+        raise RuntimeError("radial map changed the Euler characteristic")
     return out
 
 
@@ -274,7 +276,8 @@ def cut_along(rs: RotationSystem, cycle: Sequence[int]) -> RotationSystem:
         edges.append((copy[(d, "R")], copy[(a, "R")]))
 
     out = RotationSystem(tuple(rotations), tuple(edges))
-    assert out.euler_characteristic == rs.euler_characteristic + 2
+    if out.euler_characteristic != rs.euler_characteristic + 2:
+        raise RuntimeError("cutting along a cycle did not raise the Euler characteristic by 2")
     return out
 
 

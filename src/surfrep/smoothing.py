@@ -177,14 +177,22 @@ class PlanarPiece:
 
     @staticmethod
     def from_json(obj: dict[str, Any]) -> "PlanarPiece":
+        """Decode a piece, rejecting floats, bools and strings where counts belong."""
         return PlanarPiece(
             str(obj["piece"]),
-            int(obj["circles"]),
+            _json_int(obj["circles"], "circles"),
             tuple(
-                (int(e["a"]), int(e["b"]), int(e["mult"]))
+                (_json_int(e["a"], "a"), _json_int(e["b"], "b"), _json_int(e["mult"], "mult"))
                 for e in obj["arcs"]
             ),
         )
+
+
+def _json_int(value: Any, field: str) -> int:
+    # bool is a subclass of int, but true is not a count
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{field} must be an integer, got {value!r}")
+    return value
 
 
 def cut_pieces(mc: MultiCurve, along: str) -> tuple[PlanarPiece, PlanarPiece]:

@@ -6,15 +6,13 @@ import json
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from oracles import necklace_arc_min, necklace_loop_min
 from surfrep.certificate import (
-    best_certified_bound,
-    build_certificate,
-    certify_lower,
     certify_pieces,
     evaluate_piece,
-    lower_bound_holds,
     min_essential_arc,
     min_essential_loop,
     representativity_exact,
@@ -29,6 +27,10 @@ def _knot_curve(n: int, g: int) -> MultiCurve:
     a = (n + 1, n) + (c,) * (g - 1)
     b = (c, f) + (c,) * (g - 1)
     return MultiCurve(SurfaceModel.chain(g), a, b)
+
+
+def _all_pieces(mc: MultiCurve) -> list[PlanarPiece]:
+    return [*cut_pieces(mc, "meridians"), *cut_pieces(mc, "longitudes")]
 
 
 #-- Cutting --#
@@ -115,6 +117,8 @@ def test_arc_min_vacuous_below_three_circles():
 def test_arc_min_requires_adjacent_pairs():
     skew = PlanarPiece("P", 4, ((0, 2, 1),))
     with pytest.raises(ValueError):
+        min_essential_loop(skew)
+    with pytest.raises(ValueError):
         min_essential_arc(skew, 0)
     with pytest.raises(ValueError):
         min_essential_arc(skew, 5)
@@ -147,7 +151,7 @@ def test_minima_match_enumeration_oracle():
     """Closed-form minima equal the explicit dual-graph enumeration."""
     rng = random.Random(20260825)
     for _ in range(150):
-        k = rng.choice((2, 3, 3, 4, 4))
+        k = rng.randrange(2, 8)
         while True:
             mults = [rng.randrange(0, 5) for _ in range(k)]
             if sum(mults) <= 12:
@@ -188,15 +192,15 @@ def test_cut_piece_minima_match_oracle():
 
 def test_certificate_exact_square_case():
     mc = _knot_curve(4, 2)
-    cert = build_certificate(mc, 4)
+    cert = certify_pieces(_all_pieces(mc), 4)
     assert cert.lower_ok is True
-    assert cert.upper == 4
-    assert cert.exact == 4
+    assert upper_bound(mc) == 4
     by_id = {p.piece_id: p for p in cert.pieces}
     assert set(by_id) == {"F1+", "F1-", "F2+", "F2-"}
     assert (by_id["F1+"].loop_min, by_id["F1+"].arc_min) == (4, 2)
     assert (by_id["F2+"].loop_min, by_id["F2+"].arc_min) == (6, 2)
-    assert build_certificate(mc, 5).lower_ok is False
+    assert (by_id["F1+"].score, by_id["F2+"].score) == (4, 4)
+    assert certify_pieces(_all_pieces(mc), 5).lower_ok is False
 
     rep = representativity_exact(mc)
     assert (rep.lower, rep.upper, rep.exact) == (4, 4, 4)
@@ -206,7 +210,8 @@ def test_certificate_link_case():
     mc = MultiCurve(SurfaceModel.chain(2), (7, 7, 7), (2, 2, 2))
     rep = representativity_exact(mc)
     assert (rep.lower, rep.upper, rep.exact) == (4, 4, 4)
-    cert = build_certificate(mc, 4)
+    cert = certify_pieces(_all_pieces(mc), 4)
+    assert cert.lower_ok is True
     by_id = {p.piece_id: p for p in cert.pieces}
     assert (by_id["F1+"].loop_min, by_id["F1+"].arc_min) == (4, 2)
     assert (by_id["F2+"].loop_min, by_id["F2+"].arc_min) == (14, 7)
@@ -215,10 +220,11 @@ def test_certificate_link_case():
 def test_certificate_genus1_has_no_arc_condition():
     for n in range(2, 9):
         mc = _knot_curve(n, 1)
-        cert = build_certificate(mc, n)
+        cert = certify_pieces(_all_pieces(mc), n)
         assert cert.lower_ok is True
-        assert cert.exact == n
+        assert representativity_exact(mc).exact == n
         assert all(p.arc_min is None for p in cert.pieces)
+        assert all(p.score == p.loop_min for p in cert.pieces)
         assert {p.loop_min for p in cert.pieces} == {n, 2 * n + 1}
 
 
@@ -247,34 +253,52 @@ def test_certify_explicit_pieces():
     ]
     cert = certify_pieces(pieces, 4)
     assert cert.lower_ok is True
-    assert cert.upper is None and cert.exact is None
     assert certify_pieces(pieces, 5).lower_ok is False
     with pytest.raises(ValueError):
         certify_pieces([], 4)
-
-    bounds = [evaluate_piece(p) for p in pieces]
-    assert lower_bound_holds(bounds, 4)
-    assert not lower_bound_holds(bounds, 5)
-    assert best_certified_bound(bounds) == 4
+    assert [evaluate_piece(p).score for p in pieces] == [4, 4]
 
 
-def test_certify_lower_leaves_upper_open_and_is_monotone():
+def test_certify_pieces_is_monotone_in_the_level():
     mc = _knot_curve(5, 2)
-    results = [certify_lower(mc, n).lower_ok for n in range(0, 9)]
+    results = [certify_pieces(_all_pieces(mc), n).lower_ok for n in range(0, 9)]
     assert all(cert_ok or not later
                for cert_ok, later in zip(results, results[1:]))
-    assert certify_lower(mc, 4).upper is None
-    assert certify_lower(mc, 4).exact is None
     assert upper_bound(mc) == 5
     # certified level tops out one below the upper bound for odd weights
     assert results == [True] * 5 + [False] * 4
 
 
 def test_certificate_json_shape():
-    cert = build_certificate(_knot_curve(4, 2), 4)
+    cert = certify_pieces(_all_pieces(_knot_curve(4, 2)), 4)
     blob = json.loads(json.dumps(cert.to_json()))
+    assert set(blob) == {"n", "pieces", "lower_ok"}
     assert blob["n"] == 4
     assert blob["lower_ok"] is True
-    assert blob["upper"] == 4 and blob["exact"] == 4
     assert {p["id"] for p in blob["pieces"]} == {"F1+", "F1-", "F2+", "F2-"}
     assert all(set(p) == {"id", "loop_min", "arc_min"} for p in blob["pieces"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 5).flatmap(
+    lambda g: st.tuples(
+        st.just(g),
+        st.lists(st.integers(0, 9), min_size=g + 1, max_size=g + 1),
+        st.lists(st.integers(0, 9), min_size=g + 1, max_size=g + 1),
+    )
+))
+def test_parity_lemma_at_genus_two_and_up(case):
+    """At genus >= 2 every class count is at least twice the lightest weight.
+
+    Each cut piece then scores twice its lightest sector, so the
+    certified window is min(upper, 2 * min weight) and any exact value
+    is even: odd levels cannot be certified there.
+    """
+    g, a, b = case
+    assume(any(a + b))
+    mc = MultiCurve(SurfaceModel.chain(g), tuple(a), tuple(b))
+    lightest = 2 * min(a + b)
+    assert upper_bound(mc) >= lightest
+    rep = representativity_exact(mc)
+    assert rep.lower == min(rep.upper, lightest)
+    assert rep.exact is None or rep.exact % 2 == 0

@@ -119,6 +119,18 @@ def test_certify_rejects_bad_files(capsys, tmp_path):
     assert run_cli(capsys, "certify", str(tmp_path / "missing.json"))[0] == 2
     scalar = _write(tmp_path, "scalar.json", {"pieces": 7, "n": 4})
     assert run_cli(capsys, "certify", scalar)[0] == 2
+    # counts decode strictly: no float truncation, no bool as 1
+    pants = _pants_pieces()
+    loose = [
+        ("circles.json", {"pieces": [{**pants[0], "circles": 3.9}], "n": 4}),
+        ("mult.json", {"pieces": [{**pants[0], "arcs": [{"a": 0, "b": 1, "mult": True}]}], "n": 0}),
+        ("level.json", {"pieces": pants, "n": 4.7}),
+        ("flag.json", {"pieces": pants, "n": True}),
+    ]
+    for name, payload in loose:
+        code, out, err = run_cli(capsys, "certify", _write(tmp_path, name, payload))
+        assert (code, out) == (2, ""), name
+        assert "must be an integer" in err
 
 
 #-- facewidth --#
