@@ -163,14 +163,20 @@ class Representativity:
 
 
 def evaluate_piece(piece: PlanarPiece) -> PieceBounds:
-    """Loop minimum and the minimum over all base circles of arc minima."""
-    arc_minima = [
-        v for b in range(piece.circles) if (v := min_essential_arc(piece, b)) is not None
-    ]
+    """Loop minimum and the minimum over all base circles of arc minima.
+
+    Both come from one read of the sector weights.  At k >= 3 the arc
+    minimum based on circle c is the lightest sector not touching c.
+    Every sector touches two circles and so misses some third one, and
+    every base circle leaves k - 2 >= 1 sectors, so the minimum over all
+    base circles is the lightest sector of all.  At k = 2 no circle has
+    an arc minimum and the result is None.
+
+    Raises ValueError when the piece is not a necklace.
+    """
+    lightest, runner_up = sorted(_sectors(piece))[:2]
     return PieceBounds(
-        piece.id,
-        min_essential_loop(piece),
-        min(arc_minima) if arc_minima else None,
+        piece.id, lightest + runner_up, lightest if piece.circles >= 3 else None
     )
 
 
@@ -178,6 +184,8 @@ def certify_pieces(pieces: list[PlanarPiece], n: int) -> Certificate:
     """Evaluate the certificate conditions at level n on explicit pieces."""
     if not pieces:
         raise ValueError("no pieces to certify")
+    if n < 0:
+        raise ValueError(f"certificate level must be >= 0, got {n}")
     bounds = tuple(evaluate_piece(p) for p in pieces)
     return Certificate(n, bounds, all(pb.score >= n for pb in bounds))
 

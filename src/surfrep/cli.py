@@ -27,7 +27,8 @@ from surfrep.bounds import ATTRIBUTES, Contradiction, SubjectTags, propagate
 from surfrep.certificate import certify_pieces
 from surfrep.facewidth import RotationSystem, face_width
 from surfrep.families import parse_family, verify_family
-from surfrep.smoothing import PlanarPiece, _json_int
+from surfrep.smoothing import PlanarPiece
+from surfrep.surface import _json_int
 
 __all__ = ["build_parser", "main"]
 

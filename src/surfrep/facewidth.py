@@ -12,8 +12,10 @@ Such a curve can be pushed to alternate between vertices and faces, so
 the face-width is half the length of a shortest noncontractible cycle
 in the radial map, the bipartite map joining each vertex to each face
 once per incidence.  Candidate cycles come from breadth first search
-trees; noncontractibility of each candidate is decided by cutting the
-surface open along it and inspecting the pieces.
+trees.  A candidate is contractible exactly when cutting the surface
+open along it leaves two pieces, one of them a disk.  The pieces are
+counted by a flood over the faces of the map itself, joined across the
+uncut edges; no cut map is ever built.
 """
 
 from __future__ import annotations
@@ -23,6 +25,8 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Any
+
+from surfrep.surface import _json_int
 
 __all__ = [
     "RotationSystem",
@@ -139,36 +143,17 @@ class RotationSystem:
     def euler_characteristic(self) -> int:
         return self.num_vertices - self.num_edges + self.num_faces
 
-    def connected_components(self) -> list[set[int]]:
-        """Vertex sets reachable through edges."""
-        out: list[set[int]] = []
-        left = set(range(self.num_vertices))
-        while left:
-            comp = {left.pop()}
-            queue = list(comp)
-            while queue:
-                v = queue.pop()
-                for d in self.rotations[v]:
-                    w = self._vertex_of[self._alpha[d]]
-                    if w in left:
-                        left.remove(w)
-                        comp.add(w)
-                        queue.append(w)
-            out.append(comp)
-        return out
+    @cached_property
+    def _face_of(self) -> dict[int, int]:
+        """Index into ``faces`` of the face each dart lies on."""
+        return {d: f for f, orbit in enumerate(self.faces) for d in orbit}
 
-    def component_euler_characteristics(self) -> list[int]:
-        comps = self.connected_components()
-        where = {v: t for t, comp in enumerate(comps) for v in comp}
-        chi = [len(comp) for comp in comps]
-        for d1, _ in self.edges:
-            chi[where[self._vertex_of[d1]]] -= 1
-        for orbit in self.faces:
-            chi[where[self._vertex_of[orbit[0]]]] += 1
-        return chi
+    def component_euler_characteristics(self) -> tuple[int, ...]:
+        """Euler characteristic of each connected component, sorted."""
+        return _piece_chis(self, ())
 
     def genus(self) -> int:
-        if len(self.connected_components()) != 1:
+        if len(self.component_euler_characteristics()) != 1:
             raise ValueError("genus needs a connected map")
         return (2 - self.euler_characteristic) // 2
 
@@ -183,8 +168,8 @@ class RotationSystem:
     @staticmethod
     def from_json(obj: dict[str, Any]) -> "RotationSystem":
         return RotationSystem(
-            tuple(tuple(int(d) for d in r) for r in obj["rotations"]),
-            tuple(tuple(int(d) for d in e) for e in obj["edges"]),
+            tuple(tuple(_json_int(d, "dart") for d in r) for r in obj["rotations"]),
+            tuple(tuple(_json_int(d, "edge dart") for d in e) for e in obj["edges"]),
         )
 
 
@@ -213,14 +198,61 @@ def radial(rs: RotationSystem) -> RotationSystem:
 
 #-- Cutting along a cycle --#
 
-def cut_along(rs: RotationSystem, cycle: Sequence[int]) -> RotationSystem:
-    """Cut the surface open along a simple cycle of darts.
+def _piece_chis(rs: RotationSystem, cut_darts: Sequence[int]) -> tuple[int, ...]:
+    """Sorted Euler characteristics of the capped pieces left by a cut.
+
+    ``cut_darts`` is a simple dart cycle of length L, or empty.  Faces
+    are open disks the cut never enters, so the pieces are the classes
+    of faces joined across uncut edges, found by one flood.  A piece
+    keeps its faces, its uncut edges and the vertices off the cut; each
+    side of the cut that borders it adds a copy of the cycle's vertices
+    and edges, L of each, and one capping face, so
+    chi = (interior vertices) - (uncut edges) + (faces) + (sides).  The
+    face of dart d lies on one side of the cut and the face of its
+    opposite on the other.  With nothing cut the pieces are the
+    connected components.
+    """
+    faces, face_of, alpha = rs.faces, rs._face_of, rs._alpha
+    cut = {*cut_darts, *(alpha[d] for d in cut_darts)}
+    piece = [-1] * len(faces)
+    chis: list[int] = []
+    for seed in range(len(faces)):
+        if piece[seed] >= 0:
+            continue
+        p = len(chis)
+        piece[seed] = p
+        stack, num_faces, uncut_darts = [seed], 0, 0
+        while stack:
+            f = stack.pop()
+            num_faces += 1
+            for x in faces[f]:
+                if x in cut:
+                    continue
+                uncut_darts += 1
+                g = face_of[alpha[x]]
+                if piece[g] < 0:
+                    piece[g] = p
+                    stack.append(g)
+        # both darts of an uncut edge lie in the same piece
+        chis.append(num_faces - uncut_darts // 2)
+    on_cut = {rs._vertex_of[x] for x in cut}
+    for v, rot in enumerate(rs.rotations):
+        if v not in on_cut:
+            chis[piece[face_of[rot[0]]]] += 1
+    for side in (cut_darts, [alpha[d] for d in cut_darts]):
+        for p in {piece[face_of[d]] for d in side}:
+            chis[p] += 1
+    return tuple(sorted(chis))
+
+
+def cut_along(rs: RotationSystem, cycle: Sequence[int]) -> tuple[int, ...]:
+    """Sorted Euler characteristics of the surface cut open along a simple cycle.
 
     ``cycle`` lists darts d0 .. d(L-1); dart dt leaves vertex vt, its
     opposite sits at v(t+1), vertices and edges are distinct, and the
-    walk closes up.  Cycle vertices and edges are doubled, one copy per
-    side of the cut; the two boundary walks become faces of the result,
-    so its Euler characteristic is two larger.
+    walk closes up.  Each side of the cut is capped by a disk, so the
+    characteristics sum to the surface's plus two.  The pieces are
+    counted by a face flood over ``rs`` itself; no map is built.
     """
     L = len(cycle)
     if L == 0:
@@ -234,51 +266,11 @@ def cut_along(rs: RotationSystem, cycle: Sequence[int]) -> RotationSystem:
         if rs.vertex_of(rs.alpha(d)) != verts[(t + 1) % L]:
             raise ValueError("cycle darts do not join up")
 
-    copy: dict[tuple[int, str], int] = {}
-    fresh = max(rs._vertex_of) + 1
-    for d in cycle:
-        for x in (d, rs.alpha(d)):
-            for s in ("L", "R"):
-                copy[(x, s)] = fresh
-                fresh += 1
-
-    # at vertex vt the cycle arrives by the opposite of d(t-1) and
-    # leaves by dt; sweeping counterclockwise from the outgoing dart to
-    # the incoming one passes the darts left of the direction of travel
-    out_dart = {verts[t]: cycle[t] for t in range(L)}
-    in_dart = {verts[(t + 1) % L]: rs.alpha(d) for t, d in enumerate(cycle)}
-
-    rotations: list[tuple[int, ...]] = []
-    for v, rot in enumerate(rs.rotations):
-        if v not in out_dart:
-            rotations.append(rot)
-            continue
-        o, i = out_dart[v], in_dart[v]
-        k = len(rot)
-        left: list[int] = []
-        p = (rot.index(o) + 1) % k
-        while rot[p] != i:
-            left.append(rot[p])
-            p = (p + 1) % k
-        right: list[int] = []
-        p = (rot.index(i) + 1) % k
-        while rot[p] != o:
-            right.append(rot[p])
-            p = (p + 1) % k
-        rotations.append((copy[(o, "L")], *left, copy[(i, "L")]))
-        rotations.append((copy[(i, "R")], *right, copy[(o, "R")]))
-
-    cut_edges = {frozenset((d, rs.alpha(d))) for d in cycle}
-    edges = [e for e in rs.edges if frozenset(e) not in cut_edges]
-    for d in cycle:
-        a = rs.alpha(d)
-        edges.append((copy[(d, "L")], copy[(a, "L")]))
-        edges.append((copy[(d, "R")], copy[(a, "R")]))
-
-    out = RotationSystem(tuple(rotations), tuple(edges))
-    if out.euler_characteristic != rs.euler_characteristic + 2:
-        raise RuntimeError("cutting along a cycle did not raise the Euler characteristic by 2")
-    return out
+    chis = _piece_chis(rs, cycle)
+    # one side of the cut bordering two pieces would push the sum past chi + 2
+    if sum(chis) != rs.euler_characteristic + 2:
+        raise RuntimeError("cut pieces do not sum to the Euler characteristic plus 2")
+    return chis
 
 
 def cycle_is_contractible(rs: RotationSystem, cycle: Sequence[int]) -> bool:
@@ -288,7 +280,7 @@ def cycle_is_contractible(rs: RotationSystem, cycle: Sequence[int]) -> bool:
     disk side capping off to a sphere; any other outcome, one piece or
     two pieces of positive genus, certifies an essential cycle.
     """
-    chis = cut_along(rs, cycle).component_euler_characteristics()
+    chis = cut_along(rs, cycle)
     return len(chis) == 2 and 2 in chis
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from surfrep.surface import MultiCurve, SurfaceModel
+from surfrep.surface import MultiCurve, SurfaceModel, _json_int
 
 __all__ = ["PlanarPiece", "cut_pieces", "trace_components", "trace_orbits"]
 
@@ -186,13 +186,6 @@ class PlanarPiece:
                 for e in obj["arcs"]
             ),
         )
-
-
-def _json_int(value: Any, field: str) -> int:
-    # bool is a subclass of int, but true is not a count
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ValueError(f"{field} must be an integer, got {value!r}")
-    return value
 
 
 def cut_pieces(mc: MultiCurve, along: str) -> tuple[PlanarPiece, PlanarPiece]:

@@ -28,6 +28,14 @@ __all__ = [
 ]
 
 
+def _json_int(value: Any, field: str) -> int:
+    """Decode a JSON integer, rejecting floats, bools and strings."""
+    # bool is a subclass of int, but true is not a count
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{field} must be an integer, got {value!r}")
+    return value
+
+
 #-- Surfaces --#
 
 @dataclass(frozen=True)
@@ -65,7 +73,7 @@ class SurfaceModel:
 
     @staticmethod
     def from_json(obj: dict[str, Any]) -> "SurfaceModel":
-        return SurfaceModel(str(obj["kind"]), int(obj["genus"]))
+        return SurfaceModel(str(obj["kind"]), _json_int(obj["genus"], "genus"))
 
 
 @dataclass(frozen=True)
@@ -170,6 +178,6 @@ class MultiCurve:
     def from_json(obj: dict[str, Any]) -> "MultiCurve":
         return MultiCurve(
             SurfaceModel.from_json(obj["surface"]),
-            tuple(int(w) for w in obj["meridians"]),
-            tuple(int(w) for w in obj["longitudes"]),
+            tuple(_json_int(w, "meridian weight") for w in obj["meridians"]),
+            tuple(_json_int(w, "longitude weight") for w in obj["longitudes"]),
         )

@@ -437,3 +437,67 @@ def enumerated_face_width(rotations, edges, max_len):
     if not lengths:
         raise AssertionError(f"no essential radial cycle of length <= {max_len}")
     return min(lengths) // 2
+
+
+def cut_component_chis(rotations, edges, cycle):
+    """Sorted Euler characteristics of the map cut open along a simple dart cycle.
+
+    The cut map is built explicitly: every cycle vertex splits into a
+    left and a right copy, every cycle edge into one copy per side, and
+    the two boundary walks become faces.  Components are then found by
+    a vertex search and their faces counted from scratch.
+    """
+    vert, alpha, _ = _map_structure(rotations, edges)
+    n = len(cycle)
+    verts = [vert[d] for d in cycle]
+    copy: dict[tuple[int, str], int] = {}
+    fresh = max(vert) + 1
+    for d in cycle:
+        for x in (d, alpha[d]):
+            for side in ("L", "R"):
+                copy[(x, side)] = fresh
+                fresh += 1
+
+    # at vertex vt the cycle arrives by the opposite of d(t-1) and
+    # leaves by dt; sweeping counterclockwise from the outgoing dart to
+    # the incoming one passes the darts left of the direction of travel
+    out_dart = {verts[t]: cycle[t] for t in range(n)}
+    in_dart = {verts[(t + 1) % n]: alpha[d] for t, d in enumerate(cycle)}
+
+    def between(rot, start, stop):
+        k = len(rot)
+        out = []
+        p = (rot.index(start) + 1) % k
+        while rot[p] != stop:
+            out.append(rot[p])
+            p = (p + 1) % k
+        return out
+
+    cut_rotations = []
+    for v, rot in enumerate(rotations):
+        if v not in out_dart:
+            cut_rotations.append(tuple(rot))
+            continue
+        o, i = out_dart[v], in_dart[v]
+        cut_rotations.append((copy[(o, "L")], *between(rot, o, i), copy[(i, "L")]))
+        cut_rotations.append((copy[(i, "R")], *between(rot, i, o), copy[(o, "R")]))
+
+    cut_edges = {frozenset((d, alpha[d])) for d in cycle}
+    cut_pairs = [tuple(e) for e in edges if frozenset(e) not in cut_edges]
+    for d in cycle:
+        a = alpha[d]
+        cut_pairs.append((copy[(d, "L")], copy[(a, "L")]))
+        cut_pairs.append((copy[(d, "R")], copy[(a, "R")]))
+
+    cvert, calpha, orbits = _map_structure(cut_rotations, cut_pairs)
+    comps = DisjointSet(range(len(cut_rotations)))
+    for d1, d2 in cut_pairs:
+        comps.union(cvert[d1], cvert[d2])
+    chi: dict[int, int] = defaultdict(int)
+    for v in range(len(cut_rotations)):
+        chi[comps.find(v)] += 1
+    for d1, _ in cut_pairs:
+        chi[comps.find(cvert[d1])] -= 1
+    for orbit in orbits:
+        chi[comps.find(cvert[orbit[0]])] += 1
+    return tuple(sorted(chi.values()))

@@ -163,10 +163,14 @@ def test_minima_match_enumeration_oracle():
                 merged[(a, b)] = merged.get((a, b), 0) + mlt
         arcs = tuple((a, b, mlt) for (a, b), mlt in sorted(merged.items()))
         piece = PlanarPiece("R", k, arcs)
-        assert min_essential_loop(piece) == necklace_loop_min(k, arcs)
-        if k >= 3:
-            for b in range(k):
-                assert min_essential_arc(piece, b) == necklace_arc_min(k, arcs, b)
+        loop_min = necklace_loop_min(k, arcs)
+        assert min_essential_loop(piece) == loop_min
+        arc_minima = [necklace_arc_min(k, arcs, b) for b in range(k)] if k >= 3 else []
+        for b, arc_min in enumerate(arc_minima):
+            assert min_essential_arc(piece, b) == arc_min
+        bounds = evaluate_piece(piece)
+        assert bounds.loop_min == loop_min
+        assert bounds.arc_min == (min(arc_minima) if arc_minima else None)
 
 
 def test_cut_piece_minima_match_oracle():

@@ -131,6 +131,13 @@ def test_certify_rejects_bad_files(capsys, tmp_path):
         code, out, err = run_cli(capsys, "certify", _write(tmp_path, name, payload))
         assert (code, out) == (2, ""), name
         assert "must be an integer" in err
+    # a level below 0 certifies nothing
+    negative = _write(tmp_path, "negative.json", {"pieces": pants, "n": -3})
+    code, out, err = run_cli(capsys, "certify", negative)
+    assert (code, out) == (2, "") and "must be >= 0" in err
+    stored = _write(tmp_path, "four.json", {"pieces": pants, "n": 4})
+    code, out, err = run_cli(capsys, "certify", stored, "--n", "-3")
+    assert (code, out) == (2, "") and "must be >= 0" in err
 
 
 #-- facewidth --#
@@ -163,6 +170,17 @@ def test_facewidth_rejects_broken_maps(capsys, tmp_path):
 
     bad = _write(tmp_path, "bad.json", {"rotations": [[0, 1]], "edges": [[0, 0]]})
     assert run_cli(capsys, "facewidth", bad)[0] == 2
+
+    # darts decode strictly: no float truncation, no bool as 1
+    loose = [
+        ("float_dart.json", {"rotations": [[0.9, 2, 1, 3]], "edges": [[0, 1], [2, 3]]}),
+        ("bool_dart.json", {"rotations": [[True, 0, 2, 3]], "edges": [[0, 2], [1, 3]]}),
+        ("float_end.json", {"rotations": [[0, 1, 2, 3]], "edges": [[0, 2.0], [1, 3]]}),
+    ]
+    for name, payload in loose:
+        code, out, err = run_cli(capsys, "facewidth", _write(tmp_path, name, payload))
+        assert (code, out) == (2, ""), name
+        assert "must be an integer" in err
 
 
 #-- bounds --#

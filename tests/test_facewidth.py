@@ -8,9 +8,10 @@ import random
 
 import pytest
 
-from oracles import enumerated_face_width, radial_cycle_catalog
+from oracles import cut_component_chis, enumerated_face_width, radial_cycle_catalog
 from surfrep.facewidth import (
     RotationSystem,
+    _cycle_candidates,
     cut_along,
     cycle_is_contractible,
     face_width,
@@ -48,6 +49,11 @@ K33_TORUS = RotationSystem(
         )
     ),
     tuple((10 * v + w, 10 * w + v) for v in range(3) for w in range(3, 6)),
+)
+
+# one vertex, one octagonal face: the word a b a' b' c d c' d' of two handles
+DOUBLE_TORUS = RotationSystem(
+    ((0, 1, 2, 3, 4, 5, 6, 7),), ((0, 2), (1, 3), (4, 6), (5, 7))
 )
 
 TETRAHEDRON = RotationSystem(
@@ -117,8 +123,7 @@ def test_disconnected_genus_raises():
         ((0, 1, 2, 3), (4, 5, 6, 7)),
         ((0, 2), (1, 3), (4, 6), (5, 7)),
     )
-    assert len(two_tori.connected_components()) == 2
-    assert two_tori.component_euler_characteristics() == [0, 0]
+    assert two_tori.component_euler_characteristics() == (0, 0)
     with pytest.raises(ValueError):
         two_tori.genus()
 
@@ -151,14 +156,12 @@ def test_radial_structure():
 
 def test_cut_along_face_boundary_splits_off_a_disk():
     face = TETRAHEDRON.faces[0]
-    cut = cut_along(TETRAHEDRON, face)
-    assert sorted(cut.component_euler_characteristics()) == [2, 2]
+    assert cut_along(TETRAHEDRON, face) == (2, 2)
     assert cycle_is_contractible(TETRAHEDRON, face)
 
 
 def test_cut_along_essential_loop_keeps_one_piece():
-    cut = cut_along(ONE_VERTEX_TORUS, (0,))
-    assert cut.component_euler_characteristics() == [2]
+    assert cut_along(ONE_VERTEX_TORUS, (0,)) == (2,)
     assert not cycle_is_contractible(ONE_VERTEX_TORUS, (0,))
 
 
@@ -169,6 +172,42 @@ def test_cut_along_rejects_bad_cycles():
         cut_along(TETRAHEDRON, (1, 10))  # both darts leave vertex 0
     with pytest.raises(ValueError):
         cut_along(TETRAHEDRON, (1, 2))  # does not join up
+
+
+def test_cut_along_separating_essential_cycle_leaves_two_tori():
+    """A cycle splitting the double torus into two handles is essential.
+
+    Its GF(2) class is zero, so only the cut can tell it from a
+    contractible cycle.
+    """
+    assert DOUBLE_TORUS.genus() == 2
+    rad = radial(DOUBLE_TORUS)
+    # leaves the vertex beside dart 4 and returns beside dart 0, splitting
+    # the darts 1-3 of one handle from the darts 5-7 of the other
+    cycle = (8, 1)
+    assert cut_along(rad, cycle) == (0, 0)
+    assert cut_component_chis(rad.rotations, rad.edges, cycle) == (0, 0)
+    assert not cycle_is_contractible(rad, cycle)
+
+
+def test_face_width_builds_only_the_radial_map(monkeypatch):
+    grid = toroidal_grid(8)
+    built = []
+    original = RotationSystem.__post_init__
+
+    def counting(self):
+        built.append(self)
+        original(self)
+
+    monkeypatch.setattr(RotationSystem, "__post_init__", counting)
+    assert face_width(grid) == 8
+    assert len(built) == 1
+    rad = built[0]
+    assert rad == radial(grid)
+    built.clear()
+    for cand in _cycle_candidates(rad)[:50]:
+        cut_along(rad, cand)
+    assert built == []
 
 
 def test_cutter_agrees_with_homology_class():
@@ -253,3 +292,20 @@ def test_random_maps_have_consistent_invariants():
                 assert fw == math.inf
             else:
                 assert isinstance(fw, int) and fw >= 1
+
+
+def test_cut_along_matches_rebuilt_cut_map():
+    """The face flood equals the explicit cut map on every radial candidate."""
+    rng = random.Random(4)
+    maps = genus_two_up = cycles = 0
+    while maps < 300:
+        rs = _random_map(rng, rng.randrange(1, 10))
+        if len(rs.component_euler_characteristics()) != 1:
+            continue
+        maps += 1
+        genus_two_up += rs.genus() >= 2
+        rad = radial(rs)
+        for cand in _cycle_candidates(rad):
+            assert cut_along(rad, cand) == cut_component_chis(rad.rotations, rad.edges, cand)
+            cycles += 1
+    assert genus_two_up >= 50 and cycles >= 2500

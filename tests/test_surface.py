@@ -167,3 +167,13 @@ def test_multicurve_json_roundtrip():
 
     mc2 = MultiCurve(SurfaceModel.torus(), (5,), (3,))
     assert MultiCurve.from_json(json.loads(json.dumps(mc2.to_json()))) == mc2
+
+    # weights and genus decode strictly: no float truncation, no bool as 1
+    obj = mc.to_json()
+    for loose in (
+        {**obj, "meridians": [5, 4.0, 2]},
+        {**obj, "longitudes": [2, True, 2]},
+        {**obj, "surface": {"kind": "chain", "genus": 2.0}},
+    ):
+        with pytest.raises(ValueError, match="must be an integer"):
+            MultiCurve.from_json(loose)
