@@ -203,6 +203,9 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
         seeds = _parse_seeds(args.seed)
         if any(name not in ATTRIBUTES for name in seeds):
             raise ValueError(f"seed attributes must be among {', '.join(ATTRIBUTES)}")
+        negative = sorted(name for name, value in seeds.items() if value < 0)
+        if negative:
+            raise ValueError(f"seed values must be non-negative: {', '.join(negative)}")
     except ValueError as exc:
         return _fail_usage(str(exc))
     report = _report(

@@ -3,12 +3,29 @@
 Every crossing between a longitude copy and a meridian copy is resolved
 in the way compatible with the strand orientations, turning the weighted
 multicurve into a disjoint union of embedded closed curves.  The number
-of resulting components is computed by walking the reconnection map.
+of resulting components is the number of orbits of the reconnection map.
 
 A crossing is identified by (j, c, i, d): copy c of longitude class l_j
 meets copy d of meridian class m_i.  Copies are numbered from 1 and sit
 in parallel, so along any single copy the crossings with another class
-appear consecutively in copy order.
+appear consecutively in copy order.  With a_j copies of l_j and b_i of
+m_i, the crossings of l_j with m_i form the block 1..a_j x 1..b_i.
+
+A smoothed curve arriving at a crossing along a longitude leaves along
+the meridian to the next crossing on that meridian copy, then along the
+longitude to the next crossing on that longitude copy.  Write G for
+this return map on crossings (longitude step after meridian step); G is
+a bijection, and its orbits are the smoothed components that meet any
+crossing.  Inside a block, when c < a_j and d < b_i, the meridian step
+moves to copy c+1 of the same block and the longitude step to copy d+1,
+so G is the diagonal step (c, d) -> (c+1, d+1).  Hence a crossing with
+c > 1 and d > 1 has the unique preimage (c-1, d-1), and following an
+orbit backwards along the diagonal always reaches an *entry*, a
+crossing with c = 1 or d = 1.  Every orbit therefore contains an entry,
+and ``trace_orbits`` walks the first-return map of G on entries: a run
+of diagonal steps taken at once, then one step that wraps to the next
+class with copies.  A block holds a_j + b_i - 1 entries, so the walk is
+linear in the weights rather than in the crossing count.
 
 Cutting the chain surface along one full reference family is the other
 operation provided here: it splits the surface into two mirror planar
@@ -26,7 +43,6 @@ from surfrep.surface import MultiCurve, SurfaceModel, _json_int
 __all__ = ["PlanarPiece", "cut_pieces", "trace_components", "trace_orbits"]
 
 Crossing = tuple[int, int, int, int]
-State = tuple[Crossing, str]  # second entry: family of the arriving strand
 
 
 def _longitude_classes(surface: SurfaceModel, j: int) -> tuple[int, ...]:
@@ -45,90 +61,91 @@ def _meridian_classes(surface: SurfaceModel, i: int) -> tuple[int, ...]:
     return (g, 0) if i == g else (i, i + 1)
 
 
-def _crossings_along_longitude(mc: MultiCurve, j: int, c: int) -> list[Crossing]:
-    return [
-        (j, c, i, d)
-        for i in _longitude_classes(mc.surface, j)
-        for d in range(1, mc.meridians[i] + 1)
-    ]
+def _next_with_copies(
+    classes: tuple[int, ...], weights: tuple[int, ...]
+) -> dict[int, int]:
+    """Cyclic successor among ``classes`` that carry at least one copy."""
+    live = [x for x in classes if weights[x]]
+    return {x: live[(t + 1) % len(live)] for t, x in enumerate(live)}
 
 
-def _crossings_along_meridian(mc: MultiCurve, i: int, d: int) -> list[Crossing]:
-    return [
-        (j, c, i, d)
-        for j in _meridian_classes(mc.surface, i)
-        for c in range(1, mc.longitudes[j] + 1)
-    ]
-
-
-def _cyclic_next(seq: list[Crossing]) -> dict[Crossing, Crossing]:
-    return {x: seq[(t + 1) % len(seq)] for t, x in enumerate(seq)}
-
-
-def trace_orbits(mc: MultiCurve) -> list[list[State]]:
+def trace_orbits(mc: MultiCurve) -> list[list[Crossing]]:
     """Orbits of the smoothing reconnection map, one per closed walk.
 
-    A state (x, "l") records arrival at crossing x along a longitude
-    strand; the smoothed curve then leaves along the meridian strand and
-    runs to the next crossing on that meridian copy, arriving there in
-    state (y, "m").  Copies that meet no crossings at all contribute no
-    states and are handled separately by trace_components.
+    Each orbit is listed by its entry crossings (j, c, i, d), those with
+    c = 1 or d = 1, in walking order.  Inside the block of l_j and m_i
+    the return map G sends (c, d) to (c+1, d+1) while c < a_j and
+    d < b_i, and that diagonal predecessor is the only preimage of a
+    crossing with c > 1 and d > 1; so walking an orbit backwards always
+    reaches an entry, and the orbits of G correspond one to one to the
+    orbits of its first return to the entries.  From an entry the walk
+    takes t = min(a_j - c, b_i - d) diagonal steps at once, covering
+    t + 1 crossings, and then one step of G that leaves the block: the
+    meridian step wraps to copy 1 of the next longitude class with
+    copies along m_i when c = a_j, and the longitude step to copy 1 of
+    the next meridian class with copies along l_j when d = b_i.  The
+    result has c = 1 or d = 1, so it is again an entry, and the diagonal
+    runs of all entries tile the crossings exactly once.  Copies that
+    meet no crossings at all are handled by trace_components.
     """
     surface = mc.surface
+    a, b = mc.longitudes, mc.meridians
     k = surface.num_classes
+    # along m_i after l_j, and along l_j after m_i
+    next_long = {i: _next_with_copies(_meridian_classes(surface, i), a) for i in range(k)}
+    next_mer = {j: _next_with_copies(_longitude_classes(surface, j), b) for j in range(k)}
 
-    next_on_longitude: dict[Crossing, Crossing] = {}
+    def first_return(x: Crossing) -> Crossing:
+        j, c, i, d = x
+        t = min(a[j] - c, b[i] - d)
+        c, d = c + t, d + t
+        if c < a[j]:
+            c += 1
+        else:
+            j, c = next_long[i][j], 1
+        if d < b[i]:
+            d += 1
+        else:
+            i, d = next_mer[j][i], 1
+        return j, c, i, d
+
+    seen: set[Crossing] = set()
+    orbits: list[list[Crossing]] = []
     for j in range(k):
-        for c in range(1, mc.longitudes[j] + 1):
-            seq = _crossings_along_longitude(mc, j, c)
-            if seq:
-                next_on_longitude.update(_cyclic_next(seq))
-
-    next_on_meridian: dict[Crossing, Crossing] = {}
-    for i in range(k):
-        for d in range(1, mc.meridians[i] + 1):
-            seq = _crossings_along_meridian(mc, i, d)
-            if seq:
-                next_on_meridian.update(_cyclic_next(seq))
-
-    def successor(state: State) -> State:
-        x, fam = state
-        if fam == "l":
-            return next_on_meridian[x], "m"
-        return next_on_longitude[x], "l"
-
-    states: list[State] = [(x, fam) for x in next_on_longitude for fam in ("l", "m")]
-    seen: set[State] = set()
-    orbits: list[list[State]] = []
-    for start in states:
-        if start in seen:
+        if not a[j]:
             continue
-        orbit = [start]
-        seen.add(start)
-        cur = successor(start)
-        while cur != start:
-            orbit.append(cur)
-            seen.add(cur)
-            cur = successor(cur)
-        orbits.append(orbit)
+        for i in next_mer[j]:  # the meridian classes with copies that l_j meets
+            entries = [(j, 1, i, d) for d in range(1, b[i] + 1)]
+            entries += [(j, c, i, 1) for c in range(2, a[j] + 1)]
+            for start in entries:
+                if start in seen:
+                    continue
+                orbit = [start]
+                x = first_return(start)
+                while x != start:
+                    orbit.append(x)
+                    x = first_return(x)
+                seen.update(orbit)
+                orbits.append(orbit)
     return orbits
 
 
 def trace_components(mc: MultiCurve) -> int:
     """Number of closed components of the coherently smoothed multicurve.
 
-    Each orbit of the reconnection map is one component; copies whose
-    crossing list is empty survive smoothing untouched and count one
-    component each.
+    Each orbit of the reconnection map is one component.  A copy whose
+    crossing classes all have weight 0 meets no crossing: it survives
+    smoothing untouched and counts one component.
     """
-    untouched = 0
-    k = mc.surface.num_classes
-    for j in range(k):
-        if not _crossings_along_longitude(mc, j, 1):
-            untouched += mc.longitudes[j]
-    for i in range(k):
-        if not _crossings_along_meridian(mc, i, 1):
-            untouched += mc.meridians[i]
+    surface = mc.surface
+    a, b = mc.longitudes, mc.meridians
+    k = surface.num_classes
+    untouched = sum(
+        a[j] for j in range(k) if not any(b[i] for i in _longitude_classes(surface, j))
+    )
+    untouched += sum(
+        b[i] for i in range(k) if not any(a[j] for j in _meridian_classes(surface, i))
+    )
     return len(trace_orbits(mc)) + untouched
 
 

@@ -10,6 +10,10 @@ in cyclic order; the arcs of sector u join circle u to circle u+1 (mod
 k) as parallel copies numbered from the inside out.  Faces are IN and
 OUT (or one merged CORE face when some sector is empty) plus the strip
 faces between consecutive parallel copies.
+
+The smoothing walk visits every crossing state one at a time, with its
+own copy of the chain surface's crossing order; it is the reference for
+the entry walk of ``trace_orbits`` on small weights.
 """
 
 from __future__ import annotations
@@ -292,6 +296,66 @@ def necklace_arc_min(circles: int, arcs, base: int) -> int | None:
                     if best is None or cost < best:
                         best = cost
     return best
+
+
+#-- Smoothing walk --#
+
+def smoothing_state_orbits(kind: str, meridians, longitudes) -> list[list[tuple]]:
+    """Orbits of the full smoothing walk, one state per crossing and strand.
+
+    The surface is the torus or the chain surface with len(meridians)
+    classes per family.  Crossing (j, c, i, d) is copy c of l_j meeting
+    copy d of m_i.  Along l_j the copies of m_{j-1} come before those of
+    m_j; along m_i the copies of l_i come before those of l_{i+1}
+    (indices cyclic).  State (x, "l") arrives at x along a longitude and
+    moves to the next crossing on its meridian copy as (y, "m"); state
+    (x, "m") moves on along the longitude.  Every state is walked, so
+    the cost is twice the crossing count.
+    """
+    k = len(meridians)
+
+    def along_longitude(j):
+        return [0] if kind == "torus" else [(j - 1) % k, j]
+
+    def along_meridian(i):
+        return [0] if kind == "torus" else [i, (i + 1) % k]
+
+    def cyclic_next(seq):
+        return {x: seq[(t + 1) % len(seq)] for t, x in enumerate(seq)}
+
+    next_on_longitude = {}
+    for j in range(k):
+        for c in range(1, longitudes[j] + 1):
+            seq = [(j, c, i, d) for i in along_longitude(j)
+                   for d in range(1, meridians[i] + 1)]
+            next_on_longitude.update(cyclic_next(seq))
+    next_on_meridian = {}
+    for i in range(k):
+        for d in range(1, meridians[i] + 1):
+            seq = [(j, c, i, d) for j in along_meridian(i)
+                   for c in range(1, longitudes[j] + 1)]
+            next_on_meridian.update(cyclic_next(seq))
+
+    def successor(state):
+        x, fam = state
+        if fam == "l":
+            return next_on_meridian[x], "m"
+        return next_on_longitude[x], "l"
+
+    seen = set()
+    orbits = []
+    for start in [(x, fam) for x in next_on_longitude for fam in ("l", "m")]:
+        if start in seen:
+            continue
+        orbit = [start]
+        seen.add(start)
+        cur = successor(start)
+        while cur != start:
+            orbit.append(cur)
+            seen.add(cur)
+            cur = successor(cur)
+        orbits.append(orbit)
+    return orbits
 
 
 #-- Face-width enumeration --#

@@ -5,7 +5,9 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from surfrep.bounds import ATTRIBUTES, TAG_NAMES
 from surfrep.cli import main
 from surfrep.families import lpq_link
 from surfrep.smoothing import cut_pieces
@@ -230,6 +232,68 @@ def test_bounds_rejects_bad_flags(capsys):
     assert run_cli(capsys, "bounds", "--seed", "b=1/0")[0] == 2
     assert run_cli(capsys, "bounds", "--seed", "girth=3")[0] == 2
     assert run_cli(capsys, "bounds", "--seed", "b=2", "--seed", "b=2")[0] == 2
+    code, out, err = run_cli(capsys, "bounds", "--seed", "b=-3")
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+#-- Fuzzing --#
+
+_small_int = st.integers(min_value=-9, max_value=9).map(str)
+_tag = st.one_of(
+    st.sampled_from(["two_bridge", "composite", "theta_curve", "torus_knot=3,5",
+                     "pretzel=-2,3,7"]),
+    st.builds(
+        lambda name, params: name if params is None else f"{name}={','.join(params)}",
+        st.sampled_from(sorted(TAG_NAMES) + ["", "knot"]),
+        st.none() | st.lists(_small_int | st.text(max_size=3), max_size=4),
+    ),
+    st.text(max_size=12),
+)
+_seed = st.builds(
+    lambda name, sep, value: f"{name}{sep}{value}",
+    st.sampled_from(ATTRIBUTES + ("girth", "")),
+    st.sampled_from(["=", "", " = "]),
+    _small_int | st.builds(lambda p, q: f"{p}/{q}", _small_int, _small_int) | st.text(max_size=4),
+)
+# the parameter ranges keep every verify call small and fast
+_family = st.one_of(
+    st.text(max_size=12),
+    st.builds(
+        lambda kind, x, y: f"{kind}:{x},{y}",
+        st.sampled_from(["torus", "exactly", "lpq", "weird", ""]),
+        st.integers(min_value=-2, max_value=9),
+        st.integers(min_value=-2, max_value=40),
+    ),
+)
+
+
+def _assert_exit_contract(capsys, argv: list[str]) -> None:
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse usage errors
+        code = exc.code
+    assert code in (0, 1, 2)
+    assert "Traceback" not in capsys.readouterr().err
+
+
+_fuzz = settings(max_examples=300, deadline=None,
+                 suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@_fuzz
+@given(tags=st.lists(_tag, max_size=2), seeds=st.lists(_seed, max_size=2))
+def test_fuzzed_bounds_flags_keep_the_exit_contract(capsys, tags, seeds):
+    """Any tag and seed strings exit 0, 1 or 2, never with a traceback."""
+    argv = ["bounds", *(f"--tag={t}" for t in tags), *(f"--seed={s}" for s in seeds)]
+    _assert_exit_contract(capsys, argv)
+
+
+@_fuzz
+@given(cmd=st.sampled_from(["verify", "generate"]), family=_family)
+def test_fuzzed_families_keep_the_exit_contract(capsys, cmd, family):
+    """Any family string exits 0, 1 or 2, never with a traceback."""
+    _assert_exit_contract(capsys, [cmd, family])
 
 
 #-- Report behaviour --#

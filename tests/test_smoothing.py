@@ -5,10 +5,12 @@ from __future__ import annotations
 import math
 import random
 
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
+from oracles import smoothing_state_orbits
+from surfrep.families import torus_knot
 from surfrep.smoothing import trace_components, trace_orbits
-from surfrep.surface import MultiCurve, SurfaceModel
+from surfrep.surface import MultiCurve, SurfaceModel, pairing
 
 
 def _total_crossings(mc: MultiCurve) -> int:
@@ -18,6 +20,12 @@ def _total_crossings(mc: MultiCurve) -> int:
     return sum(
         mc.longitudes[j] * mc.boundary_count(CurveClass("l", j)) for j in range(k)
     )
+
+
+def _diagonal_run_total(mc: MultiCurve, orbits) -> int:
+    """Crossings covered by the diagonal runs that start at the listed entries."""
+    longs, mers = mc.longitudes, mc.meridians
+    return sum(min(longs[j] - c, mers[i] - d) + 1 for orbit in orbits for j, c, i, d in orbit)
 
 
 #-- Torus --#
@@ -66,12 +74,20 @@ def test_knot_weightings_trace_to_one_component():
 
 
 def test_small_chain2_walk_detail():
-    """Weights (3,2,1)/(1,1,1): 12 crossings, one closed walk of 24 states."""
+    """Weights (3,2,1)/(1,1,1): 12 crossings, one closed walk.
+
+    The full walk visits 24 states.  Every crossing has c = 1, so every
+    crossing is an entry and the entry walk lists all 12, each the start
+    of a diagonal run of length one.
+    """
     mc = MultiCurve(SurfaceModel.chain(2), (3, 2, 1), (1, 1, 1))
     assert _total_crossings(mc) == 12
+    full = smoothing_state_orbits("chain", mc.meridians, mc.longitudes)
+    assert [len(orbit) for orbit in full] == [24]
     orbits = trace_orbits(mc)
     assert len(orbits) == 1
-    assert len(orbits[0]) == 24
+    assert len(orbits[0]) == 12
+    assert _diagonal_run_total(mc, orbits) == 12
 
 
 def test_untouched_copies_counted():
@@ -91,7 +107,8 @@ def test_untouched_copies_counted():
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
 def test_orbits_partition_all_states(g: int, seed: int):
-    """Orbit lengths sum to twice the crossing count and never repeat a state."""
+    """The full walk partitions all 2 x crossings states; the entry walk
+    lists every entry of every block exactly once."""
     rng = random.Random(seed)
     k = g + 1
     a = tuple(rng.randrange(0, 6) for _ in range(k))
@@ -99,8 +116,51 @@ def test_orbits_partition_all_states(g: int, seed: int):
     if sum(a) + sum(b) == 0:
         a = (1,) + a[1:]
     mc = MultiCurve(SurfaceModel.chain(g), a, b)
-    orbits = trace_orbits(mc)
-    states = [s for orbit in orbits for s in orbit]
+    full = smoothing_state_orbits("chain", mc.meridians, mc.longitudes)
+    states = [s for orbit in full for s in orbit]
     assert len(states) == len(set(states)) == 2 * _total_crossings(mc)
+
+    orbits = trace_orbits(mc)
+    entries = [x for orbit in orbits for x in orbit]
+    longs, mers = mc.longitudes, mc.meridians
+    for j, c, i, d in entries:
+        assert pairing(mc.surface, j, i) == 1
+        assert 1 <= c <= longs[j] and 1 <= d <= mers[i]
+        assert c == 1 or d == 1
+    blocks = [(j, i) for j in range(k) for i in range(k)
+              if pairing(mc.surface, j, i) and longs[j] and mers[i]]
+    assert len(entries) == len(set(entries)) == sum(longs[j] + mers[i] - 1 for j, i in blocks)
     assert trace_components(mc) >= 1
     assert trace_orbits(mc) == orbits  # deterministic
+
+
+@given(
+    g=st.integers(min_value=0, max_value=4),
+    weights=st.lists(st.integers(min_value=0, max_value=9), min_size=10, max_size=10),
+)
+def test_orbits_match_the_full_walk(g: int, weights: list[int]):
+    """Differential check against the state-by-state walk of tests/oracles.py.
+
+    g = 0 stands for the torus.  The entry walk finds as many orbits as
+    the full walk, lists no entry twice, and the diagonal runs starting
+    at its entries cover every crossing exactly once.
+    """
+    kind, surface = ("torus", SurfaceModel.torus()) if g == 0 else ("chain", SurfaceModel.chain(g))
+    k = surface.num_classes
+    meridians, longitudes = tuple(weights[:k]), tuple(weights[5:5 + k])
+    assume(any(meridians + longitudes))
+    mc = MultiCurve(surface, meridians, longitudes)
+    orbits = trace_orbits(mc)
+    assert len(orbits) == len(smoothing_state_orbits(kind, meridians, longitudes))
+    entries = [x for orbit in orbits for x in orbit]
+    assert len(entries) == len(set(entries))
+    assert _diagonal_run_total(mc, orbits) == _total_crossings(mc)
+
+
+def test_large_weights():
+    """Weights far beyond the reach of a walk over every crossing."""
+    assert trace_components(torus_knot(9973, 10007).curve) == 1
+    assert trace_components(torus_knot(12000, 18000).curve) == 6000
+    a, b = (1234, 2000), (3001, 2999)
+    mc = MultiCurve(SurfaceModel.chain(1), a, b)
+    assert trace_components(mc) == math.gcd(sum(a), sum(b)) == 6
