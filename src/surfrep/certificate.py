@@ -25,6 +25,7 @@ weights, proved in the docstrings below; no drawing is ever constructed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Any
 
 from surfrep.smoothing import PlanarPiece, cut_pieces
@@ -45,15 +46,18 @@ __all__ = [
 
 #-- Exact minima --#
 
-def _sectors(piece: PlanarPiece) -> list[int]:
-    """Arc weight per sector, zeros included; sector u joins circle u to u+1 mod k.
+def _sectors(piece: PlanarPiece) -> dict[int, int]:
+    """Arc weight by sector, sector u joining circle u to u+1 mod k.
 
-    Raises ValueError when an arc pair is not cyclically adjacent.  With
-    two circles both sectors join the same pair, whose one merged
-    multiplicity lands in sector 0 while sector 1 stays empty.
+    Holds the nonempty sectors and up to three empty ones at weight 0,
+    so its size follows the arcs, not k, and both minima stay exact: two
+    empty sectors suffice for the two lightest, and one of three misses
+    any base circle.  Raises ValueError when an arc pair is not
+    cyclically adjacent.  With two circles both sectors join the same
+    pair, whose merged multiplicity lands in sector 0; sector 1 is empty.
     """
     k = piece.circles
-    weights = [0] * k
+    weights: dict[int, int] = {}
     for a, b, mult in piece.arcs:
         if b - a == 1:
             weights[a] = mult
@@ -63,6 +67,7 @@ def _sectors(piece: PlanarPiece) -> list[int]:
             raise ValueError(
                 f"arc pair ({a}, {b}) is not cyclically adjacent among {k} circles"
             )
+    weights.update(dict.fromkeys(islice((u for u in range(k) if u not in weights), 3), 0))
     return weights
 
 
@@ -81,7 +86,7 @@ def min_essential_loop(piece: PlanarPiece) -> int:
 
     Raises ValueError when the piece is not a necklace.
     """
-    lightest, runner_up = sorted(_sectors(piece))[:2]
+    lightest, runner_up = sorted(_sectors(piece).values())[:2]
     return lightest + runner_up
 
 
@@ -110,7 +115,7 @@ def min_essential_arc(piece: PlanarPiece, circle: int) -> int | None:
     if k < 3:
         return None
     weights = _sectors(piece)
-    return min(w for u, w in enumerate(weights) if u not in ((circle - 1) % k, circle))
+    return min(w for u, w in weights.items() if u not in ((circle - 1) % k, circle))
 
 
 #-- Certificates --#
@@ -174,7 +179,7 @@ def evaluate_piece(piece: PlanarPiece) -> PieceBounds:
 
     Raises ValueError when the piece is not a necklace.
     """
-    lightest, runner_up = sorted(_sectors(piece))[:2]
+    lightest, runner_up = sorted(_sectors(piece).values())[:2]
     return PieceBounds(
         piece.id, lightest + runner_up, lightest if piece.circles >= 3 else None
     )
@@ -200,14 +205,12 @@ def representativity_exact(mc: MultiCurve) -> Representativity:
 
     The upper bound is the cheapest reference class; the lower bound is
     the largest level the cut pieces certify, capped by the upper bound.
-    The two mirror pieces of a cut carry identical arcs, so one piece
-    per cut direction is evaluated.  ``exact`` is set when the bounds
-    meet.
+    One piece per cut direction is evaluated, as its mirror carries the
+    same arcs.  ``exact`` is set when the bounds meet.
     """
     upper = upper_bound(mc)
     scores = [
-        evaluate_piece(cut_pieces(mc, along)[0]).score
-        for along in ("meridians", "longitudes")
+        evaluate_piece(cut_pieces(mc, along)).score for along in ("meridians", "longitudes")
     ]
     lower = min(upper, *scores)
     return Representativity(lower, upper, upper if lower == upper else None)

@@ -37,8 +37,10 @@ SCHEMA = "run-report/1"
 _OK, _FAIL, _USAGE = 0, 1, 2
 
 
-def _fail_usage(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
+def _fail_usage(problem: str | Exception) -> int:
+    if isinstance(problem, KeyError):
+        problem = f"missing field {problem}"
+    print(f"error: {problem}", file=sys.stderr)
     return _USAGE
 
 
@@ -88,7 +90,10 @@ def _render(pad: str, mapping: dict[str, Any]) -> list[str]:
 
 
 def _load_json(path: str) -> Any:
-    return json.loads(Path(path).read_text())
+    try:
+        return json.loads(Path(path).read_text())
+    except RecursionError:
+        raise ValueError(f"{path} is nested too deeply") from None
 
 
 #-- Subcommands --#
@@ -137,7 +142,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
             raise ValueError("no certificate level: pass --n or store n in the file")
         certificate = certify_pieces(pieces, n)
     except (OSError, ValueError, KeyError, TypeError) as exc:
-        return _fail_usage(str(exc))
+        return _fail_usage(exc)
     report = _report(["certify", args.pieces], {"file": args.pieces, "n": n})
     for piece in certificate.pieces:
         report["checks"].append(
@@ -169,7 +174,7 @@ def _cmd_facewidth(args: argparse.Namespace) -> int:
         rs = RotationSystem.from_json(_load_json(args.map))
         genus = rs.genus()
     except (OSError, ValueError, KeyError, TypeError) as exc:
-        return _fail_usage(str(exc))
+        return _fail_usage(exc)
     width = face_width(rs)
     report = _report(["facewidth", args.map], {"file": args.map})
     report["results"] = {

@@ -11,11 +11,11 @@ noncontractible closed curve on the surface must have with the graph.
 Such a curve can be pushed to alternate between vertices and faces, so
 the face-width is half the length of a shortest noncontractible cycle
 in the radial map, the bipartite map joining each vertex to each face
-once per incidence.  Candidate cycles come from breadth first search
-trees.  A candidate is contractible exactly when cutting the surface
-open along it leaves two pieces, one of them a disk.  The pieces are
-counted by a flood over the faces of the map itself, joined across the
-uncut edges; no cut map is ever built.
+once per incidence.  That cycle is found by one bounded breadth first
+search per root, which tests only simple cycles between two branches
+of its tree.  A cycle is contractible exactly when cutting the surface
+open along it leaves two pieces, one of them a disk, counted by a flood
+over the faces of the map itself; no cut map is ever built.
 """
 
 from __future__ import annotations
@@ -104,9 +104,6 @@ class RotationSystem:
 
     def alpha(self, dart: int) -> int:
         return self._alpha[dart]
-
-    def sigma(self, dart: int) -> int:
-        return self._sigma[dart]
 
     @cached_property
     def faces(self) -> tuple[tuple[int, ...], ...]:
@@ -286,59 +283,61 @@ def cycle_is_contractible(rs: RotationSystem, cycle: Sequence[int]) -> bool:
 
 #-- Face-width --#
 
-def _cycle_candidates(rs: RotationSystem) -> list[tuple[int, ...]]:
-    """Simple cycles containing a shortest one from every essential class.
-
-    Breadth first search from every root; each non-tree edge closes a
-    fundamental cycle, trimmed of the common tree prefix.  Any family
-    of cycles closed under rerouting along two of three internally
-    disjoint paths has a shortest member of this form, and the
-    noncontractible cycles are such a family.
-    """
-    found: dict[frozenset[frozenset[int]], tuple[int, ...]] = {}
-    for root in range(rs.num_vertices):
-        path: dict[int, tuple[int, ...]] = {root: ()}
-        order = [root]
-        head = 0
-        tree: set[frozenset[int]] = set()
-        while head < len(order):
-            v = order[head]
-            head += 1
-            for d in rs.rotations[v]:
-                w = rs.vertex_of(rs.alpha(d))
-                ekey = frozenset((d, rs.alpha(d)))
-                if w not in path:
-                    path[w] = path[v] + (d,)
-                    order.append(w)
-                    tree.add(ekey)
-                elif ekey not in tree:
-                    if w == v:
-                        cand: tuple[int, ...] = (d,)
-                    else:
-                        pu, pw = path[v], path[w]
-                        c = 0
-                        while c < len(pu) and c < len(pw) and pu[c] == pw[c]:
-                            c += 1
-                        back = tuple(rs.alpha(x) for x in reversed(pw[c:]))
-                        cand = pu[c:] + (d,) + back
-                    key = frozenset(frozenset((x, rs.alpha(x))) for x in cand)
-                    if key not in found or len(found[key]) > len(cand):
-                        found[key] = cand
-    return sorted(found.values(), key=len)
-
-
 def face_width(rs: RotationSystem) -> int | float:
     """Least crossings of a noncontractible closed curve with the graph.
 
-    Infinite on the sphere, where every closed curve is contractible.
-    Elsewhere this is half the length of a shortest noncontractible
-    cycle of the radial map, found by checking candidates in length
-    order.
+    Infinite on the sphere; elsewhere half the length of a shortest
+    noncontractible cycle of the radial map, which is bipartite, so
+    loopless.  A breadth first search from each root x visits only the
+    vertices >= x and gives each one a branch: the first dart out of x
+    on its tree path.  Each non-tree edge vw between two branches
+    closes the simple cycle x..v w..x, cut open if shorter than the
+    best noncontractible cycle yet; the search stops once twice the
+    depth reaches the best length.
+
+    Let C be a shortest noncontractible cycle and x its least vertex.
+    C lies among the vertices >= x, so tree distances from x are at
+    most those along C.  Based at x, C is the product of the
+    fundamental loops of its non-tree edges, so one of them is
+    noncontractible and at most |C| long.  Were its tree paths to share
+    a first dart, trimming them would give a shorter noncontractible
+    cycle.  So it is a cycle between two branches of length |C|, with
+    ends shallow enough for the search to reach.
     """
     if rs.genus() == 0:
         return math.inf
     rad = radial(rs)
-    for cand in _cycle_candidates(rad):
-        if not cycle_is_contractible(rad, cand):
-            return len(cand) // 2
-    raise AssertionError("no noncontractible cycle on a positive genus surface")
+    rotations, alpha, vertex_of = rad.rotations, rad._alpha, rad._vertex_of
+    best: int | float = math.inf
+    for x in range(rad.num_vertices):
+        # vertex -> (queue position, depth, dart reached by, branch), -1 for none
+        seen = {x: (0, 0, -1, -1)}
+        queue = [x]
+        for head, v in enumerate(queue):
+            _, depth, _, branch = seen[v]
+            if 2 * depth >= best:
+                break
+            for d in rotations[v]:
+                w = vertex_of[alpha[d]]
+                if w < x:
+                    continue
+                if w not in seen:
+                    seen[w] = (len(queue), depth + 1, d, d if head == 0 else branch)
+                    queue.append(w)
+                    continue
+                pos_w, depth_w, _, branch_w = seen[w]
+                # only from the end scanned first: skips tree edges and repeats
+                if pos_w > head and branch_w != branch and depth + depth_w + 1 < best:
+                    down, up, u = [d], [], v
+                    while u != x:
+                        down.append(seen[u][2])
+                        u = vertex_of[down[-1]]
+                    while w != x:
+                        up.append(seen[w][2])
+                        w = vertex_of[up[-1]]
+                    cycle = down[::-1] + [alpha[y] for y in up]
+                    if not cycle_is_contractible(rad, cycle):
+                        best = len(cycle)
+    if best == math.inf:
+        raise RuntimeError("no noncontractible cycle on a positive genus surface")
+    return best // 2

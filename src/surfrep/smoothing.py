@@ -178,13 +178,6 @@ class PlanarPiece:
             seen.add((a, b))
         object.__setattr__(self, "arcs", tuple(sorted(self.arcs)))
 
-    def multiplicity(self, a: int, b: int) -> int:
-        key = (min(a, b), max(a, b))
-        for u, v, mult in self.arcs:
-            if (u, v) == key:
-                return mult
-        return 0
-
     def to_json(self) -> dict[str, Any]:
         return {
             "piece": self.id,
@@ -195,8 +188,10 @@ class PlanarPiece:
     @staticmethod
     def from_json(obj: dict[str, Any]) -> "PlanarPiece":
         """Decode a piece, rejecting floats, bools and strings where counts belong."""
+        if not isinstance(obj["piece"], str):
+            raise ValueError(f"piece id must be a string, got {obj['piece']!r}")
         return PlanarPiece(
-            str(obj["piece"]),
+            obj["piece"],
             _json_int(obj["circles"], "circles"),
             tuple(
                 (_json_int(e["a"], "a"), _json_int(e["b"], "b"), _json_int(e["mult"], "mult"))
@@ -205,28 +200,28 @@ class PlanarPiece:
         )
 
 
-def cut_pieces(mc: MultiCurve, along: str) -> tuple[PlanarPiece, PlanarPiece]:
+def cut_pieces(mc: MultiCurve, along: str) -> PlanarPiece:
     """Cut the chain surface along one reference family.
 
-    ``along`` is "meridians" (pieces F1+/F1-) or "longitudes" (F2+/F2-).
-    Cutting along the meridians turns each longitude copy into an arc
-    joining the circles of the two meridian classes it crossed, and
-    symmetrically for the other direction.  The two returned pieces are
-    mirror copies carrying identical arc systems.
+    ``along`` is "meridians" (piece F1+) or "longitudes" (F2+).  Cutting
+    along the meridians turns each longitude copy into an arc joining
+    the circles of the two meridian classes it crossed, and
+    symmetrically for the other direction.  The mirror piece F1- (or
+    F2-) carries the same arcs, so it is not returned.
     """
     if mc.surface.kind != "chain":
         raise ValueError("cutting along a full reference family needs the chain surface")
     k = mc.surface.num_classes
     mults: dict[tuple[int, int], int] = {}
     if along == "meridians":
-        labels = ("F1+", "F1-")
+        label = "F1+"
         for j, w in enumerate(mc.longitudes):
             if w:
                 u, v = (j - 1) % k, j
                 key = (min(u, v), max(u, v))
                 mults[key] = mults.get(key, 0) + w
     elif along == "longitudes":
-        labels = ("F2+", "F2-")
+        label = "F2+"
         for i, w in enumerate(mc.meridians):
             if w:
                 u, v = i, (i + 1) % k
@@ -235,7 +230,4 @@ def cut_pieces(mc: MultiCurve, along: str) -> tuple[PlanarPiece, PlanarPiece]:
     else:
         raise ValueError(f"along must be 'meridians' or 'longitudes', got {along!r}")
     arcs = tuple((a, b, m) for (a, b), m in sorted(mults.items()))
-    return (
-        PlanarPiece(labels[0], k, arcs),
-        PlanarPiece(labels[1], k, arcs),
-    )
+    return PlanarPiece(label, k, arcs)

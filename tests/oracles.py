@@ -14,10 +14,16 @@ faces between consecutive parallel copies.
 The smoothing walk visits every crossing state one at a time, with its
 own copy of the chain surface's crossing order; it is the reference for
 the entry walk of ``trace_orbits`` on small weights.
+
+The face-width reference lists every breadth first search fundamental
+cycle of the radial map from every root, shortest first, and cuts them
+open one by one on an explicitly rebuilt cut map; it is the reference
+for the bounded search of ``face_width``.
 """
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 from itertools import combinations
 
@@ -565,3 +571,74 @@ def cut_component_chis(rotations, edges, cycle):
     for orbit in orbits:
         chi[comps.find(cvert[orbit[0]])] += 1
     return tuple(sorted(chi.values()))
+
+
+def radial_map(rotations, edges):
+    """Vertex-face incidence map as plain (rotations, edges) data.
+
+    Radial dart 2t (at the vertex node) and 2t + 1 (at the face node)
+    stand for the t-th original dart in sorted order; face nodes follow
+    the vertex nodes and list their darts against the face orbit.
+    """
+    vert, _, orbits = _map_structure(rotations, edges)
+    idx = {d: 2 * t for t, d in enumerate(sorted(vert))}
+    rad_rotations = [tuple(idx[d] for d in rot) for rot in rotations]
+    rad_rotations += [tuple(idx[d] + 1 for d in reversed(orbit)) for orbit in orbits]
+    return rad_rotations, [(idx[d], idx[d] + 1) for d in sorted(vert)]
+
+
+def radial_cycle_candidates(rotations, edges):
+    """Simple cycles containing a shortest one from every essential class.
+
+    Breadth first search from every root; each non-tree edge closes a
+    fundamental cycle, trimmed of the common tree prefix.  Any family
+    of cycles closed under rerouting along two of three internally
+    disjoint paths has a shortest member of this form, and the
+    noncontractible cycles are such a family.  Duplicate edge sets keep
+    their shortest cycle; the result is sorted by length.
+    """
+    vert, alpha, _ = _map_structure(rotations, edges)
+    found: dict[frozenset, tuple[int, ...]] = {}
+    for root in range(len(rotations)):
+        path: dict[int, tuple[int, ...]] = {root: ()}
+        order = [root]
+        tree: set[frozenset[int]] = set()
+        for v in order:
+            for d in rotations[v]:
+                w = vert[alpha[d]]
+                ekey = frozenset((d, alpha[d]))
+                if w not in path:
+                    path[w] = path[v] + (d,)
+                    order.append(w)
+                    tree.add(ekey)
+                elif ekey not in tree:
+                    if w == v:
+                        cand: tuple[int, ...] = (d,)
+                    else:
+                        pu, pw = path[v], path[w]
+                        c = 0
+                        while c < len(pu) and c < len(pw) and pu[c] == pw[c]:
+                            c += 1
+                        back = tuple(alpha[x] for x in reversed(pw[c:]))
+                        cand = pu[c:] + (d,) + back
+                    key = frozenset(frozenset((x, alpha[x])) for x in cand)
+                    if key not in found or len(found[key]) > len(cand):
+                        found[key] = cand
+    return sorted(found.values(), key=len)
+
+
+def candidate_face_width(rotations, edges):
+    """Half the length of the first radial candidate that does not bound a disk.
+
+    The map must be connected.  A cycle bounds a disk exactly when the
+    explicit cut map has two components, one of them a sphere.
+    """
+    _, _, orbits = _map_structure(rotations, edges)
+    if len(rotations) - len(edges) + len(orbits) == 2:
+        return math.inf
+    rad_rotations, rad_edges = radial_map(rotations, edges)
+    for cand in radial_cycle_candidates(rad_rotations, rad_edges):
+        chis = cut_component_chis(rad_rotations, rad_edges, cand)
+        if not (len(chis) == 2 and 2 in chis):
+            return len(cand) // 2
+    raise AssertionError("no noncontractible candidate on a positive genus surface")

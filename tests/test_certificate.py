@@ -30,39 +30,38 @@ def _knot_curve(n: int, g: int) -> MultiCurve:
 
 
 def _all_pieces(mc: MultiCurve) -> list[PlanarPiece]:
-    return [*cut_pieces(mc, "meridians"), *cut_pieces(mc, "longitudes")]
+    return [cut_pieces(mc, "meridians"), cut_pieces(mc, "longitudes")]
 
 
 #-- Cutting --#
 
 def test_cut_pieces_chain2():
     mc = MultiCurve(SurfaceModel.chain(2), (5, 4, 2), (2, 2, 2))
-    f1, f1m = cut_pieces(mc, "meridians")
-    assert (f1.id, f1m.id) == ("F1+", "F1-")
+    f1 = cut_pieces(mc, "meridians")
+    assert f1.id == "F1+"
     assert f1.circles == 3
     assert f1.arcs == ((0, 1, 2), (0, 2, 2), (1, 2, 2))
-    assert f1m.arcs == f1.arcs
 
-    f2, f2m = cut_pieces(mc, "longitudes")
-    assert (f2.id, f2m.id) == ("F2+", "F2-")
+    f2 = cut_pieces(mc, "longitudes")
+    assert f2.id == "F2+"
     assert f2.arcs == ((0, 1, 5), (0, 2, 2), (1, 2, 4))
 
 
 def test_cut_pieces_chain1_merges_pairs():
     """Genus 1: both classes connect the same two circles, so mults add."""
     mc = MultiCurve(SurfaceModel.chain(1), (5, 4), (2, 3))
-    f1, _ = cut_pieces(mc, "meridians")
+    f1 = cut_pieces(mc, "meridians")
     assert f1.circles == 2
     assert f1.arcs == ((0, 1, 5),)
-    f2, _ = cut_pieces(mc, "longitudes")
+    f2 = cut_pieces(mc, "longitudes")
     assert f2.arcs == ((0, 1, 9),)
 
 
 def test_cut_pieces_drops_zero_weights():
     mc = MultiCurve(SurfaceModel.chain(2), (3, 0, 1), (0, 0, 2))
-    f1, _ = cut_pieces(mc, "meridians")
+    f1 = cut_pieces(mc, "meridians")
     assert f1.arcs == ((1, 2, 2),)
-    f2, _ = cut_pieces(mc, "longitudes")
+    f2 = cut_pieces(mc, "longitudes")
     assert f2.arcs == ((0, 1, 3), (0, 2, 1))
 
 
@@ -88,8 +87,6 @@ def test_piece_validation_and_json():
         PlanarPiece("X", 3, ((0, 1, 1), (0, 1, 2)))
     p = PlanarPiece("F1+", 3, ((1, 2, 4), (0, 1, 2)))
     assert p.arcs == ((0, 1, 2), (1, 2, 4))  # canonical order
-    assert p.multiplicity(2, 1) == 4
-    assert p.multiplicity(0, 2) == 0
     assert PlanarPiece.from_json(json.loads(json.dumps(p.to_json()))) == p
 
 
@@ -112,6 +109,22 @@ def test_loop_min_small_pieces():
 def test_arc_min_vacuous_below_three_circles():
     assert min_essential_arc(PlanarPiece("P", 2, ((0, 1, 9),)), 0) is None
     assert min_essential_arc(PlanarPiece("P", 2, ()), 1) is None
+
+
+def test_minima_read_the_arcs_not_the_circle_count():
+    """Empty sectors cost 0 without being listed, so 10^15 circles are cheap."""
+    huge = 10**15
+    piece = PlanarPiece("H", huge, ((0, 1, 2), (0, huge - 1, 5)))
+    assert min_essential_loop(piece) == 0
+    assert min_essential_arc(piece, 0) == 0
+    assert (evaluate_piece(piece).loop_min, evaluate_piece(piece).arc_min) == (0, 0)
+    # three circles, every sector filled: the far sector is the only choice
+    full = PlanarPiece("F", 3, ((0, 1, 4), (1, 2, 6), (0, 2, 9)))
+    assert [min_essential_arc(full, c) for c in range(3)] == [6, 9, 4]
+    # five circles, both empty sectors touching circle 4
+    sparse = PlanarPiece("S", 5, ((0, 1, 4), (1, 2, 6), (2, 3, 8)))
+    assert [min_essential_arc(sparse, c) for c in range(5)] == [0, 0, 0, 0, 4]
+    assert min_essential_loop(sparse) == 0
 
 
 def test_arc_min_requires_adjacent_pairs():
@@ -185,7 +198,7 @@ def test_cut_piece_minima_match_oracle():
                 break
         mc = MultiCurve(SurfaceModel.chain(g), a, b)
         for along in ("meridians", "longitudes"):
-            piece = cut_pieces(mc, along)[0]
+            piece = cut_pieces(mc, along)
             assert min_essential_loop(piece) == necklace_loop_min(k, piece.arcs)
             if k >= 3:
                 for b in range(k):
@@ -200,7 +213,7 @@ def test_certificate_exact_square_case():
     assert cert.lower_ok is True
     assert upper_bound(mc) == 4
     by_id = {p.piece_id: p for p in cert.pieces}
-    assert set(by_id) == {"F1+", "F1-", "F2+", "F2-"}
+    assert set(by_id) == {"F1+", "F2+"}
     assert (by_id["F1+"].loop_min, by_id["F1+"].arc_min) == (4, 2)
     assert (by_id["F2+"].loop_min, by_id["F2+"].arc_min) == (6, 2)
     assert (by_id["F1+"].score, by_id["F2+"].score) == (4, 4)
@@ -279,7 +292,7 @@ def test_certificate_json_shape():
     assert set(blob) == {"n", "pieces", "lower_ok"}
     assert blob["n"] == 4
     assert blob["lower_ok"] is True
-    assert {p["id"] for p in blob["pieces"]} == {"F1+", "F1-", "F2+", "F2-"}
+    assert {p["id"] for p in blob["pieces"]} == {"F1+", "F2+"}
     assert all(set(p) == {"id", "loop_min", "arc_min"} for p in blob["pieces"])
 
 

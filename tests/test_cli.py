@@ -28,8 +28,8 @@ def _write(tmp_path, name: str, payload) -> str:
 
 def _pants_pieces() -> list[dict]:
     curve = lpq_link(2, 7).curve
-    pieces = [*cut_pieces(curve, "meridians"), *cut_pieces(curve, "longitudes")]
-    assert len(pieces) == 4
+    pieces = [cut_pieces(curve, "meridians"), cut_pieces(curve, "longitudes")]
+    assert [p.id for p in pieces] == ["F1+", "F2+"]
     return [p.to_json() for p in pieces]
 
 
@@ -140,6 +140,28 @@ def test_certify_rejects_bad_files(capsys, tmp_path):
     stored = _write(tmp_path, "four.json", {"pieces": pants, "n": 4})
     code, out, err = run_cli(capsys, "certify", stored, "--n", "-3")
     assert (code, out) == (2, "") and "must be >= 0" in err
+    # a missing field is named, a piece id must be a string, and deep
+    # nesting is refused like any other unusable file
+    no_arcs = {key: value for key, value in pants[0].items() if key != "arcs"}
+    unnamed = {**pants[0], "piece": {"x": 1}}
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000)
+    for path, message in (
+        (_write(tmp_path, "no_arcs.json", {"pieces": [no_arcs], "n": 4}), "missing field 'arcs'"),
+        (_write(tmp_path, "object_id.json", {"pieces": [unnamed], "n": 4}), "must be a string"),
+        (str(deep), "nested too deeply"),
+    ):
+        code, out, err = run_cli(capsys, "certify", path)
+        assert (code, out) == (2, ""), path
+        assert message in err and "Traceback" not in err
+
+
+def test_certify_reads_a_huge_circle_count_from_its_arcs(capsys, tmp_path):
+    """Memory follows the arcs: 10^15 circles leave empty sectors that cost 0."""
+    huge = {"piece": "H", "circles": 10**15, "arcs": [{"a": 0, "b": 1, "mult": 2}]}
+    code, out, _ = run_cli(capsys, "certify", _write(tmp_path, "huge.json", [huge]), "--n", "0")
+    assert code == 0
+    assert [c["actual"] for c in json.loads(out)["checks"]] == [0, 0]
 
 
 #-- facewidth --#
@@ -183,6 +205,14 @@ def test_facewidth_rejects_broken_maps(capsys, tmp_path):
         code, out, err = run_cli(capsys, "facewidth", _write(tmp_path, name, payload))
         assert (code, out) == (2, ""), name
         assert "must be an integer" in err
+
+    no_edges = _write(tmp_path, "no_edges.json", {"rotations": [[0, 1, 2, 3]]})
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000)
+    for path, message in ((no_edges, "missing field 'edges'"), (str(deep), "nested too deeply")):
+        code, out, err = run_cli(capsys, "facewidth", path)
+        assert (code, out) == (2, ""), path
+        assert message in err and "Traceback" not in err
 
 
 #-- bounds --#
@@ -294,6 +324,94 @@ def test_fuzzed_bounds_flags_keep_the_exit_contract(capsys, tags, seeds):
 def test_fuzzed_families_keep_the_exit_contract(capsys, cmd, family):
     """Any family string exits 0, 1 or 2, never with a traceback."""
     _assert_exit_contract(capsys, [cmd, family])
+
+
+_json_leaf = st.one_of(
+    st.none(), st.booleans(), st.floats(), st.text(max_size=3),
+    st.integers(min_value=-10**30, max_value=10**30), st.sampled_from([0, 1, 2, 3, 10**15]),
+)
+_json_value = st.recursive(
+    _json_leaf,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+        st.sampled_from(["pieces", "n", "piece", "circles", "arcs", "a", "b", "mult",
+                         "rotations", "edges"]) | st.text(max_size=2),
+        inner, max_size=4,
+    ),
+    max_leaves=12,
+)
+
+
+def _spoiled(draw, value):
+    """``value`` with one node, found by walking down at random, replaced or dropped."""
+    if isinstance(value, (list, dict)) and value and draw(st.booleans()):
+        keys = range(len(value)) if isinstance(value, list) else sorted(value)
+        key = draw(st.sampled_from(keys))
+        out = list(value) if isinstance(value, list) else dict(value)
+        if isinstance(out, dict) and draw(st.booleans()):
+            del out[key]
+        else:
+            out[key] = _spoiled(draw, out[key])
+        return out
+    return draw(_json_value)
+
+
+@st.composite
+def _piece_file(draw):
+    pieces = []
+    for t in range(draw(st.integers(1, 2))):
+        k = draw(st.integers(2, 6))
+        pairs = draw(st.lists(st.tuples(st.integers(0, k - 1), st.integers(0, k - 1)),
+                              max_size=k, unique=True))
+        arcs = [{"a": a, "b": b, "mult": draw(st.integers(1, 5))} for a, b in pairs]
+        pieces.append({"piece": f"P{t}", "circles": k, "arcs": arcs})
+    return {"pieces": pieces, "n": draw(st.integers(0, 9))}
+
+
+@st.composite
+def _map_file(draw):
+    m = draw(st.integers(1, 5))
+    darts = draw(st.permutations(range(2 * m)))
+    cuts = sorted(draw(st.sets(st.integers(1, 2 * m - 1), max_size=3)))
+    rotations = [darts[a:b] for a, b in zip([0, *cuts], [*cuts, 2 * m])]
+    return {"rotations": rotations, "edges": [[2 * t, 2 * t + 1] for t in range(m)]}
+
+
+def _file_text(valid):
+    """JSON text: a valid file, the same file spoiled, junk, or deep nesting."""
+    spoiled = st.composite(lambda draw: _spoiled(draw, draw(valid)))()
+    deep = st.builds(lambda depth, opener: opener * depth,
+                     st.sampled_from([10, 5000, 200_000]), st.sampled_from(["[", '{"a": ']))
+    return st.one_of(valid.map(json.dumps), spoiled.map(json.dumps),
+                     _json_value.map(json.dumps), deep)
+
+
+def _assert_file_contract(capsys, tmp_path, command: str, text: str) -> None:
+    """Exit 0, 1 or 2 without a traceback, with the same report on a rerun."""
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    reports = []
+    for _ in range(2):
+        code, out, err = run_cli(capsys, command, str(path))
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err
+        if out:
+            report = json.loads(out)
+            del report["duration_seconds"]
+            out = json.dumps(report)
+        reports.append((code, out))
+    assert reports[0] == reports[1]
+
+
+@_fuzz
+@given(text=_file_text(_piece_file()))
+def test_fuzzed_certify_files_keep_the_exit_contract(capsys, tmp_path, text):
+    _assert_file_contract(capsys, tmp_path, "certify", text)
+
+
+@_fuzz
+@given(text=_file_text(_map_file()))
+def test_fuzzed_facewidth_files_keep_the_exit_contract(capsys, tmp_path, text):
+    _assert_file_contract(capsys, tmp_path, "facewidth", text)
 
 
 #-- Report behaviour --#

@@ -8,10 +8,16 @@ import random
 
 import pytest
 
-from oracles import cut_component_chis, enumerated_face_width, radial_cycle_catalog
+from oracles import (
+    candidate_face_width,
+    cut_component_chis,
+    enumerated_face_width,
+    radial_cycle_candidates,
+    radial_cycle_catalog,
+    radial_map,
+)
 from surfrep.facewidth import (
     RotationSystem,
-    _cycle_candidates,
     cut_along,
     cycle_is_contractible,
     face_width,
@@ -21,20 +27,35 @@ from surfrep.facewidth import (
 
 #-- Reference maps --#
 
-def toroidal_grid(n: int) -> RotationSystem:
-    """n-by-n square grid on the torus; dart 4*(r*n+c)+t, t = E,N,W,S."""
+def toroidal_grid(rows: int, cols: int | None = None) -> RotationSystem:
+    """rows-by-cols square grid on the torus; dart 4*(r*cols+c)+t, t = E,N,W,S."""
+    cols = rows if cols is None else cols
+
     def dart(r: int, c: int, t: int) -> int:
-        return 4 * ((r % n) * n + (c % n)) + t
+        return 4 * ((r % rows) * cols + (c % cols)) + t
 
     rotations = tuple(
-        tuple(dart(r, c, t) for t in range(4)) for r in range(n) for c in range(n)
+        tuple(dart(r, c, t) for t in range(4)) for r in range(rows) for c in range(cols)
     )
     edges = []
-    for r in range(n):
-        for c in range(n):
+    for r in range(rows):
+        for c in range(cols):
             edges.append((dart(r, c, 0), dart(r, c + 1, 2)))
             edges.append((dart(r, c, 3), dart(r + 1, c, 1)))
     return RotationSystem(rotations, tuple(edges))
+
+
+def relabelled(rs: RotationSystem, rng: random.Random) -> RotationSystem:
+    """The same map under shuffled dart names, vertex order and rotation starts."""
+    darts = [d for rot in rs.rotations for d in rot]
+    names = dict(zip(darts, rng.sample(range(3 * len(darts)), len(darts))))
+    rotations = []
+    for rot in rng.sample(rs.rotations, len(rs.rotations)):
+        k = rng.randrange(len(rot))
+        rotations.append(tuple(names[d] for d in rot[k:] + rot[:k]))
+    edges = [tuple(names[d] for d in rng.sample(e, 2)) for e in rs.edges]
+    rng.shuffle(edges)
+    return RotationSystem(tuple(rotations), tuple(edges))
 
 
 ONE_VERTEX_TORUS = RotationSystem(((0, 1, 2, 3),), ((0, 2), (1, 3)))
@@ -139,6 +160,8 @@ def test_json_roundtrip():
 def test_radial_structure():
     for rs in (TETRAHEDRON, ONE_VERTEX_TORUS, K33_TORUS, toroidal_grid(3)):
         rad = radial(rs)
+        rotations, edges = radial_map(rs.rotations, rs.edges)
+        assert rad == RotationSystem(tuple(rotations), tuple(edges))
         assert rad.euler_characteristic == rs.euler_characteristic
         assert rad.num_vertices == rs.num_vertices + rs.num_faces
         assert rad.num_edges == 2 * rs.num_edges
@@ -205,7 +228,7 @@ def test_face_width_builds_only_the_radial_map(monkeypatch):
     rad = built[0]
     assert rad == radial(grid)
     built.clear()
-    for cand in _cycle_candidates(rad)[:50]:
+    for cand in radial_cycle_candidates(rad.rotations, rad.edges)[:50]:
         cut_along(rad, cand)
     assert built == []
 
@@ -305,7 +328,44 @@ def test_cut_along_matches_rebuilt_cut_map():
         maps += 1
         genus_two_up += rs.genus() >= 2
         rad = radial(rs)
-        for cand in _cycle_candidates(rad):
+        for cand in radial_cycle_candidates(rad.rotations, rad.edges):
             assert cut_along(rad, cand) == cut_component_chis(rad.rotations, rad.edges, cand)
             cycles += 1
     assert genus_two_up >= 50 and cycles >= 2500
+
+
+def test_face_width_matches_candidate_reference():
+    """The bounded search equals the first noncontractible oracle candidate."""
+    rng = random.Random(6)
+    maps = genus_two_up = 0
+    while maps < 300:
+        rs = _random_map(rng, rng.randrange(1, 10))
+        if len(rs.component_euler_characteristics()) != 1:
+            continue
+        maps += 1
+        genus_two_up += rs.genus() >= 2
+        assert face_width(rs) == candidate_face_width(rs.rotations, rs.edges)
+    assert genus_two_up >= 50
+
+    for rows in range(3, 8):
+        for cols in range(rows, 8):
+            grid = relabelled(toroidal_grid(rows, cols), rng)
+            width = candidate_face_width(grid.rotations, grid.edges)
+            assert face_width(grid) == width == rows
+
+    # some of the one-vertex double torus's shortest essential cycles separate
+    assert face_width(DOUBLE_TORUS) == candidate_face_width(
+        DOUBLE_TORUS.rotations, DOUBLE_TORUS.edges
+    ) == 1
+    # two 3x3 grids joined by a bridge: only the loops around the bridge,
+    # which separate, cross the graph once
+    grid = toroidal_grid(3)
+    shift = 4 * grid.num_vertices
+    rotations = [(*grid.rotations[0], 2 * shift), *grid.rotations[1:],
+                 (*(d + shift for d in grid.rotations[0]), 2 * shift + 1),
+                 *(tuple(d + shift for d in rot) for rot in grid.rotations[1:])]
+    edges = [*grid.edges, *((a + shift, b + shift) for a, b in grid.edges),
+             (2 * shift, 2 * shift + 1)]
+    bridged = RotationSystem(tuple(rotations), tuple(edges))
+    assert bridged.genus() == 2
+    assert face_width(bridged) == candidate_face_width(bridged.rotations, bridged.edges) == 1
