@@ -8,7 +8,7 @@ endpoints; :func:`propagate` narrows the intervals to the fixed point of
 a fixed rule catalog, recording for every endpoint the chain of rules
 that produced it.
 
-Rule catalog (applied in both directions where the relation allows):
+Rule catalog, each rule switched on by one tag or always on:
 
     R1   r <= bs / 2                     always
     R2   2 <= r <= b                     nontrivial knots
@@ -24,6 +24,14 @@ Rule catalog (applied in both directions where the relation allows):
     R11  r <= beta1                      primitive
     R12  waist <= bs / 3                 always
     R13  r >= 1                          always
+
+The table ``_CATALOG`` is this catalog in executable form.  Each rule
+there is a list of constant pins and linear relations x <= c * y + d,
+and one step function applies every relation in both directions:
+y >= (x - d) / c raises the lower end of y, x <= c * y + d lowers the
+upper end of x.  Only two rules are functions of their own: R4, whose
+value comes from the tag's parameters, and R7, which excludes the
+single value 3 by shaving interval endpoints.
 
 Subjects are assumed non-trivial throughout; trivial knots and graphs
 are not valid subjects.  A step that empties an interval, either because
@@ -84,8 +92,6 @@ _KNOT_TAGS = frozenset(
 )
 
 _PARAM_ARITY = {"torus_knot": 2, "pretzel": 3}
-
-RULE_ORDER = tuple(f"R{i}" for i in range(1, 14))
 
 #: pretzel parameter multisets whose representativity is exactly 3
 _PRETZEL_THREE = frozenset(
@@ -310,42 +316,8 @@ def _chain(source: tuple[str, ...], rule: str) -> tuple[str, ...]:
     return source if source and source[-1] == rule else (*source, rule)
 
 
-def _r1(f: dict[str, _Fact], tags: SubjectTags) -> bool:
-    r, bs = f["r"], f["bs"]
-    changed = bs.raise_lo(2 * r.lo, _chain(r.lo_rules, "R1"))
-    if bs.hi is not None:
-        changed |= r.lower_hi(bs.hi / 2, _chain(bs.hi_rules, "R1"))
-    return changed
-
-
-def _r2(f: dict[str, _Fact], tags: SubjectTags) -> bool:
-    if "nontrivial_knot" not in tags.effective:
-        return False
-    r, b = f["r"], f["b"]
-    changed = r.raise_lo(Fraction(2), ("R2",))
-    changed |= b.raise_lo(r.lo, _chain(r.lo_rules, "R2"))
-    if b.hi is not None:
-        changed |= r.lower_hi(b.hi, _chain(b.hi_rules, "R2"))
-    return changed
-
-
-def _r3(f: dict[str, _Fact], tags: SubjectTags) -> bool:
-    if "nontrivial_knot" not in tags.effective:
-        return False
-    b, bs = f["b"], f["bs"]
-    changed = bs.raise_lo(2 * b.lo, _chain(b.lo_rules, "R3"))
-    changed |= b.raise_lo(bs.lo / 2, _chain(bs.lo_rules, "R3"))
-    if b.hi is not None:
-        changed |= bs.lower_hi(2 * b.hi, _chain(b.hi_rules, "R3"))
-    if bs.hi is not None:
-        changed |= b.lower_hi(bs.hi / 2, _chain(bs.hi_rules, "R3"))
-    return changed
-
-
 def _r4(f: dict[str, _Fact], tags: SubjectTags) -> bool:
-    if tags.torus_knot is None:
-        return False
-    m = Fraction(min(tags.torus_knot))
+    m = Fraction(min(tags.torus_knot))  # type: ignore[arg-type]
     changed = False
     for name in ("r", "b"):
         changed |= f[name].raise_lo(m, ("R4",))
@@ -353,29 +325,10 @@ def _r4(f: dict[str, _Fact], tags: SubjectTags) -> bool:
     return changed
 
 
-def _r5(f: dict[str, _Fact], tags: SubjectTags) -> bool:
-    if "two_bridge" not in tags.names:
-        return False
-    two = Fraction(2)
-    changed = False
-    for name in ("r", "b"):
-        changed |= f[name].raise_lo(two, ("R5",))
-        changed |= f[name].lower_hi(two, ("R5",))
-    return changed
-
-
-def _r6(f: dict[str, _Fact], tags: SubjectTags) -> bool:
-    if "algebraic" not in tags.names:
-        return False
-    return f["r"].lower_hi(Fraction(3), ("R6",))
-
-
 def _r7(f: dict[str, _Fact], tags: SubjectTags) -> bool:
-    if tags.pretzel is None:
-        return False
     r = f["r"]
     three = Fraction(3)
-    if tuple(sorted(tags.pretzel)) in _PRETZEL_THREE:
+    if tuple(sorted(tags.pretzel)) in _PRETZEL_THREE:  # type: ignore[arg-type]
         return r.raise_lo(three, ("R7",)) | r.lower_hi(three, ("R7",))
     # outside the listed pairs only r != 3 is known: shave endpoints at 3,
     # leaving interior threes alone (interval arithmetic cannot see them)
@@ -387,66 +340,56 @@ def _r7(f: dict[str, _Fact], tags: SubjectTags) -> bool:
     return changed
 
 
-def _r8(f: dict[str, _Fact], tags: SubjectTags) -> bool:
-    if "composite" not in tags.names:
-        return False
-    two = Fraction(2)
-    r = f["r"]
-    return r.raise_lo(two, ("R8",)) | r.lower_hi(two, ("R8",))
+_HALF, _THIRD = Fraction(1, 2), Fraction(1, 3)
 
-
-def _r9(f: dict[str, _Fact], tags: SubjectTags) -> bool:
-    if "has_conway_sphere" not in tags.names:
-        return False
-    return f["r"].lower_hi(Fraction(4), ("R9",))
-
-
-def _r10(f: dict[str, _Fact], tags: SubjectTags) -> bool:
-    if "theta_curve" not in tags.names:
-        return False
-    b, bs = f["b"], f["bs"]
-    changed = b.raise_lo((bs.lo - 1) / 2, _chain(bs.lo_rules, "R10"))
-    if b.hi is not None:
-        changed |= bs.lower_hi(2 * b.hi + 1, _chain(b.hi_rules, "R10"))
-    return changed
-
-
-def _r11(f: dict[str, _Fact], tags: SubjectTags) -> bool:
-    if "primitive" not in tags.names:
-        return False
-    beta = f["beta1"]
-    if beta.hi is None:
-        return False
-    return f["r"].lower_hi(beta.hi, _chain(beta.hi_rules, "R11"))
-
-
-def _r12(f: dict[str, _Fact], tags: SubjectTags) -> bool:
-    waist, bs = f["waist"], f["bs"]
-    changed = bs.raise_lo(3 * waist.lo, _chain(waist.lo_rules, "R12"))
-    if bs.hi is not None:
-        changed |= waist.lower_hi(bs.hi / 3, _chain(bs.hi_rules, "R12"))
-    return changed
-
-
-def _r13(f: dict[str, _Fact], tags: SubjectTags) -> bool:
-    return f["r"].raise_lo(Fraction(1), ("R13",))
-
-
-_RULES = {
-    "R1": _r1,
-    "R2": _r2,
-    "R3": _r3,
-    "R4": _r4,
-    "R5": _r5,
-    "R6": _r6,
-    "R7": _r7,
-    "R8": _r8,
-    "R9": _r9,
-    "R10": _r10,
-    "R11": _r11,
-    "R12": _r12,
-    "R13": _r13,
+#: rule id -> (tag that switches it on, None for always; steps).  A step
+#: is a pin ``(x, lo, hi)``, a None end left open, or a relation
+#: ``(x, c, y, d)`` meaning x <= c * y + d; R4 and R7 are functions.
+_CATALOG: dict[str, tuple[str | None, Any]] = {
+    "R1": (None, [("r", _HALF, "bs", 0)]),
+    "R2": ("nontrivial_knot", [("r", 2, None), ("r", 1, "b", 0)]),
+    "R3": ("nontrivial_knot", [("b", _HALF, "bs", 0), ("bs", 2, "b", 0)]),
+    "R4": ("torus_knot", _r4),
+    "R5": ("two_bridge", [("r", 2, 2), ("b", 2, 2)]),
+    "R6": ("algebraic", [("r", None, 3)]),
+    "R7": ("pretzel", _r7),
+    "R8": ("composite", [("r", 2, 2)]),
+    "R9": ("has_conway_sphere", [("r", None, 4)]),
+    "R10": ("theta_curve", [("bs", 2, "b", 1)]),
+    "R11": ("primitive", [("r", 1, "beta1", 0)]),
+    "R12": (None, [("waist", _THIRD, "bs", 0)]),
+    "R13": (None, [("r", 1, None)]),
 }
+
+RULE_ORDER = tuple(_CATALOG)
+
+
+def _apply(rule: str, f: dict[str, _Fact], tags: SubjectTags) -> bool:
+    """One application of ``rule``; True when it narrowed an interval.
+
+    A relation x <= c * y + d narrows both ways: first y.lo up to
+    (x.lo - d) / c, then x.hi down to c * y.hi + d.
+    """
+    steps = _CATALOG[rule][1]
+    if callable(steps):
+        return steps(f, tags)
+    changed = False
+    for step in steps:
+        if len(step) == 3:
+            x, lo, hi = f[step[0]], step[1], step[2]
+            if lo is not None:
+                changed |= x.raise_lo(Fraction(lo), (rule,))
+            if hi is not None:
+                changed |= x.lower_hi(Fraction(hi), (rule,))
+            continue
+        x, c, y, d = f[step[0]], step[1], f[step[2]], step[3]
+        # a unit coefficient or a zero offset skips its Fraction operation
+        lo = x.lo - d if d else x.lo
+        changed |= y.raise_lo(lo if c == 1 else lo / c, _chain(x.lo_rules, rule))
+        if y.hi is not None:
+            hi = y.hi if c == 1 else c * y.hi
+            changed |= x.lower_hi(hi + d if d else hi, _chain(y.hi_rules, rule))
+    return changed
 
 
 def propagate(
@@ -476,12 +419,14 @@ def propagate(
         rules = (f"seed:{name}",)
         facts[name].raise_lo(exact, rules)
         facts[name].lower_hi(exact, rules)
+    on = tags.effective | {None}
+    active = [rule for rule in rule_order if _CATALOG[rule][0] in on]
     changed = True
     passes = 0
     while changed:
         changed = False
-        for rule in rule_order:
-            changed |= _RULES[rule](facts, tags)
+        for rule in active:
+            changed |= _apply(rule, facts, tags)
         passes += 1
         if passes > 64:
             raise RuntimeError("propagation failed to stabilise")

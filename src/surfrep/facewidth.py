@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Any
 
-from surfrep.surface import _json_int
+from surfrep.surface import _json_field, _json_int, _json_shape
 
 __all__ = [
     "RotationSystem",
@@ -164,9 +164,13 @@ class RotationSystem:
 
     @staticmethod
     def from_json(obj: dict[str, Any]) -> "RotationSystem":
+        rotations = _json_field(obj, "rotations", list)
+        edges = _json_field(obj, "edges", list)
         return RotationSystem(
-            tuple(tuple(_json_int(d, "dart") for d in r) for r in obj["rotations"]),
-            tuple(tuple(_json_int(d, "edge dart") for d in e) for e in obj["edges"]),
+            tuple(tuple(_json_int(d, "dart") for d in _json_shape(r, list, "each rotation"))
+                  for r in rotations),
+            tuple(tuple(_json_int(d, "edge dart") for d in _json_shape(e, list, "each edge"))
+                  for e in edges),
         )
 
 

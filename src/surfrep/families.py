@@ -164,14 +164,6 @@ class FamilyReport:
     checks: tuple[Check, ...]
     passed: bool
 
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "family": self.family,
-            "extrapolated": self.extrapolated,
-            "checks": [c.to_json() for c in self.checks],
-            "pass": self.passed,
-        }
-
 
 def verify_family(inst: FamilyInstance) -> FamilyReport:
     """Recompute every claimed quantity of the instance and compare."""

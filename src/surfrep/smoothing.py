@@ -38,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from surfrep.surface import MultiCurve, SurfaceModel, _json_int
+from surfrep.surface import MultiCurve, SurfaceModel, _json_field
 
 __all__ = ["PlanarPiece", "cut_pieces", "trace_components", "trace_orbits"]
 
@@ -188,14 +188,12 @@ class PlanarPiece:
     @staticmethod
     def from_json(obj: dict[str, Any]) -> "PlanarPiece":
         """Decode a piece, rejecting floats, bools and strings where counts belong."""
-        if not isinstance(obj["piece"], str):
-            raise ValueError(f"piece id must be a string, got {obj['piece']!r}")
         return PlanarPiece(
-            obj["piece"],
-            _json_int(obj["circles"], "circles"),
+            _json_field(obj, "piece", str),
+            _json_field(obj, "circles", int),
             tuple(
-                (_json_int(e["a"], "a"), _json_int(e["b"], "b"), _json_int(e["mult"], "mult"))
-                for e in obj["arcs"]
+                (_json_field(e, "a", int), _json_field(e, "b", int), _json_field(e, "mult", int))
+                for e in _json_field(obj, "arcs", list)
             ),
         )
 

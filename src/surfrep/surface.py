@@ -36,6 +36,30 @@ def _json_int(value: Any, field: str) -> int:
     return value
 
 
+_JSON_TYPES = {dict: "an object", list: "an array", str: "a string"}
+
+
+def _json_shape(value: Any, kind: type, what: str) -> Any:
+    """``value`` when it decodes as a JSON object, array or string (``kind``)."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{what} must be {_JSON_TYPES[kind]}, got {type(value).__name__}")
+    return value
+
+
+def _json_field(obj: Any, field: str, kind: type) -> Any:
+    """``obj[field]`` of a JSON object, checked to be of type ``kind``.
+
+    ``kind`` is int for a strict integer, else as for :func:`_json_shape`.
+    """
+    if not isinstance(obj, dict):
+        raise ValueError(f"expected an object with field {field!r}, got {type(obj).__name__}")
+    if field not in obj:
+        raise ValueError(f"missing field {field!r}")
+    if kind is int:
+        return _json_int(obj[field], field)
+    return _json_shape(obj[field], kind, f"field {field!r}")
+
+
 #-- Surfaces --#
 
 @dataclass(frozen=True)

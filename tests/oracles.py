@@ -19,13 +19,17 @@ The face-width reference lists every breadth first search fundamental
 cycle of the radial map from every root, shortest first, and cuts them
 open one by one on an explicitly rebuilt cut map; it is the reference
 for the bounded search of ``face_width``.
+
+The bounds catalog is restated as one plain predicate per rule, and the
+integer points of a small box that satisfy it are enumerated; it is the
+reference for the interval engine of ``propagate``.
 """
 
 from __future__ import annotations
 
 import math
 from collections import defaultdict
-from itertools import combinations
+from itertools import combinations, product
 
 IN = ("IN",)
 OUT = ("OUT",)
@@ -642,3 +646,56 @@ def candidate_face_width(rotations, edges):
         if not (len(chis) == 2 and 2 in chis):
             return len(cand) // 2
     raise AssertionError("no noncontractible candidate on a positive genus surface")
+
+
+#-- Bounds catalog by enumeration --#
+
+_KNOT_TAGS = {"nontrivial_knot", "torus_knot", "two_bridge", "algebraic", "pretzel",
+              "composite", "has_conway_sphere"}
+_PRETZEL_THREE = {(-2, 3, 3), (-3, -3, 2), (-2, 3, 5), (-5, -3, 2)}
+BOUNDS_AXES = ("r", "b", "bs", "waist", "beta1")
+
+
+def catalog_holds(tags, r, b, bs, waist, beta1) -> bool:
+    """The rule catalog of the surfrep.bounds docstring, one predicate per rule.
+
+    ``tags`` needs ``names``, ``torus_knot`` and ``pretzel`` as on
+    SubjectTags; any knot-only tag makes the subject a nontrivial knot.
+    """
+    names = tags.names
+    knot = bool(names & _KNOT_TAGS)
+    return (
+        2 * r <= bs  # R1
+        and (not knot or 2 <= r <= b)  # R2
+        and (not knot or bs == 2 * b)  # R3
+        and (tags.torus_knot is None or r == b == min(tags.torus_knot))  # R4
+        and ("two_bridge" not in names or r == b == 2)  # R5
+        and ("algebraic" not in names or r <= 3)  # R6
+        and (tags.pretzel is None
+             or (r == 3) == (tuple(sorted(tags.pretzel)) in _PRETZEL_THREE))  # R7
+        and ("composite" not in names or r == 2)  # R8
+        and ("has_conway_sphere" not in names or r <= 4)  # R9
+        and ("theta_curve" not in names or bs <= 2 * b + 1)  # R10
+        and ("primitive" not in names or r <= beta1)  # R11
+        and 3 * waist <= bs  # R12
+        and r >= 1  # R13
+    )
+
+
+def feasible_points(tags, seeds, box: int) -> list[tuple[int, ...]]:
+    """Integer points (r, b, bs, waist, beta1) in [0, box]^5 that satisfy
+    the catalog and the seeds.
+
+    The component count appears in no rule, so its seed only has to be
+    an integer.  A seed that is not an integer admits no point.
+    """
+    seeds = dict(seeds or {})
+    if any(value != int(value) for value in seeds.values()):
+        return []
+    ranges = [
+        [int(seeds[axis])] if axis in seeds else range(box + 1) for axis in BOUNDS_AXES
+    ]
+    return [
+        point for point in product(*ranges)
+        if max(point) <= box and catalog_holds(tags, *point)
+    ]

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import BOUNDS_AXES, catalog_holds, feasible_points
 from surfrep.bounds import (
     ATTRIBUTES,
     RULE_ORDER,
@@ -287,6 +288,45 @@ def test_extra_seeds_only_narrow():
                 assert tighter[name].hi is not None
                 assert tighter[name].hi <= base[name].hi
         checked += 1
+
+
+#-- Agreement with the enumerated catalog --#
+
+def test_fixed_point_agrees_with_the_enumerated_catalog():
+    """Plain predicates, one per rule, against the interval engine.
+
+    No feasible integer point is cut off, a contradiction leaves none,
+    and each relation narrows both ways, so the lower endpoints satisfy
+    the catalog together, as do the upper ones when all are finite.
+    """
+    rng = random.Random(20261018)
+    seen = {"points": 0, "contradiction": 0, "finite": 0}
+    for _ in range(400):
+        tags, seeds = _random_subject(rng)
+        points = feasible_points(tags, seeds, 7)
+        try:
+            fs = propagate(tags, seeds)
+        except Contradiction:
+            assert not points, (tags, seeds, points[:3])
+            seen["contradiction"] += 1
+            continue
+        for point in points:
+            assert all(fs[axis].contains(v) for axis, v in zip(BOUNDS_AXES, point)), (
+                tags, seeds, point)
+        seen["points"] += bool(points)
+        assert catalog_holds(tags, *(fs[axis].lo for axis in BOUNDS_AXES)), (tags, seeds)
+        highs = [fs[axis].hi for axis in BOUNDS_AXES]
+        if None not in highs:
+            assert catalog_holds(tags, *highs), (tags, seeds)
+            seen["finite"] += 1
+    assert min(seen.values()) >= 10, seen
+
+
+def test_primitive_lifts_beta1_to_r():
+    """R11 narrows both ways: r <= beta1 also raises beta1 to r."""
+    fs = propagate(_tags("primitive"), {"r": 3})
+    assert fs["beta1"].lo == 3
+    assert fs["beta1"].lo_rules == ("seed:r", "R11")
 
 
 #-- Agreement with the curve families --#

@@ -150,6 +150,11 @@ def test_certify_rejects_bad_files(capsys, tmp_path):
         (_write(tmp_path, "no_arcs.json", {"pieces": [no_arcs], "n": 4}), "missing field 'arcs'"),
         (_write(tmp_path, "object_id.json", {"pieces": [unnamed], "n": 4}), "must be a string"),
         (str(deep), "nested too deeply"),
+        # a wrong shape names the field and the JSON type it needs
+        (_write(tmp_path, "bare_list_piece.json", {"pieces": [[1]], "n": 1}),
+         "expected an object with field 'piece'"),
+        (_write(tmp_path, "arcs_scalar.json", {"pieces": [{**pants[0], "arcs": 5}], "n": 4}),
+         "field 'arcs' must be an array"),
     ):
         code, out, err = run_cli(capsys, "certify", path)
         assert (code, out) == (2, ""), path
@@ -209,7 +214,18 @@ def test_facewidth_rejects_broken_maps(capsys, tmp_path):
     no_edges = _write(tmp_path, "no_edges.json", {"rotations": [[0, 1, 2, 3]]})
     deep = tmp_path / "deep.json"
     deep.write_text("[" * 200_000)
-    for path, message in ((no_edges, "missing field 'edges'"), (str(deep), "nested too deeply")):
+    # a wrong shape names the field and the JSON type it needs
+    list_map = _write(tmp_path, "list_map.json", [1, 2])
+    int_rotations = _write(tmp_path, "int_rotations.json", {"rotations": 5, "edges": []})
+    int_rotation = _write(tmp_path, "int_rotation.json",
+                          {"rotations": [[0, 1], 7], "edges": [[0, 1]]})
+    for path, message in (
+        (no_edges, "missing field 'edges'"),
+        (str(deep), "nested too deeply"),
+        (list_map, "expected an object with field 'rotations'"),
+        (int_rotations, "field 'rotations' must be an array"),
+        (int_rotation, "each rotation must be an array"),
+    ):
         code, out, err = run_cli(capsys, "facewidth", path)
         assert (code, out) == (2, ""), path
         assert message in err and "Traceback" not in err
@@ -244,6 +260,26 @@ def test_bounds_contradiction_exits_one(capsys):
     assert report["verdict"] == "fail"
     contradiction = report["results"]["contradiction"]
     assert "seed:bs" in contradiction["rules"]
+
+
+def test_bounds_primitive_raises_beta1_to_r(capsys):
+    code, out, _ = run_cli(capsys, "bounds", "--tag", "primitive")
+    assert code == 0
+    assert json.loads(out)["results"]["display"]["beta1"] == "[1, inf)"
+
+
+def test_bounds_flags_do_not_leak_between_calls(capsys):
+    """Repeatable flags start empty on every call of main.
+
+    A parser kept between calls must not carry the argparse ``append``
+    defaults of one call into the next.
+    """
+    assert run_cli(capsys, "bounds", "--seed", "b=4", "--tag", "composite")[0] == 0
+    code, out, _ = run_cli(capsys, "bounds")
+    assert code == 0
+    report = json.loads(out)
+    assert report["command"] == ["bounds"]
+    assert report["inputs"] == {"tags": [], "seeds": {}}
 
 
 def test_bounds_without_flags_stays_wide(capsys):

@@ -146,11 +146,10 @@ def test_lpq_reports_pass():
 
 
 def test_report_json_shape():
-    blob = json.loads(json.dumps(verify_family(torus_knot(2, 3)).to_json()))
-    assert blob["family"] == "torus:2,3"
-    assert blob["pass"] is True
-    assert blob["extrapolated"] is False
-    assert all(set(c) == {"name", "expected", "actual", "pass"} for c in blob["checks"])
+    report = verify_family(torus_knot(2, 3))
+    assert (report.family, report.passed, report.extrapolated) == ("torus:2,3", True, False)
+    checks = json.loads(json.dumps([c.to_json() for c in report.checks]))
+    assert all(set(c) == {"name", "expected", "actual", "pass"} for c in checks)
 
 
 def test_components_match_gcd_for_torus_family():
