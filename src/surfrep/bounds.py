@@ -28,17 +28,19 @@ Rule catalog, each rule switched on by one tag or always on:
 The table ``_CATALOG`` is this catalog in executable form.  Each rule
 there is a list of constant pins and linear relations x <= c * y + d,
 and one step function applies every relation in both directions:
-y >= (x - d) / c raises the lower end of y, x <= c * y + d lowers the
-upper end of x.  Only two rules are functions of their own: R4, whose
-value comes from the tag's parameters, and R7, which excludes the
-single value 3 by shaving interval endpoints.
+y >= (ceil(x.lo) - d) / c raises the lower end of y, and
+x <= c * floor(y.hi) + d lowers the upper end of x.  Only two rules are
+functions of their own: R4, whose value comes from the tag's
+parameters, and R7, which excludes the single value 3 by shaving
+interval endpoints.
 
 Subjects are assumed non-trivial throughout; trivial knots and graphs
 are not valid subjects.  A step that empties an interval, either because
 the lower bound exceeds the upper bound or because no integer point
 remains, raises :class:`Contradiction` carrying the responsible chain.
-Intervals are never rounded during propagation; integer hulls are taken
-only when displaying results.
+Every attribute is integral, so a relation reads the integer endpoints
+ceil(x.lo) and floor(y.hi); the stored endpoints stay rational, and
+integer hulls are taken when displaying results.
 """
 
 from __future__ import annotations
@@ -316,6 +318,14 @@ def _chain(source: tuple[str, ...], rule: str) -> tuple[str, ...]:
     return source if source and source[-1] == rule else (*source, rule)
 
 
+def _ceil(q: Fraction) -> Fraction:
+    return q if q.denominator == 1 else Fraction(math.ceil(q))
+
+
+def _floor(q: Fraction) -> Fraction:
+    return q if q.denominator == 1 else Fraction(math.floor(q))
+
+
 def _r4(f: dict[str, _Fact], tags: SubjectTags) -> bool:
     m = Fraction(min(tags.torus_knot))  # type: ignore[arg-type]
     changed = False
@@ -368,7 +378,9 @@ def _apply(rule: str, f: dict[str, _Fact], tags: SubjectTags) -> bool:
     """One application of ``rule``; True when it narrowed an interval.
 
     A relation x <= c * y + d narrows both ways: first y.lo up to
-    (x.lo - d) / c, then x.hi down to c * y.hi + d.
+    (ceil(x.lo) - d) / c, then x.hi down to c * floor(y.hi) + d.  The
+    rounding is sound because every attribute is integral, and it makes
+    a chain of relations see parity: bs = 2b with b > 9/2 gives bs >= 10.
     """
     steps = _CATALOG[rule][1]
     if callable(steps):
@@ -384,10 +396,12 @@ def _apply(rule: str, f: dict[str, _Fact], tags: SubjectTags) -> bool:
             continue
         x, c, y, d = f[step[0]], step[1], f[step[2]], step[3]
         # a unit coefficient or a zero offset skips its Fraction operation
-        lo = x.lo - d if d else x.lo
+        lo = _ceil(x.lo)
+        lo = lo - d if d else lo
         changed |= y.raise_lo(lo if c == 1 else lo / c, _chain(x.lo_rules, rule))
         if y.hi is not None:
-            hi = y.hi if c == 1 else c * y.hi
+            hi = _floor(y.hi)
+            hi = hi if c == 1 else c * hi
             changed |= x.lower_hi(hi + d if d else hi, _chain(y.hi_rules, rule))
     return changed
 

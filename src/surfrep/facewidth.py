@@ -12,8 +12,11 @@ Such a curve can be pushed to alternate between vertices and faces, so
 the face-width is half the length of a shortest noncontractible cycle
 in the radial map, the bipartite map joining each vertex to each face
 once per incidence.  That cycle is found by one bounded breadth first
-search per root, which tests only simple cycles between two branches
-of its tree.  A cycle is contractible exactly when cutting the surface
+search per root, which looks only at simple cycles between two branches
+of its tree.  Z/2 cohomology labels from a tree-cotree decomposition
+give each such cycle's homology class in O(1): a nonzero class is
+noncontractible outright, and only a zero class at genus >= 2 needs
+the cut test.  A cycle is contractible exactly when cutting the surface
 open along it leaves two pieces, one of them a disk, counted by a flood
 over the faces of the map itself; no cut map is ever built.
 """
@@ -287,38 +290,102 @@ def cycle_is_contractible(rs: RotationSystem, cycle: Sequence[int]) -> bool:
 
 #-- Face-width --#
 
+def _z2_labels(rad: RotationSystem) -> dict[int, int]:
+    """Z/2 cohomology labels of a connected map's edges, as bitmasks per dart.
+
+    Tree-cotree decomposition (Eppstein, SODA 2003): a breadth first
+    spanning tree of the map, a spanning tree of the dual over the
+    remaining edges, and 2g leftover edges.  Tree edges get 0, each
+    leftover edge its own bit, and the cotree edges are resolved leaves
+    first so that every face XORs to 0.  Bit i then evaluates to 1 on the
+    fundamental cycle of the i-th leftover edge and to 0 on the others,
+    so the labels summed along a closed walk give its Z/2 homology class
+    in that basis.  Both darts of an edge carry the same label.
+    """
+    rotations, alpha, vertex_of = rad.rotations, rad._alpha, rad._vertex_of
+    faces, face_of = rad.faces, rad._face_of
+    spanned: set[int] = set()  # darts of tree and cotree edges
+    reached = {0}
+    queue = [0]
+    for v in queue:
+        for d in rotations[v]:
+            w = vertex_of[alpha[d]]
+            if w not in reached:
+                reached.add(w)
+                spanned.update((d, alpha[d]))
+                queue.append(w)
+    # face -> dart on its boundary across the edge to its parent face
+    parent = {0: -1}
+    order = [0]
+    for f in order:
+        for d in faces[f]:
+            g = face_of[alpha[d]]
+            if d not in spanned and g not in parent:
+                parent[g] = alpha[d]
+                spanned.update((d, alpha[d]))
+                order.append(g)
+    labels = dict.fromkeys(alpha, 0)
+    bit = 0
+    for d1, d2 in rad.edges:
+        if d1 not in spanned:
+            labels[d1] = labels[d2] = 1 << bit
+            bit += 1
+    if bit != 2 - rad.euler_characteristic:
+        raise RuntimeError(f"tree-cotree left {bit} edges, not twice the genus")
+    for f in reversed(order[1:]):
+        # the parent edge is still 0, so this is the sum of the rest of the face
+        h = 0
+        for d in faces[f]:
+            h ^= labels[d]
+        d = parent[f]
+        labels[d] = labels[alpha[d]] = h
+    return labels
+
+
 def face_width(rs: RotationSystem) -> int | float:
     """Least crossings of a noncontractible closed curve with the graph.
 
     Infinite on the sphere; elsewhere half the length of a shortest
     noncontractible cycle of the radial map, which is bipartite, so
     loopless.  A breadth first search from each root x visits only the
-    vertices >= x and gives each one a branch: the first dart out of x
-    on its tree path.  Each non-tree edge vw between two branches
-    closes the simple cycle x..v w..x, cut open if shorter than the
-    best noncontractible cycle yet; the search stops once twice the
-    depth reaches the best length.
+    vertices >= x and gives each one a branch, the first dart out of x
+    on its tree path, and a class h, the XOR of the Z/2 labels along
+    that path.  Each non-tree edge d = vw between two branches closes
+    the simple cycle x..v w..x of class h(v) ^ h(w) ^ label(d), read in
+    O(1).  A nonzero class is noncontractible, so the cycle is taken as
+    the best one yet.  A zero class is skipped on the torus; at genus
+    >= 2 the cycle is cut open, and taken if it does not bound a disk.
+    The search stops once twice the depth reaches the best length, and
+    the winning cycle is cut once more as an independent check.
 
     Let C be a shortest noncontractible cycle and x its least vertex.
     C lies among the vertices >= x, so tree distances from x are at
     most those along C.  Based at x, C is the product of the
-    fundamental loops of its non-tree edges, so one of them is
+    fundamental loops of its non-tree edges, so one of them, L, is
     noncontractible and at most |C| long.  Were its tree paths to share
     a first dart, trimming them would give a shorter noncontractible
-    cycle.  So it is a cycle between two branches of length |C|, with
-    ends shallow enough for the search to reach.
+    cycle.  So L is a simple cycle between two branches of length |C|,
+    with ends shallow enough for the search to reach, and the search
+    recognises it: a nonzero class outright, a zero class by the cut at
+    genus >= 2.  On the torus L cannot have class zero, since a simple
+    cycle of class zero separates and a separating simple cycle on the
+    torus bounds a disk; at genus >= 2 it may, as a cycle that separates
+    two handles (Cabello & Mohar, DCG 2007).
     """
-    if rs.genus() == 0:
+    genus = rs.genus()
+    if genus == 0:
         return math.inf
     rad = radial(rs)
     rotations, alpha, vertex_of = rad.rotations, rad._alpha, rad._vertex_of
+    labels = _z2_labels(rad)
     best: int | float = math.inf
+    witness: list[int] = []
     for x in range(rad.num_vertices):
-        # vertex -> (queue position, depth, dart reached by, branch), -1 for none
-        seen = {x: (0, 0, -1, -1)}
+        # vertex -> (queue position, depth, dart reached by, branch, class), -1 for none
+        seen = {x: (0, 0, -1, -1, 0)}
         queue = [x]
         for head, v in enumerate(queue):
-            _, depth, _, branch = seen[v]
+            _, depth, _, branch, h = seen[v]
             if 2 * depth >= best:
                 break
             for d in rotations[v]:
@@ -326,12 +393,16 @@ def face_width(rs: RotationSystem) -> int | float:
                 if w < x:
                     continue
                 if w not in seen:
-                    seen[w] = (len(queue), depth + 1, d, d if head == 0 else branch)
+                    seen[w] = (len(queue), depth + 1, d, d if head == 0 else branch,
+                               h ^ labels[d])
                     queue.append(w)
                     continue
-                pos_w, depth_w, _, branch_w = seen[w]
+                pos_w, depth_w, _, branch_w, h_w = seen[w]
                 # only from the end scanned first: skips tree edges and repeats
                 if pos_w > head and branch_w != branch and depth + depth_w + 1 < best:
+                    essential = h ^ h_w ^ labels[d]
+                    if not essential and genus == 1:
+                        continue
                     down, up, u = [d], [], v
                     while u != x:
                         down.append(seen[u][2])
@@ -340,8 +411,10 @@ def face_width(rs: RotationSystem) -> int | float:
                         up.append(seen[w][2])
                         w = vertex_of[up[-1]]
                     cycle = down[::-1] + [alpha[y] for y in up]
-                    if not cycle_is_contractible(rad, cycle):
-                        best = len(cycle)
-    if best == math.inf:
+                    if essential or not cycle_is_contractible(rad, cycle):
+                        best, witness = len(cycle), cycle
+    if not witness:
         raise RuntimeError("no noncontractible cycle on a positive genus surface")
+    if cycle_is_contractible(rad, witness):
+        raise RuntimeError("the shortest cycle found bounds a disk")
     return best // 2

@@ -149,6 +149,31 @@ def test_parity_contradiction():
     assert exc.rules == ("seed:bs", "R3")
 
 
+def test_relations_read_integer_endpoints():
+    """bs = 2b sees that b > 9/2 means b >= 5, so bs >= 10, not 9."""
+    fs = propagate(_tags("algebraic"), {"waist": 3})
+    snapshot = fs.snapshot()
+    assert snapshot["b"] == (F(5), None) and snapshot["bs"] == (F(10), None)
+    assert fs["bs"].lo_rules == ("seed:waist", "R12", "R3")
+    # stored endpoints stay rational where no relation has rounded them
+    assert propagate(SubjectTags(), {"bs": 7})["r"].hi == Fraction(7, 2)
+
+
+def test_every_endpoint_is_a_fraction():
+    rng = random.Random(11)
+    checked = 0
+    while checked < 200:
+        tags, seeds = _random_subject(rng)
+        try:
+            fs = propagate(tags, seeds)
+        except Contradiction:
+            continue
+        for name in ATTRIBUTES:
+            assert type(fs[name].lo) is Fraction, (tags, seeds, name)
+            assert fs[name].hi is None or type(fs[name].hi) is Fraction, (tags, seeds, name)
+        checked += 1
+
+
 def test_pretzel_rules():
     for params in ("-2,3,3", "2,-3,-3", "-2,3,5", "2,-3,-5", "3,-2,5"):
         fs = propagate(_tags(f"pretzel={params}"))
@@ -296,8 +321,9 @@ def test_fixed_point_agrees_with_the_enumerated_catalog():
     """Plain predicates, one per rule, against the interval engine.
 
     No feasible integer point is cut off, a contradiction leaves none,
-    and each relation narrows both ways, so the lower endpoints satisfy
-    the catalog together, as do the upper ones when all are finite.
+    and each relation narrows both ways on integer endpoints, so the
+    integer lower endpoints satisfy the catalog together, as do the
+    integer upper ones when all are finite.
     """
     rng = random.Random(20261018)
     seen = {"points": 0, "contradiction": 0, "finite": 0}
@@ -314,8 +340,9 @@ def test_fixed_point_agrees_with_the_enumerated_catalog():
             assert all(fs[axis].contains(v) for axis, v in zip(BOUNDS_AXES, point)), (
                 tags, seeds, point)
         seen["points"] += bool(points)
-        assert catalog_holds(tags, *(fs[axis].lo for axis in BOUNDS_AXES)), (tags, seeds)
-        highs = [fs[axis].hi for axis in BOUNDS_AXES]
+        hulls = [fs[axis].integer_hull() for axis in BOUNDS_AXES]
+        assert catalog_holds(tags, *(lo for lo, _ in hulls)), (tags, seeds)
+        highs = [hi for _, hi in hulls]
         if None not in highs:
             assert catalog_holds(tags, *highs), (tags, seeds)
             seen["finite"] += 1

@@ -16,8 +16,10 @@ from oracles import (
     radial_cycle_catalog,
     radial_map,
 )
+from surfrep import facewidth
 from surfrep.facewidth import (
     RotationSystem,
+    _z2_labels,
     cut_along,
     cycle_is_contractible,
     face_width,
@@ -234,17 +236,107 @@ def test_face_width_builds_only_the_radial_map(monkeypatch):
 
 
 def test_cutter_agrees_with_homology_class():
-    """Cut-and-check equals the GF(2) class test on every simple cycle."""
+    """Cut-and-check and the Z/2 labels equal the GF(2) class test on every
+    simple cycle of these tori."""
     for rs, bound in ((ONE_VERTEX_TORUS, 4), (K33_TORUS, 6), (toroidal_grid(3), 6)):
         rad = radial(rs)
+        labels = _z2_labels(rad)
         ordered = sorted(d for rot in rs.rotations for d in rot)
         p = {d: t for t, d in enumerate(ordered)}
         checked = 0
         for tags, essential in radial_cycle_catalog(rs.rotations, rs.edges, bound):
             mod_cycle = [2 * p[d] + (s % 2) for s, d in enumerate(tags)]
             assert cycle_is_contractible(rad, mod_cycle) == (not essential)
+            assert (_cycle_class(labels, mod_cycle) != 0) == essential
             checked += 1
         assert checked > 0
+
+
+#-- Z/2 labels --#
+
+def _cycle_class(labels: dict[int, int], cycle) -> int:
+    out = 0
+    for d in cycle:
+        out ^= labels[d]
+    return out
+
+
+def _check_labels(rs: RotationSystem) -> None:
+    rad = radial(rs)
+    labels = _z2_labels(rad)
+    assert set(labels) == set(rad._alpha)
+    assert all(type(h) is int for h in labels.values())
+    for d1, d2 in rad.edges:
+        assert labels[d1] == labels[d2]
+    # a cocycle: every face sums to 0 under every bit
+    for orbit in rad.faces:
+        assert _cycle_class(labels, orbit) == 0
+    # exactly 2g bits, each a leftover edge's own
+    bits = 0
+    for h in labels.values():
+        bits |= h
+    assert bits == (1 << 2 * rs.genus()) - 1
+    for b in range(2 * rs.genus()):
+        assert sum(h == 1 << b for h in labels.values()) >= 2
+    # the zero edges hold a spanning tree: they reach every vertex
+    reached, stack = {0}, [0]
+    while stack:
+        v = stack.pop()
+        for d in rad.rotations[v]:
+            w = rad.vertex_of(rad.alpha(d))
+            if labels[d] == 0 and w not in reached:
+                reached.add(w)
+                stack.append(w)
+    assert len(reached) == rad.num_vertices
+
+
+def test_z2_labels_on_random_maps_and_grids():
+    rng = random.Random(8)
+    maps = genus_two_up = 0
+    while maps < 200:
+        rs = _random_map(rng, rng.randrange(1, 12))
+        if len(rs.component_euler_characteristics()) != 1:
+            continue
+        maps += 1
+        genus_two_up += rs.genus() >= 2
+        _check_labels(rs)
+    assert genus_two_up >= 50
+    for rows in range(3, 7):
+        for cols in range(rows, 7):
+            _check_labels(relabelled(toroidal_grid(rows, cols), rng))
+    _check_labels(DOUBLE_TORUS)
+    _check_labels(TETRAHEDRON)
+
+
+def test_nonzero_class_never_bounds_a_disk():
+    """At genus >= 2 a zero class may still be essential, but a nonzero
+    one never passes the cut test."""
+    rng = random.Random(12)
+    maps = nonzero = zero_essential = 0
+    while maps < 150:
+        rs = _random_map(rng, rng.randrange(3, 10))
+        if len(rs.component_euler_characteristics()) != 1 or rs.genus() < 2:
+            continue
+        maps += 1
+        rad = radial(rs)
+        labels = _z2_labels(rad)
+        for cand in radial_cycle_candidates(rad.rotations, rad.edges):
+            if _cycle_class(labels, cand):
+                assert not cycle_is_contractible(rad, cand)
+                nonzero += 1
+            else:
+                zero_essential += not cycle_is_contractible(rad, cand)
+    assert nonzero >= 1000 and zero_essential >= 10
+
+
+def test_face_width_refuses_a_contractible_witness(monkeypatch):
+    """Labels that call a face essential are caught by the witness cut."""
+    grid = toroidal_grid(4)
+    monkeypatch.setattr(
+        facewidth, "_z2_labels", lambda rad: {d: int(d in (0, 1)) for d in rad._alpha}
+    )
+    with pytest.raises(RuntimeError, match="bounds a disk"):
+        face_width(grid)
 
 
 #-- Face-width --#
@@ -265,6 +357,14 @@ def test_face_width_matches_enumeration():
         (toroidal_grid(4), 8),
     ):
         assert face_width(rs) == enumerated_face_width(rs.rotations, rs.edges, bound)
+
+
+@pytest.mark.parametrize("rows", range(3, 13))
+def test_face_width_on_relabelled_grids(rows):
+    rng = random.Random(rows)
+    for cols in range(rows, 13):
+        assert face_width(relabelled(toroidal_grid(rows, cols), rng)) == rows
+        assert face_width(relabelled(toroidal_grid(cols, rows), rng)) == rows
 
 
 def test_face_width_raises_on_disconnected():
