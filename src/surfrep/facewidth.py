@@ -6,6 +6,15 @@ the involution alpha swaps the two darts of each edge.  Faces are
 recovered as orbits of sigma-after-alpha, which yields the Euler
 characteristic and the genus without any geometry.
 
+Dart names are arbitrary integers, but the derived structure is kept on
+dense positions: validation numbers the darts once, in sorted name
+order, and vertex, alpha and face-of are lists over those positions.
+Tracing the faces from position 0 upward gives them in their public
+order, least dart first, without a sort.  Position p of a map becomes
+darts 2p (at the vertex node) and 2p + 1 (at the face node) of its
+radial map, so the radial alpha is x ^ 1 and the radial map's names
+are its own positions.
+
 The face-width of a map is the smallest number of intersections a
 noncontractible closed curve on the surface must have with the graph.
 Such a curve can be pushed to alternate between vertices and faces, so
@@ -27,9 +36,10 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Any
 
-from surfrep.surface import _json_field, _json_int, _json_shape
+from surfrep.surface import _json_field, _json_int_arrays
 
 __all__ = [
     "RotationSystem",
@@ -38,6 +48,31 @@ __all__ = [
     "cycle_is_contractible",
     "face_width",
 ]
+
+
+def _map_fault(rotations: Sequence[Sequence[int]], edges: Sequence[Sequence[int]]) -> str:
+    """The first fault of a map that failed validation, in reading order."""
+    if not rotations:
+        return "map needs at least one vertex"
+    seen: set[int] = set()
+    for v, rot in enumerate(rotations):
+        if not rot:
+            return f"vertex {v} has no darts"
+        for d in rot:
+            if d in seen:
+                return f"dart {d} appears twice in the rotations"
+            seen.add(d)
+    paired: set[int] = set()
+    for e in edges:
+        if len(e) != 2 or e[0] == e[1]:
+            return f"edge {e} must pair two distinct darts"
+        for d in e:
+            if d not in seen:
+                return f"edge dart {d} missing from the rotations"
+            if d in paired:
+                return f"dart {d} appears in two edges"
+            paired.add(d)
+    return f"darts without an opposite: {sorted(seen - paired)}"
 
 
 @dataclass(frozen=True)
@@ -54,78 +89,81 @@ class RotationSystem:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "rotations", tuple(tuple(r) for r in self.rotations))
-        object.__setattr__(self, "edges", tuple(tuple(e) for e in self.edges))
-        if not self.rotations:
-            raise ValueError("map needs at least one vertex")
-        seen: set[int] = set()
-        for v, rot in enumerate(self.rotations):
-            if not rot:
-                raise ValueError(f"vertex {v} has no darts")
-            for d in rot:
-                if d in seen:
-                    raise ValueError(f"dart {d} appears twice in the rotations")
-                seen.add(d)
-        paired: set[int] = set()
-        for e in self.edges:
-            if len(e) != 2 or e[0] == e[1]:
-                raise ValueError(f"edge {e} must pair two distinct darts")
-            for d in e:
-                if d not in seen:
-                    raise ValueError(f"edge dart {d} missing from the rotations")
-                if d in paired:
-                    raise ValueError(f"dart {d} appears in two edges")
-                paired.add(d)
-        if paired != seen:
-            raise ValueError(f"darts without an opposite: {sorted(seen - paired)}")
+        rotations = tuple(map(tuple, self.rotations))
+        edges = tuple(map(tuple, self.edges))
+        object.__setattr__(self, "rotations", rotations)
+        object.__setattr__(self, "edges", edges)
+        # One pass numbers the darts in sorted name order and checks the map
+        # in bulk; _map_fault then names the first fault in reading order.
+        flat = list(chain.from_iterable(rotations))
+        darts = sorted(flat)
+        n = len(darts)
+        pos = dict(zip(darts, range(n)))
+        alpha = [-1] * n
+        try:
+            if not (rotations and all(rotations) and len(pos) == n == 2 * len(edges)):
+                raise ValueError
+            for a, b in edges:
+                a, b = pos[a], pos[b]
+                alpha[a], alpha[b] = b, a
+            # the 2E writes reach all 2E positions only if every dart lies in
+            # exactly one edge, paired with another dart
+            if -1 in alpha:
+                raise ValueError
+        except (KeyError, ValueError):
+            raise ValueError(_map_fault(rotations, edges)) from None
+
+        rots = [[pos[d] for d in rot] for rot in rotations]
+        vert = [0] * n
+        sigma = [0] * n
+        for v, rot in enumerate(rots):
+            prev = rot[-1]
+            for p in rot:
+                vert[p] = v
+                sigma[prev] = p
+                prev = p
+        face_of = [-1] * n
+        faces: list[list[int]] = []
+        for start in range(n):
+            if face_of[start] >= 0:
+                continue
+            f = len(faces)
+            orbit = [start]
+            face_of[start] = f
+            p = sigma[alpha[start]]
+            while p != start:
+                orbit.append(p)
+                face_of[p] = f
+                p = sigma[alpha[p]]
+            faces.append(orbit)
+        for name, value in (("_darts", darts), ("_pos", pos), ("_rots", rots), ("_vert", vert),
+                            ("_alpha", alpha), ("_faces", faces), ("_face_of", face_of)):
+            object.__setattr__(self, name, value)
         if self.euler_characteristic % 2:
             raise RuntimeError(f"odd Euler characteristic {self.euler_characteristic}")
 
     #-- Derived structure --#
 
-    @cached_property
-    def _vertex_of(self) -> dict[int, int]:
-        return {d: v for v, rot in enumerate(self.rotations) for d in rot}
-
-    @cached_property
-    def _alpha(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for d1, d2 in self.edges:
-            out[d1], out[d2] = d2, d1
-        return out
-
-    @cached_property
-    def _sigma(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for rot in self.rotations:
-            for t, d in enumerate(rot):
-                out[d] = rot[(t + 1) % len(rot)]
-        return out
+    # __post_init__ sets, over dart positions 0 .. 2E-1 in sorted name order:
+    #   _darts    position -> dart name
+    #   _pos      dart name -> position
+    #   _rots     the rotations as positions
+    #   _vert     position -> vertex
+    #   _alpha    position -> position of the opposite dart
+    #   _faces    face orbits as positions, in the order of ``faces``
+    #   _face_of  position -> index of its face
 
     def vertex_of(self, dart: int) -> int:
-        return self._vertex_of[dart]
+        return self._vert[self._pos[dart]]
 
     def alpha(self, dart: int) -> int:
-        return self._alpha[dart]
+        return self._darts[self._alpha[self._pos[dart]]]
 
     @cached_property
     def faces(self) -> tuple[tuple[int, ...], ...]:
         """Orbits of sigma-after-alpha, each starting at its least dart."""
-        nxt = {d: self._sigma[self._alpha[d]] for d in self._vertex_of}
-        seen: set[int] = set()
-        out: list[tuple[int, ...]] = []
-        for start in sorted(nxt):
-            if start in seen:
-                continue
-            orbit = [start]
-            seen.add(start)
-            d = nxt[start]
-            while d != start:
-                orbit.append(d)
-                seen.add(d)
-                d = nxt[d]
-            out.append(tuple(orbit))
-        return tuple(out)
+        names = self._darts
+        return tuple(tuple(names[p] for p in orbit) for orbit in self._faces)
 
     @property
     def num_vertices(self) -> int:
@@ -137,23 +175,22 @@ class RotationSystem:
 
     @property
     def num_faces(self) -> int:
-        return len(self.faces)
+        return len(self._faces)
 
-    @cached_property
+    @property
     def euler_characteristic(self) -> int:
         return self.num_vertices - self.num_edges + self.num_faces
 
     @cached_property
-    def _face_of(self) -> dict[int, int]:
-        """Index into ``faces`` of the face each dart lies on."""
-        return {d: f for f, orbit in enumerate(self.faces) for d in orbit}
+    def _component_chis(self) -> tuple[int, ...]:
+        return _piece_chis(self, ())
 
     def component_euler_characteristics(self) -> tuple[int, ...]:
         """Euler characteristic of each connected component, sorted."""
-        return _piece_chis(self, ())
+        return self._component_chis
 
     def genus(self) -> int:
-        if len(self.component_euler_characteristics()) != 1:
+        if len(self._component_chis) != 1:
             raise ValueError("genus needs a connected map")
         return (2 - self.euler_characteristic) // 2
 
@@ -170,10 +207,8 @@ class RotationSystem:
         rotations = _json_field(obj, "rotations", list)
         edges = _json_field(obj, "edges", list)
         return RotationSystem(
-            tuple(tuple(_json_int(d, "dart") for d in _json_shape(r, list, "each rotation"))
-                  for r in rotations),
-            tuple(tuple(_json_int(d, "edge dart") for d in _json_shape(e, list, "each edge"))
-                  for e in edges),
+            _json_int_arrays(rotations, "each rotation", "dart"),
+            _json_int_arrays(edges, "each edge", "edge dart"),
         )
 
 
@@ -183,18 +218,18 @@ def radial(rs: RotationSystem) -> RotationSystem:
     """Vertex-face incidence map of ``rs``, embedded in the same surface.
 
     One new edge per dart joins the dart's vertex node to its face
-    node.  Vertex nodes keep the original dart order and face nodes
-    take the reversed face orbit, which keeps the embedding
+    node: the dart at position p becomes radial dart 2p at the vertex
+    node and 2p + 1 at the face node, so each radial dart's position is
+    its name and the radial alpha is x ^ 1.  Vertex nodes keep the
+    original dart order and face nodes, numbered after them in face
+    order, take the reversed face orbit, which keeps the embedding
     consistently oriented: every face of the result is a quadrilateral
     around one original edge, so the Euler characteristic is preserved.
     """
-    darts = sorted(rs._vertex_of)
-    idx = {d: 2 * t for t, d in enumerate(darts)}
-    rotations = [tuple(idx[d] for d in rot) for rot in rs.rotations]
-    for orbit in rs.faces:
-        rotations.append(tuple(idx[d] + 1 for d in reversed(orbit)))
-    edges = tuple((idx[d], idx[d] + 1) for d in darts)
-    out = RotationSystem(tuple(rotations), edges)
+    rotations = [tuple([2 * p for p in rot]) for rot in rs._rots]
+    rotations += [tuple([2 * p + 1 for p in orbit[::-1]]) for orbit in rs._faces]
+    n = 2 * len(rs._darts)
+    out = RotationSystem(tuple(rotations), tuple(zip(range(0, n, 2), range(1, n, 2))))
     if out.euler_characteristic != rs.euler_characteristic:
         raise RuntimeError("radial map changed the Euler characteristic")
     return out
@@ -202,10 +237,10 @@ def radial(rs: RotationSystem) -> RotationSystem:
 
 #-- Cutting along a cycle --#
 
-def _piece_chis(rs: RotationSystem, cut_darts: Sequence[int]) -> tuple[int, ...]:
+def _piece_chis(rs: RotationSystem, cut: Sequence[int]) -> tuple[int, ...]:
     """Sorted Euler characteristics of the capped pieces left by a cut.
 
-    ``cut_darts`` is a simple dart cycle of length L, or empty.  Faces
+    ``cut`` is a simple cycle of L dart positions, or empty.  Faces
     are open disks the cut never enters, so the pieces are the classes
     of faces joined across uncut edges, found by one flood.  A piece
     keeps its faces, its uncut edges and the vertices off the cut; each
@@ -216,36 +251,37 @@ def _piece_chis(rs: RotationSystem, cut_darts: Sequence[int]) -> tuple[int, ...]
     opposite on the other.  With nothing cut the pieces are the
     connected components.
     """
-    faces, face_of, alpha = rs.faces, rs._face_of, rs._alpha
-    cut = {*cut_darts, *(alpha[d] for d in cut_darts)}
+    faces, face_of, alpha = rs._faces, rs._face_of, rs._alpha
+    back = [alpha[p] for p in cut]
+    on_cut = {*cut, *back}
     piece = [-1] * len(faces)
     chis: list[int] = []
     for seed in range(len(faces)):
         if piece[seed] >= 0:
             continue
-        p = len(chis)
-        piece[seed] = p
+        k = len(chis)
+        piece[seed] = k
         stack, num_faces, uncut_darts = [seed], 0, 0
         while stack:
             f = stack.pop()
             num_faces += 1
             for x in faces[f]:
-                if x in cut:
+                if x in on_cut:
                     continue
                 uncut_darts += 1
                 g = face_of[alpha[x]]
                 if piece[g] < 0:
-                    piece[g] = p
+                    piece[g] = k
                     stack.append(g)
         # both darts of an uncut edge lie in the same piece
         chis.append(num_faces - uncut_darts // 2)
-    on_cut = {rs._vertex_of[x] for x in cut}
-    for v, rot in enumerate(rs.rotations):
-        if v not in on_cut:
+    cut_vertices = {rs._vert[x] for x in on_cut}
+    for v, rot in enumerate(rs._rots):
+        if v not in cut_vertices:
             chis[piece[face_of[rot[0]]]] += 1
-    for side in (cut_darts, [alpha[d] for d in cut_darts]):
-        for p in {piece[face_of[d]] for d in side}:
-            chis[p] += 1
+    for side in (cut, back):
+        for k in {piece[face_of[x]] for x in side}:
+            chis[k] += 1
     return tuple(sorted(chis))
 
 
@@ -261,16 +297,18 @@ def cut_along(rs: RotationSystem, cycle: Sequence[int]) -> tuple[int, ...]:
     L = len(cycle)
     if L == 0:
         raise ValueError("cycle must be nonempty")
-    verts = [rs.vertex_of(d) for d in cycle]
+    vert, alpha = rs._vert, rs._alpha
+    cut = [rs._pos[d] for d in cycle]
+    verts = [vert[p] for p in cut]
     if len(set(verts)) != L:
         raise ValueError("cycle repeats a vertex")
-    if len({frozenset((d, rs.alpha(d))) for d in cycle}) != L:
+    if len({min(p, alpha[p]) for p in cut}) != L:
         raise ValueError("cycle repeats an edge")
-    for t, d in enumerate(cycle):
-        if rs.vertex_of(rs.alpha(d)) != verts[(t + 1) % L]:
+    for t, p in enumerate(cut):
+        if vert[alpha[p]] != verts[(t + 1) % L]:
             raise ValueError("cycle darts do not join up")
 
-    chis = _piece_chis(rs, cycle)
+    chis = _piece_chis(rs, cut)
     # one side of the cut bordering two pieces would push the sum past chi + 2
     if sum(chis) != rs.euler_characteristic + 2:
         raise RuntimeError("cut pieces do not sum to the Euler characteristic plus 2")
@@ -290,8 +328,8 @@ def cycle_is_contractible(rs: RotationSystem, cycle: Sequence[int]) -> bool:
 
 #-- Face-width --#
 
-def _z2_labels(rad: RotationSystem) -> dict[int, int]:
-    """Z/2 cohomology labels of a connected map's edges, as bitmasks per dart.
+def _z2_labels(rad: RotationSystem) -> list[int]:
+    """Z/2 cohomology labels of a connected map's edges, as bitmasks per dart position.
 
     Tree-cotree decomposition (Eppstein, SODA 2003): a breadth first
     spanning tree of the map, a spanning tree of the dual over the
@@ -302,33 +340,37 @@ def _z2_labels(rad: RotationSystem) -> dict[int, int]:
     so the labels summed along a closed walk give its Z/2 homology class
     in that basis.  Both darts of an edge carry the same label.
     """
-    rotations, alpha, vertex_of = rad.rotations, rad._alpha, rad._vertex_of
-    faces, face_of = rad.faces, rad._face_of
-    spanned: set[int] = set()  # darts of tree and cotree edges
-    reached = {0}
+    rots, vert, alpha = rad._rots, rad._vert, rad._alpha
+    faces, face_of = rad._faces, rad._face_of
+    spanned = [False] * len(alpha)  # darts of tree and cotree edges
+    reached = [False] * len(rots)
+    reached[0] = True
     queue = [0]
     for v in queue:
-        for d in rotations[v]:
-            w = vertex_of[alpha[d]]
-            if w not in reached:
-                reached.add(w)
-                spanned.update((d, alpha[d]))
+        for d in rots[v]:
+            w = vert[alpha[d]]
+            if not reached[w]:
+                reached[w] = True
+                spanned[d] = spanned[alpha[d]] = True
                 queue.append(w)
     # face -> dart on its boundary across the edge to its parent face
-    parent = {0: -1}
+    parent = [-1] * len(faces)
+    joined = [False] * len(faces)
+    joined[0] = True
     order = [0]
     for f in order:
         for d in faces[f]:
             g = face_of[alpha[d]]
-            if d not in spanned and g not in parent:
+            if not spanned[d] and not joined[g]:
+                joined[g] = True
                 parent[g] = alpha[d]
-                spanned.update((d, alpha[d]))
+                spanned[d] = spanned[alpha[d]] = True
                 order.append(g)
-    labels = dict.fromkeys(alpha, 0)
+    labels = [0] * len(alpha)
     bit = 0
-    for d1, d2 in rad.edges:
-        if d1 not in spanned:
-            labels[d1] = labels[d2] = 1 << bit
+    for d, e in enumerate(alpha):
+        if d < e and not spanned[d]:
+            labels[d] = labels[e] = 1 << bit
             bit += 1
     if bit != 2 - rad.euler_characteristic:
         raise RuntimeError(f"tree-cotree left {bit} edges, not twice the genus")
@@ -352,11 +394,20 @@ def face_width(rs: RotationSystem) -> int | float:
     on its tree path, and a class h, the XOR of the Z/2 labels along
     that path.  Each non-tree edge d = vw between two branches closes
     the simple cycle x..v w..x of class h(v) ^ h(w) ^ label(d), read in
-    O(1).  A nonzero class is noncontractible, so the cycle is taken as
-    the best one yet.  A zero class is skipped on the torus; at genus
-    >= 2 the cycle is cut open, and taken if it does not bound a disk.
-    The search stops once twice the depth reaches the best length, and
-    the winning cycle is cut once more as an independent check.
+    O(1).  It is looked at from v when w is one level deeper, which in a
+    bipartite map is every edge to a vertex not yet scanned, so it has
+    length 2 depth(v) + 2.  A nonzero class is noncontractible, so the
+    cycle is taken as the best one yet.  A zero class is skipped on the
+    torus; at genus >= 2 the cycle is cut open, and taken if it does not
+    bound a disk.  The search stops at the first depth whose cycles are
+    no shorter than the best, and the winning cycle is cut once more as
+    an independent check.
+
+    Everything runs on lists over radial positions, which are the radial
+    dart names: dart d leaves the vertex of d and arrives at that of
+    d ^ 1.  Each vertex keeps its (dart, head, label) triples, and the
+    search state of a vertex belongs to root x while its stamp is x, so
+    no per-root table is cleared or rebuilt.
 
     Let C be a shortest noncontractible cycle and x its least vertex.
     C lies among the vertices >= x, so tree distances from x are at
@@ -376,41 +427,47 @@ def face_width(rs: RotationSystem) -> int | float:
     if genus == 0:
         return math.inf
     rad = radial(rs)
-    rotations, alpha, vertex_of = rad.rotations, rad._alpha, rad._vertex_of
     labels = _z2_labels(rad)
+    vert = rad._vert
+    arcs = [[(d, vert[d ^ 1], labels[d]) for d in rot] for rot in rad._rots]
+    n = len(arcs)
+    # per vertex: the root whose search reached it last, then that search's
+    # depth, dart reached by, branch and class
+    stamp = [-1] * n
+    depth = [0] * n
+    via = [-1] * n
+    branch = [-1] * n
+    cls = [0] * n
     best: int | float = math.inf
     witness: list[int] = []
-    for x in range(rad.num_vertices):
-        # vertex -> (queue position, depth, dart reached by, branch, class), -1 for none
-        seen = {x: (0, 0, -1, -1, 0)}
+    for x in range(n):
+        stamp[x], depth[x], cls[x] = x, 0, 0
         queue = [x]
-        for head, v in enumerate(queue):
-            _, depth, _, branch, h = seen[v]
-            if 2 * depth >= best:
+        for v in queue:
+            dv = depth[v]
+            if 2 * dv + 2 >= best:
                 break
-            for d in rotations[v]:
-                w = vertex_of[alpha[d]]
+            bv, hv = branch[v], cls[v]
+            for d, w, label in arcs[v]:
                 if w < x:
                     continue
-                if w not in seen:
-                    seen[w] = (len(queue), depth + 1, d, d if head == 0 else branch,
-                               h ^ labels[d])
+                if stamp[w] != x:
+                    stamp[w], depth[w], via[w], cls[w] = x, dv + 1, d, hv ^ label
+                    branch[w] = d if v == x else bv
                     queue.append(w)
-                    continue
-                pos_w, depth_w, _, branch_w, h_w = seen[w]
                 # only from the end scanned first: skips tree edges and repeats
-                if pos_w > head and branch_w != branch and depth + depth_w + 1 < best:
-                    essential = h ^ h_w ^ labels[d]
+                elif depth[w] > dv and branch[w] != bv and 2 * dv + 2 < best:
+                    essential = hv ^ cls[w] ^ label
                     if not essential and genus == 1:
                         continue
                     down, up, u = [d], [], v
                     while u != x:
-                        down.append(seen[u][2])
-                        u = vertex_of[down[-1]]
+                        down.append(via[u])
+                        u = vert[down[-1]]
                     while w != x:
-                        up.append(seen[w][2])
-                        w = vertex_of[up[-1]]
-                    cycle = down[::-1] + [alpha[y] for y in up]
+                        up.append(via[w])
+                        w = vert[up[-1]]
+                    cycle = down[::-1] + [y ^ 1 for y in up]
                     if essential or not cycle_is_contractible(rad, cycle):
                         best, witness = len(cycle), cycle
     if not witness:

@@ -17,6 +17,7 @@ crossing between a longitude copy and a meridian copy is transverse.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Any
 
 __all__ = [
@@ -44,6 +45,19 @@ def _json_shape(value: Any, kind: type, what: str) -> Any:
     if not isinstance(value, kind):
         raise ValueError(f"{what} must be {_JSON_TYPES[kind]}, got {type(value).__name__}")
     return value
+
+
+def _json_int_arrays(value: list, what: str, field: str) -> tuple[tuple[int, ...], ...]:
+    """A JSON array of integer arrays as tuples, each array checked by
+    :func:`_json_shape` and each integer by :func:`_json_int`.
+
+    JSON decodes a number to exactly int or float, so one type check over
+    all items clears the common case; otherwise the arrays are decoded in
+    order, and the first bad one or bad item is named.
+    """
+    if set(map(type, value)) <= {list} and set(map(type, chain.from_iterable(value))) <= {int}:
+        return tuple(map(tuple, value))
+    return tuple(tuple(_json_int(d, field) for d in _json_shape(r, list, what)) for r in value)
 
 
 def _json_field(obj: Any, field: str, kind: type) -> Any:

@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from oracles import candidate_face_width
+from surfrep import facewidth
 from surfrep.bounds import ATTRIBUTES, TAG_NAMES
 from surfrep.cli import main
 from surfrep.families import lpq_link
@@ -188,6 +191,24 @@ def test_facewidth_reports_genus_and_width(capsys, tmp_path):
     assert json.loads(out)["results"]["face_width"] == 1
 
 
+def test_facewidth_floods_for_components_once(capsys, tmp_path, monkeypatch):
+    """The CLI and face_width share one component flood: genus is cached on the map."""
+    floods = []
+    original = facewidth._piece_chis
+
+    def counting(rs, cut):
+        if not cut:
+            floods.append(rs)
+        return original(rs, cut)
+
+    monkeypatch.setattr(facewidth, "_piece_chis", counting)
+    grid = _write(tmp_path, "grid4.json", toroidal_grid(4).to_json())
+    code, out, _ = run_cli(capsys, "facewidth", grid)
+    assert code == 0
+    assert json.loads(out)["results"] == {"genus": 1, "face_width": 4}
+    assert len(floods) == 1
+
+
 def test_facewidth_rejects_broken_maps(capsys, tmp_path):
     two_tori = {
         "rotations": [[0, 1, 2, 3], [10, 11, 12, 13]],
@@ -219,12 +240,22 @@ def test_facewidth_rejects_broken_maps(capsys, tmp_path):
     int_rotations = _write(tmp_path, "int_rotations.json", {"rotations": 5, "edges": []})
     int_rotation = _write(tmp_path, "int_rotation.json",
                           {"rotations": [[0, 1], 7], "edges": [[0, 1]]})
+    # arrays decode in file order, rotations first, each one's shape before its darts
+    in_order = [
+        ({"rotations": [[0, 1.5], 7], "edges": []}, "dart must be an integer, got 1.5"),
+        ({"rotations": [[0, 1], 7, [True]], "edges": []}, "each rotation must be an array"),
+        ({"rotations": [[0, 1], [2, "3"]], "edges": [5]}, "dart must be an integer, got '3'"),
+        ({"rotations": [[0, 1]], "edges": [[0, None], 5]}, "edge dart must be an integer"),
+        ({"rotations": [[0, 1]], "edges": [[0, 1], 5]}, "each edge must be an array"),
+    ]
     for path, message in (
         (no_edges, "missing field 'edges'"),
         (str(deep), "nested too deeply"),
         (list_map, "expected an object with field 'rotations'"),
         (int_rotations, "field 'rotations' must be an array"),
         (int_rotation, "each rotation must be an array"),
+        *((_write(tmp_path, f"in_order{t}.json", payload), message)
+          for t, (payload, message) in enumerate(in_order)),
     ):
         code, out, err = run_cli(capsys, "facewidth", path)
         assert (code, out) == (2, ""), path
@@ -403,13 +434,19 @@ def _piece_file(draw):
     return {"pieces": pieces, "n": draw(st.integers(0, 9))}
 
 
+_dart_name = st.one_of(st.integers(-2**45, -1), st.integers(0, 64), st.integers(2**40, 2**45))
+
+
 @st.composite
 def _map_file(draw):
+    """A valid map file over sparse dart names: negatives, gaps and names past 2**40."""
     m = draw(st.integers(1, 5))
-    darts = draw(st.permutations(range(2 * m)))
+    names = draw(st.lists(_dart_name, min_size=2 * m, max_size=2 * m, unique=True))
+    darts = draw(st.permutations(names))
     cuts = sorted(draw(st.sets(st.integers(1, 2 * m - 1), max_size=3)))
     rotations = [darts[a:b] for a, b in zip([0, *cuts], [*cuts, 2 * m])]
-    return {"rotations": rotations, "edges": [[2 * t, 2 * t + 1] for t in range(m)]}
+    edges = [names[2 * t:2 * t + 2][::draw(st.sampled_from([1, -1]))] for t in range(m)]
+    return {"rotations": rotations, "edges": edges}
 
 
 def _file_text(valid):
@@ -448,6 +485,21 @@ def test_fuzzed_certify_files_keep_the_exit_contract(capsys, tmp_path, text):
 @given(text=_file_text(_map_file()))
 def test_fuzzed_facewidth_files_keep_the_exit_contract(capsys, tmp_path, text):
     _assert_file_contract(capsys, tmp_path, "facewidth", text)
+
+
+@_fuzz
+@given(payload=_map_file())
+def test_fuzzed_sparse_maps_report_the_oracle_face_width(capsys, tmp_path, payload):
+    code, out, err = run_cli(capsys, "facewidth", _write(tmp_path, "map.json", payload))
+    if code == 2:
+        # a valid map is refused only when it is not connected
+        assert "connected" in err
+        return
+    assert code == 0
+    width = candidate_face_width(payload["rotations"], payload["edges"])
+    assert json.loads(out)["results"]["face_width"] == (
+        "infinite" if width == math.inf else width
+    )
 
 
 #-- Report behaviour --#

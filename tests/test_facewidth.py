@@ -5,10 +5,12 @@ from __future__ import annotations
 import json
 import math
 import random
+import re
 
 import pytest
 
 from oracles import (
+    _map_structure,
     candidate_face_width,
     cut_component_chis,
     enumerated_face_width,
@@ -106,20 +108,25 @@ def face_refined(rs: RotationSystem) -> RotationSystem:
 #-- Structure --#
 
 def test_validation():
-    with pytest.raises(ValueError):
-        RotationSystem((), ())
-    with pytest.raises(ValueError):
-        RotationSystem(((0, 1), ()), ((0, 1),))
-    with pytest.raises(ValueError):
-        RotationSystem(((0, 1, 0),), ((0, 1),))
-    with pytest.raises(ValueError):
-        RotationSystem(((0, 1),), ((0, 0),))
-    with pytest.raises(ValueError):
-        RotationSystem(((0, 1),), ((0, 2),))
-    with pytest.raises(ValueError):
-        RotationSystem(((0, 1, 2, 3),), ((0, 1), (0, 2)))
-    with pytest.raises(ValueError):
-        RotationSystem(((0, 1, 2, 3),), ((0, 1),))
+    # the CLI prints these on exit 2, so the text is part of the contract
+    for rotations, edges, message in (
+        ((), (), "map needs at least one vertex"),
+        (((0, 1), ()), ((0, 1),), "vertex 1 has no darts"),
+        (((0, 1, 0),), ((0, 1),), "dart 0 appears twice in the rotations"),
+        (((0, 1),), ((0, 0),), "edge (0, 0) must pair two distinct darts"),
+        (((0, 1),), ((0, 2),), "edge dart 2 missing from the rotations"),
+        (((0, 1, 2, 3),), ((0, 1), (0, 2)), "dart 0 appears in two edges"),
+        (((0, 1, 2, 3),), ((0, 1),), "darts without an opposite: [2, 3]"),
+        # of several faults, the first met reading rotations, then edges
+        (((0, 1), (), (1, 2)), ((0, 1),), "vertex 1 has no darts"),
+        (((0, 1, 0),), ((5, 5),), "dart 0 appears twice in the rotations"),
+        (((0, 1, 2, 3),), ((0, 1, 2), (7, 1)), "edge (0, 1, 2) must pair two distinct darts"),
+        (((0, 1, 2, 3),), ((2, 3), (9, 0), (1, 1)), "edge dart 9 missing from the rotations"),
+        (((0, 1, 2, 3),), ((3, 2), (1, 3), (0, 7)), "dart 3 appears in two edges"),
+        (((5, -1, 2, 40),), ((40, 5),), "darts without an opposite: [-1, 2]"),
+    ):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            RotationSystem(rotations, edges)
 
 
 def test_counts_and_genus():
@@ -254,7 +261,7 @@ def test_cutter_agrees_with_homology_class():
 
 #-- Z/2 labels --#
 
-def _cycle_class(labels: dict[int, int], cycle) -> int:
+def _cycle_class(labels: list[int], cycle) -> int:
     out = 0
     for d in cycle:
         out ^= labels[d]
@@ -264,8 +271,9 @@ def _cycle_class(labels: dict[int, int], cycle) -> int:
 def _check_labels(rs: RotationSystem) -> None:
     rad = radial(rs)
     labels = _z2_labels(rad)
-    assert set(labels) == set(rad._alpha)
-    assert all(type(h) is int for h in labels.values())
+    # one label per radial dart, indexed by the dart, which is its own position
+    assert len(labels) == 2 * rad.num_edges
+    assert all(type(h) is int for h in labels)
     for d1, d2 in rad.edges:
         assert labels[d1] == labels[d2]
     # a cocycle: every face sums to 0 under every bit
@@ -273,11 +281,11 @@ def _check_labels(rs: RotationSystem) -> None:
         assert _cycle_class(labels, orbit) == 0
     # exactly 2g bits, each a leftover edge's own
     bits = 0
-    for h in labels.values():
+    for h in labels:
         bits |= h
     assert bits == (1 << 2 * rs.genus()) - 1
     for b in range(2 * rs.genus()):
-        assert sum(h == 1 << b for h in labels.values()) >= 2
+        assert sum(h == 1 << b for h in labels) >= 2
     # the zero edges hold a spanning tree: they reach every vertex
     reached, stack = {0}, [0]
     while stack:
@@ -333,7 +341,7 @@ def test_face_width_refuses_a_contractible_witness(monkeypatch):
     """Labels that call a face essential are caught by the witness cut."""
     grid = toroidal_grid(4)
     monkeypatch.setattr(
-        facewidth, "_z2_labels", lambda rad: {d: int(d in (0, 1)) for d in rad._alpha}
+        facewidth, "_z2_labels", lambda rad: [int(d < 2) for d in range(2 * rad.num_edges)]
     )
     with pytest.raises(RuntimeError, match="bounds a disk"):
         face_width(grid)
@@ -415,6 +423,26 @@ def test_random_maps_have_consistent_invariants():
                 assert fw == math.inf
             else:
                 assert isinstance(fw, int) and fw >= 1
+
+
+def test_random_maps_keep_their_contracts_under_relabelling():
+    """Genus, face count and face width ignore dart names, and the faces and
+    the radial map follow the order the oracles rebuild from scratch."""
+    rng = random.Random(9)
+    per_genus = dict.fromkeys(range(4), 0)
+    while min(per_genus.values()) < 25:
+        rs = _random_map(rng, rng.randrange(1, 10))
+        if len(rs.component_euler_characteristics()) != 1 or per_genus.get(rs.genus(), 25) >= 25:
+            continue
+        per_genus[rs.genus()] += 1
+        invariants = (rs.genus(), rs.num_faces, face_width(rs))
+        for m in (rs, relabelled(rs, rng), relabelled(rs, rng)):
+            assert (m.genus(), m.num_faces, face_width(m)) == invariants
+            assert all(m.vertex_of(d) == v for v, rot in enumerate(m.rotations) for d in rot)
+            assert all(m.alpha(a) == b and m.alpha(b) == a for a, b in m.edges)
+            assert m.faces == tuple(_map_structure(m.rotations, m.edges)[2])
+            rotations, edges = radial_map(m.rotations, m.edges)
+            assert radial(m) == RotationSystem(tuple(rotations), tuple(edges))
 
 
 def test_cut_along_matches_rebuilt_cut_map():
