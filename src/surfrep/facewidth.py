@@ -153,11 +153,18 @@ class RotationSystem:
     #   _faces    face orbits as positions, in the order of ``faces``
     #   _face_of  position -> index of its face
 
+    def _position(self, dart: int) -> int:
+        """Position of a dart name, or a ValueError naming a dart not in the map."""
+        try:
+            return self._pos[dart]
+        except KeyError:
+            raise ValueError(f"dart {dart!r} is not in the map") from None
+
     def vertex_of(self, dart: int) -> int:
-        return self._vert[self._pos[dart]]
+        return self._vert[self._position(dart)]
 
     def alpha(self, dart: int) -> int:
-        return self._darts[self._alpha[self._pos[dart]]]
+        return self._darts[self._alpha[self._position(dart)]]
 
     @cached_property
     def faces(self) -> tuple[tuple[int, ...], ...]:
@@ -298,7 +305,7 @@ def cut_along(rs: RotationSystem, cycle: Sequence[int]) -> tuple[int, ...]:
     if L == 0:
         raise ValueError("cycle must be nonempty")
     vert, alpha = rs._vert, rs._alpha
-    cut = [rs._pos[d] for d in cycle]
+    cut = [rs._position(d) for d in cycle]
     verts = [vert[p] for p in cut]
     if len(set(verts)) != L:
         raise ValueError("cycle repeats a vertex")

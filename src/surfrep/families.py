@@ -109,15 +109,14 @@ def parse_family(text: str) -> FamilyInstance:
 
 def claimed_counts(inst: FamilyInstance) -> list[tuple[CurveClass, int, str]]:
     """Expected boundary count for every reference class, with its formula."""
+    # the parameters are (p, q) for torus and lpq, (n, g) for exactly
+    p, q = n, g = inst.params
     if inst.kind == "torus":
-        p, q = inst.params
         return [(CurveClass("m", 0), p, "p"), (CurveClass("l", 0), q, "q")]
     if inst.kind == "lpq":
-        p, q = inst.params
         out = [(CurveClass("m", i), 2 * p, "2*p") for i in range(3)]
         out += [(CurveClass("l", j), 2 * q, "2*q") for j in range(3)]
         return out
-    n, g = inst.params
     c = -(-n // 2)
     out = [(CurveClass("m", 0), n, "n"), (CurveClass("m", 1), n, "n")]
     out += [(CurveClass("m", i), 2 * c, "2*ceil(n/2)") for i in range(2, g + 1)]

@@ -24,8 +24,15 @@ orbit backwards along the diagonal always reaches an *entry*, a
 crossing with c = 1 or d = 1.  Every orbit therefore contains an entry,
 and ``trace_orbits`` walks the first-return map of G on entries: a run
 of diagonal steps taken at once, then one step that wraps to the next
-class with copies.  A block holds a_j + b_i - 1 entries, so the walk is
-linear in the weights rather than in the crossing count.
+class with copies.  A block holds a_j + b_i - 1 entries, one on each
+diagonal s = d - c in [1 - a_j, b_i - 1], and they are numbered by s at
+consecutive positions.  Where the run from an entry ends depends only on
+how s compares with b_i - a_j, so on each block the first return is a
+translation on at most three intervals of s, one of them a single
+entry.  These pieces are built in time linear in the number of blocks
+and written into a flat successor list over positions, whose cycles are
+then followed; the walk is linear in the weights rather than in the
+crossing count.
 
 Cutting the chain surface along one full reference family is the other
 operation provided here: it splits the surface into two mirror planar
@@ -38,27 +45,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from surfrep.surface import MultiCurve, SurfaceModel, _json_field
+from surfrep.surface import (
+    MultiCurve,
+    SurfaceModel,
+    _crossed_longitudes,
+    _crossed_meridians,
+    _json_field,
+)
 
 __all__ = ["PlanarPiece", "cut_pieces", "trace_components", "trace_orbits"]
 
 Crossing = tuple[int, int, int, int]
-
-
-def _longitude_classes(surface: SurfaceModel, j: int) -> tuple[int, ...]:
-    """Meridian classes met by l_j, in traversal order along the curve."""
-    if surface.kind == "torus":
-        return (0,)
-    g = surface.genus
-    return (0, g) if j == 0 else (j - 1, j)
-
-
-def _meridian_classes(surface: SurfaceModel, i: int) -> tuple[int, ...]:
-    """Longitude classes met by m_i, in traversal order along the curve."""
-    if surface.kind == "torus":
-        return (0,)
-    g = surface.genus
-    return (g, 0) if i == g else (i, i + 1)
+#: positions lo .. hi-1 go to to .. to + hi - lo - 1 under the first return
+Piece = tuple[int, int, int]
 
 
 def _next_with_copies(
@@ -67,6 +66,51 @@ def _next_with_copies(
     """Cyclic successor among ``classes`` that carry at least one copy."""
     live = [x for x in classes if weights[x]]
     return {x: live[(t + 1) % len(live)] for t, x in enumerate(live)}
+
+
+def _return_pieces(mc: MultiCurve) -> tuple[list[tuple[int, int]], list[int], list[Piece]]:
+    """The first-return map on entries as translation pieces.
+
+    Returns the blocks (j, i) in walking order, the position of each
+    block's first entry (one more item, the entry count, closes the
+    list), and the pieces.  The entries of block (l_j, m_i) sit at
+    consecutive positions in the order of their diagonal s = d - c,
+    from 1 - a_j up to b_i - 1.  An entry runs t = min(a_j - c, b_i - d)
+    diagonal steps, to (c + t, d + t) = (a_j, a_j + s) or (b_i - s, b_i),
+    and then leaves the block.  So the first return is a translation on
+    each of at most three intervals of s:
+
+    * s in [1 - a_j, b_i - a_j - 1]: the longitude copy ends first and
+      the meridian step wraps to block (j', i), j' = next_long[i][j], at
+      s + a_j;
+    * s = b_i - a_j: both end together, to block (j', next_mer[j'][i])
+      at s = 0;
+    * s in [b_i - a_j + 1, b_i - 1]: the meridian copy ends first and the
+      longitude step wraps to block (j, next_mer[j][i]) at s - b_i.
+
+    The middle piece always has one entry; the others are empty when
+    b_i = 1 or a_j = 1.  The cost is linear in the number of blocks.
+    """
+    surface = mc.surface
+    a, b = mc.longitudes, mc.meridians
+    k = surface.num_classes
+    # along m_i after l_j, and along l_j after m_i
+    next_long = [_next_with_copies(_crossed_longitudes(surface, i), a) for i in range(k)]
+    next_mer = [_next_with_copies(_crossed_meridians(surface, j), b) for j in range(k)]
+    blocks = [(j, i) for j in range(k) if a[j] for i in next_mer[j]]
+    base: dict[tuple[int, int], int] = {}
+    offsets = [0]
+    for j, i in blocks:
+        base[j, i] = offsets[-1]
+        offsets.append(offsets[-1] + a[j] + b[i] - 1)
+    pieces: list[Piece] = []
+    for j, i in blocks:
+        lo, aj, bi = base[j, i], a[j], b[i]
+        jn = next_long[i][j]
+        pieces.append((lo, lo + bi - 1, base[jn, i] + a[jn]))
+        pieces.append((lo + bi - 1, lo + bi, base[jn, next_mer[jn][i]] + a[jn] - 1))
+        pieces.append((lo + bi, lo + aj + bi - 1, base[j, next_mer[j][i]]))
+    return blocks, offsets, pieces
 
 
 def trace_orbits(mc: MultiCurve) -> list[list[Crossing]]:
@@ -78,55 +122,46 @@ def trace_orbits(mc: MultiCurve) -> list[list[Crossing]]:
     d < b_i, and that diagonal predecessor is the only preimage of a
     crossing with c > 1 and d > 1; so walking an orbit backwards always
     reaches an entry, and the orbits of G correspond one to one to the
-    orbits of its first return to the entries.  From an entry the walk
-    takes t = min(a_j - c, b_i - d) diagonal steps at once, covering
-    t + 1 crossings, and then one step of G that leaves the block: the
-    meridian step wraps to copy 1 of the next longitude class with
-    copies along m_i when c = a_j, and the longitude step to copy 1 of
-    the next meridian class with copies along l_j when d = b_i.  The
-    result has c = 1 or d = 1, so it is again an entry, and the diagonal
-    runs of all entries tile the crossings exactly once.  Copies that
+    orbits of its first return to the entries.  The first return is
+    built by :func:`_return_pieces` as translations of entry positions
+    and written out into a flat successor list; the cycles are then
+    followed over integer positions.  Starts are tried per block in the
+    order d = 1 .. b_i (with c = 1), then c = 2 .. a_j (with d = 1).
+    Pieces that do not form a bijection leave some cycle that never
+    returns to its start, and that raises RuntimeError.  Copies that
     meet no crossings at all are handled by trace_components.
     """
-    surface = mc.surface
     a, b = mc.longitudes, mc.meridians
-    k = surface.num_classes
-    # along m_i after l_j, and along l_j after m_i
-    next_long = {i: _next_with_copies(_meridian_classes(surface, i), a) for i in range(k)}
-    next_mer = {j: _next_with_copies(_longitude_classes(surface, j), b) for j in range(k)}
+    blocks, offsets, pieces = _return_pieces(mc)
+    n = offsets[-1]
+    succ = [0] * n
+    for lo, hi, to in pieces:
+        succ[lo:hi] = range(to, to + hi - lo)
+    # names: position -> crossing, s ascending; starts: positions in start order
+    names: list[Crossing] = []
+    starts: list[int] = []
+    for (j, i), lo in zip(blocks, offsets):
+        aj, bi = a[j], b[i]
+        names += [(j, c, i, 1) for c in range(aj, 1, -1)]
+        names += [(j, 1, i, d) for d in range(1, bi + 1)]
+        starts += range(lo + aj - 1, lo + aj + bi - 1)
+        starts += range(lo + aj - 2, lo - 1, -1)
 
-    def first_return(x: Crossing) -> Crossing:
-        j, c, i, d = x
-        t = min(a[j] - c, b[i] - d)
-        c, d = c + t, d + t
-        if c < a[j]:
-            c += 1
-        else:
-            j, c = next_long[i][j], 1
-        if d < b[i]:
-            d += 1
-        else:
-            i, d = next_mer[j][i], 1
-        return j, c, i, d
-
-    seen: set[Crossing] = set()
+    seen = [False] * n
     orbits: list[list[Crossing]] = []
-    for j in range(k):
-        if not a[j]:
+    for start in starts:
+        if seen[start]:
             continue
-        for i in next_mer[j]:  # the meridian classes with copies that l_j meets
-            entries = [(j, 1, i, d) for d in range(1, b[i] + 1)]
-            entries += [(j, c, i, 1) for c in range(2, a[j] + 1)]
-            for start in entries:
-                if start in seen:
-                    continue
-                orbit = [start]
-                x = first_return(start)
-                while x != start:
-                    orbit.append(x)
-                    x = first_return(x)
-                seen.update(orbit)
-                orbits.append(orbit)
+        seen[start] = True
+        orbit = [names[start]]
+        p = succ[start]
+        while p != start:
+            if seen[p]:
+                raise RuntimeError(f"first-return cycle from entry {names[start]} does not close")
+            seen[p] = True
+            orbit.append(names[p])
+            p = succ[p]
+        orbits.append(orbit)
     return orbits
 
 
@@ -141,10 +176,10 @@ def trace_components(mc: MultiCurve) -> int:
     a, b = mc.longitudes, mc.meridians
     k = surface.num_classes
     untouched = sum(
-        a[j] for j in range(k) if not any(b[i] for i in _longitude_classes(surface, j))
+        a[j] for j in range(k) if not any(b[i] for i in _crossed_meridians(surface, j))
     )
     untouched += sum(
-        b[i] for i in range(k) if not any(a[j] for j in _meridian_classes(surface, i))
+        b[i] for i in range(k) if not any(a[j] for j in _crossed_longitudes(surface, i))
     )
     return len(trace_orbits(mc)) + untouched
 

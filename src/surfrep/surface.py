@@ -111,7 +111,9 @@ class SurfaceModel:
 
     @staticmethod
     def from_json(obj: dict[str, Any]) -> "SurfaceModel":
-        return SurfaceModel(str(obj["kind"]), _json_int(obj["genus"], "genus"))
+        """Decode a surface, rejecting a kind that is not a string and a
+        genus that is not an integer."""
+        return SurfaceModel(_json_field(obj, "kind", str), _json_field(obj, "genus", int))
 
 
 @dataclass(frozen=True)
@@ -133,6 +135,31 @@ class CurveClass:
 
 #-- Pairing --#
 
+def _crossed_meridians(surface: SurfaceModel, j: int) -> tuple[int, ...]:
+    """Meridian classes met by one copy of l_j, in ascending order.
+
+    On the chain surface l_j meets m_{j-1} and m_j (indices cyclic), once
+    each; at genus 1 these are m_0 and m_1 for either longitude.  With
+    at most two classes, any listing is their cyclic order along l_j.
+    """
+    if surface.kind == "torus":
+        return (0,)
+    g = surface.genus
+    return (0, g) if j == 0 else (j - 1, j)
+
+
+def _crossed_longitudes(surface: SurfaceModel, i: int) -> tuple[int, ...]:
+    """Longitude classes met by one copy of m_i, in cyclic order along it.
+
+    On the chain surface m_i meets l_i and then l_{i+1} (indices cyclic),
+    once each: the transpose of :func:`_crossed_meridians`.
+    """
+    if surface.kind == "torus":
+        return (0,)
+    g = surface.genus
+    return (g, 0) if i == g else (i, i + 1)
+
+
 def pairing(surface: SurfaceModel, j: int, i: int) -> int:
     """Crossings between one copy of l_j and one copy of m_i.
 
@@ -143,9 +170,7 @@ def pairing(surface: SurfaceModel, j: int, i: int) -> int:
     k = surface.num_classes
     if not (0 <= j < k and 0 <= i < k):
         raise ValueError(f"class indices out of range: l_{j}, m_{i} on {surface.kind}")
-    if surface.kind == "torus":
-        return 1
-    return 1 if (i - j) % k in (0, k - 1) else 0
+    return 1 if i in _crossed_meridians(surface, j) else 0
 
 
 def pairing_matrix(surface: SurfaceModel) -> tuple[tuple[int, ...], ...]:
@@ -193,10 +218,8 @@ class MultiCurve:
         if cls.index >= k:
             raise ValueError(f"no class {cls} on a surface with {k} classes per family")
         if cls.family == "m":
-            return sum(b * pairing(self.surface, j, cls.index)
-                       for j, b in enumerate(self.longitudes))
-        return sum(a * pairing(self.surface, cls.index, i)
-                   for i, a in enumerate(self.meridians))
+            return sum(self.longitudes[j] for j in _crossed_longitudes(self.surface, cls.index))
+        return sum(self.meridians[i] for i in _crossed_meridians(self.surface, cls.index))
 
     def min_boundary_count(self) -> int:
         """Minimum of boundary_count over all curve classes."""
@@ -214,8 +237,9 @@ class MultiCurve:
 
     @staticmethod
     def from_json(obj: dict[str, Any]) -> "MultiCurve":
+        """Decode a multicurve; every field must be present and of its JSON type."""
         return MultiCurve(
-            SurfaceModel.from_json(obj["surface"]),
-            tuple(_json_int(w, "meridian weight") for w in obj["meridians"]),
-            tuple(_json_int(w, "longitude weight") for w in obj["longitudes"]),
+            SurfaceModel.from_json(_json_field(obj, "surface", dict)),
+            tuple(_json_int(w, "meridian weight") for w in _json_field(obj, "meridians", list)),
+            tuple(_json_int(w, "longitude weight") for w in _json_field(obj, "longitudes", list)),
         )

@@ -368,6 +368,72 @@ def smoothing_state_orbits(kind: str, meridians, longitudes) -> list[list[tuple]
     return orbits
 
 
+def entry_walk_orbits(kind: str, meridians, longitudes) -> list[list[tuple]]:
+    """Orbits of the first return to entries, walked one entry at a time.
+
+    Entries (j, c, i, d) are the crossings with c = 1 or d = 1.  From an
+    entry the walk takes t = min(a_j - c, b_i - d) diagonal steps at
+    once and then one step that leaves the block: the meridian step
+    wraps to copy 1 of the next longitude class with copies along m_i
+    when c = a_j, and the longitude step to copy 1 of the next meridian
+    class with copies along l_j when d = b_i.  Starts are tried per block
+    (l_j, m_i), j ascending and then i ascending, as d = 1 .. b_i with
+    c = 1 and then c = 2 .. a_j with d = 1; this is the exact-order
+    reference for ``trace_orbits``.  Crossing orders are the same as in
+    :func:`smoothing_state_orbits`: a curve meets at most two classes,
+    so the cyclic order along it does not depend on where it starts.
+    """
+    k = len(meridians)
+    a, b = longitudes, meridians
+
+    def along_longitude(j):
+        return sorted({(j - 1) % k, j})
+
+    def along_meridian(i):
+        return [0] if kind == "torus" else [i, (i + 1) % k]
+
+    def next_with_copies(classes, weights):
+        live = [x for x in classes if weights[x]]
+        return {x: live[(t + 1) % len(live)] for t, x in enumerate(live)}
+
+    next_long = {i: next_with_copies(along_meridian(i), a) for i in range(k)}
+    next_mer = {j: next_with_copies(along_longitude(j), b) for j in range(k)}
+
+    def first_return(x):
+        j, c, i, d = x
+        t = min(a[j] - c, b[i] - d)
+        c, d = c + t, d + t
+        if c < a[j]:
+            c += 1
+        else:
+            j, c = next_long[i][j], 1
+        if d < b[i]:
+            d += 1
+        else:
+            i, d = next_mer[j][i], 1
+        return j, c, i, d
+
+    seen = set()
+    orbits = []
+    for j in range(k):
+        if not a[j]:
+            continue
+        for i in next_mer[j]:
+            entries = [(j, 1, i, d) for d in range(1, b[i] + 1)]
+            entries += [(j, c, i, 1) for c in range(2, a[j] + 1)]
+            for start in entries:
+                if start in seen:
+                    continue
+                orbit = [start]
+                x = first_return(start)
+                while x != start:
+                    orbit.append(x)
+                    x = first_return(x)
+                seen.update(orbit)
+                orbits.append(orbit)
+    return orbits
+
+
 #-- Face-width enumeration --#
 
 class _XorBasis:

@@ -206,6 +206,17 @@ def test_cut_along_rejects_bad_cycles():
         cut_along(TETRAHEDRON, (1, 2))  # does not join up
 
 
+def test_unknown_dart_is_named():
+    """A dart that is not in the map is a ValueError naming it, not a KeyError."""
+    for call in (
+        lambda: cut_along(ONE_VERTEX_TORUS, (7,)),
+        lambda: ONE_VERTEX_TORUS.vertex_of(7),
+        lambda: ONE_VERTEX_TORUS.alpha(7),
+    ):
+        with pytest.raises(ValueError, match="^dart 7 is not in the map$"):
+            call()
+
+
 def test_cut_along_separating_essential_cycle_leaves_two_tori():
     """A cycle splitting the double torus into two handles is essential.
 

@@ -5,9 +5,11 @@ from __future__ import annotations
 import math
 import random
 
+import pytest
 from hypothesis import assume, given, strategies as st
 
-from oracles import smoothing_state_orbits
+from oracles import entry_walk_orbits, smoothing_state_orbits
+from surfrep import smoothing
 from surfrep.families import torus_knot
 from surfrep.smoothing import trace_components, trace_orbits
 from surfrep.surface import MultiCurve, SurfaceModel, pairing
@@ -155,6 +157,55 @@ def test_orbits_match_the_full_walk(g: int, weights: list[int]):
     entries = [x for orbit in orbits for x in orbit]
     assert len(entries) == len(set(entries))
     assert _diagonal_run_total(mc, orbits) == _total_crossings(mc)
+
+
+@pytest.mark.parametrize("g", range(7))
+def test_orbits_equal_the_entry_walk(g: int):
+    """The piece walk lists exactly the orbits of the tuple-by-tuple entry
+    walk of tests/oracles.py, in the same order, entries in the same order.
+
+    g = 0 stands for the torus.  Weights run from 0 to a few hundred, and
+    some classes are zeroed so that the next class with copies skips.
+    """
+    kind, surface = ("torus", SurfaceModel.torus()) if g == 0 else ("chain", SurfaceModel.chain(g))
+    k = surface.num_classes
+    rng = random.Random(1000 + g)
+    for trial in range(60):
+        top = (2, 4, 12, 300)[trial % 4]
+        meridians = tuple(0 if rng.random() < 0.2 else rng.randrange(1, top) for _ in range(k))
+        longitudes = tuple(0 if rng.random() < 0.2 else rng.randrange(1, top) for _ in range(k))
+        if not any(meridians + longitudes):
+            continue
+        mc = MultiCurve(surface, meridians, longitudes)
+        assert trace_orbits(mc) == entry_walk_orbits(kind, meridians, longitudes)
+
+
+def test_pieces_of_one_torus_block():
+    """Five longitude copies against three meridian copies: entries s = -4 .. 2
+    at positions 0 .. 6, and the three pieces s + 5, the single s = -2 -> 0,
+    and s - 3."""
+    blocks, offsets, pieces = smoothing._return_pieces(torus_knot(5, 3).curve)
+    assert blocks == [(0, 0)]
+    assert offsets == [0, 7]
+    assert pieces == [(0, 2, 5), (2, 3, 4), (3, 7, 0)]
+
+
+def test_corrupted_pieces_do_not_close(monkeypatch):
+    """Two entries sent to one position leave a cycle that never returns to
+    its start; the walk raises instead of looping or dropping entries."""
+    real = smoothing._return_pieces
+
+    def corrupted(mc):
+        blocks, offsets, pieces = real(mc)
+        lo, hi, _ = pieces[1]
+        pieces[1] = (lo, hi, pieces[4][2])  # the single entry of block 0 joins block 1's
+        return blocks, offsets, pieces
+
+    monkeypatch.setattr(smoothing, "_return_pieces", corrupted)
+    for mc in (MultiCurve(SurfaceModel.chain(2), (3, 4, 5), (2, 6, 1)),
+               MultiCurve(SurfaceModel.chain(1), (1, 1), (1, 1))):
+        with pytest.raises(RuntimeError, match="does not close"):
+            trace_orbits(mc)
 
 
 def test_large_weights():

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import itertools
 import json
+import random
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -177,3 +179,49 @@ def test_multicurve_json_roundtrip():
     ):
         with pytest.raises(ValueError, match="must be an integer"):
             MultiCurve.from_json(loose)
+
+    # every field is present and of its JSON type: no KeyError, no
+    # coercion of the kind, no string read as a list of digits
+    for broken, message in (
+        ({k: v for k, v in obj.items() if k != "surface"}, "missing field 'surface'"),
+        ({k: v for k, v in obj.items() if k != "longitudes"}, "missing field 'longitudes'"),
+        ({**obj, "surface": {"genus": 2}}, "missing field 'kind'"),
+        ({**obj, "surface": {"kind": "chain"}}, "missing field 'genus'"),
+        ({**obj, "surface": {"kind": 5, "genus": 2}}, "field 'kind' must be a string"),
+        ({**obj, "surface": ["chain", 2]}, "field 'surface' must be an object"),
+        ({**obj, "meridians": "542"}, "field 'meridians' must be an array"),
+        ({**obj, "longitudes": 222}, "field 'longitudes' must be an array"),
+        ([5, 4, 2], "expected an object with field 'surface'"),
+    ):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            MultiCurve.from_json(broken)
+    with pytest.raises(ValueError, match="^field 'kind' must be a string"):
+        SurfaceModel.from_json({"kind": None, "genus": 1})
+
+
+@pytest.mark.parametrize("g", range(1, 9))
+def test_boundary_count_matches_adjacency_formula(g: int):
+    """boundary_count is the sum of weight x [l_j adjacent to m_i], with
+    adjacency read from the explicit rule (i - j) % k in (0, k - 1)."""
+    rng = random.Random(g)
+    surf = SurfaceModel.chain(g)
+    k = surf.num_classes
+
+    def adjacent(j: int, i: int) -> int:
+        return 1 if (i - j) % k in (0, k - 1) else 0
+
+    for _ in range(20):
+        a = tuple(rng.randrange(0, 50) for _ in range(k))
+        b = tuple(rng.randrange(0, 50) for _ in range(k))
+        if not any(a + b):
+            continue
+        mc = MultiCurve(surf, a, b)
+        for i in range(k):
+            want = sum(b[j] * adjacent(j, i) for j in range(k))
+            assert mc.boundary_count(CurveClass("m", i)) == want
+        for j in range(k):
+            want = sum(a[i] * adjacent(j, i) for i in range(k))
+            assert mc.boundary_count(CurveClass("l", j)) == want
+        assert pairing_matrix(surf) == tuple(
+            tuple(adjacent(j, i) for i in range(k)) for j in range(k)
+        )
