@@ -65,21 +65,6 @@ __all__ = [
 #: quantities the engine reasons about; all of them are integer valued
 ATTRIBUTES = ("r", "b", "bs", "waist", "beta1", "components")
 
-TAG_NAMES = frozenset(
-    {
-        "nontrivial_knot",
-        "torus_knot",
-        "two_bridge",
-        "algebraic",
-        "pretzel",
-        "composite",
-        "has_conway_sphere",
-        "theta_curve",
-        "primitive",
-        "spatial_graph",
-    }
-)
-
 #: tags that can only describe a nontrivial knot
 _KNOT_TAGS = frozenset(
     {
@@ -92,6 +77,8 @@ _KNOT_TAGS = frozenset(
         "has_conway_sphere",
     }
 )
+
+TAG_NAMES = _KNOT_TAGS | {"theta_curve", "primitive", "spatial_graph"}
 
 _PARAM_ARITY = {"torus_knot": 2, "pretzel": 3}
 
@@ -171,15 +158,15 @@ class SubjectTags:
             raise ValueError("torus_knot requires parameters p,q and no other tag does")
         if ("pretzel" in self.names) != (self.pretzel is not None):
             raise ValueError("pretzel requires three strand parameters")
+        for name, arity in _PARAM_ARITY.items():
+            values = getattr(self, name)
+            if values is not None and len(values) != arity:
+                raise ValueError(f"{name} takes exactly {arity} parameters")
         if self.torus_knot is not None:
-            if len(self.torus_knot) != 2:
-                raise ValueError("torus_knot takes exactly two parameters")
             p, q = self.torus_knot
             # the curve is a nontrivial knot only for coprime p, q >= 2
             if p < 2 or q < 2 or math.gcd(p, q) != 1:
                 raise ValueError("torus_knot parameters must be coprime and at least 2")
-        if self.pretzel is not None and len(self.pretzel) != 3:
-            raise ValueError("pretzel takes exactly three parameters")
         if "theta_curve" in self.names and self.names & _KNOT_TAGS:
             raise ValueError("theta_curve is incompatible with knot tags")
 

@@ -128,12 +128,18 @@ class PieceBounds:
     loop_min: int
     arc_min: int | None
 
+    def conditions(self) -> list[tuple[str, int]]:
+        """The (name, value) pairs that are all >= n when the piece certifies
+        level n: the loop minimum, and twice the arc minimum if there is one."""
+        out = [("loop minimum", self.loop_min)]
+        if self.arc_min is not None:
+            out.append(("doubled arc minimum", 2 * self.arc_min))
+        return out
+
     @property
     def score(self) -> int:
-        """Largest level n the piece certifies: loop_min >= n and 2 * arc_min >= n."""
-        if self.arc_min is None:
-            return self.loop_min
-        return min(self.loop_min, 2 * self.arc_min)
+        """Largest level n the piece certifies: the least of its conditions."""
+        return min(value for _, value in self.conditions())
 
     def to_json(self) -> dict[str, Any]:
         return {"id": self.piece_id, "loop_min": self.loop_min, "arc_min": self.arc_min}

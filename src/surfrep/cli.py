@@ -10,6 +10,15 @@ Every subcommand except ``generate`` prints a versioned run report
 (schema ``run-report/1``) as JSON on standard output, or as indented
 text with ``--pretty``.  Exit codes form a stable contract: 0 for
 success, 1 for a failed check or a contradiction, 2 for unusable input.
+
+Each subcommand reads, then reports.  The read step decodes and
+validates the input (``certify_pieces`` and ``propagate`` validate, so
+they run there) and raises OSError, ValueError or TypeError on unusable
+input.  The report step returns the report body and whether it passed;
+``generate`` prints its curve and returns None.  :func:`main` owns the
+clock, the ``error:`` line and exit 2 of a failed read, the verdict and
+exit 0 or 1.  An exception from a report step, on input that decoded,
+is a bug and propagates.
 """
 
 from __future__ import annotations
@@ -23,12 +32,12 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Any, Sequence
 
-from surfrep.bounds import ATTRIBUTES, Contradiction, SubjectTags, propagate
-from surfrep.certificate import certify_pieces
+from surfrep.bounds import ATTRIBUTES, Contradiction, FactSet, SubjectTags, propagate
+from surfrep.certificate import Certificate, certify_pieces
 from surfrep.facewidth import RotationSystem, face_width
-from surfrep.families import parse_family, verify_family
+from surfrep.families import Check, FamilyInstance, parse_family, verify_family
 from surfrep.smoothing import PlanarPiece
-from surfrep.surface import _json_int
+from surfrep.surface import _strict_int
 
 __all__ = ["build_parser", "main"]
 
@@ -37,24 +46,7 @@ SCHEMA = "run-report/1"
 _OK, _FAIL, _USAGE = 0, 1, 2
 
 
-def _fail_usage(problem: str | Exception) -> int:
-    print(f"error: {problem}", file=sys.stderr)
-    return _USAGE
-
-
-def _report(command: list[str], inputs: dict[str, Any]) -> dict[str, Any]:
-    return {
-        "schema": SCHEMA,
-        "command": command,
-        "inputs": inputs,
-        "checks": [],
-        "results": {},
-        "verdict": "pass",
-    }
-
-
-def _emit(report: dict[str, Any], started: float, pretty: bool) -> None:
-    report["duration_seconds"] = round(time.perf_counter() - started, 6)
+def _emit(report: dict[str, Any], pretty: bool) -> None:
     if not pretty:
         print(json.dumps(report))
         return
@@ -94,93 +86,77 @@ def _load_json(path: str) -> Any:
         raise ValueError(f"{path} is nested too deeply") from None
 
 
-#-- Subcommands --#
+#-- Subcommands: read, then report --#
 
-def _cmd_generate(args: argparse.Namespace) -> int:
-    try:
-        inst = parse_family(args.family)
-    except ValueError as exc:
-        return _fail_usage(str(exc))
+Body = dict[str, Any]
+
+
+def _read_family(args: argparse.Namespace) -> FamilyInstance:
+    return parse_family(args.family)
+
+
+def _report_generate(args: argparse.Namespace, inst: FamilyInstance) -> None:
     print(json.dumps(inst.curve.to_json(), indent=2 if args.pretty else None))
-    return _OK
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
-    try:
-        inst = parse_family(args.family)
-    except ValueError as exc:
-        return _fail_usage(str(exc))
+def _report_verify(args: argparse.Namespace, inst: FamilyInstance) -> tuple[Body, bool]:
     family = verify_family(inst)
-    report = _report(
-        ["verify", args.family],
-        {"family": family.family, "extrapolated": family.extrapolated},
-    )
-    report["checks"] = [c.to_json() for c in family.checks]
-    report["verdict"] = "pass" if family.passed else "fail"
-    _emit(report, started, args.pretty)
-    return _OK if family.passed else _FAIL
-
-
-def _cmd_certify(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
-    try:
-        raw = _load_json(args.pieces)
-        if isinstance(raw, dict):
-            items, file_n = raw.get("pieces"), raw.get("n")
-        else:
-            items, file_n = raw, None
-        if not isinstance(items, list):
-            raise ValueError("piece file must hold a list of pieces")
-        pieces = [PlanarPiece.from_json(item) for item in items]
-        if file_n is not None:
-            file_n = _json_int(file_n, "stored n")
-        n = file_n if args.n is None else args.n
-        if n is None:
-            raise ValueError("no certificate level: pass --n or store n in the file")
-        certificate = certify_pieces(pieces, n)
-    except (OSError, ValueError, TypeError) as exc:
-        return _fail_usage(exc)
-    report = _report(["certify", args.pieces], {"file": args.pieces, "n": n})
-    for piece in certificate.pieces:
-        report["checks"].append(
-            {
-                "name": f"{piece.piece_id} loop minimum",
-                "expected": f">= {n}",
-                "actual": piece.loop_min,
-                "pass": piece.loop_min >= n,
-            }
-        )
-        if piece.arc_min is not None:
-            report["checks"].append(
-                {
-                    "name": f"{piece.piece_id} doubled arc minimum",
-                    "expected": f">= {n}",
-                    "actual": 2 * piece.arc_min,
-                    "pass": 2 * piece.arc_min >= n,
-                }
-            )
-    report["results"] = {"lower_bound_holds": certificate.lower_ok}
-    report["verdict"] = "pass" if certificate.lower_ok else "fail"
-    _emit(report, started, args.pretty)
-    return _OK if certificate.lower_ok else _FAIL
-
-
-def _cmd_facewidth(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
-    try:
-        rs = RotationSystem.from_json(_load_json(args.map))
-        genus = rs.genus()
-    except (OSError, ValueError, TypeError) as exc:
-        return _fail_usage(exc)
-    width = face_width(rs)
-    report = _report(["facewidth", args.map], {"file": args.map})
-    report["results"] = {
-        "genus": genus,
-        "face_width": "infinite" if width == math.inf else width,
+    body = {
+        "command": ["verify", args.family],
+        "inputs": {"family": family.family, "extrapolated": family.extrapolated},
+        "checks": [c.to_json() for c in family.checks],
     }
-    _emit(report, started, args.pretty)
-    return _OK
+    return body, family.passed
+
+
+def _read_certify(args: argparse.Namespace) -> Certificate:
+    raw = _load_json(args.pieces)
+    if isinstance(raw, dict):
+        items, file_n = raw.get("pieces"), raw.get("n")
+    else:
+        items, file_n = raw, None
+    if not isinstance(items, list):
+        raise ValueError("piece file must hold a list of pieces")
+    pieces = [PlanarPiece.from_json(item) for item in items]
+    if file_n is not None:
+        file_n = _strict_int(file_n, "stored n")
+    n = file_n if args.n is None else args.n
+    if n is None:
+        raise ValueError("no certificate level: pass --n or store n in the file")
+    return certify_pieces(pieces, n)
+
+
+def _report_certify(args: argparse.Namespace, cert: Certificate) -> tuple[Body, bool]:
+    body = {
+        "command": ["certify", args.pieces],
+        "inputs": {"file": args.pieces, "n": cert.n},
+        "checks": [
+            Check(f"{piece.piece_id} {name}", f">= {cert.n}", value, value >= cert.n).to_json()
+            for piece in cert.pieces
+            for name, value in piece.conditions()
+        ],
+        "results": {"lower_bound_holds": cert.lower_ok},
+    }
+    return body, cert.lower_ok
+
+
+def _read_facewidth(args: argparse.Namespace) -> RotationSystem:
+    rs = RotationSystem.from_json(_load_json(args.map))
+    rs.genus()  # a disconnected map has no genus: unusable input
+    return rs
+
+
+def _report_facewidth(args: argparse.Namespace, rs: RotationSystem) -> tuple[Body, bool]:
+    width = face_width(rs)
+    body = {
+        "command": ["facewidth", args.map],
+        "inputs": {"file": args.map},
+        "results": {
+            "genus": rs.genus(),
+            "face_width": "infinite" if width == math.inf else width,
+        },
+    }
+    return body, True
 
 
 def _parse_seeds(items: Sequence[str]) -> dict[str, Fraction]:
@@ -199,44 +175,45 @@ def _parse_seeds(items: Sequence[str]) -> dict[str, Fraction]:
     return seeds
 
 
-def _cmd_bounds(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
-    contradiction = None
+#: tags, seeds, and their facts or the contradiction they reach (a result, not bad input)
+Bounds = tuple[SubjectTags, dict[str, Fraction], FactSet | Contradiction]
+
+
+def _read_bounds(args: argparse.Namespace) -> Bounds:
+    tags = SubjectTags.from_strings(args.tag)
+    seeds = _parse_seeds(args.seed)
     try:
-        tags = SubjectTags.from_strings(args.tag)
-        seeds = _parse_seeds(args.seed)
-        facts = propagate(tags, seeds)
+        return tags, seeds, propagate(tags, seeds)
     except Contradiction as exc:
-        contradiction = exc
-    except ValueError as exc:
-        return _fail_usage(str(exc))
-    report = _report(
-        ["bounds", *(f"--tag {t}" for t in tags.labels()),
-         *(f"--seed {k}={v}" for k, v in sorted(seeds.items()))],
-        {
+        return tags, seeds, exc
+
+
+def _report_bounds(args: argparse.Namespace, read: Bounds) -> tuple[Body, bool]:
+    tags, seeds, facts = read
+    body: Body = {
+        "command": ["bounds", *(f"--tag {t}" for t in tags.labels()),
+                    *(f"--seed {k}={v}" for k, v in sorted(seeds.items()))],
+        "inputs": {
             "tags": list(tags.labels()),
             "seeds": {k: str(v) for k, v in sorted(seeds.items())},
         },
-    )
-    if contradiction is not None:
-        report["results"] = {
+    }
+    if isinstance(facts, Contradiction):
+        body["results"] = {
             "contradiction": {
-                "attribute": contradiction.attribute,
-                "lo": str(contradiction.lo),
-                "hi": str(contradiction.hi),
-                "rules": list(contradiction.rules),
+                "attribute": facts.attribute,
+                "lo": str(facts.lo),
+                "hi": str(facts.hi),
+                "rules": list(facts.rules),
             }
         }
-        report["verdict"] = "fail"
-        _emit(report, started, args.pretty)
-        return _FAIL
+        return body, False
     display = {}
     for name in ATTRIBUTES:
         lo, hi = facts[name].integer_hull()
         display[name] = f"[{lo}, {hi}]" if hi is not None else f"[{lo}, inf)"
-    report["results"] = {"facts": facts.to_json()["facts"], "display": display}
-    _emit(report, started, args.pretty)
-    return _OK
+    body["results"] = {"facts": facts.to_json()["facts"], "display": display}
+    return body, True
 
 
 #-- Entry point --#
@@ -249,28 +226,33 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def command(name: str, func, help_text: str) -> argparse.ArgumentParser:
+    def command(name: str, read, report, help_text: str) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument(
             "--pretty", action="store_true", help="indented text instead of JSON"
         )
-        p.set_defaults(func=func)
+        p.set_defaults(read=read, report=report)
         return p
 
-    generate = command("generate", _cmd_generate, "emit the multicurve of a family instance")
+    generate = command("generate", _read_family, _report_generate,
+                       "emit the multicurve of a family instance")
     generate.add_argument("family", help="family string, e.g. torus:3,5 or lpq:2,7")
 
-    verify = command("verify", _cmd_verify, "recompute the claimed quantities of an instance")
+    verify = command("verify", _read_family, _report_verify,
+                     "recompute the claimed quantities of an instance")
     verify.add_argument("family", help="family string, e.g. exactly:4,2")
 
-    certify = command("certify", _cmd_certify, "check the lower-bound conditions on stored pieces")
+    certify = command("certify", _read_certify, _report_certify,
+                      "check the lower-bound conditions on stored pieces")
     certify.add_argument("pieces", help="JSON file with planar pieces")
     certify.add_argument("--n", type=int, help="certificate level, overrides the file")
 
-    facewidth = command("facewidth", _cmd_facewidth, "genus and face width of an embedded graph")
+    facewidth = command("facewidth", _read_facewidth, _report_facewidth,
+                        "genus and face width of an embedded graph")
     facewidth.add_argument("map", help="rotation system JSON file")
 
-    bounds = command("bounds", _cmd_bounds, "propagate attribute intervals from tags and seeds")
+    bounds = command("bounds", _read_bounds, _report_bounds,
+                     "propagate attribute intervals from tags and seeds")
     bounds.add_argument(
         "--tag", action="append", default=[], metavar="NAME[=P,Q]",
         help="subject tag, repeatable (e.g. torus_knot=3,5)",
@@ -284,7 +266,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    started = time.perf_counter()
+    try:
+        read = args.read(args)
+    except (OSError, ValueError, TypeError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return _USAGE
+    # an error raised from here on, on input that decoded, is a bug and not exit 2
+    outcome = args.report(args, read)
+    if outcome is None:
+        return _OK
+    body, passed = outcome
+    # the key order is part of the output; a body fills the slots it has
+    report = {"schema": SCHEMA, "command": [], "inputs": {}, "checks": [], "results": {},
+              **body, "verdict": "pass" if passed else "fail",
+              "duration_seconds": round(time.perf_counter() - started, 6)}
+    _emit(report, args.pretty)
+    return _OK if passed else _FAIL
 
 
 if __name__ == "__main__":

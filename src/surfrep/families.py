@@ -68,9 +68,10 @@ def exact_knot(n: int, g: int) -> FamilyInstance:
     if g < 1:
         raise ValueError(f"family needs genus >= 1, got {g}")
     c, f = -(-n // 2), n // 2
-    a = (n + 1, n) + (c,) * (g - 1)
-    b = (c, f) + (c,) * (g - 1)
-    curve = MultiCurve(SurfaceModel.chain(g), a, b)
+    # b_i copies of m_i and a_j copies of l_j, as in smoothing
+    b = (n + 1, n) + (c,) * (g - 1)
+    a = (c, f) + (c,) * (g - 1)
+    curve = MultiCurve(SurfaceModel.chain(g), b, a)
     return FamilyInstance("exactly", (n, g), curve, extrapolated=(g == 1))
 
 

@@ -51,6 +51,7 @@ from surfrep.surface import (
     _crossed_longitudes,
     _crossed_meridians,
     _json_field,
+    _strict_int,
 )
 
 __all__ = ["PlanarPiece", "cut_pieces", "trace_components", "trace_orbits"]
@@ -199,14 +200,14 @@ class PlanarPiece:
     arcs: tuple[tuple[int, int, int], ...]
 
     def __post_init__(self) -> None:
-        if self.circles < 2:
+        if _strict_int(self.circles, "circles") < 2:
             raise ValueError(f"piece needs at least two boundary circles, got {self.circles}")
         object.__setattr__(self, "arcs", tuple(tuple(t) for t in self.arcs))
         seen = set()
         for a, b, mult in self.arcs:
-            if not (0 <= a < b < self.circles):
+            if not (0 <= _strict_int(a, "a") < _strict_int(b, "b") < self.circles):
                 raise ValueError(f"bad arc endpoints ({a}, {b}) for {self.circles} circles")
-            if mult < 1:
+            if _strict_int(mult, "mult") < 1:
                 raise ValueError(f"arc multiplicity must be >= 1, got {mult}")
             if (a, b) in seen:
                 raise ValueError(f"duplicate arc pair ({a}, {b})")
@@ -244,23 +245,16 @@ def cut_pieces(mc: MultiCurve, along: str) -> PlanarPiece:
     """
     if mc.surface.kind != "chain":
         raise ValueError("cutting along a full reference family needs the chain surface")
-    k = mc.surface.num_classes
-    mults: dict[tuple[int, int], int] = {}
     if along == "meridians":
-        label = "F1+"
-        for j, w in enumerate(mc.longitudes):
-            if w:
-                u, v = (j - 1) % k, j
-                key = (min(u, v), max(u, v))
-                mults[key] = mults.get(key, 0) + w
+        label, weights, crossed = "F1+", mc.longitudes, _crossed_meridians
     elif along == "longitudes":
-        label = "F2+"
-        for i, w in enumerate(mc.meridians):
-            if w:
-                u, v = i, (i + 1) % k
-                key = (min(u, v), max(u, v))
-                mults[key] = mults.get(key, 0) + w
+        label, weights, crossed = "F2+", mc.meridians, _crossed_longitudes
     else:
         raise ValueError(f"along must be 'meridians' or 'longitudes', got {along!r}")
+    mults: dict[tuple[int, ...], int] = {}
+    for x, w in enumerate(weights):
+        if w:
+            key = tuple(sorted(crossed(mc.surface, x)))
+            mults[key] = mults.get(key, 0) + w
     arcs = tuple((a, b, m) for (a, b), m in sorted(mults.items()))
-    return PlanarPiece(label, k, arcs)
+    return PlanarPiece(label, mc.surface.num_classes, arcs)

@@ -9,8 +9,8 @@ Two closed orientable surface models are supported:
   circles) and longitude classes l_0..l_g, where l_j crosses m_{j-1} and
   m_j (indices cyclic) exactly once each and misses every other meridian.
 
-A multicurve is a nonnegative integer weight per class: a_i parallel
-copies of m_i and b_j parallel copies of l_j, arranged so that every
+A multicurve is a nonnegative integer weight per class: b_i parallel
+copies of m_i and a_j parallel copies of l_j, arranged so that every
 crossing between a longitude copy and a meridian copy is transverse.
 """
 
@@ -29,8 +29,13 @@ __all__ = [
 ]
 
 
-def _json_int(value: Any, field: str) -> int:
-    """Decode a JSON integer, rejecting floats, bools and strings."""
+def _strict_int(value: Any, field: str) -> int:
+    """``value`` when it is an integer, rejecting floats, bools and strings.
+
+    The one rule for every count, whether decoded from JSON or passed to
+    a constructor, so that whatever a constructor accepts its
+    ``to_json`` output decodes again.
+    """
     # bool is a subclass of int, but true is not a count
     if not isinstance(value, int) or isinstance(value, bool):
         raise ValueError(f"{field} must be an integer, got {value!r}")
@@ -49,7 +54,7 @@ def _json_shape(value: Any, kind: type, what: str) -> Any:
 
 def _json_int_arrays(value: list, what: str, field: str) -> tuple[tuple[int, ...], ...]:
     """A JSON array of integer arrays as tuples, each array checked by
-    :func:`_json_shape` and each integer by :func:`_json_int`.
+    :func:`_json_shape` and each integer by :func:`_strict_int`.
 
     JSON decodes a number to exactly int or float, so one type check over
     all items clears the common case; otherwise the arrays are decoded in
@@ -57,7 +62,7 @@ def _json_int_arrays(value: list, what: str, field: str) -> tuple[tuple[int, ...
     """
     if set(map(type, value)) <= {list} and set(map(type, chain.from_iterable(value))) <= {int}:
         return tuple(map(tuple, value))
-    return tuple(tuple(_json_int(d, field) for d in _json_shape(r, list, what)) for r in value)
+    return tuple(tuple(_strict_int(d, field) for d in _json_shape(r, list, what)) for r in value)
 
 
 def _json_field(obj: Any, field: str, kind: type) -> Any:
@@ -70,7 +75,7 @@ def _json_field(obj: Any, field: str, kind: type) -> Any:
     if field not in obj:
         raise ValueError(f"missing field {field!r}")
     if kind is int:
-        return _json_int(obj[field], field)
+        return _strict_int(obj[field], field)
     return _json_shape(obj[field], kind, f"field {field!r}")
 
 
@@ -84,6 +89,7 @@ class SurfaceModel:
     genus: int
 
     def __post_init__(self) -> None:
+        _strict_int(self.genus, "genus")
         if self.kind == "torus":
             if self.genus != 1:
                 raise ValueError(f"torus has genus 1, not {self.genus}")
@@ -126,7 +132,7 @@ class CurveClass:
     def __post_init__(self) -> None:
         if self.family not in ("m", "l"):
             raise ValueError(f"family must be 'm' or 'l', got {self.family!r}")
-        if self.index < 0:
+        if _strict_int(self.index, "class index") < 0:
             raise ValueError(f"class index must be >= 0, got {self.index}")
 
     def __str__(self) -> str:
@@ -203,7 +209,7 @@ class MultiCurve:
                 f"{len(self.meridians)} meridian and {len(self.longitudes)} longitude"
             )
         for w in (*self.meridians, *self.longitudes):
-            if not isinstance(w, int) or w < 0:
+            if _strict_int(w, "weight") < 0:
                 raise ValueError(f"weights must be nonnegative integers, got {w!r}")
         if not any((*self.meridians, *self.longitudes)):
             raise ValueError("multicurve needs at least one positive weight")
@@ -237,9 +243,10 @@ class MultiCurve:
 
     @staticmethod
     def from_json(obj: dict[str, Any]) -> "MultiCurve":
-        """Decode a multicurve; every field must be present and of its JSON type."""
+        """Decode a multicurve; every field must be present and of its JSON
+        type, and the constructor checks each weight."""
         return MultiCurve(
             SurfaceModel.from_json(_json_field(obj, "surface", dict)),
-            tuple(_json_int(w, "meridian weight") for w in _json_field(obj, "meridians", list)),
-            tuple(_json_int(w, "longitude weight") for w in _json_field(obj, "longitudes", list)),
+            _json_field(obj, "meridians", list),
+            _json_field(obj, "longitudes", list),
         )

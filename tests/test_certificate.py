@@ -90,6 +90,40 @@ def test_piece_validation_and_json():
     assert PlanarPiece.from_json(json.loads(json.dumps(p.to_json()))) == p
 
 
+@pytest.mark.parametrize("bad", [True, 2.0])
+def test_piece_rejects_non_integer_counts(bad):
+    """Circles, arc ends and multiplicities are counts, as ``from_json`` reads them."""
+    for circles, arcs in (
+        (bad, ()),
+        (3, ((0, bad, 1),)),
+        (3, ((bad, 2, 1),)),
+        (3, ((0, 1, bad),)),
+    ):
+        with pytest.raises(ValueError, match="must be an integer"):
+            PlanarPiece("P", circles, arcs)
+
+
+_LOOSE_COUNTS = st.one_of(st.integers(0, 4), st.booleans(), st.sampled_from([1.0, 3.0]))
+
+
+@given(_LOOSE_COUNTS, st.lists(st.tuples(_LOOSE_COUNTS, _LOOSE_COUNTS, _LOOSE_COUNTS),
+                               max_size=3))
+def test_accepted_pieces_survive_json(circles, arcs):
+    try:
+        piece = PlanarPiece("P", circles, tuple(arcs))
+    except ValueError:
+        return
+    assert PlanarPiece.from_json(json.loads(json.dumps(piece.to_json()))) == piece
+
+
+def test_piece_conditions_give_the_score():
+    pb = evaluate_piece(PlanarPiece("P", 3, ((0, 1, 2), (1, 2, 3), (0, 2, 5))))
+    assert pb.conditions() == [("loop minimum", 5), ("doubled arc minimum", 4)]
+    assert pb.score == 4
+    pair = evaluate_piece(PlanarPiece("Q", 2, ((0, 1, 6),)))
+    assert pair.conditions() == [("loop minimum", 6)] and pair.score == 6
+
+
 #-- Loop minima --#
 
 def test_loop_min_three_circle_examples():

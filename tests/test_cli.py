@@ -533,6 +533,22 @@ def test_pretty_output_is_text(capsys):
     assert "r: [3, 3]" in out
 
 
+@pytest.mark.parametrize("error", [ValueError, RuntimeError])
+def test_errors_after_decoding_are_not_usage_errors(tmp_path, monkeypatch, error):
+    """Exit 2 means unusable input.  An error raised by the computation on
+    input that already decoded is a bug, and it escapes ``main``."""
+
+    def broken(*args):
+        raise error("broken computation")
+
+    monkeypatch.setattr("surfrep.cli.verify_family", broken)
+    monkeypatch.setattr("surfrep.cli.face_width", broken)
+    grid = _write(tmp_path, "grid3.json", toroidal_grid(3).to_json())
+    for argv in (["verify", "torus:3,5"], ["facewidth", grid]):
+        with pytest.raises(error, match="broken computation"):
+            main(argv)
+
+
 def test_usage_errors_exit_two():
     with pytest.raises(SystemExit) as excinfo:
         main([])

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import sys
 from pathlib import Path
 
 import surfrep
@@ -22,3 +23,24 @@ def test_package_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert not found, f"assert statements in the package: {found}"
+
+
+def test_package_imports_only_the_standard_library():
+    """The package has no runtime dependencies: every absolute import
+    names ``surfrep`` itself or a standard library module."""
+    modules = sorted(PACKAGE.rglob("*.py"))
+    assert modules
+    found = []
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.partition(".")[0]
+                if top != "surfrep" and top not in sys.stdlib_module_names:
+                    found.append(f"{path.relative_to(PACKAGE.parent)}:{node.lineno} {name}")
+    assert not found, f"imports outside the standard library: {found}"

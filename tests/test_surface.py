@@ -199,6 +199,37 @@ def test_multicurve_json_roundtrip():
         SurfaceModel.from_json({"kind": None, "genus": 1})
 
 
+@pytest.mark.parametrize("bad", [True, 2.0])
+def test_constructors_reject_non_integers(bad):
+    """A constructor takes a count only where ``from_json`` would decode it."""
+    for build in (
+        lambda: SurfaceModel("chain", bad),
+        lambda: CurveClass("m", bad),
+        lambda: MultiCurve(SurfaceModel.torus(), (bad,), (2,)),
+        lambda: MultiCurve(SurfaceModel.chain(1), (1, 1), (bad, 1)),
+    ):
+        with pytest.raises(ValueError, match="must be an integer"):
+            build()
+
+
+#: counts as a caller might pass them: integers, and floats and bools that are not
+_LOOSE_COUNTS = st.one_of(st.integers(-1, 4), st.booleans(), st.sampled_from([0.0, 1.0, 2.5]))
+
+
+@given(
+    st.sampled_from([("torus", 1), ("torus", True), ("chain", 1), ("chain", 2),
+                     ("chain", 2.0), ("chain", True)]),
+    st.lists(_LOOSE_COUNTS, min_size=1, max_size=3),
+    st.lists(_LOOSE_COUNTS, min_size=1, max_size=3),
+)
+def test_accepted_multicurves_survive_json(surface, meridians, longitudes):
+    try:
+        mc = MultiCurve(SurfaceModel(*surface), tuple(meridians), tuple(longitudes))
+    except ValueError:
+        return
+    assert MultiCurve.from_json(json.loads(json.dumps(mc.to_json()))) == mc
+
+
 @pytest.mark.parametrize("g", range(1, 9))
 def test_boundary_count_matches_adjacency_formula(g: int):
     """boundary_count is the sum of weight x [l_j adjacent to m_i], with
