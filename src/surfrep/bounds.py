@@ -46,9 +46,10 @@ integer hulls are taken when displaying results.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Iterable, Mapping, Sequence
+
+from surfrep.surface import _Value, _set_field
 
 __all__ = [
     "ATTRIBUTES",
@@ -106,8 +107,7 @@ def betti1(vertices: int, edges: int, components: int) -> int:
 
 #-- Facts --#
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(_Value):
     """Closed interval with non-negative rational endpoints.
 
     ``hi`` is None when the attribute is unbounded above.  The rule
@@ -115,16 +115,26 @@ class Interval:
     appearing as ``seed:<attribute>``.
     """
 
-    lo: Fraction = Fraction(0)
-    hi: Fraction | None = None
-    lo_rules: tuple[str, ...] = ()
-    hi_rules: tuple[str, ...] = ()
+    lo: Fraction
+    hi: Fraction | None
+    lo_rules: tuple[str, ...]
+    hi_rules: tuple[str, ...]
 
-    def __post_init__(self) -> None:
-        if self.lo < 0:
+    def __init__(
+        self,
+        lo: Fraction = Fraction(0),
+        hi: Fraction | None = None,
+        lo_rules: tuple[str, ...] = (),
+        hi_rules: tuple[str, ...] = (),
+    ) -> None:
+        if lo < 0:
             raise ValueError("interval endpoints must be non-negative")
-        if self.hi is not None and self.hi < self.lo:
+        if hi is not None and hi < lo:
             raise ValueError("interval is empty")
+        _set_field(self, "lo", lo)
+        _set_field(self, "hi", hi)
+        _set_field(self, "lo_rules", lo_rules)
+        _set_field(self, "hi_rules", hi_rules)
 
     def contains(self, value: int | Fraction) -> bool:
         return self.lo <= value and (self.hi is None or value <= self.hi)
@@ -142,32 +152,39 @@ class Interval:
         }
 
 
-@dataclass(frozen=True)
-class SubjectTags:
+class SubjectTags(_Value):
     """Validated set of descriptive flags, with parameters where required."""
 
-    names: frozenset[str] = frozenset()
-    torus_knot: tuple[int, int] | None = None
-    pretzel: tuple[int, int, int] | None = None
+    names: frozenset[str]
+    torus_knot: tuple[int, int] | None
+    pretzel: tuple[int, int, int] | None
 
-    def __post_init__(self) -> None:
-        unknown = self.names - TAG_NAMES
+    def __init__(
+        self,
+        names: frozenset[str] = frozenset(),
+        torus_knot: tuple[int, int] | None = None,
+        pretzel: tuple[int, int, int] | None = None,
+    ) -> None:
+        _set_field(self, "names", names)
+        _set_field(self, "torus_knot", torus_knot)
+        _set_field(self, "pretzel", pretzel)
+        unknown = names - TAG_NAMES
         if unknown:
             raise ValueError(f"unknown tags: {sorted(unknown)}")
-        if ("torus_knot" in self.names) != (self.torus_knot is not None):
+        if ("torus_knot" in names) != (torus_knot is not None):
             raise ValueError("torus_knot requires parameters p,q and no other tag does")
-        if ("pretzel" in self.names) != (self.pretzel is not None):
+        if ("pretzel" in names) != (pretzel is not None):
             raise ValueError("pretzel requires three strand parameters")
         for name, arity in _PARAM_ARITY.items():
             values = getattr(self, name)
             if values is not None and len(values) != arity:
                 raise ValueError(f"{name} takes exactly {arity} parameters")
-        if self.torus_knot is not None:
-            p, q = self.torus_knot
+        if torus_knot is not None:
+            p, q = torus_knot
             # the curve is a nontrivial knot only for coprime p, q >= 2
             if p < 2 or q < 2 or math.gcd(p, q) != 1:
                 raise ValueError("torus_knot parameters must be coprime and at least 2")
-        if "theta_curve" in self.names and self.names & _KNOT_TAGS:
+        if "theta_curve" in names and names & _KNOT_TAGS:
             raise ValueError("theta_curve is incompatible with knot tags")
 
     @property
@@ -243,12 +260,15 @@ class Contradiction(Exception):
         super().__init__(f"{attribute} in [{lo}, {hi}] is impossible ({reason}); via {chain}")
 
 
-@dataclass(frozen=True)
-class FactSet:
+class FactSet(_Value):
     """Fixed point of rule propagation: one interval per attribute."""
 
     tags: SubjectTags
     facts: Mapping[str, Interval]
+
+    def __init__(self, tags: SubjectTags, facts: Mapping[str, Interval]) -> None:
+        _set_field(self, "tags", tags)
+        _set_field(self, "facts", facts)
 
     def __getitem__(self, attribute: str) -> Interval:
         return self.facts[attribute]

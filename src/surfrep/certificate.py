@@ -24,12 +24,11 @@ weights, proved in the docstrings below; no drawing is ever constructed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice
 from typing import Any
 
 from surfrep.smoothing import PlanarPiece, cut_pieces
-from surfrep.surface import MultiCurve
+from surfrep.surface import MultiCurve, _Value, _set_field
 
 __all__ = [
     "PieceBounds",
@@ -120,13 +119,17 @@ def min_essential_arc(piece: PlanarPiece, circle: int) -> int | None:
 
 #-- Certificates --#
 
-@dataclass(frozen=True)
-class PieceBounds:
+class PieceBounds(_Value):
     """Exact loop and arc minima for one piece (None: no arc candidates)."""
 
     piece_id: str
     loop_min: int
     arc_min: int | None
+
+    def __init__(self, piece_id: str, loop_min: int, arc_min: int | None) -> None:
+        _set_field(self, "piece_id", piece_id)
+        _set_field(self, "loop_min", loop_min)
+        _set_field(self, "arc_min", arc_min)
 
     def conditions(self) -> list[tuple[str, int]]:
         """The (name, value) pairs that are all >= n when the piece certifies
@@ -145,13 +148,17 @@ class PieceBounds:
         return {"id": self.piece_id, "loop_min": self.loop_min, "arc_min": self.arc_min}
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(_Value):
     """Evaluation of the two lower-bound conditions at level n."""
 
     n: int
     pieces: tuple[PieceBounds, ...]
     lower_ok: bool
+
+    def __init__(self, n: int, pieces: tuple[PieceBounds, ...], lower_ok: bool) -> None:
+        _set_field(self, "n", n)
+        _set_field(self, "pieces", pieces)
+        _set_field(self, "lower_ok", lower_ok)
 
     def to_json(self) -> dict[str, Any]:
         return {
@@ -161,13 +168,17 @@ class Certificate:
         }
 
 
-@dataclass(frozen=True)
-class Representativity:
+class Representativity(_Value):
     """Certified range: lower <= representativity <= upper."""
 
     lower: int
     upper: int
     exact: int | None
+
+    def __init__(self, lower: int, upper: int, exact: int | None) -> None:
+        _set_field(self, "lower", lower)
+        _set_field(self, "upper", upper)
+        _set_field(self, "exact", exact)
 
     def to_json(self) -> dict[str, Any]:
         return {"lower": self.lower, "upper": self.upper, "exact": self.exact}

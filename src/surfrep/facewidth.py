@@ -34,12 +34,11 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from typing import Any
 
-from surfrep.surface import _json_field, _json_int_arrays
+from surfrep.surface import _Value, _json_field, _json_int_arrays, _set_field
 
 __all__ = [
     "RotationSystem",
@@ -75,8 +74,7 @@ def _map_fault(rotations: Sequence[Sequence[int]], edges: Sequence[Sequence[int]
     return f"darts without an opposite: {sorted(seen - paired)}"
 
 
-@dataclass(frozen=True)
-class RotationSystem:
+class RotationSystem(_Value):
     """A graph embedded in a closed oriented surface.
 
     ``rotations[v]`` lists the darts at vertex v in counterclockwise
@@ -88,11 +86,18 @@ class RotationSystem:
     rotations: tuple[tuple[int, ...], ...]
     edges: tuple[tuple[int, int], ...]
 
+    def __init__(
+        self, rotations: Sequence[Sequence[int]], edges: Sequence[Sequence[int]]
+    ) -> None:
+        _set_field(self, "rotations", rotations)
+        _set_field(self, "edges", edges)
+        self.__post_init__()
+
     def __post_init__(self) -> None:
         rotations = tuple(map(tuple, self.rotations))
         edges = tuple(map(tuple, self.edges))
-        object.__setattr__(self, "rotations", rotations)
-        object.__setattr__(self, "edges", edges)
+        _set_field(self, "rotations", rotations)
+        _set_field(self, "edges", edges)
         # One pass numbers the darts in sorted name order and checks the map
         # in bulk; _map_fault then names the first fault in reading order.
         flat = list(chain.from_iterable(rotations))
@@ -138,7 +143,7 @@ class RotationSystem:
             faces.append(orbit)
         for name, value in (("_darts", darts), ("_pos", pos), ("_rots", rots), ("_vert", vert),
                             ("_alpha", alpha), ("_faces", faces), ("_face_of", face_of)):
-            object.__setattr__(self, name, value)
+            _set_field(self, name, value)
         if self.euler_characteristic % 2:
             raise RuntimeError(f"odd Euler characteristic {self.euler_characteristic}")
 

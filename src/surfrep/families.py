@@ -13,12 +13,11 @@ certified representativity, reporting one named comparison per claim.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Any
 
 from surfrep.certificate import representativity_exact, upper_bound
 from surfrep.smoothing import trace_components
-from surfrep.surface import CurveClass, MultiCurve, SurfaceModel
+from surfrep.surface import CurveClass, MultiCurve, SurfaceModel, _Value, _set_field
 
 __all__ = [
     "FamilyInstance",
@@ -33,14 +32,21 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class FamilyInstance:
+class FamilyInstance(_Value):
     """A named multicurve drawn from one of the parametric families."""
 
     kind: str
     params: tuple[int, int]
     curve: MultiCurve
-    extrapolated: bool = False
+    extrapolated: bool
+
+    def __init__(
+        self, kind: str, params: tuple[int, int], curve: MultiCurve, extrapolated: bool = False
+    ) -> None:
+        _set_field(self, "kind", kind)
+        _set_field(self, "params", params)
+        _set_field(self, "curve", curve)
+        _set_field(self, "extrapolated", extrapolated)
 
     @property
     def label(self) -> str:
@@ -90,7 +96,8 @@ _BUILDERS = {"torus": torus_knot, "exactly": exact_knot, "lpq": lpq_link}
 
 
 def parse_family(text: str) -> FamilyInstance:
-    """Build a family instance from a compact ``kind:x,y`` description."""
+    """Build a family instance from a compact ``kind:x,y`` description,
+    with x and y written as ASCII decimal integers."""
     kind, sep, rest = text.partition(":")
     if not sep or kind not in _BUILDERS:
         raise ValueError(
@@ -99,10 +106,13 @@ def parse_family(text: str) -> FamilyInstance:
     parts = rest.split(",")
     if len(parts) != 2:
         raise ValueError(f"family {text!r} needs exactly two parameters")
-    try:
-        x, y = (int(s) for s in parts)
-    except ValueError as exc:
-        raise ValueError(f"family {text!r} needs integer parameters") from exc
+    # int() also reads spaces, signs, underscores and non-ASCII digits, so a
+    # label would not echo the command; a minus sign still reaches the
+    # builders' own range messages
+    digits = [s.removeprefix("-") for s in parts]
+    if not all(d.isascii() and d.isdigit() for d in digits):
+        raise ValueError(f"family {text!r} needs integer parameters")
+    x, y = map(int, parts)
     return _BUILDERS[kind](x, y)
 
 
@@ -139,14 +149,19 @@ def claimed_counts(inst: FamilyInstance) -> list[tuple[CurveClass, int, str]]:
 
 #-- Verification --#
 
-@dataclass(frozen=True)
-class Check:
+class Check(_Value):
     """One recomputed quantity compared against its claim."""
 
     name: str
     expected: Any
     actual: Any
     passed: bool
+
+    def __init__(self, name: str, expected: Any, actual: Any, passed: bool) -> None:
+        _set_field(self, "name", name)
+        _set_field(self, "expected", expected)
+        _set_field(self, "actual", actual)
+        _set_field(self, "passed", passed)
 
     def to_json(self) -> dict[str, Any]:
         return {
@@ -157,12 +172,21 @@ class Check:
         }
 
 
-@dataclass(frozen=True)
-class FamilyReport:
+class FamilyReport(_Value):
+    """Every check of one family instance, and whether all of them passed."""
+
     family: str
     extrapolated: bool
     checks: tuple[Check, ...]
     passed: bool
+
+    def __init__(
+        self, family: str, extrapolated: bool, checks: tuple[Check, ...], passed: bool
+    ) -> None:
+        _set_field(self, "family", family)
+        _set_field(self, "extrapolated", extrapolated)
+        _set_field(self, "checks", checks)
+        _set_field(self, "passed", passed)
 
 
 def verify_family(inst: FamilyInstance) -> FamilyReport:

@@ -42,15 +42,17 @@ on their boundary circles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable
 from typing import Any
 
 from surfrep.surface import (
     MultiCurve,
     SurfaceModel,
+    _Value,
     _crossed_longitudes,
     _crossed_meridians,
     _json_field,
+    _set_field,
     _strict_int,
 )
 
@@ -187,8 +189,7 @@ def trace_components(mc: MultiCurve) -> int:
 
 #-- Cutting --#
 
-@dataclass(frozen=True)
-class PlanarPiece:
+class PlanarPiece(_Value):
     """A planar surface with numbered boundary circles and weighted arcs.
 
     ``arcs`` holds (a, b, mult) triples with a < b: mult parallel arcs
@@ -199,20 +200,22 @@ class PlanarPiece:
     circles: int
     arcs: tuple[tuple[int, int, int], ...]
 
-    def __post_init__(self) -> None:
-        if _strict_int(self.circles, "circles") < 2:
-            raise ValueError(f"piece needs at least two boundary circles, got {self.circles}")
-        object.__setattr__(self, "arcs", tuple(tuple(t) for t in self.arcs))
+    def __init__(self, id: str, circles: int, arcs: Iterable[Iterable[int]]) -> None:
+        if _strict_int(circles, "circles") < 2:
+            raise ValueError(f"piece needs at least two boundary circles, got {circles}")
+        arcs = tuple(tuple(t) for t in arcs)
         seen = set()
-        for a, b, mult in self.arcs:
-            if not (0 <= _strict_int(a, "a") < _strict_int(b, "b") < self.circles):
-                raise ValueError(f"bad arc endpoints ({a}, {b}) for {self.circles} circles")
+        for a, b, mult in arcs:
+            if not (0 <= _strict_int(a, "a") < _strict_int(b, "b") < circles):
+                raise ValueError(f"bad arc endpoints ({a}, {b}) for {circles} circles")
             if _strict_int(mult, "mult") < 1:
                 raise ValueError(f"arc multiplicity must be >= 1, got {mult}")
             if (a, b) in seen:
                 raise ValueError(f"duplicate arc pair ({a}, {b})")
             seen.add((a, b))
-        object.__setattr__(self, "arcs", tuple(sorted(self.arcs)))
+        _set_field(self, "id", id)
+        _set_field(self, "circles", circles)
+        _set_field(self, "arcs", tuple(sorted(arcs)))
 
     def to_json(self) -> dict[str, Any]:
         return {

@@ -16,8 +16,9 @@ crossing between a longitude copy and a meridian copy is transverse.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable
 from itertools import chain
+from operator import attrgetter
 from typing import Any
 
 __all__ = [
@@ -79,25 +80,75 @@ def _json_field(obj: Any, field: str, kind: type) -> Any:
     return _json_shape(obj[field], kind, f"field {field!r}")
 
 
+#-- Value classes --#
+
+#: how a value class stores its fields while it is built, past the
+#: AttributeError of ``_Value.__setattr__``; unlike a write to
+#: ``self.__dict__``, it keeps the fast attribute reads of an instance
+#: whose ``__dict__`` was never asked for
+_set_field = object.__setattr__
+
+
+class _Value:
+    """Base of the package's immutable value classes.
+
+    A subclass declares its fields as class annotations, in order, and
+    its ``__init__`` validates the arguments and stores each field with
+    :data:`_set_field`.  The base adds what a frozen record needs:
+    equality and a hash over the declared fields as one tuple (an
+    instance of another class is never equal), a ``Name(field=value,
+    ...)`` repr, and an AttributeError on assignment or deletion.
+    Anything else an instance keeps, such as derived arrays or cached
+    properties, takes no part in these.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        # a subclass that declares no fields keeps those of its base
+        cls._fields = tuple(cls.__dict__.get("__annotations__", cls._fields))
+        cls._key = attrgetter(*cls._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot assign {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {name!r}")
+
+
 #-- Surfaces --#
 
-@dataclass(frozen=True)
-class SurfaceModel:
+class SurfaceModel(_Value):
     """A standard surface: ``kind`` is "torus" or "chain"."""
 
     kind: str
     genus: int
 
-    def __post_init__(self) -> None:
-        _strict_int(self.genus, "genus")
-        if self.kind == "torus":
-            if self.genus != 1:
-                raise ValueError(f"torus has genus 1, not {self.genus}")
-        elif self.kind == "chain":
-            if self.genus < 1:
-                raise ValueError(f"chain genus must be >= 1, got {self.genus}")
+    def __init__(self, kind: str, genus: int) -> None:
+        _strict_int(genus, "genus")
+        if kind == "torus":
+            if genus != 1:
+                raise ValueError(f"torus has genus 1, not {genus}")
+        elif kind == "chain":
+            if genus < 1:
+                raise ValueError(f"chain genus must be >= 1, got {genus}")
         else:
-            raise ValueError(f"unknown surface kind {self.kind!r}")
+            raise ValueError(f"unknown surface kind {kind!r}")
+        _set_field(self, "kind", kind)
+        _set_field(self, "genus", genus)
 
     @staticmethod
     def torus() -> "SurfaceModel":
@@ -122,18 +173,19 @@ class SurfaceModel:
         return SurfaceModel(_json_field(obj, "kind", str), _json_field(obj, "genus", int))
 
 
-@dataclass(frozen=True)
-class CurveClass:
+class CurveClass(_Value):
     """A reference curve class: family "m" (meridian) or "l" (longitude)."""
 
     family: str
     index: int
 
-    def __post_init__(self) -> None:
-        if self.family not in ("m", "l"):
-            raise ValueError(f"family must be 'm' or 'l', got {self.family!r}")
-        if _strict_int(self.index, "class index") < 0:
-            raise ValueError(f"class index must be >= 0, got {self.index}")
+    def __init__(self, family: str, index: int) -> None:
+        if family not in ("m", "l"):
+            raise ValueError(f"family must be 'm' or 'l', got {family!r}")
+        if _strict_int(index, "class index") < 0:
+            raise ValueError(f"class index must be >= 0, got {index}")
+        _set_field(self, "family", family)
+        _set_field(self, "index", index)
 
     def __str__(self) -> str:
         return f"{self.family}{self.index}"
@@ -187,8 +239,7 @@ def pairing_matrix(surface: SurfaceModel) -> tuple[tuple[int, ...], ...]:
 
 #-- Multicurves --#
 
-@dataclass(frozen=True)
-class MultiCurve:
+class MultiCurve(_Value):
     """Weighted reference curves on a surface.
 
     ``meridians[i]`` is the number of parallel copies of m_i and
@@ -199,20 +250,24 @@ class MultiCurve:
     meridians: tuple[int, ...]
     longitudes: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        k = self.surface.num_classes
-        object.__setattr__(self, "meridians", tuple(self.meridians))
-        object.__setattr__(self, "longitudes", tuple(self.longitudes))
-        if len(self.meridians) != k or len(self.longitudes) != k:
+    def __init__(
+        self, surface: SurfaceModel, meridians: Iterable[int], longitudes: Iterable[int]
+    ) -> None:
+        k = surface.num_classes
+        meridians, longitudes = tuple(meridians), tuple(longitudes)
+        if len(meridians) != k or len(longitudes) != k:
             raise ValueError(
                 f"expected {k} weights per family, got "
-                f"{len(self.meridians)} meridian and {len(self.longitudes)} longitude"
+                f"{len(meridians)} meridian and {len(longitudes)} longitude"
             )
-        for w in (*self.meridians, *self.longitudes):
+        for w in (*meridians, *longitudes):
             if _strict_int(w, "weight") < 0:
                 raise ValueError(f"weights must be nonnegative integers, got {w!r}")
-        if not any((*self.meridians, *self.longitudes)):
+        if not any((*meridians, *longitudes)):
             raise ValueError("multicurve needs at least one positive weight")
+        _set_field(self, "surface", surface)
+        _set_field(self, "meridians", meridians)
+        _set_field(self, "longitudes", longitudes)
 
     def boundary_count(self, cls: CurveClass) -> int:
         """Total crossings of the multicurve with one copy of ``cls``.

@@ -52,7 +52,9 @@ def test_generate_emits_curve_json(capsys):
 
 
 def test_generate_rejects_bad_strings(capsys):
-    for family in ("lpq:2,6", "torus:a,b", "weird:1,2", "torus:3"):
+    # int() would read the last four as torus:3,5 and torus:10,5
+    for family in ("lpq:2,6", "torus:a,b", "weird:1,2", "torus:3",
+                   "torus:\u0663,5", "torus: 3,5", "torus:+3,5", "torus:1_0,5"):
         code, out, err = run_cli(capsys, "generate", family)
         assert code == 2
         assert out == ""

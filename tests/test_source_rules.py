@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import subprocess
 import sys
 from pathlib import Path
 
@@ -44,3 +45,18 @@ def test_package_imports_only_the_standard_library():
                 if top != "surfrep" and top not in sys.stdlib_module_names:
                     found.append(f"{path.relative_to(PACKAGE.parent)}:{node.lineno} {name}")
     assert not found, f"imports outside the standard library: {found}"
+
+
+def test_start_up_loads_neither_dataclasses_nor_inspect():
+    """The value classes are plain classes, so starting the CLI pays for
+    neither ``dataclasses`` nor the ``inspect`` it imports."""
+    probe = (
+        "import sys; sys.path.insert(0, sys.argv[1]); "
+        "import surfrep.cli; import surfrep; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-I", "-B", "-c", probe, str(PACKAGE.parent)],
+        capture_output=True, text=True, check=True, timeout=60,
+    )
+    assert done.stdout.strip() == "[]", done.stdout
