@@ -49,7 +49,7 @@ import math
 from fractions import Fraction
 from typing import Any, Iterable, Mapping, Sequence
 
-from surfrep.surface import _Value, _set_field
+from surfrep.surface import _Value, _ascii_int, _set_field
 
 __all__ = [
     "ATTRIBUTES",
@@ -196,7 +196,8 @@ class SubjectTags(_Value):
 
     @classmethod
     def from_strings(cls, items: Iterable[str]) -> "SubjectTags":
-        """Parse flags of the form ``name`` or ``name=p,q``."""
+        """Parse flags of the form ``name`` or ``name=p,q``, with p and q
+        ASCII decimal integers and spaces allowed around ``=``."""
         names: set[str] = set()
         params: dict[str, tuple[int, ...]] = {}
         for item in items:
@@ -209,7 +210,7 @@ class SubjectTags(_Value):
                 if not eq:
                     raise ValueError(f"tag {name!r} needs parameters, e.g. {name}=3,5")
                 try:
-                    values = tuple(int(part) for part in raw.split(","))
+                    values = tuple(map(_ascii_int, raw.strip().split(",")))
                 except ValueError:
                     raise ValueError(f"parameters of {name!r} must be integers") from None
                 if len(values) != _PARAM_ARITY[name]:

@@ -29,7 +29,6 @@ import math
 import sys
 import time
 from fractions import Fraction
-from pathlib import Path
 from typing import Any, Sequence
 
 from surfrep.bounds import ATTRIBUTES, Contradiction, FactSet, SubjectTags, propagate
@@ -37,7 +36,7 @@ from surfrep.certificate import Certificate, certify_pieces
 from surfrep.facewidth import RotationSystem, face_width
 from surfrep.families import Check, FamilyInstance, parse_family, verify_family
 from surfrep.smoothing import PlanarPiece
-from surfrep.surface import _strict_int
+from surfrep.surface import _ascii_int, _strict_int
 
 __all__ = ["build_parser", "main"]
 
@@ -81,7 +80,8 @@ def _render(pad: str, mapping: dict[str, Any]) -> list[str]:
 
 def _load_json(path: str) -> Any:
     try:
-        return json.loads(Path(path).read_text())
+        with open(path) as file:
+            return json.load(file)
     except RecursionError:
         raise ValueError(f"{path} is nested too deeply") from None
 
@@ -159,7 +159,17 @@ def _report_facewidth(args: argparse.Namespace, rs: RotationSystem) -> tuple[Bod
     return body, True
 
 
+def _level(text: str) -> int:
+    """The ``--n`` value; argparse reports a bad one with the option's name."""
+    try:
+        return _ascii_int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 def _parse_seeds(items: Sequence[str]) -> dict[str, Fraction]:
+    """Seeds ``name=p`` or ``name=p/q``: ASCII integers, q unsigned, spaces
+    allowed around ``=``."""
     seeds: dict[str, Fraction] = {}
     for item in items:
         name, eq, raw = item.partition("=")
@@ -168,8 +178,12 @@ def _parse_seeds(items: Sequence[str]) -> dict[str, Fraction]:
             raise ValueError(f"seed {item!r} must look like b=3 or bs=7/2")
         if name in seeds:
             raise ValueError(f"duplicate seed for {name!r}")
+        p, slash, q = raw.strip().partition("/")
         try:
-            seeds[name] = Fraction(raw.strip())
+            # a sign belongs on p alone, as Fraction() has it
+            if q.startswith("-"):
+                raise ValueError
+            seeds[name] = Fraction(_ascii_int(p), _ascii_int(q) if slash else 1)
         except (ValueError, ZeroDivisionError):
             raise ValueError(f"seed value {raw!r} is not a rational number") from None
     return seeds
@@ -245,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     certify = command("certify", _read_certify, _report_certify,
                       "check the lower-bound conditions on stored pieces")
     certify.add_argument("pieces", help="JSON file with planar pieces")
-    certify.add_argument("--n", type=int, help="certificate level, overrides the file")
+    certify.add_argument("--n", type=_level, help="certificate level, overrides the file")
 
     facewidth = command("facewidth", _read_facewidth, _report_facewidth,
                         "genus and face width of an embedded graph")

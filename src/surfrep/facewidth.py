@@ -25,9 +25,11 @@ search per root, which looks only at simple cycles between two branches
 of its tree.  Z/2 cohomology labels from a tree-cotree decomposition
 give each such cycle's homology class in O(1): a nonzero class is
 noncontractible outright, and only a zero class at genus >= 2 needs
-the cut test.  A cycle is contractible exactly when cutting the surface
-open along it leaves two pieces, one of them a disk, counted by a flood
-over the faces of the map itself; no cut map is ever built.
+the cut test.  On the torus the labels also pick the roots: only the
+vertices that an edge of nonzero label touches.  A cycle is
+contractible exactly when cutting the surface open along it leaves two
+pieces, one of them a disk, counted by a flood over the faces of the
+map itself; no cut map is ever built.
 """
 
 from __future__ import annotations
@@ -396,53 +398,81 @@ def _z2_labels(rad: RotationSystem) -> list[int]:
     return labels
 
 
+def _search_roots(rs: RotationSystem, labels: Sequence[int]) -> list[int]:
+    """The radial nodes that ``face_width`` searches from, ascending.
+
+    Every cycle of the bipartite radial map passes a vertex node, so at
+    genus >= 2 these are all vertex nodes 0 .. V-1.  On the torus they
+    are only the vertex nodes at the even end of a radial edge with a
+    nonzero label: a cycle of nonzero class XORs to nonzero, so it uses
+    such an edge, and with it that edge's vertex node.  Radial dart 2p
+    sits at the vertex node of original position p.
+    """
+    if rs.genus() >= 2:
+        return list(range(rs.num_vertices))
+    return sorted({v for v, h in zip(rs._vert, labels[::2]) if h})
+
+
 def face_width(rs: RotationSystem) -> int | float:
     """Least crossings of a noncontractible closed curve with the graph.
 
     Infinite on the sphere; elsewhere half the length of a shortest
     noncontractible cycle of the radial map, which is bipartite, so
-    loopless.  A breadth first search from each root x visits only the
-    vertices >= x and gives each one a branch, the first dart out of x
-    on its tree path, and a class h, the XOR of the Z/2 labels along
-    that path.  Each non-tree edge d = vw between two branches closes
-    the simple cycle x..v w..x of class h(v) ^ h(w) ^ label(d), read in
-    O(1).  It is looked at from v when w is one level deeper, which in a
-    bipartite map is every edge to a vertex not yet scanned, so it has
-    length 2 depth(v) + 2.  A nonzero class is noncontractible, so the
-    cycle is taken as the best one yet.  A zero class is skipped on the
-    torus; at genus >= 2 the cycle is cut open, and taken if it does not
-    bound a disk.  The search stops at the first depth whose cycles are
-    no shorter than the best, and the winning cycle is cut once more as
-    an independent check.
+    loopless.  The radial nodes are ranked with the roots of
+    :func:`_search_roots` first, and a breadth first search from each
+    root x visits only the vertices of rank >= rank(x).  It gives each
+    one a branch, the first dart out of x on its tree path, and a class
+    h, the XOR of the Z/2 labels along that path.  Each non-tree edge
+    d = vw between two branches closes the simple cycle x..v w..x of
+    class h(v) ^ h(w) ^ label(d), read in O(1).  It is looked at from v
+    when w is one level deeper, which in a bipartite map is every edge
+    to a vertex not yet scanned, so it has length 2 depth(v) + 2.  A
+    nonzero class is noncontractible, so the cycle is taken as the best
+    one yet.  A zero class is skipped on the torus; at genus >= 2 the
+    cycle is cut open, and taken if it does not bound a disk.  The
+    search stops at the first depth whose cycles are no shorter than the
+    best, and the winning cycle is cut once more as an independent
+    check.
 
-    Everything runs on lists over radial positions, which are the radial
-    dart names: dart d leaves the vertex of d and arrives at that of
-    d ^ 1.  Each vertex keeps its (dart, head, label) triples, and the
-    search state of a vertex belongs to root x while its stamp is x, so
-    no per-root table is cleared or rebuilt.
+    Everything runs on lists over ranks, built once from the radial
+    positions, which are the radial dart names: dart d leaves the vertex
+    of rank node(d) and arrives at that of node(d ^ 1).  Each vertex
+    keeps its (dart, head, label) triples, and the search state of a
+    vertex belongs to root x while its stamp is x, so no per-root table
+    is cleared or rebuilt.
 
-    Let C be a shortest noncontractible cycle and x its least vertex.
-    C lies among the vertices >= x, so tree distances from x are at
-    most those along C.  Based at x, C is the product of the
-    fundamental loops of its non-tree edges, so one of them, L, is
-    noncontractible and at most |C| long.  Were its tree paths to share
-    a first dart, trimming them would give a shorter noncontractible
-    cycle.  So L is a simple cycle between two branches of length |C|,
-    with ends shallow enough for the search to reach, and the search
-    recognises it: a nonzero class outright, a zero class by the cut at
-    genus >= 2.  On the torus L cannot have class zero, since a simple
-    cycle of class zero separates and a separating simple cycle on the
-    torus bounds a disk; at genus >= 2 it may, as a cycle that separates
-    two handles (Cabello & Mohar, DCG 2007).
+    Let C be a shortest noncontractible cycle.  It passes a root: at
+    genus >= 2 every vertex node is one, and on the torus C has a
+    nonzero class (below), so it uses an edge of nonzero label, whose
+    vertex node is a root.  Roots rank first, so the vertex x of least
+    rank on C is a root.  C lies among the vertices of rank >= rank(x),
+    so tree distances from x are at most those along C.  Based at x, C
+    is the product of the fundamental loops of its non-tree edges, so
+    one of them, L, is noncontractible and at most |C| long.  Were its
+    tree paths to share a first dart, trimming them would give a shorter
+    noncontractible cycle.  So L is a simple cycle between two branches
+    of length |C|, with ends shallow enough for the search to reach, and
+    the search recognises it: a nonzero class outright, a zero class by
+    the cut at genus >= 2.  On the torus neither C nor L can have class
+    zero, since a simple cycle of class zero separates and a separating
+    simple cycle on the torus bounds a disk; at genus >= 2 it may, as a
+    cycle that separates two handles (Cabello & Mohar, DCG 2007), and
+    such a cycle can miss every edge of nonzero label, which is why all
+    vertex nodes stay roots there.
     """
     genus = rs.genus()
     if genus == 0:
         return math.inf
     rad = radial(rs)
     labels = _z2_labels(rad)
-    vert = rad._vert
-    arcs = [[(d, vert[d ^ 1], labels[d]) for d in rot] for rot in rad._rots]
-    n = len(arcs)
+    roots = _search_roots(rs, labels)
+    n = rad.num_vertices
+    order = roots + sorted(set(range(n)).difference(roots))
+    rank = [0] * n
+    for r, v in enumerate(order):
+        rank[v] = r
+    node = [rank[v] for v in rad._vert]
+    arcs = [[(d, node[d ^ 1], labels[d]) for d in rad._rots[v]] for v in order]
     # per vertex: the root whose search reached it last, then that search's
     # depth, dart reached by, branch and class
     stamp = [-1] * n
@@ -452,7 +482,7 @@ def face_width(rs: RotationSystem) -> int | float:
     cls = [0] * n
     best: int | float = math.inf
     witness: list[int] = []
-    for x in range(n):
+    for x in range(len(roots)):
         stamp[x], depth[x], cls[x] = x, 0, 0
         queue = [x]
         for v in queue:
@@ -475,10 +505,10 @@ def face_width(rs: RotationSystem) -> int | float:
                     down, up, u = [d], [], v
                     while u != x:
                         down.append(via[u])
-                        u = vert[down[-1]]
+                        u = node[down[-1]]
                     while w != x:
                         up.append(via[w])
-                        w = vert[up[-1]]
+                        w = node[up[-1]]
                     cycle = down[::-1] + [y ^ 1 for y in up]
                     if essential or not cycle_is_contractible(rad, cycle):
                         best, witness = len(cycle), cycle

@@ -17,7 +17,7 @@ from typing import Any
 
 from surfrep.certificate import representativity_exact, upper_bound
 from surfrep.smoothing import trace_components
-from surfrep.surface import CurveClass, MultiCurve, SurfaceModel, _Value, _set_field
+from surfrep.surface import CurveClass, MultiCurve, SurfaceModel, _Value, _ascii_int, _set_field
 
 __all__ = [
     "FamilyInstance",
@@ -106,13 +106,11 @@ def parse_family(text: str) -> FamilyInstance:
     parts = rest.split(",")
     if len(parts) != 2:
         raise ValueError(f"family {text!r} needs exactly two parameters")
-    # int() also reads spaces, signs, underscores and non-ASCII digits, so a
-    # label would not echo the command; a minus sign still reaches the
-    # builders' own range messages
-    digits = [s.removeprefix("-") for s in parts]
-    if not all(d.isascii() and d.isdigit() for d in digits):
-        raise ValueError(f"family {text!r} needs integer parameters")
-    x, y = map(int, parts)
+    # a minus sign still reaches the builders' own range messages
+    try:
+        x, y = map(_ascii_int, parts)
+    except ValueError:
+        raise ValueError(f"family {text!r} needs integer parameters") from None
     return _BUILDERS[kind](x, y)
 
 

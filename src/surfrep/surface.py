@@ -43,6 +43,19 @@ def _strict_int(value: Any, field: str) -> int:
     return value
 
 
+def _ascii_int(text: str) -> int:
+    """``text`` read as an ASCII decimal integer, ``-?[0-9]+``.
+
+    The one rule for every integer typed on the command line: int() also
+    reads spaces, a plus sign, underscores and non-ASCII digits, so an
+    argument would run as another number than the one a report echoes.
+    """
+    digits = text.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"{text!r} is not an ASCII decimal integer")
+    return int(text)
+
+
 _JSON_TYPES = {dict: "an object", list: "an array", str: "a string"}
 
 

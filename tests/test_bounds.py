@@ -83,6 +83,9 @@ def test_tag_parsing_and_validation():
         ("torus_knot",),  # missing parameters
         ("torus_knot=3",),
         ("torus_knot=a,b",),
+        ("torus_knot=1_0,3",),  # int() would read 10,3
+        ("torus_knot=\u0663,5",),
+        ("torus_knot=+3,5",),
         ("torus_knot=1,5",),  # unknot
         ("torus_knot=2,4",),  # not coprime, a link
         ("pretzel=1,2",),

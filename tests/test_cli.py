@@ -52,9 +52,10 @@ def test_generate_emits_curve_json(capsys):
 
 
 def test_generate_rejects_bad_strings(capsys):
-    # int() would read the last four as torus:3,5 and torus:10,5
+    # int() would run the strings from torus:\u0663,5 to torus:3,\uff15, e.g. as torus:10,5
     for family in ("lpq:2,6", "torus:a,b", "weird:1,2", "torus:3",
-                   "torus:\u0663,5", "torus: 3,5", "torus:+3,5", "torus:1_0,5"):
+                   "torus:\u0663,5", "torus: 3,5", "torus:+3,5", "torus:1_0,5",
+                   "torus:3,5 ", "torus:3,\uff15", "torus:-,5"):
         code, out, err = run_cli(capsys, "generate", family)
         assert code == 2
         assert out == ""
@@ -164,6 +165,19 @@ def test_certify_rejects_bad_files(capsys, tmp_path):
         code, out, err = run_cli(capsys, "certify", path)
         assert (code, out) == (2, ""), path
         assert message in err and "Traceback" not in err
+
+
+def test_certify_level_is_an_ascii_integer(capsys, tmp_path):
+    """--n reads only -?[0-9]+; int() would run each of these as a level."""
+    stored = _write(tmp_path, "four.json", {"pieces": _pants_pieces(), "n": 4})
+    for level in ("\u0664", "+4", " 4", "4 ", "0_4", "4.0", "x"):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["certify", stored, "--n", level])
+        assert excinfo.value.code == 2, level
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.endswith(f"error: argument --n: invalid int value: {level!r}\n"), level
+    assert run_cli(capsys, "certify", stored, "--n", "4")[0] == 0
 
 
 def test_certify_reads_a_huge_circle_count_from_its_arcs(capsys, tmp_path):
@@ -334,6 +348,25 @@ def test_bounds_rejects_bad_flags(capsys):
     code, out, err = run_cli(capsys, "bounds", "--seed", "b=-3")
     assert (code, out) == (2, "")
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_bounds_integers_are_ascii(capsys):
+    """Tag parameters and seeds read only ASCII -?[0-9]+ integers (and p/q
+    for seeds); int() or Fraction() would run each of these as another value."""
+    for tag in ("torus_knot=1_0,3", "torus_knot=\u0663,5", "torus_knot=+3,5",
+                "torus_knot=3,\uff15", "torus_knot=3, 5", "pretzel=-2,3,+7"):
+        code, out, err = run_cli(capsys, "bounds", "--tag", tag)
+        assert (code, out) == (2, ""), tag
+        assert err == f"error: parameters of {tag.partition('=')[0]!r} must be integers\n"
+    for seed in ("b=\u0663", "b=1_0", "b=+3", "bs=3.5", "bs=7/+2", "bs=7/-2", "bs=7/ 2",
+                 "b=1e1", "b=-", "b="):
+        code, out, err = run_cli(capsys, "bounds", "--seed", seed)
+        assert (code, out) == (2, ""), seed
+        assert err == f"error: seed value {seed.partition('=')[2]!r} is not a rational number\n"
+    # spaces around '=' keep working, and the report echoes the value read
+    code, out, _ = run_cli(capsys, "bounds", "--tag", "torus_knot = 3,5", "--seed", " bs = 12/2 ")
+    assert code == 0
+    assert json.loads(out)["command"] == ["bounds", "--tag torus_knot=3,5", "--seed bs=6"]
 
 
 #-- Fuzzing --#

@@ -21,6 +21,7 @@ from oracles import (
 from surfrep import facewidth
 from surfrep.facewidth import (
     RotationSystem,
+    _search_roots,
     _z2_labels,
     cut_along,
     cycle_is_contractible,
@@ -47,6 +48,28 @@ def toroidal_grid(rows: int, cols: int | None = None) -> RotationSystem:
             edges.append((dart(r, c, 0), dart(r, c + 1, 2)))
             edges.append((dart(r, c, 3), dart(r + 1, c, 1)))
     return RotationSystem(rotations, tuple(edges))
+
+
+def double_cover(n: int) -> RotationSystem:
+    """Genus-2 double cover of the n-by-n toroidal grid, branched at two faces.
+
+    Two copies of the grid, the second with darts shifted by 4 n^2, and
+    the vertical edges between rows 0 and 1 in columns 0 .. n//2 - 1
+    cross-paired between the copies.  The faces at the two ends of that
+    slit join their copies into octagons, so chi = 2 * 0 - 2.
+    """
+    grid = toroidal_grid(n)
+    shift = 4 * n * n
+    # south dart of (0, c) with north dart of (1, c)
+    slit = {(4 * c + 3, 4 * (n + c) + 1) for c in range(n // 2)}
+    rotations = [*grid.rotations, *(tuple(d + shift for d in rot) for rot in grid.rotations)]
+    edges = []
+    for a, b in grid.edges:
+        if (a, b) in slit:
+            edges += [(a, b + shift), (a + shift, b)]
+        else:
+            edges += [(a, b), (a + shift, b + shift)]
+    return RotationSystem(tuple(rotations), tuple(edges))
 
 
 def relabelled(rs: RotationSystem, rng: random.Random) -> RotationSystem:
@@ -348,6 +371,32 @@ def test_nonzero_class_never_bounds_a_disk():
     assert nonzero >= 1000 and zero_essential >= 10
 
 
+def test_every_nonzero_class_cycle_passes_a_root():
+    """On the torus the search roots meet every cycle of nonzero class,
+    and at genus >= 2 they are all the vertex nodes."""
+    rng = random.Random(13)
+    maps = []
+    while len(maps) < 150:
+        rs = _random_map(rng, rng.randrange(2, 10))
+        if len(rs.component_euler_characteristics()) == 1 and rs.genus() == 1:
+            maps.append(rs)
+    maps += [relabelled(toroidal_grid(rows, cols), rng)
+             for rows in range(3, 6) for cols in range(rows, 6)]
+    checked = 0
+    for rs in maps:
+        rad = radial(rs)
+        labels = _z2_labels(rad)
+        roots = set(_search_roots(rs, labels))
+        assert roots and roots <= set(range(rs.num_vertices))
+        for cand in radial_cycle_candidates(rad.rotations, rad.edges):
+            if _cycle_class(labels, cand):
+                assert roots & {rad.vertex_of(d) for d in cand}, cand
+                checked += 1
+    assert checked >= 2000
+    for rs in (DOUBLE_TORUS, double_cover(3)):
+        assert _search_roots(rs, _z2_labels(radial(rs))) == list(range(rs.num_vertices))
+
+
 def test_face_width_refuses_a_contractible_witness(monkeypatch):
     """Labels that call a face essential are caught by the witness cut."""
     grid = toroidal_grid(4)
@@ -508,3 +557,14 @@ def test_face_width_matches_candidate_reference():
     bridged = RotationSystem(tuple(rotations), tuple(edges))
     assert bridged.genus() == 2
     assert face_width(bridged) == candidate_face_width(bridged.rotations, bridged.edges) == 1
+
+
+def test_face_width_on_double_covers():
+    """Genus-2 double covers of the grid, whose shortest essential cycles
+    may separate, equal the candidate reference under relabelling too."""
+    rng = random.Random(14)
+    for n in range(3, 6):
+        cover = double_cover(n)
+        assert cover.genus() == 2 and len(cover.component_euler_characteristics()) == 1
+        width = candidate_face_width(cover.rotations, cover.edges)
+        assert face_width(cover) == face_width(relabelled(cover, rng)) == width

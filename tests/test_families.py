@@ -61,7 +61,8 @@ def test_parse_family():
     assert parse_family("exactly:4,2") == exact_knot(4, 2)
     assert parse_family("lpq:2,7") == lpq_link(2, 7)
     for bad in ("torus:3", "torus:3,5,7", "weird:1,2", "lpq:2,6", "torus:a,b", "torus",
-                "torus:\u0663,5", "torus: 3,5", "torus:+3,5", "torus:1_0,5"):
+                "torus:\u0663,5", "torus: 3,5", "torus:+3,5", "torus:1_0,5",
+                "torus:3,5 ", "torus:3,\uff15", "torus:-,5", "torus:--3,5"):
         with pytest.raises(ValueError):
             parse_family(bad)
 

@@ -60,3 +60,21 @@ def test_start_up_loads_neither_dataclasses_nor_inspect():
         capture_output=True, text=True, check=True, timeout=60,
     )
     assert done.stdout.strip() == "[]", done.stdout
+
+
+def test_no_cli_integer_is_read_with_type_int():
+    """Every integer typed on the command line goes through the ASCII
+    ``-?[0-9]+`` reader: ``type=int`` would also take spaces, a plus
+    sign, underscores and non-ASCII digits."""
+    modules = sorted(PACKAGE.rglob("*.py"))
+    assert modules
+    found = [
+        f"{path.relative_to(PACKAGE.parent)}:{node.lineno}"
+        for path in modules
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute) and node.func.attr == "add_argument"
+        and any(k.arg == "type" and isinstance(k.value, ast.Name) and k.value.id == "int"
+                for k in node.keywords)
+    ]
+    assert not found, f"add_argument(..., type=int) in the package: {found}"
