@@ -11,8 +11,6 @@ from surfrep.smoothing import PlanarPiece, cut_pieces, trace_components
 from surfrep.certificate import (
     Certificate,
     Representativity,
-    min_essential_loop,
-    min_essential_arc,
     certify_pieces,
     upper_bound,
     representativity_exact,
@@ -46,8 +44,6 @@ __all__ = [
     "trace_components",
     "Certificate",
     "Representativity",
-    "min_essential_loop",
-    "min_essential_arc",
     "certify_pieces",
     "upper_bound",
     "representativity_exact",

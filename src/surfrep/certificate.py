@@ -19,23 +19,19 @@ this often pins the representativity exactly.
 Pieces here are necklace-shaped: boundary circles sit in a cyclic order
 and every arc class joins two cyclically adjacent circles, so a piece is
 a cycle of k sector weights.  Both minima have closed forms in those
-weights, proved in the docstrings below; no drawing is ever constructed.
+weights, proved in the docstring of :func:`evaluate_piece`; no drawing is
+ever constructed.
 """
 
 from __future__ import annotations
 
-from itertools import islice
-from typing import Any
-
 from surfrep.smoothing import PlanarPiece, cut_pieces
-from surfrep.surface import MultiCurve, _Value, _set_field
+from surfrep.surface import MultiCurve, _strict_int, _Value, _set_field
 
 __all__ = [
     "PieceBounds",
     "Certificate",
     "Representativity",
-    "min_essential_loop",
-    "min_essential_arc",
     "evaluate_piece",
     "certify_pieces",
     "upper_bound",
@@ -45,76 +41,27 @@ __all__ = [
 
 #-- Exact minima --#
 
-def _sectors(piece: PlanarPiece) -> dict[int, int]:
-    """Arc weight by sector, sector u joining circle u to u+1 mod k.
+def _two_lightest(piece: PlanarPiece) -> tuple[int, int]:
+    """The two smallest sector weights, sector u joining circle u to u+1 mod k.
 
-    Holds the nonempty sectors and up to three empty ones at weight 0,
-    so its size follows the arcs, not k, and both minima stay exact: two
-    empty sectors suffice for the two lightest, and one of three misses
-    any base circle.  Raises ValueError when an arc pair is not
-    cyclically adjacent.  With two circles both sectors join the same
-    pair, whose merged multiplicity lands in sector 0; sector 1 is empty.
+    Each arc pair fills one sector with its multiplicity and the other
+    sectors weigh 0.  At most two of those empty sectors can be among
+    the two lightest, so memory follows the arcs, not k.  With two
+    circles both sectors join the same pair: its merged multiplicity
+    fills one and the other is empty.  Raises ValueError when an arc
+    pair is not cyclically adjacent.
     """
     k = piece.circles
-    weights: dict[int, int] = {}
+    weights: list[int] = []
     for a, b, mult in piece.arcs:
-        if b - a == 1:
-            weights[a] = mult
-        elif b - a == k - 1:
-            weights[b] = mult
-        else:
+        if b - a != 1 and b - a != k - 1:
             raise ValueError(
                 f"arc pair ({a}, {b}) is not cyclically adjacent among {k} circles"
             )
-    weights.update(dict.fromkeys(islice((u for u in range(k) if u not in weights), 3), 0))
-    return weights
-
-
-def min_essential_loop(piece: PlanarPiece) -> int:
-    """Fewest arcs crossed by any essential loop in the piece.
-
-    A loop is essential when it separates the boundary circles into two
-    nonempty groups.  Isotoped tight, it crosses exactly the arcs of the
-    sectors whose two circles it separates.  The sectors form a cycle
-    through all k circles (at k = 2, sector 0 and an empty sector 1), and
-    a split of a cycle's vertices into two nonempty groups cuts an even
-    number of its edges, so at least two.  Any two sectors u < v are cut
-    alone by the split {u+1, ..., v} against the rest.  The minimum is
-    therefore the sum of the two smallest sector weights; at k = 2 it is
-    the one merged multiplicity.
-
-    Raises ValueError when the piece is not a necklace.
-    """
-    lightest, runner_up = sorted(_sectors(piece).values())[:2]
-    return lightest + runner_up
-
-
-def min_essential_arc(piece: PlanarPiece, circle: int) -> int | None:
-    """Fewest arcs crossed by an essential arc based on ``circle``.
-
-    The arc starts and ends on the given boundary circle and, together
-    with part of that circle, must enclose at least one other circle on
-    each side.  Returns None when fewer than three circles make every
-    such arc inessential or boundary-parallel.
-
-    The other k-1 circles then split into two nonempty groups.  The
-    sectors c-1 and c touching the base circle c cost nothing: the arc
-    ends can be placed so that every arc end of those two sectors lies
-    on the same side as its far circle.  The remaining k-2 sectors form
-    a path through the other circles, so the split cuts at least one of
-    them, and cutting the path at any one sector is a valid split.  The
-    minimum is therefore the smallest weight among the sectors that do
-    not touch c.
-
-    Raises ValueError when the piece is not a necklace.
-    """
-    k = piece.circles
-    if not (0 <= circle < k):
-        raise ValueError(f"no circle {circle} in a piece with {k} circles")
-    if k < 3:
-        return None
-    weights = _sectors(piece)
-    return min(w for u, w in weights.items() if u not in ((circle - 1) % k, circle))
+        weights.append(mult)
+    weights += [0] * min(2, k - len(weights))
+    lightest, runner_up = sorted(weights)[:2]
+    return lightest, runner_up
 
 
 #-- Certificates --#
@@ -144,9 +91,6 @@ class PieceBounds(_Value):
         """Largest level n the piece certifies: the least of its conditions."""
         return min(value for _, value in self.conditions())
 
-    def to_json(self) -> dict[str, Any]:
-        return {"id": self.piece_id, "loop_min": self.loop_min, "arc_min": self.arc_min}
-
 
 class Certificate(_Value):
     """Evaluation of the two lower-bound conditions at level n."""
@@ -159,13 +103,6 @@ class Certificate(_Value):
         _set_field(self, "n", n)
         _set_field(self, "pieces", pieces)
         _set_field(self, "lower_ok", lower_ok)
-
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "n": self.n,
-            "pieces": [p.to_json() for p in self.pieces],
-            "lower_ok": self.lower_ok,
-        }
 
 
 class Representativity(_Value):
@@ -180,23 +117,39 @@ class Representativity(_Value):
         _set_field(self, "upper", upper)
         _set_field(self, "exact", exact)
 
-    def to_json(self) -> dict[str, Any]:
-        return {"lower": self.lower, "upper": self.upper, "exact": self.exact}
-
 
 def evaluate_piece(piece: PlanarPiece) -> PieceBounds:
     """Loop minimum and the minimum over all base circles of arc minima.
 
-    Both come from one read of the sector weights.  At k >= 3 the arc
-    minimum based on circle c is the lightest sector not touching c.
+    Both come from one read of the sector weights.
+
+    Loops.  A loop is essential when it separates the boundary circles
+    into two nonempty groups.  Isotoped tight, it crosses exactly the
+    arcs of the sectors whose two circles it separates.  The sectors
+    form a cycle through all k circles (at k = 2, the merged pair and an
+    empty sector), and a split of a cycle's vertices into two nonempty
+    groups cuts an even number of its edges, so at least two.  Any two
+    sectors u < v are cut alone by the split {u+1, ..., v} against the
+    rest.  The loop minimum is therefore the sum of the two lightest
+    sector weights.
+
+    Arcs.  An essential arc starts and ends on a base circle c and,
+    together with part of c, encloses at least one other circle on each
+    side, so the other k-1 circles split into two nonempty groups; below
+    three circles no such arc exists and the result is None.  The
+    sectors c-1 and c touching c cost nothing: the arc ends can be
+    placed so that every arc end of those two sectors lies on the same
+    side as its far circle.  The remaining k-2 sectors form a path
+    through the other circles, so the split cuts at least one of them,
+    and cutting the path at any one sector is a valid split.  The arc
+    minimum based on c is therefore the lightest sector away from c.
     Every sector touches two circles and so misses some third one, and
-    every base circle leaves k - 2 >= 1 sectors, so the minimum over all
-    base circles is the lightest sector of all.  At k = 2 no circle has
-    an arc minimum and the result is None.
+    every base circle leaves k-2 >= 1 sectors, so the minimum over all
+    base circles is the lightest sector of all.
 
     Raises ValueError when the piece is not a necklace.
     """
-    lightest, runner_up = sorted(_sectors(piece).values())[:2]
+    lightest, runner_up = _two_lightest(piece)
     return PieceBounds(
         piece.id, lightest + runner_up, lightest if piece.circles >= 3 else None
     )
@@ -206,7 +159,7 @@ def certify_pieces(pieces: list[PlanarPiece], n: int) -> Certificate:
     """Evaluate the certificate conditions at level n on explicit pieces."""
     if not pieces:
         raise ValueError("no pieces to certify")
-    if n < 0:
+    if _strict_int(n, "certificate level") < 0:
         raise ValueError(f"certificate level must be >= 0, got {n}")
     bounds = tuple(evaluate_piece(p) for p in pieces)
     return Certificate(n, bounds, all(pb.score >= n for pb in bounds))

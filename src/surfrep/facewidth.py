@@ -91,13 +91,8 @@ class RotationSystem(_Value):
     def __init__(
         self, rotations: Sequence[Sequence[int]], edges: Sequence[Sequence[int]]
     ) -> None:
-        _set_field(self, "rotations", rotations)
-        _set_field(self, "edges", edges)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        rotations = tuple(map(tuple, self.rotations))
-        edges = tuple(map(tuple, self.edges))
+        rotations = tuple(map(tuple, rotations))
+        edges = tuple(map(tuple, edges))
         _set_field(self, "rotations", rotations)
         _set_field(self, "edges", edges)
         # One pass numbers the darts in sorted name order and checks the map
@@ -151,7 +146,7 @@ class RotationSystem(_Value):
 
     #-- Derived structure --#
 
-    # __post_init__ sets, over dart positions 0 .. 2E-1 in sorted name order:
+    # __init__ sets, over dart positions 0 .. 2E-1 in sorted name order:
     #   _darts    position -> dart name
     #   _pos      dart name -> position
     #   _rots     the rotations as positions

@@ -201,6 +201,8 @@ class PlanarPiece(_Value):
     arcs: tuple[tuple[int, int, int], ...]
 
     def __init__(self, id: str, circles: int, arcs: Iterable[Iterable[int]]) -> None:
+        if not isinstance(id, str):
+            raise ValueError(f"piece id must be a string, got {type(id).__name__}")
         if _strict_int(circles, "circles") < 2:
             raise ValueError(f"piece needs at least two boundary circles, got {circles}")
         arcs = tuple(tuple(t) for t in arcs)

@@ -6,15 +6,13 @@ import json
 import random
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import necklace_arc_min, necklace_loop_min
 from surfrep.certificate import (
     certify_pieces,
     evaluate_piece,
-    min_essential_arc,
-    min_essential_loop,
     representativity_exact,
     upper_bound,
 )
@@ -106,11 +104,13 @@ def test_piece_rejects_non_integer_counts(bad):
 _LOOSE_COUNTS = st.one_of(st.integers(0, 4), st.booleans(), st.sampled_from([1.0, 3.0]))
 
 
-@given(_LOOSE_COUNTS, st.lists(st.tuples(_LOOSE_COUNTS, _LOOSE_COUNTS, _LOOSE_COUNTS),
-                               max_size=3))
-def test_accepted_pieces_survive_json(circles, arcs):
+@given(st.one_of(st.text(max_size=3), st.integers(-2, 9), st.none()), _LOOSE_COUNTS,
+       st.lists(st.tuples(_LOOSE_COUNTS, _LOOSE_COUNTS, _LOOSE_COUNTS), max_size=3))
+@example(7, 2, [])
+@example(0, 3, [(0, 1, 1)])
+def test_accepted_pieces_survive_json(piece_id, circles, arcs):
     try:
-        piece = PlanarPiece("P", circles, tuple(arcs))
+        piece = PlanarPiece(piece_id, circles, tuple(arcs))
     except ValueError:
         return
     assert PlanarPiece.from_json(json.loads(json.dumps(piece.to_json()))) == piece
@@ -127,57 +127,53 @@ def test_piece_conditions_give_the_score():
 #-- Loop minima --#
 
 def test_loop_min_three_circle_examples():
-    assert min_essential_loop(PlanarPiece("P", 3, ((0, 1, 2), (1, 2, 2), (0, 2, 2)))) == 4
-    assert min_essential_loop(PlanarPiece("P", 3, ((0, 1, 7), (1, 2, 7), (0, 2, 7)))) == 14
+    assert evaluate_piece(PlanarPiece("P", 3, ((0, 1, 2), (1, 2, 2), (0, 2, 2)))).loop_min == 4
+    assert evaluate_piece(PlanarPiece("P", 3, ((0, 1, 7), (1, 2, 7), (0, 2, 7)))).loop_min == 14
     # a loop around an untouched circle crosses nothing
-    assert min_essential_loop(PlanarPiece("P", 3, ((0, 1, 1),))) == 0
+    assert evaluate_piece(PlanarPiece("P", 3, ((0, 1, 1),))).loop_min == 0
 
 
 def test_loop_min_small_pieces():
-    assert min_essential_loop(PlanarPiece("P", 2, ((0, 1, 6),))) == 6
-    assert min_essential_loop(PlanarPiece("P", 2, ())) == 0
+    assert evaluate_piece(PlanarPiece("P", 2, ((0, 1, 6),))).loop_min == 6
+    assert evaluate_piece(PlanarPiece("P", 2, ())).loop_min == 0
 
 
 #-- Arc minima --#
 
 def test_arc_min_vacuous_below_three_circles():
-    assert min_essential_arc(PlanarPiece("P", 2, ((0, 1, 9),)), 0) is None
-    assert min_essential_arc(PlanarPiece("P", 2, ()), 1) is None
+    assert evaluate_piece(PlanarPiece("P", 2, ((0, 1, 9),))).arc_min is None
+    assert evaluate_piece(PlanarPiece("P", 2, ())).arc_min is None
 
 
 def test_minima_read_the_arcs_not_the_circle_count():
     """Empty sectors cost 0 without being listed, so 10^15 circles are cheap."""
     huge = 10**15
     piece = PlanarPiece("H", huge, ((0, 1, 2), (0, huge - 1, 5)))
-    assert min_essential_loop(piece) == 0
-    assert min_essential_arc(piece, 0) == 0
     assert (evaluate_piece(piece).loop_min, evaluate_piece(piece).arc_min) == (0, 0)
-    # three circles, every sector filled: the far sector is the only choice
-    full = PlanarPiece("F", 3, ((0, 1, 4), (1, 2, 6), (0, 2, 9)))
-    assert [min_essential_arc(full, c) for c in range(3)] == [6, 9, 4]
-    # five circles, both empty sectors touching circle 4
-    sparse = PlanarPiece("S", 5, ((0, 1, 4), (1, 2, 6), (2, 3, 8)))
-    assert [min_essential_arc(sparse, c) for c in range(5)] == [0, 0, 0, 0, 4]
-    assert min_essential_loop(sparse) == 0
+    # three circles, every sector filled: the far sectors weigh 6, 9 and 4
+    full = evaluate_piece(PlanarPiece("F", 3, ((0, 1, 4), (1, 2, 6), (0, 2, 9))))
+    assert (full.loop_min, full.arc_min) == (10, 4)
+    # five circles, both empty sectors touching circle 4: per circle 0, 0, 0, 0, 4
+    sparse = evaluate_piece(PlanarPiece("S", 5, ((0, 1, 4), (1, 2, 6), (2, 3, 8))))
+    assert (sparse.loop_min, sparse.arc_min) == (0, 0)
+    # one empty sector among four: the loop pairs it with the lightest full one
+    single = evaluate_piece(PlanarPiece("T", 4, ((0, 1, 4), (1, 2, 6), (2, 3, 8))))
+    assert (single.loop_min, single.arc_min) == (4, 0)
 
 
 def test_arc_min_requires_adjacent_pairs():
     skew = PlanarPiece("P", 4, ((0, 2, 1),))
-    with pytest.raises(ValueError):
-        min_essential_loop(skew)
-    with pytest.raises(ValueError):
-        min_essential_arc(skew, 0)
-    with pytest.raises(ValueError):
-        min_essential_arc(skew, 5)
+    with pytest.raises(ValueError, match="not cyclically adjacent"):
+        evaluate_piece(skew)
 
 
 def test_arc_min_three_circle_examples():
-    pants = PlanarPiece("P", 3, ((0, 1, 2), (1, 2, 2), (0, 2, 2)))
-    assert [min_essential_arc(pants, b) for b in range(3)] == [2, 2, 2]
-    lone = PlanarPiece("P", 3, ((0, 1, 1),))
+    pants = evaluate_piece(PlanarPiece("P", 3, ((0, 1, 2), (1, 2, 2), (0, 2, 2))))
+    assert pants.arc_min == 2
+    lone = evaluate_piece(PlanarPiece("P", 3, ((0, 1, 1),)))
     # circles 0 and 1 can shed an arc around the untouched circle 2;
-    # from circle 2 every essential arc separates 0 from 1
-    assert [min_essential_arc(lone, b) for b in range(3)] == [0, 0, 1]
+    # from circle 2 every essential arc separates 0 from 1: per circle 0, 0, 1
+    assert lone.arc_min == 0
 
 
 def test_arc_min_far_side_shortcut():
@@ -188,7 +184,6 @@ def test_arc_min_far_side_shortcut():
     just that sector's copies.
     """
     piece = PlanarPiece("P", 3, ((0, 1, 2), (0, 2, 3), (1, 2, 3)))
-    assert min_essential_arc(piece, 2) == 2
     assert evaluate_piece(piece).arc_min == 2
 
 
@@ -210,13 +205,9 @@ def test_minima_match_enumeration_oracle():
                 merged[(a, b)] = merged.get((a, b), 0) + mlt
         arcs = tuple((a, b, mlt) for (a, b), mlt in sorted(merged.items()))
         piece = PlanarPiece("R", k, arcs)
-        loop_min = necklace_loop_min(k, arcs)
-        assert min_essential_loop(piece) == loop_min
         arc_minima = [necklace_arc_min(k, arcs, b) for b in range(k)] if k >= 3 else []
-        for b, arc_min in enumerate(arc_minima):
-            assert min_essential_arc(piece, b) == arc_min
         bounds = evaluate_piece(piece)
-        assert bounds.loop_min == loop_min
+        assert bounds.loop_min == necklace_loop_min(k, arcs)
         assert bounds.arc_min == (min(arc_minima) if arc_minima else None)
 
 
@@ -233,10 +224,13 @@ def test_cut_piece_minima_match_oracle():
         mc = MultiCurve(SurfaceModel.chain(g), a, b)
         for along in ("meridians", "longitudes"):
             piece = cut_pieces(mc, along)
-            assert min_essential_loop(piece) == necklace_loop_min(k, piece.arcs)
+            bounds = evaluate_piece(piece)
+            assert bounds.loop_min == necklace_loop_min(k, piece.arcs)
             if k >= 3:
-                for b in range(k):
-                    assert min_essential_arc(piece, b) == necklace_arc_min(k, piece.arcs, b)
+                arc_min = min(necklace_arc_min(k, piece.arcs, b) for b in range(k))
+                assert bounds.arc_min == arc_min
+            else:
+                assert bounds.arc_min is None
 
 
 #-- Certificates --#
@@ -307,6 +301,9 @@ def test_certify_explicit_pieces():
     assert certify_pieces(pieces, 5).lower_ok is False
     with pytest.raises(ValueError):
         certify_pieces([], 4)
+    for level in (2.5, True, "4"):
+        with pytest.raises(ValueError, match="certificate level must be an integer"):
+            certify_pieces(pieces, level)
     assert [evaluate_piece(p).score for p in pieces] == [4, 4]
 
 
@@ -318,16 +315,6 @@ def test_certify_pieces_is_monotone_in_the_level():
     assert upper_bound(mc) == 5
     # certified level tops out one below the upper bound for odd weights
     assert results == [True] * 5 + [False] * 4
-
-
-def test_certificate_json_shape():
-    cert = certify_pieces(_all_pieces(_knot_curve(4, 2)), 4)
-    blob = json.loads(json.dumps(cert.to_json()))
-    assert set(blob) == {"n", "pieces", "lower_ok"}
-    assert blob["n"] == 4
-    assert blob["lower_ok"] is True
-    assert {p["id"] for p in blob["pieces"]} == {"F1+", "F2+"}
-    assert all(set(p) == {"id", "loop_min", "arc_min"} for p in blob["pieces"])
 
 
 @settings(max_examples=200, deadline=None)

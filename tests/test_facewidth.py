@@ -259,13 +259,13 @@ def test_cut_along_separating_essential_cycle_leaves_two_tori():
 def test_face_width_builds_only_the_radial_map(monkeypatch):
     grid = toroidal_grid(8)
     built = []
-    original = RotationSystem.__post_init__
+    original = RotationSystem.__init__
 
-    def counting(self):
+    def counting(self, rotations, edges):
         built.append(self)
-        original(self)
+        original(self, rotations, edges)
 
-    monkeypatch.setattr(RotationSystem, "__post_init__", counting)
+    monkeypatch.setattr(RotationSystem, "__init__", counting)
     assert face_width(grid) == 8
     assert len(built) == 1
     rad = built[0]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import importlib
 import subprocess
 import sys
 from pathlib import Path
@@ -78,3 +79,21 @@ def test_no_cli_integer_is_read_with_type_int():
                 for k in node.keywords)
     ]
     assert not found, f"add_argument(..., type=int) in the package: {found}"
+
+
+def test_every_public_name_resolves():
+    """Each name in a module's ``__all__``, and in the package's, is bound:
+    the bench tracer reads every entry with ``getattr``, and star imports
+    fail on a stale one."""
+    modules = [surfrep] + [
+        importlib.import_module(f"surfrep.{path.stem}")
+        for path in sorted(PACKAGE.glob("*.py")) if path.stem != "__init__"
+    ]
+    assert len(modules) > 1
+    found = [
+        f"{module.__name__}.{attr}"
+        for module in modules
+        for attr in module.__all__
+        if not hasattr(module, attr)
+    ]
+    assert not found, f"names in __all__ that do not resolve: {found}"
