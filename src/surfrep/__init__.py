@@ -26,7 +26,6 @@ from surfrep.families import (
 )
 from surfrep.bounds import (
     Contradiction,
-    FactSet,
     Interval,
     SubjectTags,
     betti1,
@@ -57,7 +56,6 @@ __all__ = [
     "parse_family",
     "verify_family",
     "Contradiction",
-    "FactSet",
     "Interval",
     "SubjectTags",
     "betti1",

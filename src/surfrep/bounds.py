@@ -6,7 +6,8 @@ Betti number beta1 of the underlying graph, and the number of link
 components.  Each fact is a closed interval with non-negative rational
 endpoints; :func:`propagate` narrows the intervals to the fixed point of
 a fixed rule catalog, recording for every endpoint the chain of rules
-that produced it.
+that produced it, and returns one :class:`Interval` per attribute in
+``ATTRIBUTES`` order.
 
 Rule catalog, each rule switched on by one tag or always on:
 
@@ -56,7 +57,6 @@ __all__ = [
     "RULE_ORDER",
     "TAG_NAMES",
     "Contradiction",
-    "FactSet",
     "Interval",
     "SubjectTags",
     "betti1",
@@ -107,8 +107,12 @@ def betti1(vertices: int, edges: int, components: int) -> int:
 
 #-- Facts --#
 
+#: the endpoint types an Interval takes, compared by type() so that bool is not an int
+_EXACT = (int, Fraction)
+
+
 class Interval(_Value):
-    """Closed interval with non-negative rational endpoints.
+    """Closed interval with non-negative exact endpoints, ints or Fractions.
 
     ``hi`` is None when the attribute is unbounded above.  The rule
     chains record which rules justified each endpoint, seed facts
@@ -127,6 +131,9 @@ class Interval(_Value):
         lo_rules: tuple[str, ...] = (),
         hi_rules: tuple[str, ...] = (),
     ) -> None:
+        # a float endpoint is inexact and a bool is not a number
+        if type(lo) not in _EXACT or (hi is not None and type(hi) not in _EXACT):
+            raise ValueError(f"interval endpoints must be ints or Fractions, got {lo!r}, {hi!r}")
         if lo < 0:
             raise ValueError("interval endpoints must be non-negative")
         if hi is not None and hi < lo:
@@ -261,65 +268,29 @@ class Contradiction(Exception):
         super().__init__(f"{attribute} in [{lo}, {hi}] is impossible ({reason}); via {chain}")
 
 
-class FactSet(_Value):
-    """Fixed point of rule propagation: one interval per attribute."""
-
-    tags: SubjectTags
-    facts: Mapping[str, Interval]
-
-    def __init__(self, tags: SubjectTags, facts: Mapping[str, Interval]) -> None:
-        _set_field(self, "tags", tags)
-        _set_field(self, "facts", facts)
-
-    def __getitem__(self, attribute: str) -> Interval:
-        return self.facts[attribute]
-
-    def snapshot(self) -> dict[str, tuple[Fraction, Fraction | None]]:
-        """Endpoint values only; the order-independent part of the result."""
-        return {name: (iv.lo, iv.hi) for name, iv in self.facts.items()}
-
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "tags": list(self.tags.labels()),
-            "facts": {name: self.facts[name].to_json() for name in ATTRIBUTES},
-        }
-
-
 #-- Propagation --#
 
-class _Fact:
-    """Mutable working copy of one interval during propagation."""
+def _raise_lo(f: dict[str, Interval], name: str, value: Fraction, rules: tuple[str, ...]) -> bool:
+    """Raise the lower end of ``f[name]`` to ``value``; True when it moved."""
+    iv = f[name]
+    if value <= iv.lo:
+        return False
+    # integral attribute: empty also when no integer fits
+    if iv.hi is not None and math.ceil(value) > math.floor(iv.hi):
+        raise Contradiction(name, value, iv.hi, rules, iv.hi_rules)
+    f[name] = Interval(value, iv.hi, rules, iv.hi_rules)
+    return True
 
-    __slots__ = ("name", "lo", "hi", "lo_rules", "hi_rules")
 
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.lo = Fraction(0)
-        self.hi: Fraction | None = None
-        self.lo_rules: tuple[str, ...] = ()
-        self.hi_rules: tuple[str, ...] = ()
-
-    def _verify(self) -> None:
-        hi = self.hi
-        if hi is None:
-            return
-        # integral attribute: empty also when no integer fits
-        if self.lo > hi or math.ceil(self.lo) > math.floor(hi):
-            raise Contradiction(self.name, self.lo, hi, self.lo_rules, self.hi_rules)
-
-    def raise_lo(self, value: Fraction, rules: tuple[str, ...]) -> bool:
-        if value <= self.lo:
-            return False
-        self.lo, self.lo_rules = value, rules
-        self._verify()
-        return True
-
-    def lower_hi(self, value: Fraction, rules: tuple[str, ...]) -> bool:
-        if self.hi is not None and value >= self.hi:
-            return False
-        self.hi, self.hi_rules = value, rules
-        self._verify()
-        return True
+def _lower_hi(f: dict[str, Interval], name: str, value: Fraction, rules: tuple[str, ...]) -> bool:
+    """Lower the upper end of ``f[name]`` to ``value``; True when it moved."""
+    iv = f[name]
+    if iv.hi is not None and value >= iv.hi:
+        return False
+    if math.ceil(iv.lo) > math.floor(value):
+        raise Contradiction(name, iv.lo, value, iv.lo_rules, rules)
+    f[name] = Interval(iv.lo, value, iv.lo_rules, rules)
+    return True
 
 
 def _chain(source: tuple[str, ...], rule: str) -> tuple[str, ...]:
@@ -334,27 +305,28 @@ def _floor(q: Fraction) -> Fraction:
     return q if q.denominator == 1 else Fraction(math.floor(q))
 
 
-def _r4(f: dict[str, _Fact], tags: SubjectTags) -> bool:
+def _r4(f: dict[str, Interval], tags: SubjectTags) -> bool:
     m = Fraction(min(tags.torus_knot))  # type: ignore[arg-type]
     changed = False
     for name in ("r", "b"):
-        changed |= f[name].raise_lo(m, ("R4",))
-        changed |= f[name].lower_hi(m, ("R4",))
+        changed |= _raise_lo(f, name, m, ("R4",))
+        changed |= _lower_hi(f, name, m, ("R4",))
     return changed
 
 
-def _r7(f: dict[str, _Fact], tags: SubjectTags) -> bool:
+def _r7(f: dict[str, Interval], tags: SubjectTags) -> bool:
     r = f["r"]
     three = Fraction(3)
     if tuple(sorted(tags.pretzel)) in _PRETZEL_THREE:  # type: ignore[arg-type]
-        return r.raise_lo(three, ("R7",)) | r.lower_hi(three, ("R7",))
+        return _raise_lo(f, "r", three, ("R7",)) | _lower_hi(f, "r", three, ("R7",))
     # outside the listed pairs only r != 3 is known: shave endpoints at 3,
-    # leaving interior threes alone (interval arithmetic cannot see them)
+    # leaving interior threes alone (interval arithmetic cannot see them);
+    # lowering hi leaves lo and its chain as read here
     changed = False
     if r.hi == three:
-        changed = r.lower_hi(Fraction(2), _chain(r.hi_rules, "R7"))
+        changed = _lower_hi(f, "r", Fraction(2), _chain(r.hi_rules, "R7"))
     if r.lo == three:
-        changed |= r.raise_lo(Fraction(4), _chain(r.lo_rules, "R7"))
+        changed |= _raise_lo(f, "r", Fraction(4), _chain(r.lo_rules, "R7"))
     return changed
 
 
@@ -382,7 +354,7 @@ _CATALOG: dict[str, tuple[str | None, Any]] = {
 RULE_ORDER = tuple(_CATALOG)
 
 
-def _apply(rule: str, f: dict[str, _Fact], tags: SubjectTags) -> bool:
+def _apply(rule: str, f: dict[str, Interval], tags: SubjectTags) -> bool:
     """One application of ``rule``; True when it narrowed an interval.
 
     A relation x <= c * y + d narrows both ways: first y.lo up to
@@ -396,21 +368,23 @@ def _apply(rule: str, f: dict[str, _Fact], tags: SubjectTags) -> bool:
     changed = False
     for step in steps:
         if len(step) == 3:
-            x, lo, hi = f[step[0]], step[1], step[2]
+            x, lo, hi = step
             if lo is not None:
-                changed |= x.raise_lo(Fraction(lo), (rule,))
+                changed |= _raise_lo(f, x, Fraction(lo), (rule,))
             if hi is not None:
-                changed |= x.lower_hi(Fraction(hi), (rule,))
+                changed |= _lower_hi(f, x, Fraction(hi), (rule,))
             continue
-        x, c, y, d = f[step[0]], step[1], f[step[2]], step[3]
+        x, c, y, d = step
+        # raising y.lo leaves y.hi and its chain as read here
+        xi, yi = f[x], f[y]
         # a unit coefficient or a zero offset skips its Fraction operation
-        lo = _ceil(x.lo)
+        lo = _ceil(xi.lo)
         lo = lo - d if d else lo
-        changed |= y.raise_lo(lo if c == 1 else lo / c, _chain(x.lo_rules, rule))
-        if y.hi is not None:
-            hi = _floor(y.hi)
+        changed |= _raise_lo(f, y, lo if c == 1 else lo / c, _chain(xi.lo_rules, rule))
+        if yi.hi is not None:
+            hi = _floor(yi.hi)
             hi = hi if c == 1 else c * hi
-            changed |= x.lower_hi(hi + d if d else hi, _chain(y.hi_rules, rule))
+            changed |= _lower_hi(f, x, hi + d if d else hi, _chain(yi.hi_rules, rule))
     return changed
 
 
@@ -419,9 +393,10 @@ def propagate(
     seeds: Mapping[str, int | Fraction] | None = None,
     *,
     rule_order: Sequence[str] = RULE_ORDER,
-) -> FactSet:
+) -> dict[str, Interval]:
     """Narrow the attribute intervals to the fixed point of the rule catalog.
 
+    Returns one interval per attribute, keyed in ``ATTRIBUTES`` order.
     ``seeds`` maps attribute names to known exact values.  ``rule_order``
     affects only which chain gets recorded when several rules justify the
     same endpoint; the interval values of the fixed point do not depend
@@ -429,18 +404,18 @@ def propagate(
     """
     if sorted(rule_order) != sorted(RULE_ORDER):
         raise ValueError("rule_order must be a permutation of the rule ids")
-    facts = {name: _Fact(name) for name in ATTRIBUTES}
+    facts = {name: Interval() for name in ATTRIBUTES}
     for name, value in (seeds or {}).items():
         if name not in facts:
             raise ValueError(f"unknown attribute {name!r}")
-        if isinstance(value, float):
+        if isinstance(value, (float, bool)):
             raise ValueError("seed values must be integers or exact rationals")
         exact = Fraction(value)
         if exact < 0:
             raise ValueError(f"seed for {name!r} must be non-negative")
         rules = (f"seed:{name}",)
-        facts[name].raise_lo(exact, rules)
-        facts[name].lower_hi(exact, rules)
+        _raise_lo(facts, name, exact, rules)
+        _lower_hi(facts, name, exact, rules)
     on = tags.effective | {None}
     active = [rule for rule in rule_order if _CATALOG[rule][0] in on]
     changed = True
@@ -452,10 +427,4 @@ def propagate(
         passes += 1
         if passes > 64:
             raise RuntimeError("propagation failed to stabilise")
-    return FactSet(
-        tags,
-        {
-            name: Interval(fact.lo, fact.hi, fact.lo_rules, fact.hi_rules)
-            for name, fact in facts.items()
-        },
-    )
+    return facts

@@ -97,12 +97,15 @@ class Certificate(_Value):
 
     n: int
     pieces: tuple[PieceBounds, ...]
-    lower_ok: bool
 
-    def __init__(self, n: int, pieces: tuple[PieceBounds, ...], lower_ok: bool) -> None:
+    def __init__(self, n: int, pieces: tuple[PieceBounds, ...]) -> None:
         _set_field(self, "n", n)
         _set_field(self, "pieces", pieces)
-        _set_field(self, "lower_ok", lower_ok)
+
+    @property
+    def lower_ok(self) -> bool:
+        """Whether every piece certifies level n."""
+        return all(pb.score >= self.n for pb in self.pieces)
 
 
 class Representativity(_Value):
@@ -110,12 +113,15 @@ class Representativity(_Value):
 
     lower: int
     upper: int
-    exact: int | None
 
-    def __init__(self, lower: int, upper: int, exact: int | None) -> None:
+    def __init__(self, lower: int, upper: int) -> None:
         _set_field(self, "lower", lower)
         _set_field(self, "upper", upper)
-        _set_field(self, "exact", exact)
+
+    @property
+    def exact(self) -> int | None:
+        """The representativity when the bounds meet, else None."""
+        return self.upper if self.lower == self.upper else None
 
 
 def evaluate_piece(piece: PlanarPiece) -> PieceBounds:
@@ -161,8 +167,7 @@ def certify_pieces(pieces: list[PlanarPiece], n: int) -> Certificate:
         raise ValueError("no pieces to certify")
     if _strict_int(n, "certificate level") < 0:
         raise ValueError(f"certificate level must be >= 0, got {n}")
-    bounds = tuple(evaluate_piece(p) for p in pieces)
-    return Certificate(n, bounds, all(pb.score >= n for pb in bounds))
+    return Certificate(n, tuple(evaluate_piece(p) for p in pieces))
 
 
 def upper_bound(mc: MultiCurve) -> int:
@@ -176,11 +181,10 @@ def representativity_exact(mc: MultiCurve) -> Representativity:
     The upper bound is the cheapest reference class; the lower bound is
     the largest level the cut pieces certify, capped by the upper bound.
     One piece per cut direction is evaluated, as its mirror carries the
-    same arcs.  ``exact`` is set when the bounds meet.
+    same arcs.  ``exact`` is the value when the bounds meet.
     """
     upper = upper_bound(mc)
     scores = [
         evaluate_piece(cut_pieces(mc, along)).score for along in ("meridians", "longitudes")
     ]
-    lower = min(upper, *scores)
-    return Representativity(lower, upper, upper if lower == upper else None)
+    return Representativity(min(upper, *scores), upper)

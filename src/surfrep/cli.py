@@ -31,7 +31,7 @@ import time
 from fractions import Fraction
 from typing import Any, Sequence
 
-from surfrep.bounds import ATTRIBUTES, Contradiction, FactSet, SubjectTags, propagate
+from surfrep.bounds import Contradiction, Interval, SubjectTags, propagate
 from surfrep.certificate import Certificate, certify_pieces
 from surfrep.facewidth import RotationSystem, face_width
 from surfrep.families import Check, FamilyInstance, parse_family, verify_family
@@ -190,7 +190,7 @@ def _parse_seeds(items: Sequence[str]) -> dict[str, Fraction]:
 
 
 #: tags, seeds, and their facts or the contradiction they reach (a result, not bad input)
-Bounds = tuple[SubjectTags, dict[str, Fraction], FactSet | Contradiction]
+Bounds = tuple[SubjectTags, dict[str, Fraction], dict[str, Interval] | Contradiction]
 
 
 def _read_bounds(args: argparse.Namespace) -> Bounds:
@@ -223,10 +223,10 @@ def _report_bounds(args: argparse.Namespace, read: Bounds) -> tuple[Body, bool]:
         }
         return body, False
     display = {}
-    for name in ATTRIBUTES:
-        lo, hi = facts[name].integer_hull()
+    for name, iv in facts.items():
+        lo, hi = iv.integer_hull()
         display[name] = f"[{lo}, {hi}]" if hi is not None else f"[{lo}, inf)"
-    body["results"] = {"facts": facts.to_json()["facts"], "display": display}
+    body["results"] = {"facts": {k: iv.to_json() for k, iv in facts.items()}, "display": display}
     return body, True
 
 

@@ -176,15 +176,15 @@ class FamilyReport(_Value):
     family: str
     extrapolated: bool
     checks: tuple[Check, ...]
-    passed: bool
 
-    def __init__(
-        self, family: str, extrapolated: bool, checks: tuple[Check, ...], passed: bool
-    ) -> None:
+    def __init__(self, family: str, extrapolated: bool, checks: tuple[Check, ...]) -> None:
         _set_field(self, "family", family)
         _set_field(self, "extrapolated", extrapolated)
         _set_field(self, "checks", checks)
-        _set_field(self, "passed", passed)
+
+    @property
+    def passed(self) -> bool:
+        return all(c.passed for c in self.checks)
 
 
 def verify_family(inst: FamilyInstance) -> FamilyReport:
@@ -231,6 +231,4 @@ def verify_family(inst: FamilyInstance) -> FamilyReport:
                 doubled is not None and doubled < 6 * p,
             )
         )
-    return FamilyReport(
-        inst.label, inst.extrapolated, tuple(checks), all(c.passed for c in checks)
-    )
+    return FamilyReport(inst.label, inst.extrapolated, tuple(checks))

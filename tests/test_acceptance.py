@@ -26,6 +26,7 @@ from surfrep.certificate import evaluate_piece
 from surfrep.families import claimed_counts, exact_knot, lpq_link, torus_knot
 
 from oracles import enumerated_face_width, necklace_arc_min, necklace_loop_min
+from test_bounds import snapshot
 from test_facewidth import K33_TORUS, ONE_VERTEX_TORUS, toroidal_grid
 
 BUDGETS = {1: 1.0, 2: 5.0, 3: 5.0, 4: 1.0, 5: 30.0, 6: 30.0, 7: 1.0, 8: 1.0}
@@ -169,22 +170,22 @@ def test_criterion_7_bounds_engine():
     failures = []
 
     fs = propagate(SubjectTags.from_strings(("two_bridge",)))
-    if fs.snapshot()["r"] != (2, 2) or fs.snapshot()["bs"] != (4, 4):
-        failures.append(("two_bridge", fs.snapshot()))
+    if snapshot(fs)["r"] != (2, 2) or snapshot(fs)["bs"] != (4, 4):
+        failures.append(("two_bridge", snapshot(fs)))
 
     for p in range(2, 10):
         for q in range(p + 1, 10):
             if math.gcd(p, q) != 1:
                 continue
             fs = propagate(SubjectTags.from_strings((f"torus_knot={p},{q}",)))
-            snap = fs.snapshot()
+            snap = snapshot(fs)
             m = min(p, q)
             if snap["r"] != (m, m) or snap["b"] != (m, m) or snap["bs"] != (2 * m, 2 * m):
                 failures.append(((p, q), snap))
 
     fs = propagate(SubjectTags.from_strings(("composite",)), {"b": 4})
-    if fs.snapshot()["r"] != (2, 2) or fs.snapshot()["bs"] != (8, 8):
-        failures.append(("composite b=4", fs.snapshot()))
+    if snapshot(fs)["r"] != (2, 2) or snapshot(fs)["bs"] != (8, 8):
+        failures.append(("composite b=4", snapshot(fs)))
 
     subjects = [
         (SubjectTags.from_strings(("two_bridge",)), {}),
@@ -194,11 +195,11 @@ def test_criterion_7_bounds_engine():
         (SubjectTags.from_strings(("nontrivial_knot",)), {"r": 5}),
     ]
     rng = random.Random(3)
-    references = [propagate(t, s).snapshot() for t, s in subjects]
+    references = [snapshot(propagate(t, s)) for t, s in subjects]
     for _ in range(100):
         order = tuple(rng.sample(RULE_ORDER, len(RULE_ORDER)))
         for (tags, seeds), reference in zip(subjects, references):
-            if propagate(tags, seeds, rule_order=order).snapshot() != reference:
+            if snapshot(propagate(tags, seeds, rule_order=order)) != reference:
                 failures.append(("order", order, tags.labels()))
     _conclude(7, failures, started, "catalog fixed points reproduced under 100 rule orders")
 

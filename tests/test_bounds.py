@@ -30,6 +30,11 @@ def _tags(*items: str) -> SubjectTags:
     return SubjectTags.from_strings(items)
 
 
+def snapshot(facts: dict[str, Interval]) -> dict[str, tuple[Fraction, Fraction | None]]:
+    """Endpoint values only; the order-independent part of a fixed point."""
+    return {name: (iv.lo, iv.hi) for name, iv in facts.items()}
+
+
 def test_betti1_counts():
     assert betti1(2, 3, 1) == 2  # theta curve and handcuff share these counts
     assert betti1(5, 4, 1) == 0  # tree
@@ -54,6 +59,11 @@ def test_interval_basics():
         Interval(F(-1))
     with pytest.raises(ValueError):
         Interval(F(3), F(2))
+    # endpoints are exact: a float is not, and a bool is not a number
+    for lo, hi in ((0.5, None), (True, None), (F(0), 2.5), (F(0), True)):
+        with pytest.raises(ValueError, match="ints or Fractions"):
+            Interval(lo, hi)
+    assert Interval(1, 2) == Interval(F(1), F(2))
     iv = Interval(F(0), Fraction(5, 3))
     assert iv.integer_hull() == (0, 1)
     assert iv.contains(1) and not iv.contains(2)
@@ -101,7 +111,8 @@ def test_tag_parsing_and_validation():
 
 def test_torus_knot_fixpoint():
     fs = propagate(_tags("torus_knot=3,5"))
-    assert fs.snapshot() == {
+    assert type(fs) is dict and tuple(fs) == ATTRIBUTES
+    assert snapshot(fs) == {
         "r": (F(3), F(3)),
         "b": (F(3), F(3)),
         "bs": (F(6), F(6)),
@@ -118,7 +129,7 @@ def test_torus_knot_fixpoint():
 
 def test_two_bridge_fixpoint():
     fs = propagate(_tags("two_bridge"))
-    assert fs.snapshot() == {
+    assert snapshot(fs) == {
         "r": (F(2), F(2)),
         "b": (F(2), F(2)),
         "bs": (F(4), F(4)),
@@ -155,8 +166,8 @@ def test_parity_contradiction():
 def test_relations_read_integer_endpoints():
     """bs = 2b sees that b > 9/2 means b >= 5, so bs >= 10, not 9."""
     fs = propagate(_tags("algebraic"), {"waist": 3})
-    snapshot = fs.snapshot()
-    assert snapshot["b"] == (F(5), None) and snapshot["bs"] == (F(10), None)
+    snap = snapshot(fs)
+    assert snap["b"] == (F(5), None) and snap["bs"] == (F(10), None)
     assert fs["bs"].lo_rules == ("seed:waist", "R12", "R3")
     # stored endpoints stay rational where no relation has rounded them
     assert propagate(SubjectTags(), {"bs": 7})["r"].hi == Fraction(7, 2)
@@ -224,6 +235,8 @@ def test_seed_and_order_validation():
     with pytest.raises(ValueError):
         propagate(_tags(), {"b": 2.5})
     with pytest.raises(ValueError):
+        propagate(_tags(), {"b": True})
+    with pytest.raises(ValueError):
         propagate(_tags(), rule_order=("R1", "R2"))
     # rational seeds are allowed; integrality then rejects a half bridge number
     with pytest.raises(Contradiction):
@@ -270,7 +283,7 @@ TAGS_POOL = (
 
 def _outcome(tags, seeds, order):
     try:
-        return propagate(tags, seeds, rule_order=tuple(order)).snapshot()
+        return snapshot(propagate(tags, seeds, rule_order=tuple(order)))
     except Contradiction:
         return "contradiction"
 
