@@ -6,7 +6,7 @@ pieces, face width of embedded graphs, an interval engine for classical
 curve invariants, and parametric families tying these together.
 """
 
-from surfrep.surface import SurfaceModel, CurveClass, MultiCurve, pairing, pairing_matrix
+from surfrep.surface import SurfaceModel, CurveClass, MultiCurve
 from surfrep.smoothing import PlanarPiece, cut_pieces, trace_components
 from surfrep.certificate import (
     Certificate,
@@ -28,7 +28,6 @@ from surfrep.bounds import (
     Contradiction,
     Interval,
     SubjectTags,
-    betti1,
     propagate,
 )
 
@@ -36,8 +35,6 @@ __all__ = [
     "SurfaceModel",
     "CurveClass",
     "MultiCurve",
-    "pairing",
-    "pairing_matrix",
     "PlanarPiece",
     "cut_pieces",
     "trace_components",
@@ -58,7 +55,6 @@ __all__ = [
     "Contradiction",
     "Interval",
     "SubjectTags",
-    "betti1",
     "propagate",
 ]
 

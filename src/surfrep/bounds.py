@@ -59,7 +59,6 @@ __all__ = [
     "Contradiction",
     "Interval",
     "SubjectTags",
-    "betti1",
     "propagate",
 ]
 
@@ -91,23 +90,10 @@ _PRETZEL_THREE = frozenset(
 )
 
 
-def betti1(vertices: int, edges: int, components: int) -> int:
-    """First Betti number E - V + C of a graph with the given counts."""
-    if vertices < 1:
-        raise ValueError("graph needs at least one vertex")
-    if edges < 0:
-        raise ValueError("edge count cannot be negative")
-    if not 1 <= components <= vertices:
-        raise ValueError("component count must lie between 1 and the vertex count")
-    # each edge merges at most two components
-    if components < vertices - edges:
-        raise ValueError("too few edges for that component count")
-    return edges - vertices + components
-
-
 #-- Facts --#
 
-#: the endpoint types an Interval takes, compared by type() so that bool is not an int
+#: the types of an Interval endpoint and of a seed, compared by type() so that
+#: bool is not an int
 _EXACT = (int, Fraction)
 
 
@@ -142,9 +128,6 @@ class Interval(_Value):
         _set_field(self, "hi", hi)
         _set_field(self, "lo_rules", lo_rules)
         _set_field(self, "hi_rules", hi_rules)
-
-    def contains(self, value: int | Fraction) -> bool:
-        return self.lo <= value and (self.hi is None or value <= self.hi)
 
     def integer_hull(self) -> tuple[int, int | None]:
         """Tightest integer endpoints; the display form for integral attributes."""
@@ -397,10 +380,11 @@ def propagate(
     """Narrow the attribute intervals to the fixed point of the rule catalog.
 
     Returns one interval per attribute, keyed in ``ATTRIBUTES`` order.
-    ``seeds`` maps attribute names to known exact values.  ``rule_order``
-    affects only which chain gets recorded when several rules justify the
-    same endpoint; the interval values of the fixed point do not depend
-    on it.  Raises :class:`Contradiction` when the facts are inconsistent.
+    ``seeds`` maps attribute names to known exact values, ints or
+    Fractions.  ``rule_order`` affects only which chain gets recorded
+    when several rules justify the same endpoint; the interval values of
+    the fixed point do not depend on it.  Raises :class:`Contradiction`
+    when the facts are inconsistent.
     """
     if sorted(rule_order) != sorted(RULE_ORDER):
         raise ValueError("rule_order must be a permutation of the rule ids")
@@ -408,8 +392,8 @@ def propagate(
     for name, value in (seeds or {}).items():
         if name not in facts:
             raise ValueError(f"unknown attribute {name!r}")
-        if isinstance(value, (float, bool)):
-            raise ValueError("seed values must be integers or exact rationals")
+        if type(value) not in _EXACT:
+            raise ValueError(f"seed values must be ints or Fractions, got {value!r}")
         exact = Fraction(value)
         if exact < 0:
             raise ValueError(f"seed for {name!r} must be non-negative")

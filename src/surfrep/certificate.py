@@ -26,7 +26,7 @@ ever constructed.
 from __future__ import annotations
 
 from surfrep.smoothing import PlanarPiece, cut_pieces
-from surfrep.surface import MultiCurve, _strict_int, _Value, _set_field
+from surfrep.surface import CurveClass, MultiCurve, _strict_int, _Value, _set_field
 
 __all__ = [
     "PieceBounds",
@@ -171,8 +171,14 @@ def certify_pieces(pieces: list[PlanarPiece], n: int) -> Certificate:
 
 
 def upper_bound(mc: MultiCurve) -> int:
-    """Cheapest reference class: an embedded upper bound for the representativity."""
-    return mc.min_boundary_count()
+    """Cheapest reference class: an embedded upper bound for the representativity.
+
+    Each reference class is an embedded curve crossing the multicurve
+    ``boundary_count`` times, so the least count over both families bounds
+    the representativity from above.
+    """
+    k = mc.surface.num_classes
+    return min(mc.boundary_count(CurveClass(f, i)) for f in ("m", "l") for i in range(k))
 
 
 def representativity_exact(mc: MultiCurve) -> Representativity:

@@ -131,7 +131,7 @@ def _report_certify(args: argparse.Namespace, cert: Certificate) -> tuple[Body, 
         "command": ["certify", args.pieces],
         "inputs": {"file": args.pieces, "n": cert.n},
         "checks": [
-            Check(f"{piece.piece_id} {name}", f">= {cert.n}", value, value >= cert.n).to_json()
+            Check(f"{piece.piece_id} {name}", cert.n, value, ">=").to_json()
             for piece in cert.pieces
             for name, value in piece.conditions()
         ],

@@ -162,12 +162,6 @@ class RotationSystem(_Value):
         except KeyError:
             raise ValueError(f"dart {dart!r} is not in the map") from None
 
-    def vertex_of(self, dart: int) -> int:
-        return self._vert[self._position(dart)]
-
-    def alpha(self, dart: int) -> int:
-        return self._darts[self._alpha[self._position(dart)]]
-
     @cached_property
     def faces(self) -> tuple[tuple[int, ...], ...]:
         """Orbits of sigma-after-alpha, each starting at its least dart."""
@@ -193,10 +187,6 @@ class RotationSystem(_Value):
     @cached_property
     def _component_chis(self) -> tuple[int, ...]:
         return _piece_chis(self, ())
-
-    def component_euler_characteristics(self) -> tuple[int, ...]:
-        """Euler characteristic of each connected component, sorted."""
-        return self._component_chis
 
     def genus(self) -> int:
         if len(self._component_chis) != 1:

@@ -13,6 +13,7 @@ certified representativity, reporting one named comparison per claim.
 from __future__ import annotations
 
 import math
+import operator
 from typing import Any
 
 from surfrep.certificate import representativity_exact, upper_bound
@@ -147,24 +148,39 @@ def claimed_counts(inst: FamilyInstance) -> list[tuple[CurveClass, int, str]]:
 
 #-- Verification --#
 
+#: the comparison a Check makes, actual against expected
+_RELATIONS = {"==": operator.eq, ">=": operator.ge, "<": operator.lt}
+
+
 class Check(_Value):
-    """One recomputed quantity compared against its claim."""
+    """One recomputed quantity compared against its claim.
+
+    The check passes when ``actual relation expected`` holds; an
+    ``actual`` of None, a quantity that could not be recomputed, fails.
+    """
 
     name: str
     expected: Any
     actual: Any
-    passed: bool
+    relation: str
 
-    def __init__(self, name: str, expected: Any, actual: Any, passed: bool) -> None:
+    def __init__(self, name: str, expected: Any, actual: Any, relation: str = "==") -> None:
+        if relation not in _RELATIONS:
+            raise ValueError(f"relation must be one of {', '.join(_RELATIONS)}, got {relation!r}")
         _set_field(self, "name", name)
         _set_field(self, "expected", expected)
         _set_field(self, "actual", actual)
-        _set_field(self, "passed", passed)
+        _set_field(self, "relation", relation)
+
+    @property
+    def passed(self) -> bool:
+        return self.actual is not None and _RELATIONS[self.relation](self.actual, self.expected)
 
     def to_json(self) -> dict[str, Any]:
+        shown = self.expected if self.relation == "==" else f"{self.relation} {self.expected}"
         return {
             "name": self.name,
-            "expected": self.expected,
+            "expected": shown,
             "actual": self.actual,
             "pass": self.passed,
         }
@@ -192,43 +208,30 @@ def verify_family(inst: FamilyInstance) -> FamilyReport:
     curve = inst.curve
     checks: list[Check] = []
     for cls, expected, formula in claimed_counts(inst):
-        actual = curve.boundary_count(cls)
-        checks.append(Check(f"count {cls} = {formula}", expected, actual, actual == expected))
+        checks.append(Check(f"count {cls} = {formula}", expected, curve.boundary_count(cls)))
 
     comps = trace_components(curve)
     if inst.kind == "torus":
         p, q = inst.params
-        want = math.gcd(p, q)
-        checks.append(
-            Check("smoothed components = gcd(p, q)", want, comps, comps == want)
-        )
-        upper = upper_bound(curve)
-        checks.append(
-            Check("crossing upper bound = min(p, q)", min(p, q), upper, upper == min(p, q))
-        )
+        checks.append(Check("smoothed components = gcd(p, q)", math.gcd(p, q), comps))
+        checks.append(Check("crossing upper bound = min(p, q)", min(p, q), upper_bound(curve)))
     elif inst.kind == "exactly":
         n, _ = inst.params
-        checks.append(Check("smoothed components", 1, comps, comps == 1))
-        rep = representativity_exact(curve)
-        checks.append(
-            Check("certified representativity", n, rep.exact, rep.exact == n)
-        )
+        checks.append(Check("smoothed components", 1, comps))
+        checks.append(Check("certified representativity", n, representativity_exact(curve).exact))
     else:
         p, _ = inst.params
-        checks.append(Check("smoothed components", ">= 1", comps, comps >= 1))
-        rep = representativity_exact(curve)
-        checks.append(
-            Check("certified representativity = 2p", 2 * p, rep.exact, rep.exact == 2 * p)
-        )
+        checks.append(Check("smoothed components", 1, comps, ">="))
+        exact = representativity_exact(curve).exact
+        checks.append(Check("certified representativity = 2p", 2 * p, exact))
         # the family records 6p bridge strings; the certified value must
         # sit strictly below half of that
-        doubled = None if rep.exact is None else 2 * rep.exact
         checks.append(
             Check(
                 "doubled representativity strictly below recorded 6p strings",
-                f"< {6 * p}",
-                doubled,
-                doubled is not None and doubled < 6 * p,
+                6 * p,
+                None if exact is None else 2 * exact,
+                "<",
             )
         )
     return FamilyReport(inst.label, inst.extrapolated, tuple(checks))

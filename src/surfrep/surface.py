@@ -25,8 +25,6 @@ __all__ = [
     "SurfaceModel",
     "CurveClass",
     "MultiCurve",
-    "pairing",
-    "pairing_matrix",
 ]
 
 
@@ -231,25 +229,6 @@ def _crossed_longitudes(surface: SurfaceModel, i: int) -> tuple[int, ...]:
     return (g, 0) if i == g else (i, i + 1)
 
 
-def pairing(surface: SurfaceModel, j: int, i: int) -> int:
-    """Crossings between one copy of l_j and one copy of m_i.
-
-    On the chain surface l_j meets exactly the two cyclically adjacent
-    meridians m_{j-1} and m_j, once each; these coincide when the genus
-    is 1, in which case l_j still meets each of m_0, m_1 once.
-    """
-    k = surface.num_classes
-    if not (0 <= j < k and 0 <= i < k):
-        raise ValueError(f"class indices out of range: l_{j}, m_{i} on {surface.kind}")
-    return 1 if i in _crossed_meridians(surface, j) else 0
-
-
-def pairing_matrix(surface: SurfaceModel) -> tuple[tuple[int, ...], ...]:
-    """Full matrix P with P[j][i] = pairing(surface, j, i)."""
-    k = surface.num_classes
-    return tuple(tuple(pairing(surface, j, i) for i in range(k)) for j in range(k))
-
-
 #-- Multicurves --#
 
 class MultiCurve(_Value):
@@ -294,13 +273,6 @@ class MultiCurve(_Value):
         if cls.family == "m":
             return sum(self.longitudes[j] for j in _crossed_longitudes(self.surface, cls.index))
         return sum(self.meridians[i] for i in _crossed_meridians(self.surface, cls.index))
-
-    def min_boundary_count(self) -> int:
-        """Minimum of boundary_count over all curve classes."""
-        k = self.surface.num_classes
-        counts = [self.boundary_count(CurveClass(f, i))
-                  for f in ("m", "l") for i in range(k)]
-        return min(counts)
 
     def to_json(self) -> dict[str, Any]:
         return {

@@ -308,6 +308,14 @@ def necklace_arc_min(circles: int, arcs, base: int) -> int | None:
     return best
 
 
+#-- Pairing --#
+
+def adjacent(k: int, j: int, i: int) -> int:
+    """1 when l_j crosses m_i among k classes per family, by the explicit
+    rule (i - j) % k in (0, k - 1): l_j meets m_{j-1} and m_j, cyclically."""
+    return 1 if (i - j) % k in (0, k - 1) else 0
+
+
 #-- Smoothing walk --#
 
 def smoothing_state_orbits(kind: str, meridians, longitudes) -> list[list[tuple]]:

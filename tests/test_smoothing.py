@@ -8,11 +8,11 @@ import random
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from oracles import entry_walk_orbits, smoothing_state_orbits
+from oracles import adjacent, entry_walk_orbits, smoothing_state_orbits
 from surfrep import smoothing
 from surfrep.families import torus_knot
 from surfrep.smoothing import trace_components, trace_orbits
-from surfrep.surface import MultiCurve, SurfaceModel, pairing
+from surfrep.surface import MultiCurve, SurfaceModel
 
 
 def _total_crossings(mc: MultiCurve) -> int:
@@ -126,11 +126,11 @@ def test_orbits_partition_all_states(g: int, seed: int):
     entries = [x for orbit in orbits for x in orbit]
     longs, mers = mc.longitudes, mc.meridians
     for j, c, i, d in entries:
-        assert pairing(mc.surface, j, i) == 1
+        assert adjacent(k, j, i) == 1
         assert 1 <= c <= longs[j] and 1 <= d <= mers[i]
         assert c == 1 or d == 1
     blocks = [(j, i) for j in range(k) for i in range(k)
-              if pairing(mc.surface, j, i) and longs[j] and mers[i]]
+              if adjacent(k, j, i) and longs[j] and mers[i]]
     assert len(entries) == len(set(entries)) == sum(longs[j] + mers[i] - 1 for j, i in blocks)
     assert trace_components(mc) >= 1
     assert trace_orbits(mc) == orbits  # deterministic

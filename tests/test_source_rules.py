@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import importlib
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -97,3 +98,74 @@ def test_every_public_name_resolves():
         if not hasattr(module, attr)
     ]
     assert not found, f"names in __all__ that do not resolve: {found}"
+
+
+def _public_names(tree: ast.Module) -> list[str]:
+    """The entries of a module's ``__all__``."""
+    return next(
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+    )
+
+
+def _uses(tree: ast.Module) -> set[str]:
+    """Names a module reads, by name or as an attribute, outside the
+    top-level definition of each name itself."""
+    found: set[str] = set()
+    for top in tree.body:
+        own = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            else:
+                continue
+            if name != own:
+                found.add(name)
+    return found
+
+
+def test_every_public_name_has_a_user():
+    """Each name in a module's ``__all__`` is read somewhere in the package
+    outside its own definition, or shown as code in README.md: the public
+    surface is what the program runs or documents, not what only tests call.
+    The package's ``__init__`` re-exports names and so uses none of them."""
+    trees = {
+        path.stem: ast.parse(path.read_text(), filename=str(path))
+        for path in sorted(PACKAGE.glob("*.py"))
+    }
+    used = set().union(*(_uses(tree) for stem, tree in trees.items() if stem != "__init__"))
+    readme = (PACKAGE.parents[1] / "README.md").read_text()
+    # fenced blocks and inline code spans
+    code = " ".join(re.findall(r"```.*?```|`[^`\n]+`", readme, flags=re.S))
+    documented = set(re.findall(r"\w+", code))
+    found = [
+        f"surfrep.{stem}.{name}"
+        for stem, tree in trees.items() if stem != "__init__"
+        for name in _public_names(tree)
+        if name not in used and name not in documented
+    ]
+    assert len(trees) > 1
+    assert not found, f"public names with no user in the package or README: {found}"
+
+
+def test_sources_parse_at_the_python_floor():
+    """Every module of the package and of the tests parses with the grammar
+    of the oldest Python that ``requires-python`` admits, so syntax newer
+    than the floor fails here and not only on an old interpreter."""
+    pyproject = (PACKAGE.parents[1] / "pyproject.toml").read_text()
+    floor = re.search(r'^requires-python\s*=\s*">=\s*3\.(\d+)"', pyproject, flags=re.M)
+    assert floor, "no requires-python = \">=3.N\" line in pyproject.toml"
+    minor = int(floor.group(1))
+    modules = sorted(PACKAGE.rglob("*.py")) + sorted(Path(__file__).parent.rglob("*.py"))
+    assert len(modules) > 10
+    found = []
+    for path in modules:
+        try:
+            ast.parse(path.read_text(), filename=str(path), feature_version=(3, minor))
+        except SyntaxError as exc:
+            found.append(f"{path.name}:{exc.lineno} {exc.msg}")
+    assert not found, f"syntax newer than Python 3.{minor}: {found}"

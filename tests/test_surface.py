@@ -10,10 +10,26 @@ import re
 import pytest
 from hypothesis import given, strategies as st
 
-from surfrep.surface import CurveClass, MultiCurve, SurfaceModel, pairing, pairing_matrix
+from oracles import adjacent
+from surfrep.certificate import upper_bound
+from surfrep.surface import (
+    CurveClass,
+    MultiCurve,
+    SurfaceModel,
+    _crossed_longitudes,
+    _crossed_meridians,
+)
 
 
 #-- Pairing oracle --#
+
+def pairing_matrix(surf: SurfaceModel) -> tuple[tuple[int, ...], ...]:
+    """P[j][i] = 1 when the package lists m_i among the meridians l_j crosses."""
+    k = surf.num_classes
+    return tuple(
+        tuple(int(i in _crossed_meridians(surf, j)) for i in range(k)) for j in range(k)
+    )
+
 
 def _all_row_col_sum2_matrices(k: int):
     """All 0/1 k-by-k matrices with every row and column sum equal to 2."""
@@ -73,9 +89,19 @@ def test_chain_pairing_structure():
 def test_torus_pairing():
     surf = SurfaceModel.torus()
     assert pairing_matrix(surf) == ((1,),)
-    assert pairing(surf, 0, 0) == 1
-    with pytest.raises(ValueError):
-        pairing(surf, 0, 1)
+    assert _crossed_meridians(surf, 0) == _crossed_longitudes(surf, 0) == (0,)
+
+
+@pytest.mark.parametrize("g", range(1, 7))
+def test_crossed_longitudes_transpose_crossed_meridians(g: int):
+    """j is among the longitudes m_i crosses exactly when i is among the
+    meridians l_j crosses, and each lists two distinct classes."""
+    surf = SurfaceModel.chain(g)
+    k = surf.num_classes
+    for i in range(k):
+        for j in range(k):
+            assert (j in _crossed_longitudes(surf, i)) == (i in _crossed_meridians(surf, j))
+        assert len(set(_crossed_longitudes(surf, i))) == len(set(_crossed_meridians(surf, i))) == 2
 
 
 #-- Boundary counts --#
@@ -86,7 +112,7 @@ def test_torus_multicurve_counts():
         mc = MultiCurve(SurfaceModel.torus(), (q,), (p,))
         assert mc.boundary_count(CurveClass("m", 0)) == p
         assert mc.boundary_count(CurveClass("l", 0)) == q
-        assert mc.min_boundary_count() == min(p, q)
+        assert upper_bound(mc) == min(p, q)
 
 
 def test_chain2_multicurve_counts():
@@ -96,7 +122,7 @@ def test_chain2_multicurve_counts():
         for i in range(3):
             assert mc.boundary_count(CurveClass("m", i)) == count_m[i]
             assert mc.boundary_count(CurveClass("l", i)) == count_l[i]
-    assert MultiCurve(surf, (5, 4, 2), (2, 2, 2)).min_boundary_count() == 4
+    assert upper_bound(MultiCurve(surf, (5, 4, 2), (2, 2, 2))) == 4
 
 
 def test_chain1_counts_merge_families():
@@ -238,9 +264,6 @@ def test_boundary_count_matches_adjacency_formula(g: int):
     surf = SurfaceModel.chain(g)
     k = surf.num_classes
 
-    def adjacent(j: int, i: int) -> int:
-        return 1 if (i - j) % k in (0, k - 1) else 0
-
     for _ in range(20):
         a = tuple(rng.randrange(0, 50) for _ in range(k))
         b = tuple(rng.randrange(0, 50) for _ in range(k))
@@ -248,11 +271,11 @@ def test_boundary_count_matches_adjacency_formula(g: int):
             continue
         mc = MultiCurve(surf, a, b)
         for i in range(k):
-            want = sum(b[j] * adjacent(j, i) for j in range(k))
+            want = sum(b[j] * adjacent(k, j, i) for j in range(k))
             assert mc.boundary_count(CurveClass("m", i)) == want
         for j in range(k):
-            want = sum(a[i] * adjacent(j, i) for i in range(k))
+            want = sum(a[i] * adjacent(k, j, i) for i in range(k))
             assert mc.boundary_count(CurveClass("l", j)) == want
-        assert pairing_matrix(surf) == tuple(
-            tuple(adjacent(j, i) for i in range(k)) for j in range(k)
-        )
+    assert pairing_matrix(surf) == tuple(
+        tuple(adjacent(k, j, i) for i in range(k)) for j in range(k)
+    )

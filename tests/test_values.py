@@ -18,7 +18,7 @@ from surfrep.surface import CurveClass, MultiCurve, SurfaceModel, _Value
 
 TORUS = SurfaceModel("torus", 1)
 CURVE = MultiCurve(TORUS, (3,), (5,))
-CHECK = Check("smoothed components", 1, 1, True)
+CHECK = Check("smoothed components", 1, 1)
 
 #: per class: every field by keyword in declared order, one field changed,
 #: and the fields that have defaults with their default values
@@ -36,8 +36,8 @@ CASES = [
      {"edges": ((0, 1), (2, 3))}, {}),
     (FamilyInstance, {"kind": "torus", "params": (5, 3), "curve": CURVE, "extrapolated": False},
      {"extrapolated": True}, {"extrapolated": False}),
-    (Check, {"name": "smoothed components", "expected": 1, "actual": 1, "passed": True},
-     {"passed": False}, {}),
+    (Check, {"name": "smoothed components", "expected": 1, "actual": 1, "relation": ">="},
+     {"relation": "=="}, {"relation": "=="}),
     (FamilyReport, {"family": "torus:5,3", "extrapolated": False, "checks": (CHECK,)},
      {"checks": ()}, {}),
     (Interval, {"lo": Fraction(1), "hi": Fraction(7, 2), "lo_rules": ("seed:r",),
@@ -98,7 +98,33 @@ def test_verdicts_derive_from_the_stored_fields():
     pieces = (PieceBounds("F1+", 4, 2), PieceBounds("F2+", 6, None))
     assert Certificate(4, pieces).lower_ok is True
     assert Certificate(5, pieces).lower_ok is False
-    failed = Check("smoothed components", 1, 2, False)
+    assert CHECK.passed is True
+    failed = Check("smoothed components", 1, 2)
+    assert failed.passed is False
+    assert Check("smoothed components", 1, 2, ">=").passed is True
+    assert Check("smoothed components", 1, 0, ">=").passed is False
+    assert Check("doubled", 12, 8, "<").passed is True
+    assert Check("doubled", 12, 12, "<").passed is False
+    # nothing recomputed fails under every relation
+    for relation in ("==", ">=", "<"):
+        assert Check("doubled", 12, None, relation).passed is False
+    # the verdict is not a field: a stored one is refused, not believed
+    with pytest.raises(ValueError, match="relation"):
+        Check("smoothed components", 1, 2, True)
+    for relation in ("=", "<=", ">", "!=", "", None):
+        with pytest.raises(ValueError, match="relation"):
+            Check("smoothed components", 1, 2, relation)
     assert FamilyReport("torus:5,3", False, (CHECK,)).passed is True
     assert FamilyReport("torus:5,3", False, (CHECK, failed)).passed is False
     assert FamilyReport("torus:5,3", False, ()).passed is True
+
+
+def test_check_shows_its_relation_in_the_expected_value():
+    """``==`` shows the bare claim; any other relation prefixes it, as the
+    reports print ``>= 4`` and ``< 12``."""
+    assert Check("count m0 = n", 4, 4).to_json() == {
+        "name": "count m0 = n", "expected": 4, "actual": 4, "pass": True}
+    assert Check("F1+ loop minimum", 4, 3, ">=").to_json()["expected"] == ">= 4"
+    assert Check("smoothed components", 1, 2, ">=").to_json()["expected"] == ">= 1"
+    shown = Check("doubled", 12, None, "<").to_json()
+    assert (shown["expected"], shown["actual"], shown["pass"]) == ("< 12", None, False)
