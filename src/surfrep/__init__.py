@@ -4,58 +4,51 @@ Provides surface models with reference curve systems, component counting
 for smoothed intersections, lower-bound certificates from cut-open planar
 pieces, face width of embedded graphs, an interval engine for classical
 curve invariants, and parametric families tying these together.
+
+Each public name is imported from its module on first access, so
+``import surfrep`` loads no module of the package until a name is read.
 """
 
-from surfrep.surface import SurfaceModel, CurveClass, MultiCurve
-from surfrep.smoothing import PlanarPiece, cut_pieces, trace_components
-from surfrep.certificate import (
-    Certificate,
-    Representativity,
-    certify_pieces,
-    upper_bound,
-    representativity_exact,
-)
-from surfrep.facewidth import RotationSystem, radial, face_width
-from surfrep.families import (
-    FamilyInstance,
-    torus_knot,
-    exact_knot,
-    lpq_link,
-    parse_family,
-    verify_family,
-)
-from surfrep.bounds import (
-    Contradiction,
-    Interval,
-    SubjectTags,
-    propagate,
-)
+import importlib
 
-__all__ = [
-    "SurfaceModel",
-    "CurveClass",
-    "MultiCurve",
-    "PlanarPiece",
-    "cut_pieces",
-    "trace_components",
-    "Certificate",
-    "Representativity",
-    "certify_pieces",
-    "upper_bound",
-    "representativity_exact",
-    "RotationSystem",
-    "radial",
-    "face_width",
-    "FamilyInstance",
-    "torus_knot",
-    "exact_knot",
-    "lpq_link",
-    "parse_family",
-    "verify_family",
-    "Contradiction",
-    "Interval",
-    "SubjectTags",
-    "propagate",
-]
+#: public name -> the module of the package that defines it
+_EXPORTS = {
+    "SurfaceModel": "surface",
+    "CurveClass": "surface",
+    "MultiCurve": "surface",
+    "PlanarPiece": "smoothing",
+    "cut_pieces": "smoothing",
+    "trace_components": "smoothing",
+    "Certificate": "certificate",
+    "Representativity": "certificate",
+    "certify_pieces": "certificate",
+    "upper_bound": "certificate",
+    "representativity_exact": "certificate",
+    "RotationSystem": "facewidth",
+    "radial": "facewidth",
+    "face_width": "facewidth",
+    "FamilyInstance": "families",
+    "torus_knot": "families",
+    "exact_knot": "families",
+    "lpq_link": "families",
+    "parse_family": "families",
+    "verify_family": "families",
+    "Contradiction": "bounds",
+    "Interval": "bounds",
+    "SubjectTags": "bounds",
+    "propagate": "bounds",
+}
+
+__all__ = list(_EXPORTS)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str) -> object:
+    """Import the module behind a public name and keep the value here."""
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value

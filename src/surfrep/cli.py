@@ -19,6 +19,10 @@ input.  The report step returns the report body and whether it passed;
 clock, the ``error:`` line and exit 2 of a failed read, the verdict and
 exit 0 or 1.  An exception from a report step, on input that decoded,
 is a bug and propagates.
+
+Package modules, and ``fractions``, are imported inside the step that
+uses them: a start is one process for one subcommand, so it loads and
+compiles only the modules that subcommand calls.
 """
 
 from __future__ import annotations
@@ -28,15 +32,15 @@ import json
 import math
 import sys
 import time
-from fractions import Fraction
-from typing import Any, Sequence
+from typing import TYPE_CHECKING, Any, Sequence, TypeAlias
 
-from surfrep.bounds import Contradiction, Interval, SubjectTags, propagate
-from surfrep.certificate import Certificate, certify_pieces
-from surfrep.facewidth import RotationSystem, face_width
-from surfrep.families import Check, FamilyInstance, parse_family, verify_family
-from surfrep.smoothing import PlanarPiece
-from surfrep.surface import _ascii_int, _strict_int
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    from surfrep.bounds import Contradiction, Interval, SubjectTags
+    from surfrep.certificate import Certificate
+    from surfrep.facewidth import RotationSystem
+    from surfrep.families import FamilyInstance
 
 __all__ = ["build_parser", "main"]
 
@@ -92,6 +96,8 @@ Body = dict[str, Any]
 
 
 def _read_family(args: argparse.Namespace) -> FamilyInstance:
+    from surfrep.families import parse_family
+
     return parse_family(args.family)
 
 
@@ -100,6 +106,8 @@ def _report_generate(args: argparse.Namespace, inst: FamilyInstance) -> None:
 
 
 def _report_verify(args: argparse.Namespace, inst: FamilyInstance) -> tuple[Body, bool]:
+    from surfrep.families import verify_family
+
     family = verify_family(inst)
     body = {
         "command": ["verify", args.family],
@@ -110,6 +118,10 @@ def _report_verify(args: argparse.Namespace, inst: FamilyInstance) -> tuple[Body
 
 
 def _read_certify(args: argparse.Namespace) -> Certificate:
+    from surfrep.certificate import certify_pieces
+    from surfrep.smoothing import PlanarPiece
+    from surfrep.surface import _strict_int
+
     raw = _load_json(args.pieces)
     if isinstance(raw, dict):
         items, file_n = raw.get("pieces"), raw.get("n")
@@ -127,6 +139,8 @@ def _read_certify(args: argparse.Namespace) -> Certificate:
 
 
 def _report_certify(args: argparse.Namespace, cert: Certificate) -> tuple[Body, bool]:
+    from surfrep.families import Check
+
     body = {
         "command": ["certify", args.pieces],
         "inputs": {"file": args.pieces, "n": cert.n},
@@ -141,12 +155,16 @@ def _report_certify(args: argparse.Namespace, cert: Certificate) -> tuple[Body, 
 
 
 def _read_facewidth(args: argparse.Namespace) -> RotationSystem:
+    from surfrep.facewidth import RotationSystem
+
     rs = RotationSystem.from_json(_load_json(args.map))
     rs.genus()  # a disconnected map has no genus: unusable input
     return rs
 
 
 def _report_facewidth(args: argparse.Namespace, rs: RotationSystem) -> tuple[Body, bool]:
+    from surfrep.facewidth import face_width
+
     width = face_width(rs)
     body = {
         "command": ["facewidth", args.map],
@@ -161,6 +179,8 @@ def _report_facewidth(args: argparse.Namespace, rs: RotationSystem) -> tuple[Bod
 
 def _level(text: str) -> int:
     """The ``--n`` value; argparse reports a bad one with the option's name."""
+    from surfrep.surface import _ascii_int
+
     try:
         return _ascii_int(text)
     except ValueError:
@@ -170,6 +190,10 @@ def _level(text: str) -> int:
 def _parse_seeds(items: Sequence[str]) -> dict[str, Fraction]:
     """Seeds ``name=p`` or ``name=p/q``: ASCII integers, q unsigned, spaces
     allowed around ``=``."""
+    from fractions import Fraction
+
+    from surfrep.surface import _ascii_int
+
     seeds: dict[str, Fraction] = {}
     for item in items:
         name, eq, raw = item.partition("=")
@@ -190,10 +214,12 @@ def _parse_seeds(items: Sequence[str]) -> dict[str, Fraction]:
 
 
 #: tags, seeds, and their facts or the contradiction they reach (a result, not bad input)
-Bounds = tuple[SubjectTags, dict[str, Fraction], dict[str, Interval] | Contradiction]
+Bounds: TypeAlias = "tuple[SubjectTags, dict[str, Fraction], dict[str, Interval] | Contradiction]"
 
 
 def _read_bounds(args: argparse.Namespace) -> Bounds:
+    from surfrep.bounds import Contradiction, SubjectTags, propagate
+
     tags = SubjectTags.from_strings(args.tag)
     seeds = _parse_seeds(args.seed)
     try:
@@ -203,6 +229,8 @@ def _read_bounds(args: argparse.Namespace) -> Bounds:
 
 
 def _report_bounds(args: argparse.Namespace, read: Bounds) -> tuple[Body, bool]:
+    from surfrep.bounds import Contradiction
+
     tags, seeds, facts = read
     body: Body = {
         "command": ["bounds", *(f"--tag {t}" for t in tags.labels()),

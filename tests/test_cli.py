@@ -576,8 +576,8 @@ def test_errors_after_decoding_are_not_usage_errors(tmp_path, monkeypatch, error
     def broken(*args):
         raise error("broken computation")
 
-    monkeypatch.setattr("surfrep.cli.verify_family", broken)
-    monkeypatch.setattr("surfrep.cli.face_width", broken)
+    monkeypatch.setattr("surfrep.families.verify_family", broken)
+    monkeypatch.setattr("surfrep.facewidth.face_width", broken)
     grid = _write(tmp_path, "grid3.json", toroidal_grid(3).to_json())
     for argv in (["verify", "torus:3,5"], ["facewidth", grid]):
         with pytest.raises(error, match="broken computation"):

@@ -4,12 +4,16 @@ from __future__ import annotations
 
 import ast
 import importlib
+import json
 import re
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import surfrep
+from test_facewidth import toroidal_grid
 
 PACKAGE = Path(surfrep.__file__).resolve().parent
 
@@ -49,19 +53,57 @@ def test_package_imports_only_the_standard_library():
     assert not found, f"imports outside the standard library: {found}"
 
 
-def test_start_up_loads_neither_dataclasses_nor_inspect():
-    """The value classes are plain classes, so starting the CLI pays for
-    neither ``dataclasses`` nor the ``inspect`` it imports."""
+def _modules_after(statements: str) -> set[str]:
+    """The modules a fresh interpreter holds after it runs ``statements``,
+    with the package on its path, no site packages and no bytecode written."""
     probe = (
-        "import sys; sys.path.insert(0, sys.argv[1]); "
-        "import surfrep.cli; import surfrep; "
-        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+        "import json, sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        f"{statements}\n"
+        "print(json.dumps(sorted(sys.modules)))\n"
     )
     done = subprocess.run(
         [sys.executable, "-I", "-B", "-c", probe, str(PACKAGE.parent)],
         capture_output=True, text=True, check=True, timeout=60,
     )
-    assert done.stdout.strip() == "[]", done.stdout
+    return set(json.loads(done.stdout.splitlines()[-1]))
+
+
+def _package_modules(loaded: set[str]) -> set[str]:
+    return {name for name in loaded if name.partition(".")[0] == "surfrep"}
+
+
+def test_start_up_loads_neither_dataclasses_nor_inspect():
+    """The value classes are plain classes, so loading every module of the
+    package pays for neither ``dataclasses`` nor the ``inspect`` it imports."""
+    loaded = _modules_after("import surfrep.cli\nfrom surfrep import *")
+    assert len(_package_modules(loaded)) > 2
+    assert not {"dataclasses", "inspect"} & loaded
+
+
+def test_start_up_loads_no_package_module_but_the_cli():
+    """``import surfrep.cli`` compiles only the package and the CLI: each
+    subcommand imports the modules it calls when it runs."""
+    loaded = _modules_after("import surfrep.cli")
+    assert _package_modules(loaded) == {"surfrep", "surfrep.cli"}
+    assert "fractions" not in loaded
+
+
+def test_a_subcommand_loads_only_the_modules_it_calls(tmp_path):
+    """``bounds`` and ``facewidth`` share only ``surface``: neither loads the
+    certificate, family or smoothing modules, nor the other's module."""
+    grid = tmp_path / "grid3.json"
+    grid.write_text(json.dumps(toroidal_grid(3).to_json()))
+    unused = {
+        ("bounds", "--tag", "two_bridge"): {"facewidth", "certificate", "families", "smoothing"},
+        ("facewidth", str(grid)): {"bounds", "certificate", "families", "smoothing"},
+    }
+    for argv, modules in unused.items():
+        loaded = _modules_after(
+            f"import surfrep.cli\nif surfrep.cli.main({list(argv)!r}):\n    raise SystemExit(1)"
+        )
+        found = sorted(_package_modules(loaded) & {f"surfrep.{m}" for m in modules})
+        assert not found, f"{argv[0]} loads {found}"
 
 
 def test_no_cli_integer_is_read_with_type_int():
@@ -98,6 +140,25 @@ def test_every_public_name_resolves():
         if not hasattr(module, attr)
     ]
     assert not found, f"names in __all__ that do not resolve: {found}"
+
+
+def test_the_package_reads_each_public_name_from_its_module():
+    """The package namespace imports a name's module on first access and
+    hands out the module's own object; a name it does not export is an
+    AttributeError, and a star import binds every exported name."""
+    for name, short in surfrep._EXPORTS.items():
+        module = importlib.import_module(f"surfrep.{short}")
+        assert name in module.__all__
+        assert getattr(surfrep, name) is getattr(module, name)
+        assert vars(surfrep)[name] is getattr(module, name)
+    namespace: dict = {}
+    exec("from surfrep import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == sorted(surfrep.__all__)
+    assert len(surfrep.__all__) == 24
+    with pytest.raises(AttributeError, match="'nope'"):
+        surfrep.nope
+    loaded = _modules_after("import surfrep\nsurfrep.propagate")
+    assert _package_modules(loaded) == {"surfrep", "surfrep.bounds", "surfrep.surface"}
 
 
 def _public_names(tree: ast.Module) -> list[str]:
