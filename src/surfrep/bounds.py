@@ -50,7 +50,7 @@ import math
 from fractions import Fraction
 from typing import Any, Iterable, Mapping, Sequence
 
-from surfrep.surface import _Value, _ascii_int, _set_field
+from surfrep.surface import _Value, _ascii_int, _set_field, _strict_int
 
 __all__ = [
     "ATTRIBUTES",
@@ -167,8 +167,11 @@ class SubjectTags(_Value):
             raise ValueError("pretzel requires three strand parameters")
         for name, arity in _PARAM_ARITY.items():
             values = getattr(self, name)
-            if values is not None and len(values) != arity:
-                raise ValueError(f"{name} takes exactly {arity} parameters")
+            if values is not None:
+                if len(values) != arity:
+                    raise ValueError(f"{name} takes exactly {arity} parameters")
+                for value in values:
+                    _strict_int(value, f"{name} parameter")
         if torus_knot is not None:
             p, q = torus_knot
             # the curve is a nontrivial knot only for coprime p, q >= 2

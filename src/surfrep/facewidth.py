@@ -6,14 +6,17 @@ the involution alpha swaps the two darts of each edge.  Faces are
 recovered as orbits of sigma-after-alpha, which yields the Euler
 characteristic and the genus without any geometry.
 
-Dart names are arbitrary integers, but the derived structure is kept on
-dense positions: validation numbers the darts once, in sorted name
+Dart names are arbitrary integers, under the package's one integer
+rule, so every map the constructor accepts decodes again from its JSON
+form.  The constructor validates in one pass in reading order, which
+names the first fault it meets.  It numbers the darts in sorted name
 order, and vertex, alpha and face-of are lists over those positions.
 Tracing the faces from position 0 upward gives them in their public
 order, least dart first, without a sort.  Position p of a map becomes
 darts 2p (at the vertex node) and 2p + 1 (at the face node) of its
 radial map, so the radial alpha is x ^ 1 and the radial map's names
-are its own positions.
+are its own positions: the radial map is built by arithmetic, with no
+sort, name table or validation.
 
 The face-width of a map is the smallest number of intersections a
 noncontractible closed curve on the surface must have with the graph.
@@ -37,10 +40,9 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from functools import cached_property
-from itertools import chain
 from typing import Any
 
-from surfrep.surface import _Value, _json_field, _json_int_arrays, _set_field
+from surfrep.surface import _Value, _json_field, _json_int_arrays, _set_field, _strict_int
 
 __all__ = [
     "RotationSystem",
@@ -51,38 +53,14 @@ __all__ = [
 ]
 
 
-def _map_fault(rotations: Sequence[Sequence[int]], edges: Sequence[Sequence[int]]) -> str:
-    """The first fault of a map that failed validation, in reading order."""
-    if not rotations:
-        return "map needs at least one vertex"
-    seen: set[int] = set()
-    for v, rot in enumerate(rotations):
-        if not rot:
-            return f"vertex {v} has no darts"
-        for d in rot:
-            if d in seen:
-                return f"dart {d} appears twice in the rotations"
-            seen.add(d)
-    paired: set[int] = set()
-    for e in edges:
-        if len(e) != 2 or e[0] == e[1]:
-            return f"edge {e} must pair two distinct darts"
-        for d in e:
-            if d not in seen:
-                return f"edge dart {d} missing from the rotations"
-            if d in paired:
-                return f"dart {d} appears in two edges"
-            paired.add(d)
-    return f"darts without an opposite: {sorted(seen - paired)}"
-
-
 class RotationSystem(_Value):
     """A graph embedded in a closed oriented surface.
 
     ``rotations[v]`` lists the darts at vertex v in counterclockwise
     order; ``edges`` pairs each dart with its opposite.  Dart names are
     arbitrary integers, each appearing exactly once in the rotations
-    and exactly once across the edge pairs.
+    and exactly once across the edge pairs.  A float, bool or string
+    dart is refused with the wording of the JSON decoder.
     """
 
     rotations: tuple[tuple[int, ...], ...]
@@ -95,27 +73,46 @@ class RotationSystem(_Value):
         edges = tuple(map(tuple, edges))
         _set_field(self, "rotations", rotations)
         _set_field(self, "edges", edges)
-        # One pass numbers the darts in sorted name order and checks the map
-        # in bulk; _map_fault then names the first fault in reading order.
-        flat = list(chain.from_iterable(rotations))
-        darts = sorted(flat)
-        n = len(darts)
-        pos = dict(zip(darts, range(n)))
-        alpha = [-1] * n
-        try:
-            if not (rotations and all(rotations) and len(pos) == n == 2 * len(edges)):
-                raise ValueError
-            for a, b in edges:
-                a, b = pos[a], pos[b]
-                alpha[a], alpha[b] = b, a
-            # the 2E writes reach all 2E positions only if every dart lies in
-            # exactly one edge, paired with another dart
-            if -1 in alpha:
-                raise ValueError
-        except (KeyError, ValueError):
-            raise ValueError(_map_fault(rotations, edges)) from None
+        # one pass in reading order checks every dart and names the first fault
+        if not rotations:
+            raise ValueError("map needs at least one vertex")
+        seen: set[int] = set()
+        for v, rot in enumerate(rotations):
+            if not rot:
+                raise ValueError(f"vertex {v} has no darts")
+            for d in rot:
+                if _strict_int(d, "dart") in seen:
+                    raise ValueError(f"dart {d} appears twice in the rotations")
+                seen.add(d)
+        darts = sorted(seen)
+        pos = dict(zip(darts, range(len(darts))))
+        alpha = [-1] * len(darts)
+        for e in edges:
+            for d in e:
+                _strict_int(d, "edge dart")
+            if len(e) != 2 or e[0] == e[1]:
+                raise ValueError(f"edge {e} must pair two distinct darts")
+            for d in e:
+                if d not in pos:
+                    raise ValueError(f"edge dart {d} missing from the rotations")
+                if alpha[pos[d]] >= 0:
+                    raise ValueError(f"dart {d} appears in two edges")
+            a, b = pos[e[0]], pos[e[1]]
+            alpha[a], alpha[b] = b, a
+        if -1 in alpha:
+            unpaired = [darts[p] for p, q in enumerate(alpha) if q < 0]
+            raise ValueError(f"darts without an opposite: {unpaired}")
+        _set_field(self, "_pos", pos)
+        self._trace(darts, [[pos[d] for d in rot] for rot in rotations], alpha)
 
-        rots = [[pos[d] for d in rot] for rot in rotations]
+    def _trace(self, darts: Sequence[int], rots: Sequence[Sequence[int]], alpha: list[int]) -> None:
+        """Store the dense tables of a valid map numbered 0 .. 2E-1.
+
+        ``darts`` names each position in ascending order, ``rots`` lists
+        the rotations as positions and ``alpha`` the opposite of each
+        position; the vertex, successor and face tables are traced here.
+        """
+        n = len(darts)
         vert = [0] * n
         sigma = [0] * n
         for v, rot in enumerate(rots):
@@ -138,7 +135,7 @@ class RotationSystem(_Value):
                 face_of[p] = f
                 p = sigma[alpha[p]]
             faces.append(orbit)
-        for name, value in (("_darts", darts), ("_pos", pos), ("_rots", rots), ("_vert", vert),
+        for name, value in (("_darts", darts), ("_rots", rots), ("_vert", vert),
                             ("_alpha", alpha), ("_faces", faces), ("_face_of", face_of)):
             _set_field(self, name, value)
         if self.euler_characteristic % 2:
@@ -146,14 +143,18 @@ class RotationSystem(_Value):
 
     #-- Derived structure --#
 
-    # __init__ sets, over dart positions 0 .. 2E-1 in sorted name order:
+    # _trace sets, over dart positions 0 .. 2E-1 in sorted name order:
     #   _darts    position -> dart name
-    #   _pos      dart name -> position
     #   _rots     the rotations as positions
     #   _vert     position -> vertex
     #   _alpha    position -> position of the opposite dart
     #   _faces    face orbits as positions, in the order of ``faces``
     #   _face_of  position -> index of its face
+
+    @cached_property
+    def _pos(self) -> dict[int, int]:
+        """Dart name -> position; __init__ keeps the one it validated with."""
+        return dict(zip(self._darts, range(len(self._darts))))
 
     def _position(self, dart: int) -> int:
         """Position of a dart name, or a ValueError naming a dart not in the map."""
@@ -228,7 +229,10 @@ def radial(rs: RotationSystem) -> RotationSystem:
     rotations = [tuple([2 * p for p in rot]) for rot in rs._rots]
     rotations += [tuple([2 * p + 1 for p in orbit[::-1]]) for orbit in rs._faces]
     n = 2 * len(rs._darts)
-    out = RotationSystem(tuple(rotations), tuple(zip(range(0, n, 2), range(1, n, 2))))
+    out = RotationSystem.__new__(RotationSystem)
+    _set_field(out, "rotations", tuple(rotations))
+    _set_field(out, "edges", tuple(zip(range(0, n, 2), range(1, n, 2))))
+    out._trace(range(n), rotations, [x ^ 1 for x in range(n)])
     if out.euler_characteristic != rs.euler_characteristic:
         raise RuntimeError("radial map changed the Euler characteristic")
     return out

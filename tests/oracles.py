@@ -15,6 +15,10 @@ The smoothing walk visits every crossing state one at a time, with its
 own copy of the chain surface's crossing order; it is the reference for
 the entry walk of ``trace_orbits`` on small weights.
 
+The map-fault reference names the first fault of a map in reading order
+with plain sets; it is the reference for the messages of the
+``RotationSystem`` constructor.
+
 The face-width reference lists every breadth first search fundamental
 cycle of the radial map from every root, shortest first, and cuts them
 open one by one on an explicitly rebuilt cut map; it is the reference
@@ -462,6 +466,46 @@ class _XorBasis:
         vec = self.reduce(vec)
         if vec:
             self.rows[vec.bit_length() - 1] = vec
+
+
+def map_fault(rotations, edges):
+    """The first fault of a map in reading order, or None for a valid map.
+
+    Rotations are read before edges, vertex by vertex and dart by dart;
+    each edge's darts are checked to be integers before the edge is
+    checked to pair two of them, and the darts left without an opposite
+    are named last.  It is the reference for the messages of
+    ``RotationSystem``, and reads the map with sets alone.
+    """
+    if not rotations:
+        return "map needs at least one vertex"
+    seen: set[int] = set()
+    for v, rot in enumerate(rotations):
+        if not rot:
+            return f"vertex {v} has no darts"
+        for d in rot:
+            if not isinstance(d, int) or isinstance(d, bool):
+                return f"dart must be an integer, got {d!r}"
+            if d in seen:
+                return f"dart {d} appears twice in the rotations"
+            seen.add(d)
+    paired: set[int] = set()
+    for e in edges:
+        e = tuple(e)
+        for d in e:
+            if not isinstance(d, int) or isinstance(d, bool):
+                return f"edge dart must be an integer, got {d!r}"
+        if len(e) != 2 or e[0] == e[1]:
+            return f"edge {e} must pair two distinct darts"
+        for d in e:
+            if d not in seen:
+                return f"edge dart {d} missing from the rotations"
+            if d in paired:
+                return f"dart {d} appears in two edges"
+            paired.add(d)
+    if seen - paired:
+        return f"darts without an opposite: {sorted(seen - paired)}"
+    return None
 
 
 def _map_structure(rotations, edges):

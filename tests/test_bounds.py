@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 from decimal import Decimal
 from fractions import Fraction
 
@@ -89,6 +90,21 @@ def test_tag_parsing_and_validation():
     ):
         with pytest.raises(ValueError):
             _tags(*bad)
+
+
+def test_tag_parameters_are_strict_integers():
+    """Parameters passed to the constructor follow the package's integer rule,
+    as those read from strings do: a float or bool is refused, not labelled."""
+    for names, params, message in (
+        ({"pretzel"}, {"pretzel": (1.5, True, 3)}, "pretzel parameter must be an integer, got 1.5"),
+        ({"pretzel"}, {"pretzel": (1, True, 3)}, "pretzel parameter must be an integer, got True"),
+        # math.gcd would raise a TypeError on 3.5
+        ({"torus_knot"}, {"torus_knot": (2, 3.5)},
+         "torus_knot parameter must be an integer, got 3.5"),
+    ):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SubjectTags(frozenset(names), **params)
+    assert SubjectTags(frozenset({"pretzel"}), pretzel=(-3, 5, 7)).labels() == ("pretzel=-3,5,7",)
 
 
 #-- Fixed points traced by hand --#

@@ -8,12 +8,14 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oracles import (
     _map_structure,
     candidate_face_width,
     cut_component_chis,
     enumerated_face_width,
+    map_fault,
     radial_cycle_candidates,
     radial_cycle_catalog,
     radial_map,
@@ -163,6 +165,70 @@ def test_validation():
             RotationSystem(rotations, edges)
 
 
+def _broken(rs: RotationSystem, rng: random.Random) -> tuple[list, list]:
+    """``rs`` as plain lists with one to three seeded faults, any of which a
+    later one may undo or hide."""
+    rotations = [list(rot) for rot in rs.rotations]
+    edges = [list(e) for e in rs.edges]
+    darts = [d for rot in rotations for d in rot]
+    fresh = max(darts) + 1
+    for _ in range(rng.randrange(1, 4)):
+        rot = rng.choice(rotations)
+        fault = rng.randrange(7)
+        if fault == 0 and rot:  # a dart dropped, from its rotation or with its edge
+            if rng.random() < 0.5 or not edges:
+                rot.pop(rng.randrange(len(rot)))
+            else:
+                edges.pop(rng.randrange(len(edges)))
+        elif fault == 1:  # a dart repeated
+            rot.insert(rng.randrange(len(rot) + 1), rng.choice(darts))
+        elif fault == 2 and rot:  # a dart renamed, in the rotations or in an edge
+            names = rot if rng.random() < 0.5 or not edges else rng.choice(edges)
+            names[rng.randrange(len(names))] = rng.choice([fresh, rng.choice(darts)])
+        elif fault == 3:  # a rotation emptied
+            rot.clear()
+        elif fault == 4 and edges:  # an edge with three darts
+            rng.choice(edges).append(rng.choice([fresh, rng.choice(darts)]))
+        elif fault == 5:  # a dart paired twice
+            edges.insert(rng.randrange(len(edges) + 1), [rng.choice(darts), fresh])
+        elif fault == 6:  # a dart that is not an integer, in the rotations or in an edge
+            names = rot if rng.random() < 0.5 or not edges else rng.choice(edges)
+            if names:
+                t = rng.randrange(len(names))
+                names[t] = rng.choice([float(names[t]), True, str(names[t])])
+    return rotations, edges
+
+
+def test_constructor_names_the_reference_fault():
+    """On seeded broken maps the constructor names the fault that the
+    reference meets first in reading order."""
+    rng = random.Random(18)
+    faults = set()
+    bases = [TETRAHEDRON, K33_TORUS, DOUBLE_TORUS, toroidal_grid(3)]
+    for _ in range(600):
+        base = rng.choice(bases) if rng.random() < 0.3 else _random_map(rng, rng.randrange(1, 8))
+        rotations, edges = _broken(relabelled(base, rng), rng)
+        fault = map_fault(rotations, edges)
+        if fault is None:
+            assert RotationSystem(rotations, edges).edges == tuple(map(tuple, edges))
+            continue
+        with pytest.raises(ValueError) as caught:
+            RotationSystem(rotations, edges)
+        assert str(caught.value) == fault
+        faults.add(re.sub(r"got .*|\(.*\)|\[.*\]|-?\d+", "#", fault))
+    # each message a map with a vertex can earn was met
+    assert faults == {
+        "dart must be an integer, #",
+        "edge dart must be an integer, #",
+        "vertex # has no darts",
+        "dart # appears twice in the rotations",
+        "edge # must pair two distinct darts",
+        "edge dart # missing from the rotations",
+        "dart # appears in two edges",
+        "darts without an opposite: #",
+    }
+
+
 def test_counts_and_genus():
     tetra = TETRAHEDRON
     assert (tetra.num_vertices, tetra.num_edges, tetra.num_faces) == (4, 6, 4)
@@ -198,6 +264,43 @@ def test_json_roundtrip():
         assert RotationSystem.from_json(blob) == rs
 
 
+@st.composite
+def _named_maps(draw) -> tuple[list[list[int]], list[list[int]]]:
+    """Rotations and edges of a valid map on arbitrary distinct integer names."""
+    names = draw(st.lists(st.integers(-2**80, 2**80), min_size=2, max_size=16, unique=True))
+    names = names[:len(names) // 2 * 2]
+    cuts = draw(st.sets(st.integers(1, len(names) - 1), max_size=len(names) // 2))
+    bounds = [0, *sorted(cuts), len(names)]
+    rotations = [names[a:b] for a, b in zip(bounds, bounds[1:])]
+    order = draw(st.permutations(names))
+    return rotations, [order[t:t + 2] for t in range(0, len(order), 2)]
+
+
+@settings(max_examples=150)
+@given(_named_maps())
+def test_every_accepted_map_round_trips_through_json(named):
+    rs = RotationSystem(*named)
+    assert RotationSystem.from_json(json.loads(json.dumps(rs.to_json()))) == rs
+
+
+@settings(max_examples=150)
+@given(_named_maps(), st.one_of(st.floats(allow_nan=False), st.booleans(), st.text(max_size=3)),
+       st.booleans(), st.data())
+def test_non_integer_darts_are_refused_as_the_decoder_refuses_them(named, bad, in_edge, data):
+    """A float, bool or string dart is the decoder's ValueError, word for word,
+    whether it sits in a rotation or in an edge."""
+    rotations, edges = named
+    arrays = edges if in_edge else rotations
+    names = data.draw(st.sampled_from(arrays))
+    names[data.draw(st.integers(0, len(names) - 1))] = bad
+    with pytest.raises(ValueError) as direct:
+        RotationSystem(rotations, edges)
+    with pytest.raises(ValueError) as decoded:
+        RotationSystem.from_json(json.loads(json.dumps({"rotations": rotations, "edges": edges})))
+    field = "edge dart" if in_edge else "dart"
+    assert str(direct.value) == str(decoded.value) == f"{field} must be an integer, got {bad!r}"
+
+
 #-- Radial map --#
 
 def test_radial_structure():
@@ -216,6 +319,30 @@ def test_radial_structure():
         for d1, d2 in rad.edges:
             sides = {vert[d1] < rs.num_vertices, vert[d2] < rs.num_vertices}
             assert sides == {True, False}
+
+
+def test_radial_equals_its_rebuild_through_the_constructor():
+    """The radial map built by arithmetic is the map the constructor builds
+    from its rotations and edges, down to the dense tables."""
+    rng = random.Random(18)
+    maps = []
+    per_genus = dict.fromkeys(range(4), 0)
+    while min(per_genus.values()) < 15:
+        rs = _random_map(rng, rng.randrange(1, 10))
+        if len(component_chis(rs)) != 1 or per_genus.get(rs.genus(), 15) >= 15:
+            continue
+        per_genus[rs.genus()] += 1
+        maps.append(rs)
+    maps += [relabelled(toroidal_grid(rows, cols), rng) for rows in (3, 4, 6) for cols in (rows, 7)]
+    maps += [double_cover(n) for n in (3, 4, 5)]
+    for rs in maps:
+        rad = radial(rs)
+        again = RotationSystem(rad.rotations, rad.edges)
+        assert rad == again and rad.faces == again.faces
+        assert list(rad._darts) == again._darts
+        assert [list(rot) for rot in rad._rots] == again._rots
+        for table in ("_pos", "_vert", "_alpha", "_faces", "_face_of"):
+            assert getattr(rad, table) == getattr(again, table)
 
 
 #-- Cutting --#
@@ -263,7 +390,10 @@ def test_cut_along_separating_essential_cycle_leaves_two_tori():
 
 
 def test_face_width_builds_only_the_radial_map(monkeypatch):
-    grid = toroidal_grid(8)
+    """face_width builds its radial map by arithmetic and cuts by a flood,
+    so it never runs the constructor, on the torus or at genus 2."""
+    grid, cover = toroidal_grid(8), double_cover(4)
+    width = candidate_face_width(cover.rotations, cover.edges)
     built = []
     original = RotationSystem.__init__
 
@@ -273,10 +403,8 @@ def test_face_width_builds_only_the_radial_map(monkeypatch):
 
     monkeypatch.setattr(RotationSystem, "__init__", counting)
     assert face_width(grid) == 8
-    assert len(built) == 1
-    rad = built[0]
-    assert rad == radial(grid)
-    built.clear()
+    assert face_width(cover) == width
+    rad = radial(grid)
     for cand in radial_cycle_candidates(rad.rotations, rad.edges)[:50]:
         cut_along(rad, cand)
     assert built == []
