@@ -190,7 +190,8 @@ class SubjectTags(_Value):
     @classmethod
     def from_strings(cls, items: Iterable[str]) -> "SubjectTags":
         """Parse flags of the form ``name`` or ``name=p,q``, with p and q
-        ASCII decimal integers and spaces allowed around ``=``."""
+        ASCII decimal integers and spaces allowed around ``=``; the
+        constructor checks the number of parameters."""
         names: set[str] = set()
         params: dict[str, tuple[int, ...]] = {}
         for item in items:
@@ -206,10 +207,6 @@ class SubjectTags(_Value):
                     values = tuple(map(_ascii_int, raw.strip().split(",")))
                 except ValueError:
                     raise ValueError(f"parameters of {name!r} must be integers") from None
-                if len(values) != _PARAM_ARITY[name]:
-                    raise ValueError(
-                        f"tag {name!r} takes {_PARAM_ARITY[name]} parameters"
-                    )
                 params[name] = values
             elif eq:
                 raise ValueError(f"tag {name!r} takes no parameters")
@@ -231,8 +228,9 @@ class SubjectTags(_Value):
 class Contradiction(Exception):
     """An interval became empty during propagation.
 
-    ``rules`` is the deduplicated union of the lower and upper chains of
-    the offending attribute, in derivation order.
+    ``rules``, derived from ``lo_rules`` and ``hi_rules``, is the
+    deduplicated union of the lower and upper chains of the offending
+    attribute, in derivation order.
     """
 
     def __init__(
@@ -248,10 +246,13 @@ class Contradiction(Exception):
         self.hi = hi
         self.lo_rules = lo_rules
         self.hi_rules = hi_rules
-        self.rules = tuple(dict.fromkeys((*lo_rules, *hi_rules)))
         reason = "no integer point" if lo <= hi else "lower bound exceeds upper bound"
-        chain = " -> ".join(self.rules) if self.rules else "start"
+        chain = " -> ".join(self.rules) or "start"
         super().__init__(f"{attribute} in [{lo}, {hi}] is impossible ({reason}); via {chain}")
+
+    @property
+    def rules(self) -> tuple[str, ...]:
+        return tuple(dict.fromkeys((*self.lo_rules, *self.hi_rules)))
 
 
 #-- Propagation --#

@@ -8,8 +8,10 @@ characteristic and the genus without any geometry.
 
 Dart names are arbitrary integers, under the package's one integer
 rule, so every map the constructor accepts decodes again from its JSON
-form.  The constructor validates in one pass in reading order, which
-names the first fault it meets.  It numbers the darts in sorted name
+form.  The constructor validates in one pass in reading order, each
+rotation's and edge's shape before its darts, and names the first fault
+it meets; the JSON decoder checks only the two fields, so a map read
+from a file is checked once.  It numbers the darts in sorted name
 order, and vertex, alpha and face-of are lists over those positions.
 Tracing the faces from position 0 upward gives them in their public
 order, least dart first, without a sort.  Position p of a map becomes
@@ -38,11 +40,11 @@ map itself; no cut map is ever built.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from functools import cached_property
 from typing import Any
 
-from surfrep.surface import _Value, _json_field, _json_int_arrays, _set_field, _strict_int
+from surfrep.surface import _Value, _json_field, _set_field, _strict_int
 
 __all__ = [
     "RotationSystem",
@@ -53,32 +55,37 @@ __all__ = [
 ]
 
 
+def _row(row: Any, what: str) -> Sequence[Any]:
+    """``row`` when it is a list or a tuple, the array of a map file."""
+    if not isinstance(row, (list, tuple)):
+        raise ValueError(f"{what} must be an array, got {type(row).__name__}")
+    return row
+
+
 class RotationSystem(_Value):
     """A graph embedded in a closed oriented surface.
 
     ``rotations[v]`` lists the darts at vertex v in counterclockwise
     order; ``edges`` pairs each dart with its opposite.  Dart names are
     arbitrary integers, each appearing exactly once in the rotations
-    and exactly once across the edge pairs.  A float, bool or string
-    dart is refused with the wording of the JSON decoder.
+    and exactly once across the edge pairs.  Each rotation and each
+    edge is a list or a tuple, and a float, bool or string dart is
+    refused, with the messages a map file earns.
     """
 
     rotations: tuple[tuple[int, ...], ...]
     edges: tuple[tuple[int, int], ...]
 
     def __init__(
-        self, rotations: Sequence[Sequence[int]], edges: Sequence[Sequence[int]]
+        self, rotations: Iterable[Sequence[int]], edges: Iterable[Sequence[int]]
     ) -> None:
-        rotations = tuple(map(tuple, rotations))
-        edges = tuple(map(tuple, edges))
-        _set_field(self, "rotations", rotations)
-        _set_field(self, "edges", edges)
-        # one pass in reading order checks every dart and names the first fault
+        # one pass in reading order checks every row and dart and names the first fault
+        rotations, edges = tuple(rotations), tuple(edges)
         if not rotations:
             raise ValueError("map needs at least one vertex")
         seen: set[int] = set()
         for v, rot in enumerate(rotations):
-            if not rot:
+            if not _row(rot, "each rotation"):
                 raise ValueError(f"vertex {v} has no darts")
             for d in rot:
                 if _strict_int(d, "dart") in seen:
@@ -88,10 +95,10 @@ class RotationSystem(_Value):
         pos = dict(zip(darts, range(len(darts))))
         alpha = [-1] * len(darts)
         for e in edges:
-            for d in e:
+            for d in _row(e, "each edge"):
                 _strict_int(d, "edge dart")
             if len(e) != 2 or e[0] == e[1]:
-                raise ValueError(f"edge {e} must pair two distinct darts")
+                raise ValueError(f"edge {tuple(e)} must pair two distinct darts")
             for d in e:
                 if d not in pos:
                     raise ValueError(f"edge dart {d} missing from the rotations")
@@ -102,6 +109,8 @@ class RotationSystem(_Value):
         if -1 in alpha:
             unpaired = [darts[p] for p, q in enumerate(alpha) if q < 0]
             raise ValueError(f"darts without an opposite: {unpaired}")
+        _set_field(self, "rotations", tuple(map(tuple, rotations)))
+        _set_field(self, "edges", tuple(map(tuple, edges)))
         _set_field(self, "_pos", pos)
         self._trace(darts, [[pos[d] for d in rot] for rot in rotations], alpha)
 
@@ -204,12 +213,8 @@ class RotationSystem(_Value):
 
     @staticmethod
     def from_json(obj: dict[str, Any]) -> "RotationSystem":
-        rotations = _json_field(obj, "rotations", list)
-        edges = _json_field(obj, "edges", list)
-        return RotationSystem(
-            _json_int_arrays(rotations, "each rotation", "dart"),
-            _json_int_arrays(edges, "each edge", "edge dart"),
-        )
+        """Decode a map; the constructor checks each rotation, edge and dart."""
+        return RotationSystem(_json_field(obj, "rotations", list), _json_field(obj, "edges", list))
 
 
 #-- Radial map --#

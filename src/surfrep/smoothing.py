@@ -228,12 +228,12 @@ class PlanarPiece(_Value):
 
     @staticmethod
     def from_json(obj: dict[str, Any]) -> "PlanarPiece":
-        """Decode a piece, rejecting floats, bools and strings where counts belong."""
+        """Decode a piece's JSON shape; the constructor checks every count."""
         return PlanarPiece(
             _json_field(obj, "piece", str),
-            _json_field(obj, "circles", int),
+            _json_field(obj, "circles"),
             tuple(
-                (_json_field(e, "a", int), _json_field(e, "b", int), _json_field(e, "mult", int))
+                (_json_field(e, "a"), _json_field(e, "b"), _json_field(e, "mult"))
                 for e in _json_field(obj, "arcs", list)
             ),
         )

@@ -17,7 +17,6 @@ crossing between a longitude copy and a meridian copy is transverse.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from itertools import chain
 from operator import attrgetter
 from typing import Any
 
@@ -31,9 +30,10 @@ __all__ = [
 def _strict_int(value: Any, field: str) -> int:
     """``value`` when it is an integer, rejecting floats, bools and strings.
 
-    The one rule for every count, whether decoded from JSON or passed to
-    a constructor, so that whatever a constructor accepts its
-    ``to_json`` output decodes again.
+    The one rule for every count, applied by the constructors alone: a
+    decoder passes a file's counts on unchecked, so each is checked
+    once, and whatever a constructor accepts its ``to_json`` output
+    decodes again.
     """
     # bool is a subclass of int, but true is not a count
     if not isinstance(value, int) or isinstance(value, bool):
@@ -57,38 +57,21 @@ def _ascii_int(text: str) -> int:
 _JSON_TYPES = {dict: "an object", list: "an array", str: "a string"}
 
 
-def _json_shape(value: Any, kind: type, what: str) -> Any:
-    """``value`` when it decodes as a JSON object, array or string (``kind``)."""
-    if not isinstance(value, kind):
-        raise ValueError(f"{what} must be {_JSON_TYPES[kind]}, got {type(value).__name__}")
-    return value
+def _json_field(obj: Any, field: str, kind: type | None = None) -> Any:
+    """``obj[field]`` of a JSON object, checked to be a JSON object, array
+    or string (``kind``) when one is given.
 
-
-def _json_int_arrays(value: list, what: str, field: str) -> tuple[tuple[int, ...], ...]:
-    """A JSON array of integer arrays as tuples, each array checked by
-    :func:`_json_shape` and each integer by :func:`_strict_int`.
-
-    JSON decodes a number to exactly int or float, so one type check over
-    all items clears the common case; otherwise the arrays are decoded in
-    order, and the first bad one or bad item is named.
-    """
-    if set(map(type, value)) <= {list} and set(map(type, chain.from_iterable(value))) <= {int}:
-        return tuple(map(tuple, value))
-    return tuple(tuple(_strict_int(d, field) for d in _json_shape(r, list, what)) for r in value)
-
-
-def _json_field(obj: Any, field: str, kind: type) -> Any:
-    """``obj[field]`` of a JSON object, checked to be of type ``kind``.
-
-    ``kind`` is int for a strict integer, else as for :func:`_json_shape`.
+    A decoder checks only the JSON shape: a count is read as it stands,
+    and the constructor it goes to applies :func:`_strict_int`.
     """
     if not isinstance(obj, dict):
         raise ValueError(f"expected an object with field {field!r}, got {type(obj).__name__}")
     if field not in obj:
         raise ValueError(f"missing field {field!r}")
-    if kind is int:
-        return _strict_int(obj[field], field)
-    return _json_shape(obj[field], kind, f"field {field!r}")
+    value = obj[field]
+    if kind is not None and not isinstance(value, kind):
+        raise ValueError(f"field {field!r} must be {_JSON_TYPES[kind]}, got {type(value).__name__}")
+    return value
 
 
 #-- Value classes --#
@@ -179,9 +162,9 @@ class SurfaceModel(_Value):
 
     @staticmethod
     def from_json(obj: dict[str, Any]) -> "SurfaceModel":
-        """Decode a surface, rejecting a kind that is not a string and a
-        genus that is not an integer."""
-        return SurfaceModel(_json_field(obj, "kind", str), _json_field(obj, "genus", int))
+        """Decode a surface, rejecting a kind that is not a string; the
+        constructor checks the genus."""
+        return SurfaceModel(_json_field(obj, "kind", str), _json_field(obj, "genus"))
 
 
 class CurveClass(_Value):

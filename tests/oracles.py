@@ -472,15 +472,18 @@ def map_fault(rotations, edges):
     """The first fault of a map in reading order, or None for a valid map.
 
     Rotations are read before edges, vertex by vertex and dart by dart;
-    each edge's darts are checked to be integers before the edge is
-    checked to pair two of them, and the darts left without an opposite
-    are named last.  It is the reference for the messages of
+    each rotation and each edge is checked to be an array before its
+    darts, each edge's darts are checked to be integers before the edge
+    is checked to pair two of them, and the darts left without an
+    opposite are named last.  It is the reference for the messages of
     ``RotationSystem``, and reads the map with sets alone.
     """
     if not rotations:
         return "map needs at least one vertex"
     seen: set[int] = set()
     for v, rot in enumerate(rotations):
+        if not isinstance(rot, (list, tuple)):
+            return f"each rotation must be an array, got {type(rot).__name__}"
         if not rot:
             return f"vertex {v} has no darts"
         for d in rot:
@@ -491,6 +494,8 @@ def map_fault(rotations, edges):
             seen.add(d)
     paired: set[int] = set()
     for e in edges:
+        if not isinstance(e, (list, tuple)):
+            return f"each edge must be an array, got {type(e).__name__}"
         e = tuple(e)
         for d in e:
             if not isinstance(d, int) or isinstance(d, bool):

@@ -101,6 +101,16 @@ def test_piece_rejects_non_integer_counts(bad):
             PlanarPiece("P", circles, arcs)
 
 
+def test_piece_decoder_leaves_every_count_to_the_constructor():
+    """A piece with two faults earns the constructor's first one, read from
+    a file or passed directly: the decoder checks only the JSON shape."""
+    message = "piece needs at least two boundary circles, got 1"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        PlanarPiece("P", 1, ((1.5, 2, 1),))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        PlanarPiece.from_json({"piece": "P", "circles": 1, "arcs": [{"a": 1.5, "b": 2, "mult": 1}]})
+
+
 _LOOSE_COUNTS = st.one_of(st.integers(0, 4), st.booleans(), st.sampled_from([1.0, 3.0]))
 
 

@@ -161,6 +161,11 @@ def test_certify_rejects_bad_files(capsys, tmp_path):
          "expected an object with field 'piece'"),
         (_write(tmp_path, "arcs_scalar.json", {"pieces": [{**pants[0], "arcs": 5}], "n": 4}),
          "field 'arcs' must be an array"),
+        # the decoder reads shapes and the constructor every count, in its own order
+        (_write(tmp_path, "two_faults.json",
+                {"pieces": [{"piece": "P", "circles": 1, "arcs": [{"a": 1.5, "b": 2, "mult": 1}]}],
+                 "n": 4}),
+         "piece needs at least two boundary circles, got 1"),
     ):
         code, out, err = run_cli(capsys, "certify", path)
         assert (code, out) == (2, ""), path
@@ -348,6 +353,9 @@ def test_bounds_rejects_bad_flags(capsys):
     code, out, err = run_cli(capsys, "bounds", "--seed", "b=-3")
     assert (code, out) == (2, "")
     assert err.startswith("error:") and err.count("\n") == 1
+    # the constructor counts a tag's parameters, for the command line as for a caller
+    code, out, err = run_cli(capsys, "bounds", "--tag", "torus_knot=3")
+    assert (code, out, err) == (2, "", "error: torus_knot takes exactly 2 parameters\n")
 
 
 def test_bounds_integers_are_ascii(capsys):

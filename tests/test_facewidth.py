@@ -174,7 +174,10 @@ def _broken(rs: RotationSystem, rng: random.Random) -> tuple[list, list]:
     fresh = max(darts) + 1
     for _ in range(rng.randrange(1, 4)):
         rot = rng.choice(rotations)
-        fault = rng.randrange(7)
+        if not isinstance(rot, list):  # replaced by fault 7, it takes no other
+            continue
+        arrays = [e for e in edges if isinstance(e, list)]
+        fault = rng.randrange(8)
         if fault == 0 and rot:  # a dart dropped, from its rotation or with its edge
             if rng.random() < 0.5 or not edges:
                 rot.pop(rng.randrange(len(rot)))
@@ -183,25 +186,29 @@ def _broken(rs: RotationSystem, rng: random.Random) -> tuple[list, list]:
         elif fault == 1:  # a dart repeated
             rot.insert(rng.randrange(len(rot) + 1), rng.choice(darts))
         elif fault == 2 and rot:  # a dart renamed, in the rotations or in an edge
-            names = rot if rng.random() < 0.5 or not edges else rng.choice(edges)
+            names = rot if rng.random() < 0.5 or not arrays else rng.choice(arrays)
             names[rng.randrange(len(names))] = rng.choice([fresh, rng.choice(darts)])
         elif fault == 3:  # a rotation emptied
             rot.clear()
-        elif fault == 4 and edges:  # an edge with three darts
-            rng.choice(edges).append(rng.choice([fresh, rng.choice(darts)]))
+        elif fault == 4 and arrays:  # an edge with three darts
+            rng.choice(arrays).append(rng.choice([fresh, rng.choice(darts)]))
         elif fault == 5:  # a dart paired twice
             edges.insert(rng.randrange(len(edges) + 1), [rng.choice(darts), fresh])
         elif fault == 6:  # a dart that is not an integer, in the rotations or in an edge
-            names = rot if rng.random() < 0.5 or not edges else rng.choice(edges)
+            names = rot if rng.random() < 0.5 or not arrays else rng.choice(arrays)
             if names:
                 t = rng.randrange(len(names))
                 names[t] = rng.choice([float(names[t]), True, str(names[t])])
+        elif fault == 7:  # a rotation or an edge that is an int, a string or an object
+            rows = rotations if rng.random() < 0.5 or not edges else edges
+            d = rng.choice(darts)
+            rows[rng.randrange(len(rows))] = rng.choice([d, str(d), {"dart": d}])
     return rotations, edges
 
 
 def test_constructor_names_the_reference_fault():
-    """On seeded broken maps the constructor names the fault that the
-    reference meets first in reading order."""
+    """On seeded broken maps the constructor and the JSON decoder name the
+    fault that the reference meets first in reading order."""
     rng = random.Random(18)
     faults = set()
     bases = [TETRAHEDRON, K33_TORUS, DOUBLE_TORUS, toroidal_grid(3)]
@@ -211,13 +218,21 @@ def test_constructor_names_the_reference_fault():
         fault = map_fault(rotations, edges)
         if fault is None:
             assert RotationSystem(rotations, edges).edges == tuple(map(tuple, edges))
+            # the outer containers may be any iterable: the checks do not use them up
+            assert RotationSystem(iter(rotations), iter(edges)).edges == tuple(map(tuple, edges))
             continue
         with pytest.raises(ValueError) as caught:
             RotationSystem(rotations, edges)
         assert str(caught.value) == fault
+        payload = json.loads(json.dumps({"rotations": rotations, "edges": edges}))
+        with pytest.raises(ValueError) as decoded:
+            RotationSystem.from_json(payload)
+        assert str(decoded.value) == fault
         faults.add(re.sub(r"got .*|\(.*\)|\[.*\]|-?\d+", "#", fault))
     # each message a map with a vertex can earn was met
     assert faults == {
+        "each rotation must be an array, #",
+        "each edge must be an array, #",
         "dart must be an integer, #",
         "edge dart must be an integer, #",
         "vertex # has no darts",
