@@ -16,9 +16,9 @@ _EXPORTS = {
     "SurfaceModel": "surface",
     "CurveClass": "surface",
     "MultiCurve": "surface",
-    "PlanarPiece": "smoothing",
-    "cut_pieces": "smoothing",
     "trace_components": "smoothing",
+    "PlanarPiece": "certificate",
+    "cut_pieces": "certificate",
     "Certificate": "certificate",
     "Representativity": "certificate",
     "certify_pieces": "certificate",

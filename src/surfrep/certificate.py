@@ -18,17 +18,30 @@ this often pins the representativity exactly.
 
 Pieces here are necklace-shaped: boundary circles sit in a cyclic order
 and every arc class joins two cyclically adjacent circles, so a piece is
-a cycle of k sector weights.  Both minima have closed forms in those
-weights, proved in the docstring of :func:`evaluate_piece`; no drawing is
-ever constructed.
+a cycle of k sector weights.  The piece constructor refuses any other
+arc, and both minima have closed forms in those weights, proved in the
+docstring of :func:`evaluate_piece`; no drawing is ever constructed.
 """
 
 from __future__ import annotations
 
-from surfrep.smoothing import PlanarPiece, cut_pieces
-from surfrep.surface import CurveClass, MultiCurve, _strict_int, _Value, _set_field
+from collections.abc import Iterable
+from typing import Any
+
+from surfrep.surface import (
+    CurveClass,
+    MultiCurve,
+    _crossed_longitudes,
+    _crossed_meridians,
+    _json_field,
+    _set_field,
+    _strict_int,
+    _Value,
+)
 
 __all__ = [
+    "PlanarPiece",
+    "cut_pieces",
     "PieceBounds",
     "Certificate",
     "Representativity",
@@ -39,29 +52,91 @@ __all__ = [
 ]
 
 
-#-- Exact minima --#
+#-- Cut pieces --#
 
-def _two_lightest(piece: PlanarPiece) -> tuple[int, int]:
-    """The two smallest sector weights, sector u joining circle u to u+1 mod k.
+class PlanarPiece(_Value):
+    """A necklace: a planar surface with ``circles`` boundary circles in
+    cyclic order and weighted arcs between cyclically adjacent circles.
 
-    Each arc pair fills one sector with its multiplicity and the other
-    sectors weigh 0.  At most two of those empty sectors can be among
-    the two lightest, so memory follows the arcs, not k.  With two
-    circles both sectors join the same pair: its merged multiplicity
-    fills one and the other is empty.  Raises ValueError when an arc
-    pair is not cyclically adjacent.
+    ``arcs`` holds (a, b, mult) triples with a < b and b - a = 1 or
+    circles - 1: mult parallel arcs joining circle a to circle b.  Pairs
+    are unique and sorted.  The constructor checks each field in reading
+    order and names the first fault, so every piece that can be built is
+    one :func:`evaluate_piece` can read.
     """
-    k = piece.circles
-    weights: list[int] = []
-    for a, b, mult in piece.arcs:
-        if b - a != 1 and b - a != k - 1:
-            raise ValueError(
-                f"arc pair ({a}, {b}) is not cyclically adjacent among {k} circles"
-            )
-        weights.append(mult)
-    weights += [0] * min(2, k - len(weights))
-    lightest, runner_up = sorted(weights)[:2]
-    return lightest, runner_up
+
+    id: str
+    circles: int
+    arcs: tuple[tuple[int, int, int], ...]
+
+    def __init__(self, id: str, circles: int, arcs: Iterable[Iterable[int]]) -> None:
+        if not isinstance(id, str):
+            raise ValueError(f"piece id must be a string, got {type(id).__name__}")
+        if _strict_int(circles, "circles") < 2:
+            raise ValueError(f"piece needs at least two boundary circles, got {circles}")
+        arcs = tuple(tuple(t) for t in arcs)
+        seen = set()
+        for a, b, mult in arcs:
+            if not (0 <= _strict_int(a, "a") < _strict_int(b, "b") < circles):
+                raise ValueError(f"bad arc endpoints ({a}, {b}) for {circles} circles")
+            if b - a != 1 and b - a != circles - 1:
+                raise ValueError(
+                    f"arc pair ({a}, {b}) is not cyclically adjacent among {circles} circles"
+                )
+            if _strict_int(mult, "mult") < 1:
+                raise ValueError(f"arc multiplicity must be >= 1, got {mult}")
+            if (a, b) in seen:
+                raise ValueError(f"duplicate arc pair ({a}, {b})")
+            seen.add((a, b))
+        _set_field(self, "id", id)
+        _set_field(self, "circles", circles)
+        _set_field(self, "arcs", tuple(sorted(arcs)))
+
+    def to_json(self) -> dict[str, Any]:
+        return {
+            "piece": self.id,
+            "circles": self.circles,
+            "arcs": [{"a": a, "b": b, "mult": m} for a, b, m in self.arcs],
+        }
+
+    @staticmethod
+    def from_json(obj: dict[str, Any]) -> "PlanarPiece":
+        """Decode a piece's JSON shape; the constructor checks the id and
+        every count."""
+        return PlanarPiece(
+            _json_field(obj, "piece"),
+            _json_field(obj, "circles"),
+            tuple(
+                (_json_field(e, "a"), _json_field(e, "b"), _json_field(e, "mult"))
+                for e in _json_field(obj, "arcs", list)
+            ),
+        )
+
+
+def cut_pieces(mc: MultiCurve, along: str) -> PlanarPiece:
+    """Cut the chain surface along one reference family.
+
+    ``along`` is "meridians" (piece F1+) or "longitudes" (F2+).  Cutting
+    along the meridians turns each longitude copy into an arc joining
+    the circles of the two meridian classes it crossed, and
+    symmetrically for the other direction.  The mirror piece F1- (or
+    F2-) carries the same arcs, so it is not returned.
+    """
+    if mc.surface.kind != "chain":
+        raise ValueError("cutting along a full reference family needs the chain surface")
+    if along == "meridians":
+        label, weights, crossed = "F1+", mc.longitudes, _crossed_meridians
+    elif along == "longitudes":
+        label, weights, crossed = "F2+", mc.meridians, _crossed_longitudes
+    else:
+        raise ValueError(f"along must be 'meridians' or 'longitudes', got {along!r}")
+    mults: dict[tuple[int, ...], int] = {}
+    for x, w in enumerate(weights):
+        if w:
+            key = tuple(sorted(crossed(mc.surface, x)))
+            mults[key] = mults.get(key, 0) + w
+    arcs = tuple((a, b, m) for (a, b), m in sorted(mults.items()))
+    return PlanarPiece(label, mc.surface.num_classes, arcs)
 
 
 #-- Certificates --#
@@ -127,7 +202,12 @@ class Representativity(_Value):
 def evaluate_piece(piece: PlanarPiece) -> PieceBounds:
     """Loop minimum and the minimum over all base circles of arc minima.
 
-    Both come from one read of the sector weights.
+    Both come from one read of the sector weights, sector u joining
+    circle u to u+1 mod k.  Each arc pair fills one sector with its
+    multiplicity and the other sectors weigh 0.  At most two of those
+    empty sectors can be among the two lightest, so memory follows the
+    arcs, not k.  With two circles both sectors join the same pair: its
+    merged multiplicity fills one and the other is empty.
 
     Loops.  A loop is essential when it separates the boundary circles
     into two nonempty groups.  Isotoped tight, it crosses exactly the
@@ -152,13 +232,12 @@ def evaluate_piece(piece: PlanarPiece) -> PieceBounds:
     Every sector touches two circles and so misses some third one, and
     every base circle leaves k-2 >= 1 sectors, so the minimum over all
     base circles is the lightest sector of all.
-
-    Raises ValueError when the piece is not a necklace.
     """
-    lightest, runner_up = _two_lightest(piece)
-    return PieceBounds(
-        piece.id, lightest + runner_up, lightest if piece.circles >= 3 else None
-    )
+    k = piece.circles
+    weights = [mult for _, _, mult in piece.arcs]
+    weights += [0] * min(2, k - len(weights))
+    lightest, runner_up = sorted(weights)[:2]
+    return PieceBounds(piece.id, lightest + runner_up, lightest if k >= 3 else None)
 
 
 def certify_pieces(pieces: list[PlanarPiece], n: int) -> Certificate:

@@ -118,8 +118,7 @@ def _report_verify(args: argparse.Namespace, inst: FamilyInstance) -> tuple[Body
 
 
 def _read_certify(args: argparse.Namespace) -> Certificate:
-    from surfrep.certificate import certify_pieces
-    from surfrep.smoothing import PlanarPiece
+    from surfrep.certificate import PlanarPiece, certify_pieces
     from surfrep.surface import _strict_int
 
     raw = _load_json(args.pieces)

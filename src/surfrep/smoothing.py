@@ -1,4 +1,4 @@
-"""Smoothing and cutting operations on weighted multicurves.
+"""Smoothing a weighted multicurve and counting its components.
 
 Every crossing between a longitude copy and a meridian copy is resolved
 in the way compatible with the strand orientations, turning the weighted
@@ -33,30 +33,13 @@ entry.  These pieces are built in time linear in the number of blocks
 and written into a flat successor list over positions, whose cycles are
 then followed; the walk is linear in the weights rather than in the
 crossing count.
-
-Cutting the chain surface along one full reference family is the other
-operation provided here: it splits the surface into two mirror planar
-pieces and turns the surviving curve copies into weighted arc systems
-on their boundary circles.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
-from typing import Any
+from surfrep.surface import MultiCurve, _crossed_longitudes, _crossed_meridians
 
-from surfrep.surface import (
-    MultiCurve,
-    SurfaceModel,
-    _Value,
-    _crossed_longitudes,
-    _crossed_meridians,
-    _json_field,
-    _set_field,
-    _strict_int,
-)
-
-__all__ = ["PlanarPiece", "cut_pieces", "trace_components", "trace_orbits"]
+__all__ = ["trace_components", "trace_orbits"]
 
 Crossing = tuple[int, int, int, int]
 #: positions lo .. hi-1 go to to .. to + hi - lo - 1 under the first return
@@ -186,80 +169,3 @@ def trace_components(mc: MultiCurve) -> int:
     )
     return len(trace_orbits(mc)) + untouched
 
-
-#-- Cutting --#
-
-class PlanarPiece(_Value):
-    """A planar surface with numbered boundary circles and weighted arcs.
-
-    ``arcs`` holds (a, b, mult) triples with a < b: mult parallel arcs
-    joining circle a to circle b.  Pairs are unique and sorted.
-    """
-
-    id: str
-    circles: int
-    arcs: tuple[tuple[int, int, int], ...]
-
-    def __init__(self, id: str, circles: int, arcs: Iterable[Iterable[int]]) -> None:
-        if not isinstance(id, str):
-            raise ValueError(f"piece id must be a string, got {type(id).__name__}")
-        if _strict_int(circles, "circles") < 2:
-            raise ValueError(f"piece needs at least two boundary circles, got {circles}")
-        arcs = tuple(tuple(t) for t in arcs)
-        seen = set()
-        for a, b, mult in arcs:
-            if not (0 <= _strict_int(a, "a") < _strict_int(b, "b") < circles):
-                raise ValueError(f"bad arc endpoints ({a}, {b}) for {circles} circles")
-            if _strict_int(mult, "mult") < 1:
-                raise ValueError(f"arc multiplicity must be >= 1, got {mult}")
-            if (a, b) in seen:
-                raise ValueError(f"duplicate arc pair ({a}, {b})")
-            seen.add((a, b))
-        _set_field(self, "id", id)
-        _set_field(self, "circles", circles)
-        _set_field(self, "arcs", tuple(sorted(arcs)))
-
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "piece": self.id,
-            "circles": self.circles,
-            "arcs": [{"a": a, "b": b, "mult": m} for a, b, m in self.arcs],
-        }
-
-    @staticmethod
-    def from_json(obj: dict[str, Any]) -> "PlanarPiece":
-        """Decode a piece's JSON shape; the constructor checks every count."""
-        return PlanarPiece(
-            _json_field(obj, "piece", str),
-            _json_field(obj, "circles"),
-            tuple(
-                (_json_field(e, "a"), _json_field(e, "b"), _json_field(e, "mult"))
-                for e in _json_field(obj, "arcs", list)
-            ),
-        )
-
-
-def cut_pieces(mc: MultiCurve, along: str) -> PlanarPiece:
-    """Cut the chain surface along one reference family.
-
-    ``along`` is "meridians" (piece F1+) or "longitudes" (F2+).  Cutting
-    along the meridians turns each longitude copy into an arc joining
-    the circles of the two meridian classes it crossed, and
-    symmetrically for the other direction.  The mirror piece F1- (or
-    F2-) carries the same arcs, so it is not returned.
-    """
-    if mc.surface.kind != "chain":
-        raise ValueError("cutting along a full reference family needs the chain surface")
-    if along == "meridians":
-        label, weights, crossed = "F1+", mc.longitudes, _crossed_meridians
-    elif along == "longitudes":
-        label, weights, crossed = "F2+", mc.meridians, _crossed_longitudes
-    else:
-        raise ValueError(f"along must be 'meridians' or 'longitudes', got {along!r}")
-    mults: dict[tuple[int, ...], int] = {}
-    for x, w in enumerate(weights):
-        if w:
-            key = tuple(sorted(crossed(mc.surface, x)))
-            mults[key] = mults.get(key, 0) + w
-    arcs = tuple((a, b, m) for (a, b), m in sorted(mults.items()))
-    return PlanarPiece(label, mc.surface.num_classes, arcs)

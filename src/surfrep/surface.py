@@ -54,15 +54,16 @@ def _ascii_int(text: str) -> int:
     return int(text)
 
 
-_JSON_TYPES = {dict: "an object", list: "an array", str: "a string"}
+_JSON_TYPES = {dict: "an object", list: "an array"}
 
 
 def _json_field(obj: Any, field: str, kind: type | None = None) -> Any:
-    """``obj[field]`` of a JSON object, checked to be a JSON object, array
-    or string (``kind``) when one is given.
+    """``obj[field]`` of a JSON object, checked to be a JSON object or
+    array (``kind``) when one is given.
 
-    A decoder checks only the JSON shape: a count is read as it stands,
-    and the constructor it goes to applies :func:`_strict_int`.
+    A decoder checks only the JSON shape: a count, name or kind is read
+    as it stands, and the constructor it goes to checks it, each count
+    with :func:`_strict_int`.
     """
     if not isinstance(obj, dict):
         raise ValueError(f"expected an object with field {field!r}, got {type(obj).__name__}")
@@ -162,9 +163,8 @@ class SurfaceModel(_Value):
 
     @staticmethod
     def from_json(obj: dict[str, Any]) -> "SurfaceModel":
-        """Decode a surface, rejecting a kind that is not a string; the
-        constructor checks the genus."""
-        return SurfaceModel(_json_field(obj, "kind", str), _json_field(obj, "genus"))
+        """Decode a surface; the constructor checks the kind and the genus."""
+        return SurfaceModel(_json_field(obj, "kind"), _json_field(obj, "genus"))
 
 
 class CurveClass(_Value):

@@ -93,9 +93,16 @@ def test_tag_parsing_and_validation():
 
 
 def test_tag_parameters_are_strict_integers():
-    """Parameters passed to the constructor follow the package's integer rule,
-    as those read from strings do: a float or bool is refused, not labelled."""
+    """Parameters passed to the constructor come with their tag, and follow
+    the package's integer rule as those read from strings do: a float or
+    bool is refused, not labelled."""
+    torus = "torus_knot requires parameters p,q and no other tag does"
+    pretzel = "pretzel requires three strand parameters"
     for names, params, message in (
+        ({"torus_knot"}, {}, torus),
+        (set(), {"torus_knot": (3, 5)}, torus),
+        ({"pretzel"}, {}, pretzel),
+        ({"two_bridge"}, {"pretzel": (-3, 5, 7)}, pretzel),
         ({"pretzel"}, {"pretzel": (1.5, True, 3)}, "pretzel parameter must be an integer, got 1.5"),
         ({"pretzel"}, {"pretzel": (1, True, 3)}, "pretzel parameter must be an integer, got True"),
         # math.gcd would raise a TypeError on 3.5

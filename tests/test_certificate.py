@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -11,12 +12,13 @@ from hypothesis import strategies as st
 
 from oracles import necklace_arc_min, necklace_loop_min
 from surfrep.certificate import (
+    PlanarPiece,
     certify_pieces,
+    cut_pieces,
     evaluate_piece,
     representativity_exact,
     upper_bound,
 )
-from surfrep.smoothing import PlanarPiece, cut_pieces
 from surfrep.surface import MultiCurve, SurfaceModel
 
 
@@ -172,9 +174,10 @@ def test_minima_read_the_arcs_not_the_circle_count():
 
 
 def test_arc_min_requires_adjacent_pairs():
-    skew = PlanarPiece("P", 4, ((0, 2, 1),))
-    with pytest.raises(ValueError, match="not cyclically adjacent"):
-        evaluate_piece(skew)
+    """Only a necklace can be built, so every piece has sector weights."""
+    message = "arc pair (0, 2) is not cyclically adjacent among 4 circles"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        PlanarPiece("P", 4, ((0, 2, 1),))
 
 
 def test_arc_min_three_circle_examples():

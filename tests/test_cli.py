@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -11,9 +12,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from oracles import candidate_face_width
 from surfrep import facewidth
 from surfrep.bounds import ATTRIBUTES, TAG_NAMES
+from surfrep.certificate import PlanarPiece, cut_pieces
 from surfrep.cli import main
 from surfrep.families import lpq_link
-from surfrep.smoothing import cut_pieces
 from test_facewidth import ONE_VERTEX_TORUS, TETRAHEDRON, toroidal_grid
 
 
@@ -34,6 +35,12 @@ def _pants_pieces() -> list[dict]:
     pieces = [cut_pieces(curve, "meridians"), cut_pieces(curve, "longitudes")]
     assert [p.id for p in pieces] == ["F1+", "F2+"]
     return [p.to_json() for p in pieces]
+
+
+def _piece_json(piece_id, circles, arcs) -> dict:
+    """A piece in the file form, whatever its fields hold."""
+    return {"piece": piece_id, "circles": circles,
+            "arcs": [{"a": a, "b": b, "mult": m} for a, b, m in arcs]}
 
 
 #-- generate --#
@@ -166,10 +173,45 @@ def test_certify_rejects_bad_files(capsys, tmp_path):
                 {"pieces": [{"piece": "P", "circles": 1, "arcs": [{"a": 1.5, "b": 2, "mult": 1}]}],
                  "n": 4}),
          "piece needs at least two boundary circles, got 1"),
+        # pieces are built in file order: one that is not a necklace is
+        # named before a float count in the piece after it
+        (_write(tmp_path, "two_pieces.json",
+                {"pieces": [_piece_json("A", 4, [(0, 2, 1)]), _piece_json("B", 3.5, [])],
+                 "n": 4}),
+         "arc pair (0, 2) is not cyclically adjacent among 4 circles"),
     ):
         code, out, err = run_cli(capsys, "certify", path)
         assert (code, out) == (2, ""), path
         assert message in err and "Traceback" not in err
+
+
+#: one fault per piece: the constructor's arguments and the message it gives
+PIECE_FAULTS = [
+    (5, 3, [], "piece id must be a string, got int"),
+    ("P", 1, [], "piece needs at least two boundary circles, got 1"),
+    ("P", 3, [(1, 3, 1)], "bad arc endpoints (1, 3) for 3 circles"),
+    ("P", 4, [(0, 2, 1)], "arc pair (0, 2) is not cyclically adjacent among 4 circles"),
+    ("P", 3, [(0, 1, 0)], "arc multiplicity must be >= 1, got 0"),
+    ("P", 3, [(0, 1, 1), (1, 2, 1), (0, 1, 2)], "duplicate arc pair (0, 1)"),
+    ("P", 3.0, [], "circles must be an integer, got 3.0"),
+    ("P", 3, [(0, True, 1)], "b must be an integer, got True"),
+    ("P", 3, [(0, 1, 2.5)], "mult must be an integer, got 2.5"),
+]
+
+
+@pytest.mark.parametrize("piece_id, circles, arcs, message", PIECE_FAULTS)
+def test_piece_faults_read_the_same_everywhere(capsys, tmp_path, piece_id, circles, arcs,
+                                               message):
+    """The constructor is the one check for each piece fault: the decoder and
+    ``certify`` on a file name it with the constructor's own message."""
+    exact = f"^{re.escape(message)}$"
+    with pytest.raises(ValueError, match=exact):
+        PlanarPiece(piece_id, circles, arcs)
+    stored = json.loads(json.dumps(_piece_json(piece_id, circles, arcs)))
+    with pytest.raises(ValueError, match=exact):
+        PlanarPiece.from_json(stored)
+    code, out, err = run_cli(capsys, "certify", _write(tmp_path, "bad.json", [stored]), "--n", "0")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_certify_level_is_an_ascii_integer(capsys, tmp_path):

@@ -374,12 +374,15 @@ def test_cut_along_essential_loop_keeps_one_piece():
 
 
 def test_cut_along_rejects_bad_cycles():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^cycle must be nonempty$"):
         cut_along(TETRAHEDRON, ())
-    with pytest.raises(ValueError):
-        cut_along(TETRAHEDRON, (1, 10))  # both darts leave vertex 0
-    with pytest.raises(ValueError):
-        cut_along(TETRAHEDRON, (1, 2))  # does not join up
+    with pytest.raises(ValueError, match="^cycle repeats an edge$"):
+        cut_along(TETRAHEDRON, (1, 10))  # both darts of edge 1-10
+    with pytest.raises(ValueError, match="^cycle repeats a vertex$"):
+        cut_along(TETRAHEDRON, (1, 2))  # both darts leave vertex 0
+    # dart 1 runs from vertex 0 to vertex 1, but dart 21 leaves vertex 2
+    with pytest.raises(ValueError, match="^cycle darts do not join up$"):
+        cut_along(TETRAHEDRON, (1, 21))
 
 
 def test_unknown_dart_is_named():

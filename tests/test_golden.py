@@ -22,9 +22,9 @@ import re
 import tempfile
 from pathlib import Path
 
+from surfrep.certificate import cut_pieces
 from surfrep.cli import main
 from surfrep.families import lpq_link
-from surfrep.smoothing import cut_pieces
 from test_facewidth import TETRAHEDRON, toroidal_grid
 
 GOLDEN = Path(__file__).with_name("data") / "golden_reports.json"

@@ -106,6 +106,13 @@ def test_a_subcommand_loads_only_the_modules_it_calls(tmp_path):
         assert not found, f"{argv[0]} loads {found}"
 
 
+def test_the_certificate_loads_no_smoothing():
+    """Cut pieces live with the certificate that evaluates them, so the
+    certificate needs only the surface module, not the orbit counter."""
+    loaded = _package_modules(_modules_after("import surfrep.certificate"))
+    assert loaded == {"surfrep", "surfrep.certificate", "surfrep.surface"}
+
+
 def test_no_cli_integer_is_read_with_type_int():
     """Every integer typed on the command line goes through the ASCII
     ``-?[0-9]+`` reader: ``type=int`` would also take spaces, a plus

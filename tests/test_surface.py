@@ -123,6 +123,10 @@ def test_chain2_multicurve_counts():
             assert mc.boundary_count(CurveClass("m", i)) == count_m[i]
             assert mc.boundary_count(CurveClass("l", i)) == count_l[i]
     assert upper_bound(MultiCurve(surf, (5, 4, 2), (2, 2, 2))) == 4
+    for cls in (CurveClass("m", 5), CurveClass("l", 3)):
+        message = f"no class {cls} on a surface with 3 classes per family"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            mc.boundary_count(cls)
 
 
 def test_chain1_counts_merge_families():
@@ -206,14 +210,15 @@ def test_multicurve_json_roundtrip():
         with pytest.raises(ValueError, match="must be an integer"):
             MultiCurve.from_json(loose)
 
-    # every field is present and of its JSON type: no KeyError, no
-    # coercion of the kind, no string read as a list of digits
+    # every field is present and of its JSON type, and the constructor
+    # names a kind it does not know: no KeyError, no coercion of the
+    # kind, no string read as a list of digits
     for broken, message in (
         ({k: v for k, v in obj.items() if k != "surface"}, "missing field 'surface'"),
         ({k: v for k, v in obj.items() if k != "longitudes"}, "missing field 'longitudes'"),
         ({**obj, "surface": {"genus": 2}}, "missing field 'kind'"),
         ({**obj, "surface": {"kind": "chain"}}, "missing field 'genus'"),
-        ({**obj, "surface": {"kind": 5, "genus": 2}}, "field 'kind' must be a string"),
+        ({**obj, "surface": {"kind": 5, "genus": 2}}, "unknown surface kind 5"),
         ({**obj, "surface": ["chain", 2]}, "field 'surface' must be an object"),
         ({**obj, "meridians": "542"}, "field 'meridians' must be an array"),
         ({**obj, "longitudes": 222}, "field 'longitudes' must be an array"),
@@ -221,7 +226,7 @@ def test_multicurve_json_roundtrip():
     ):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
             MultiCurve.from_json(broken)
-    with pytest.raises(ValueError, match="^field 'kind' must be a string"):
+    with pytest.raises(ValueError, match="^unknown surface kind None$"):
         SurfaceModel.from_json({"kind": None, "genus": 1})
 
 

@@ -10,10 +10,9 @@ import pytest
 
 import surfrep
 from surfrep.bounds import Interval, SubjectTags
-from surfrep.certificate import Certificate, PieceBounds, Representativity
+from surfrep.certificate import Certificate, PieceBounds, PlanarPiece, Representativity
 from surfrep.facewidth import RotationSystem
 from surfrep.families import Check, FamilyInstance, FamilyReport
-from surfrep.smoothing import PlanarPiece
 from surfrep.surface import CurveClass, MultiCurve, SurfaceModel, _Value
 
 TORUS = SurfaceModel("torus", 1)
