@@ -10,6 +10,8 @@ Every subcommand except ``generate`` prints a versioned run report
 (schema ``run-report/1``) as JSON on standard output, or as indented
 text with ``--pretty``.  Exit codes form a stable contract: 0 for
 success, 1 for a failed check or a contradiction, 2 for unusable input.
+This module is the one home of the report's keys: the envelope, and
+the check rows it builds from the package's ``Check`` values.
 
 Each subcommand reads, then reports.  The read step decodes and
 validates the input (``certify_pieces`` and ``propagate`` validate, so
@@ -41,6 +43,7 @@ if TYPE_CHECKING:
     from surfrep.certificate import Certificate
     from surfrep.facewidth import RotationSystem
     from surfrep.families import FamilyInstance
+    from surfrep.surface import Check
 
 __all__ = ["build_parser", "main"]
 
@@ -82,6 +85,13 @@ def _render(pad: str, mapping: dict[str, Any]) -> list[str]:
     return lines
 
 
+def _row(check: Check) -> dict[str, Any]:
+    """A check as a report row: ``expected`` is shown bare for ``==`` and
+    with its relation otherwise, as ``>= 4`` or ``< 12``."""
+    shown = check.expected if check.relation == "==" else f"{check.relation} {check.expected}"
+    return {"name": check.name, "expected": shown, "actual": check.actual, "pass": check.passed}
+
+
 def _load_json(path: str) -> Any:
     try:
         with open(path) as file:
@@ -108,13 +118,13 @@ def _report_generate(args: argparse.Namespace, inst: FamilyInstance) -> None:
 def _report_verify(args: argparse.Namespace, inst: FamilyInstance) -> tuple[Body, bool]:
     from surfrep.families import verify_family
 
-    family = verify_family(inst)
+    checks = verify_family(inst)
     body = {
         "command": ["verify", args.family],
-        "inputs": {"family": family.family, "extrapolated": family.extrapolated},
-        "checks": [c.to_json() for c in family.checks],
+        "inputs": {"family": inst.label, "extrapolated": inst.extrapolated},
+        "checks": [_row(c) for c in checks],
     }
-    return body, family.passed
+    return body, all(c.passed for c in checks)
 
 
 def _read_certify(args: argparse.Namespace) -> Certificate:
@@ -138,13 +148,13 @@ def _read_certify(args: argparse.Namespace) -> Certificate:
 
 
 def _report_certify(args: argparse.Namespace, cert: Certificate) -> tuple[Body, bool]:
-    from surfrep.families import Check
+    from surfrep.surface import Check
 
     body = {
         "command": ["certify", args.pieces],
         "inputs": {"file": args.pieces, "n": cert.n},
         "checks": [
-            Check(f"{piece.piece_id} {name}", cert.n, value, ">=").to_json()
+            _row(Check(f"{piece.piece_id} {name}", cert.n, value, ">="))
             for piece in cert.pieces
             for name, value in piece.conditions()
         ],

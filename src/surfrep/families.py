@@ -7,23 +7,24 @@ cheapest reference class at a target value n, and uniform three-sector
 chain weightings modeling a two-parameter link family.  Each family
 carries closed-form boundary counts for every reference class;
 ``verify_family`` recomputes counts, smoothed component numbers, and
-certified representativity, reporting one named comparison per claim.
+certified representativity, and returns one ``Check`` per claim.  The
+CLI turns the checks into report rows and their verdict.
+
+Only ``surface`` is imported at module top: ``verify_family`` imports
+the certificate and the component counter when it runs, so building an
+instance, as ``generate`` does, loads neither.
 """
 
 from __future__ import annotations
 
 import math
-import operator
-from typing import Any
 
-from surfrep.certificate import representativity_exact, upper_bound
-from surfrep.smoothing import trace_components
-from surfrep.surface import CurveClass, MultiCurve, SurfaceModel, _Value, _ascii_int, _set_field
+from surfrep.surface import (
+    Check, CurveClass, MultiCurve, SurfaceModel, _Value, _ascii_int, _set_field,
+)
 
 __all__ = [
     "FamilyInstance",
-    "Check",
-    "FamilyReport",
     "torus_knot",
     "exact_knot",
     "lpq_link",
@@ -148,63 +149,11 @@ def claimed_counts(inst: FamilyInstance) -> list[tuple[CurveClass, int, str]]:
 
 #-- Verification --#
 
-#: the comparison a Check makes, actual against expected
-_RELATIONS = {"==": operator.eq, ">=": operator.ge, "<": operator.lt}
-
-
-class Check(_Value):
-    """One recomputed quantity compared against its claim.
-
-    The check passes when ``actual relation expected`` holds; an
-    ``actual`` of None, a quantity that could not be recomputed, fails.
-    """
-
-    name: str
-    expected: Any
-    actual: Any
-    relation: str
-
-    def __init__(self, name: str, expected: Any, actual: Any, relation: str = "==") -> None:
-        if relation not in _RELATIONS:
-            raise ValueError(f"relation must be one of {', '.join(_RELATIONS)}, got {relation!r}")
-        _set_field(self, "name", name)
-        _set_field(self, "expected", expected)
-        _set_field(self, "actual", actual)
-        _set_field(self, "relation", relation)
-
-    @property
-    def passed(self) -> bool:
-        return self.actual is not None and _RELATIONS[self.relation](self.actual, self.expected)
-
-    def to_json(self) -> dict[str, Any]:
-        shown = self.expected if self.relation == "==" else f"{self.relation} {self.expected}"
-        return {
-            "name": self.name,
-            "expected": shown,
-            "actual": self.actual,
-            "pass": self.passed,
-        }
-
-
-class FamilyReport(_Value):
-    """Every check of one family instance, and whether all of them passed."""
-
-    family: str
-    extrapolated: bool
-    checks: tuple[Check, ...]
-
-    def __init__(self, family: str, extrapolated: bool, checks: tuple[Check, ...]) -> None:
-        _set_field(self, "family", family)
-        _set_field(self, "extrapolated", extrapolated)
-        _set_field(self, "checks", checks)
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-
-def verify_family(inst: FamilyInstance) -> FamilyReport:
+def verify_family(inst: FamilyInstance) -> tuple[Check, ...]:
     """Recompute every claimed quantity of the instance and compare."""
+    from surfrep.certificate import representativity_exact, upper_bound
+    from surfrep.smoothing import trace_components
+
     curve = inst.curve
     checks: list[Check] = []
     for cls, expected, formula in claimed_counts(inst):
@@ -234,4 +183,4 @@ def verify_family(inst: FamilyInstance) -> FamilyReport:
                 "<",
             )
         )
-    return FamilyReport(inst.label, inst.extrapolated, tuple(checks))
+    return tuple(checks)

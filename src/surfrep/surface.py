@@ -12,18 +12,23 @@ Two closed orientable surface models are supported:
 A multicurve is a nonnegative integer weight per class: b_i parallel
 copies of m_i and a_j parallel copies of l_j, arranged so that every
 crossing between a longitude copy and a meridian copy is transverse.
+
+The module is also the base the others build on: the integer rules, the
+value-class base, and ``Check``, one computed quantity compared with
+its claim, from which the CLI builds its report rows.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
-from operator import attrgetter
+from operator import attrgetter, eq, ge, lt
 from typing import Any
 
 __all__ = [
     "SurfaceModel",
     "CurveClass",
     "MultiCurve",
+    "Check",
 ]
 
 
@@ -122,6 +127,34 @@ class _Value:
 
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {name!r}")
+
+
+#: the comparison a Check makes, actual against expected
+_RELATIONS = {"==": eq, ">=": ge, "<": lt}
+
+
+class Check(_Value):
+    """One computed quantity compared against its claim.
+
+    The check passes when ``actual relation expected`` holds; an
+    ``actual`` of None, a quantity that could not be computed, fails.
+    How a check is shown in a report is the CLI's business.
+    """
+
+    name: str
+    expected: Any
+    actual: Any
+    relation: str
+
+    def __init__(self, name: str, expected: Any, actual: Any, relation: str = "==") -> None:
+        if relation not in _RELATIONS:
+            raise ValueError(f"relation must be one of {', '.join(_RELATIONS)}, got {relation!r}")
+        for field, value in zip(self._fields, (name, expected, actual, relation)):
+            _set_field(self, field, value)
+
+    @property
+    def passed(self) -> bool:
+        return self.actual is not None and _RELATIONS[self.relation](self.actual, self.expected)
 
 
 #-- Surfaces --#

@@ -146,6 +146,11 @@ def test_certify_rejects_bad_files(capsys, tmp_path):
         code, out, err = run_cli(capsys, "certify", _write(tmp_path, name, payload))
         assert (code, out) == (2, ""), name
         assert "must be an integer" in err
+    # the read step holds a stored n to the file's integer rule even when
+    # --n overrides it
+    override = _write(tmp_path, "override.json", {"pieces": pants, "n": 4.7})
+    code, out, err = run_cli(capsys, "certify", override, "--n", "4")
+    assert (code, out) == (2, "") and "stored n must be an integer" in err
     # a level below 0 certifies nothing
     negative = _write(tmp_path, "negative.json", {"pieces": pants, "n": -3})
     code, out, err = run_cli(capsys, "certify", negative)

@@ -7,6 +7,7 @@ import math
 
 import pytest
 
+from surfrep.cli import main
 from surfrep.families import (
     claimed_counts,
     exact_knot,
@@ -108,12 +109,17 @@ def test_exactly_count_values_at_4_2():
 
 #-- Reports --#
 
+def passed(checks) -> bool:
+    """The verdict of a verify run over these checks."""
+    return all(c.passed for c in checks)
+
+
 def test_torus_reports_pass():
     for p in range(1, 7):
         for q in range(1, 7):
-            report = verify_family(torus_knot(p, q))
-            assert report.passed, report
-            names = [c.name for c in report.checks]
+            checks = verify_family(torus_knot(p, q))
+            assert passed(checks), checks
+            names = [c.name for c in checks]
             assert "smoothed components = gcd(p, q)" in names
             assert "crossing upper bound = min(p, q)" in names
 
@@ -121,37 +127,43 @@ def test_torus_reports_pass():
 def test_exactly_reports_even_weights_pass():
     for n in (2, 4, 6, 8):
         for g in (1, 2, 3):
-            report = verify_family(exact_knot(n, g))
-            assert report.passed, (n, g, report)
+            checks = verify_family(exact_knot(n, g))
+            assert passed(checks), (n, g, checks)
 
 
 def test_exactly_reports_odd_weights_fail_only_representativity():
     """Odd n at genus >= 2: counts hold but the certificate stops at n-1."""
     for n in (3, 5, 7):
         for g in (2, 3):
-            report = verify_family(exact_knot(n, g))
-            assert not report.passed
-            failing = [c for c in report.checks if not c.passed]
+            checks = verify_family(exact_knot(n, g))
+            assert not passed(checks)
+            failing = [c for c in checks if not c.passed]
             assert [c.name for c in failing] == ["certified representativity"]
-            assert all(c.passed for c in report.checks if c.name.startswith("count"))
+            assert all(c.passed for c in checks if c.name.startswith("count"))
     # genus 1 keeps the loop condition only, which meets n for odd n too
     for n in (3, 5, 7):
-        assert verify_family(exact_knot(n, 1)).passed
+        assert passed(verify_family(exact_knot(n, 1)))
 
 
 def test_lpq_reports_pass():
     for p, q in [(1, 4), (1, 5), (2, 7), (2, 9), (3, 10)]:
-        report = verify_family(lpq_link(p, q))
-        assert report.passed, (p, q, report)
-        comps = next(c for c in report.checks if c.name == "smoothed components")
+        checks = verify_family(lpq_link(p, q))
+        assert passed(checks), (p, q, checks)
+        comps = next(c for c in checks if c.name == "smoothed components")
         assert comps.actual >= 1
 
 
-def test_report_json_shape():
-    report = verify_family(torus_knot(2, 3))
-    assert (report.family, report.passed, report.extrapolated) == ("torus:2,3", True, False)
-    checks = json.loads(json.dumps([c.to_json() for c in report.checks]))
-    assert all(set(c) == {"name", "expected", "actual", "pass"} for c in checks)
+def test_report_json_shape(capsys):
+    """The verify report names the instance in its inputs and shows one
+    row per check, in order."""
+    for family, extrapolated in (("torus:2,3", False), ("exactly:4,1", True)):
+        assert main(["verify", family]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["inputs"] == {"family": family, "extrapolated": extrapolated}
+        checks = report["checks"]
+        assert all(set(c) == {"name", "expected", "actual", "pass"} for c in checks)
+        inst = parse_family(family)
+        assert [c["name"] for c in checks] == [c.name for c in verify_family(inst)]
 
 
 def test_components_match_gcd_for_torus_family():

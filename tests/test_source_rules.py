@@ -90,20 +90,30 @@ def test_start_up_loads_no_package_module_but_the_cli():
 
 
 def test_a_subcommand_loads_only_the_modules_it_calls(tmp_path):
-    """``bounds`` and ``facewidth`` share only ``surface``: neither loads the
-    certificate, family or smoothing modules, nor the other's module."""
+    """Each subcommand loads exactly the package modules it calls: the CLI
+    builds the report rows itself, so ``generate`` loads no certificate
+    and ``certify`` no families."""
     grid = tmp_path / "grid3.json"
     grid.write_text(json.dumps(toroidal_grid(3).to_json()))
-    unused = {
-        ("bounds", "--tag", "two_bridge"): {"facewidth", "certificate", "families", "smoothing"},
-        ("facewidth", str(grid)): {"bounds", "certificate", "families", "smoothing"},
+    # one pair of pants with each arc doubled: it certifies level 4
+    piece = tmp_path / "piece.json"
+    piece.write_text(json.dumps({"n": 4, "pieces": [{"piece": "P", "circles": 3, "arcs": [
+        {"a": a, "b": b, "mult": 2} for a, b in ((0, 1), (1, 2), (0, 2))]}]}))
+    verify = {"families", "surface", "certificate", "smoothing"}
+    expected = {
+        ("generate", "exactly:4,2"): {"families", "surface"},
+        ("verify", "torus:3,5"): verify,
+        ("verify", "exactly:4,2"): verify,
+        ("certify", str(piece)): {"certificate", "surface"},
+        ("bounds", "--tag", "two_bridge"): {"bounds", "surface"},
+        ("facewidth", str(grid)): {"facewidth", "surface"},
     }
-    for argv, modules in unused.items():
+    for argv, modules in expected.items():
         loaded = _modules_after(
             f"import surfrep.cli\nif surfrep.cli.main({list(argv)!r}):\n    raise SystemExit(1)"
         )
-        found = sorted(_package_modules(loaded) & {f"surfrep.{m}" for m in modules})
-        assert not found, f"{argv[0]} loads {found}"
+        wanted = {"surfrep", "surfrep.cli"} | {f"surfrep.{m}" for m in modules}
+        assert _package_modules(loaded) == wanted, argv
 
 
 def test_the_certificate_loads_no_smoothing():
@@ -111,6 +121,13 @@ def test_the_certificate_loads_no_smoothing():
     certificate needs only the surface module, not the orbit counter."""
     loaded = _package_modules(_modules_after("import surfrep.certificate"))
     assert loaded == {"surfrep", "surfrep.certificate", "surfrep.surface"}
+
+
+def test_the_families_load_only_the_surface():
+    """Building an instance needs only the surface module: ``verify_family``
+    imports the certificate and the component counter when it runs."""
+    loaded = _package_modules(_modules_after("import surfrep.families"))
+    assert loaded == {"surfrep", "surfrep.families", "surfrep.surface"}
 
 
 def test_no_cli_integer_is_read_with_type_int():

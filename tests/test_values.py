@@ -11,13 +11,13 @@ import pytest
 import surfrep
 from surfrep.bounds import Interval, SubjectTags
 from surfrep.certificate import Certificate, PieceBounds, PlanarPiece, Representativity
+from surfrep.cli import _row
 from surfrep.facewidth import RotationSystem
-from surfrep.families import Check, FamilyInstance, FamilyReport
-from surfrep.surface import CurveClass, MultiCurve, SurfaceModel, _Value
+from surfrep.families import FamilyInstance
+from surfrep.surface import Check, CurveClass, MultiCurve, SurfaceModel, _Value
 
 TORUS = SurfaceModel("torus", 1)
 CURVE = MultiCurve(TORUS, (3,), (5,))
-CHECK = Check("smoothed components", 1, 1)
 
 #: per class: every field by keyword in declared order, one field changed,
 #: and the fields that have defaults with their default values
@@ -37,8 +37,6 @@ CASES = [
      {"extrapolated": True}, {"extrapolated": False}),
     (Check, {"name": "smoothed components", "expected": 1, "actual": 1, "relation": ">="},
      {"relation": "=="}, {"relation": "=="}),
-    (FamilyReport, {"family": "torus:5,3", "extrapolated": False, "checks": (CHECK,)},
-     {"checks": ()}, {}),
     (Interval, {"lo": Fraction(1), "hi": Fraction(7, 2), "lo_rules": ("seed:r",),
                 "hi_rules": ()}, {"hi": None},
      {"lo": Fraction(0), "hi": None, "lo_rules": (), "hi_rules": ()}),
@@ -52,6 +50,7 @@ def test_cases_cover_every_value_class():
         importlib.import_module(f"surfrep.{module.name}")
     defined = {cls for cls in _Value.__subclasses__() if cls.__module__.startswith("surfrep.")}
     assert {case[0] for case in CASES} == defined
+    assert len(CASES) == 12
 
 
 @pytest.mark.parametrize(
@@ -97,9 +96,8 @@ def test_verdicts_derive_from_the_stored_fields():
     pieces = (PieceBounds("F1+", 4, 2), PieceBounds("F2+", 6, None))
     assert Certificate(4, pieces).lower_ok is True
     assert Certificate(5, pieces).lower_ok is False
-    assert CHECK.passed is True
-    failed = Check("smoothed components", 1, 2)
-    assert failed.passed is False
+    assert Check("smoothed components", 1, 1).passed is True
+    assert Check("smoothed components", 1, 2).passed is False
     assert Check("smoothed components", 1, 2, ">=").passed is True
     assert Check("smoothed components", 1, 0, ">=").passed is False
     assert Check("doubled", 12, 8, "<").passed is True
@@ -113,17 +111,14 @@ def test_verdicts_derive_from_the_stored_fields():
     for relation in ("=", "<=", ">", "!=", "", None):
         with pytest.raises(ValueError, match="relation"):
             Check("smoothed components", 1, 2, relation)
-    assert FamilyReport("torus:5,3", False, (CHECK,)).passed is True
-    assert FamilyReport("torus:5,3", False, (CHECK, failed)).passed is False
-    assert FamilyReport("torus:5,3", False, ()).passed is True
 
 
 def test_check_shows_its_relation_in_the_expected_value():
-    """``==`` shows the bare claim; any other relation prefixes it, as the
-    reports print ``>= 4`` and ``< 12``."""
-    assert Check("count m0 = n", 4, 4).to_json() == {
+    """A check's report row, built by the CLI: ``==`` shows the bare claim;
+    any other relation prefixes it, as the reports print ``>= 4`` and ``< 12``."""
+    assert _row(Check("count m0 = n", 4, 4)) == {
         "name": "count m0 = n", "expected": 4, "actual": 4, "pass": True}
-    assert Check("F1+ loop minimum", 4, 3, ">=").to_json()["expected"] == ">= 4"
-    assert Check("smoothed components", 1, 2, ">=").to_json()["expected"] == ">= 1"
-    shown = Check("doubled", 12, None, "<").to_json()
+    assert _row(Check("F1+ loop minimum", 4, 3, ">="))["expected"] == ">= 4"
+    assert _row(Check("smoothed components", 1, 2, ">="))["expected"] == ">= 1"
+    shown = _row(Check("doubled", 12, None, "<"))
     assert (shown["expected"], shown["actual"], shown["pass"]) == ("< 12", None, False)
