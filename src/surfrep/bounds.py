@@ -7,7 +7,9 @@ components.  Each fact is a closed interval with non-negative rational
 endpoints; :func:`propagate` narrows the intervals to the fixed point of
 a fixed rule catalog, recording for every endpoint the chain of rules
 that produced it, and returns one :class:`Interval` per attribute in
-``ATTRIBUTES`` order.
+``ATTRIBUTES`` order.  Known facts enter as seeds, also Intervals: an
+exact value as :func:`seeds_from_strings` reads ``b=4``, [4, 4], or a
+one-sided bound such as r >= L, ``Interval(L)``.
 
 Rule catalog, each rule switched on by one tag or always on:
 
@@ -48,7 +50,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from surfrep.surface import _Value, _ascii_int, _set_field, _strict_int
 
@@ -60,6 +62,7 @@ __all__ = [
     "Interval",
     "SubjectTags",
     "propagate",
+    "seeds_from_strings",
 ]
 
 #: quantities the engine reasons about; all of them are integer valued
@@ -92,11 +95,6 @@ _PRETZEL_THREE = frozenset(
 
 #-- Facts --#
 
-#: the types of an Interval endpoint and of a seed, compared by type() so that
-#: bool is not an int
-_EXACT = (int, Fraction)
-
-
 class Interval(_Value):
     """Closed interval with non-negative exact endpoints, ints or Fractions.
 
@@ -117,8 +115,8 @@ class Interval(_Value):
         lo_rules: tuple[str, ...] = (),
         hi_rules: tuple[str, ...] = (),
     ) -> None:
-        # a float endpoint is inexact and a bool is not a number
-        if type(lo) not in _EXACT or (hi is not None and type(hi) not in _EXACT):
+        # a float endpoint is inexact, and by type() a bool is not an int
+        if type(lo) not in (int, Fraction) or (hi is not None and type(hi) not in (int, Fraction)):
             raise ValueError(f"interval endpoints must be ints or Fractions, got {lo!r}, {hi!r}")
         if lo < 0:
             raise ValueError("interval endpoints must be non-negative")
@@ -192,29 +190,21 @@ class SubjectTags(_Value):
         """Parse flags of the form ``name`` or ``name=p,q``, with p and q
         ASCII decimal integers and spaces allowed around ``=``; the
         constructor checks the number of parameters."""
-        names: set[str] = set()
-        params: dict[str, tuple[int, ...]] = {}
-        for item in items:
-            name, eq, raw = item.partition("=")
-            name = name.strip()
-            if name in names:
-                raise ValueError(f"duplicate tag {name!r}")
-            names.add(name)
+        params: dict[str, tuple[int, ...] | None] = {}
+        form = "tag {!r} must look like two_bridge or torus_knot=3,5"
+        for name, raw in _split(items, form, "duplicate tag {!r}"):
+            params[name] = None
             if name in _PARAM_ARITY:
-                if not eq:
+                if raw is None:
                     raise ValueError(f"tag {name!r} needs parameters, e.g. {name}=3,5")
                 try:
-                    values = tuple(map(_ascii_int, raw.strip().split(",")))
+                    params[name] = tuple(map(_ascii_int, raw.strip().split(",")))
                 except ValueError:
                     raise ValueError(f"parameters of {name!r} must be integers") from None
-                params[name] = values
-            elif eq:
+            elif raw is not None:
                 raise ValueError(f"tag {name!r} takes no parameters")
-        return cls(
-            frozenset(names),
-            params.get("torus_knot"),  # type: ignore[arg-type]
-            params.get("pretzel"),  # type: ignore[arg-type]
-        )
+        return cls(frozenset(params), params.get("torus_knot"),  # type: ignore[arg-type]
+                   params.get("pretzel"))  # type: ignore[arg-type]
 
     def labels(self) -> tuple[str, ...]:
         """Canonical string form, one entry per tag, sorted by name."""
@@ -223,6 +213,46 @@ class SubjectTags(_Value):
             values = getattr(self, name) if name in _PARAM_ARITY else None
             out.append(name if values is None else name + "=" + ",".join(map(str, values)))
         return tuple(out)
+
+
+def _split(
+    items: Iterable[str], form: str, duplicate: str, valued: bool = False
+) -> Iterator[tuple[str, str | None]]:
+    """Each flag ``name=value`` as (name, value), split at the first '='
+    with the name stripped, value None without one.  An empty name, or no
+    value when ``valued``, raises ``form``; a repeated name ``duplicate``."""
+    seen: set[str] = set()
+    for item in items:
+        name, eq, raw = item.partition("=")
+        name = name.strip()
+        if not name or (valued and not eq):
+            raise ValueError(form.format(item))
+        if name in seen:
+            raise ValueError(duplicate.format(name))
+        seen.add(name)
+        yield name, raw if eq else None
+
+
+def seeds_from_strings(items: Iterable[str]) -> dict[str, Interval]:
+    """Parse seeds ``name=p`` or ``name=p/q``, with p and q ASCII decimal
+    integers, q unsigned and spaces allowed around ``=``, each as the
+    exact interval [p/q, p/q]; the constructor checks the sign."""
+    seeds: dict[str, Interval] = {}
+    form = "seed {!r} must look like b=3 or bs=7/2"
+    for name, raw in _split(items, form, "duplicate seed for {!r}", valued=True):
+        p, slash, q = raw.strip().partition("/")  # type: ignore[union-attr]
+        try:
+            # a sign belongs on p alone, as Fraction() has it
+            if q.startswith("-"):
+                raise ValueError
+            value = Fraction(_ascii_int(p), _ascii_int(q) if slash else 1)
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(f"seed value {raw!r} is not a rational number") from None
+        try:
+            seeds[name] = Interval(value, value)
+        except ValueError as exc:
+            raise ValueError(f"seed for {name!r}: {exc}") from None
+    return seeds
 
 
 class Contradiction(Exception):
@@ -377,42 +407,39 @@ def _apply(rule: str, f: dict[str, Interval], tags: SubjectTags) -> bool:
 
 def propagate(
     tags: SubjectTags,
-    seeds: Mapping[str, int | Fraction] | None = None,
+    seeds: Mapping[str, Interval] | None = None,
     *,
     rule_order: Sequence[str] = RULE_ORDER,
 ) -> dict[str, Interval]:
     """Narrow the attribute intervals to the fixed point of the rule catalog.
 
     Returns one interval per attribute, keyed in ``ATTRIBUTES`` order.
-    ``seeds`` maps attribute names to known exact values, ints or
-    Fractions.  ``rule_order`` affects only which chain gets recorded
-    when several rules justify the same endpoint; the interval values of
-    the fixed point do not depend on it.  Raises :class:`Contradiction`
-    when the facts are inconsistent.
+    ``seeds`` maps attribute names to known facts, each an
+    :class:`Interval`: an exact value v as ``Interval(v, v)``, a lower
+    bound L alone as ``Interval(L)``.  Both ends enter with the chain
+    ``seed:<name>``.  ``rule_order`` affects only which chain gets
+    recorded when several rules justify the same endpoint; the interval
+    values of the fixed point do not depend on it.  Raises
+    :class:`Contradiction` when the facts are inconsistent.
     """
     if sorted(rule_order) != sorted(RULE_ORDER):
         raise ValueError("rule_order must be a permutation of the rule ids")
     facts = {name: Interval() for name in ATTRIBUTES}
-    for name, value in (seeds or {}).items():
+    for name, seed in (seeds or {}).items():
         if name not in facts:
             raise ValueError(f"unknown attribute {name!r}")
-        if type(value) not in _EXACT:
-            raise ValueError(f"seed values must be ints or Fractions, got {value!r}")
-        exact = Fraction(value)
-        if exact < 0:
-            raise ValueError(f"seed for {name!r} must be non-negative")
+        if not isinstance(seed, Interval):
+            raise ValueError(f"seed for {name!r} is not an Interval: {seed!r}")
         rules = (f"seed:{name}",)
-        _raise_lo(facts, name, exact, rules)
-        _lower_hi(facts, name, exact, rules)
+        _raise_lo(facts, name, Fraction(seed.lo), rules)
+        if seed.hi is not None:
+            _lower_hi(facts, name, Fraction(seed.hi), rules)
     on = tags.effective | {None}
     active = [rule for rule in rule_order if _CATALOG[rule][0] in on]
-    changed = True
-    passes = 0
-    while changed:
+    for _ in range(64):
         changed = False
         for rule in active:
             changed |= _apply(rule, facts, tags)
-        passes += 1
-        if passes > 64:
-            raise RuntimeError("propagation failed to stabilise")
-    return facts
+        if not changed:
+            return facts
+    raise RuntimeError("propagation failed to stabilise")

@@ -22,9 +22,9 @@ clock, the ``error:`` line and exit 2 of a failed read, the verdict and
 exit 0 or 1.  An exception from a report step, on input that decoded,
 is a bug and propagates.
 
-Package modules, and ``fractions``, are imported inside the step that
-uses them: a start is one process for one subcommand, so it loads and
-compiles only the modules that subcommand calls.
+Package modules are imported inside the step that uses them: a start
+is one process for one subcommand, so it loads and compiles only the
+modules that subcommand calls.
 """
 
 from __future__ import annotations
@@ -37,8 +37,6 @@ import time
 from typing import TYPE_CHECKING, Any, Sequence, TypeAlias
 
 if TYPE_CHECKING:
-    from fractions import Fraction
-
     from surfrep.bounds import Contradiction, Interval, SubjectTags
     from surfrep.certificate import Certificate
     from surfrep.facewidth import RotationSystem
@@ -196,41 +194,15 @@ def _level(text: str) -> int:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
 
-def _parse_seeds(items: Sequence[str]) -> dict[str, Fraction]:
-    """Seeds ``name=p`` or ``name=p/q``: ASCII integers, q unsigned, spaces
-    allowed around ``=``."""
-    from fractions import Fraction
-
-    from surfrep.surface import _ascii_int
-
-    seeds: dict[str, Fraction] = {}
-    for item in items:
-        name, eq, raw = item.partition("=")
-        name = name.strip()
-        if not eq or not name:
-            raise ValueError(f"seed {item!r} must look like b=3 or bs=7/2")
-        if name in seeds:
-            raise ValueError(f"duplicate seed for {name!r}")
-        p, slash, q = raw.strip().partition("/")
-        try:
-            # a sign belongs on p alone, as Fraction() has it
-            if q.startswith("-"):
-                raise ValueError
-            seeds[name] = Fraction(_ascii_int(p), _ascii_int(q) if slash else 1)
-        except (ValueError, ZeroDivisionError):
-            raise ValueError(f"seed value {raw!r} is not a rational number") from None
-    return seeds
-
-
 #: tags, seeds, and their facts or the contradiction they reach (a result, not bad input)
-Bounds: TypeAlias = "tuple[SubjectTags, dict[str, Fraction], dict[str, Interval] | Contradiction]"
+Bounds: TypeAlias = "tuple[SubjectTags, dict[str, Interval], dict[str, Interval] | Contradiction]"
 
 
 def _read_bounds(args: argparse.Namespace) -> Bounds:
-    from surfrep.bounds import Contradiction, SubjectTags, propagate
+    from surfrep.bounds import Contradiction, SubjectTags, propagate, seeds_from_strings
 
     tags = SubjectTags.from_strings(args.tag)
-    seeds = _parse_seeds(args.seed)
+    seeds = seeds_from_strings(args.seed)
     try:
         return tags, seeds, propagate(tags, seeds)
     except Contradiction as exc:
@@ -243,10 +215,10 @@ def _report_bounds(args: argparse.Namespace, read: Bounds) -> tuple[Body, bool]:
     tags, seeds, facts = read
     body: Body = {
         "command": ["bounds", *(f"--tag {t}" for t in tags.labels()),
-                    *(f"--seed {k}={v}" for k, v in sorted(seeds.items()))],
+                    *(f"--seed {k}={v.lo}" for k, v in sorted(seeds.items()))],
         "inputs": {
             "tags": list(tags.labels()),
-            "seeds": {k: str(v) for k, v in sorted(seeds.items())},
+            "seeds": {k: str(v.lo) for k, v in sorted(seeds.items())},
         },
     }
     if isinstance(facts, Contradiction):

@@ -807,18 +807,19 @@ def catalog_holds(tags, r, b, bs, waist, beta1) -> bool:
 
 def feasible_points(tags, seeds, box: int) -> list[tuple[int, ...]]:
     """Integer points (r, b, bs, waist, beta1) in [0, box]^5 that satisfy
-    the catalog and the seeds.
+    the catalog and lie in the seeds, each an ``Interval``.
 
-    The component count appears in no rule, so its seed only has to be
-    an integer.  A seed that is not an integer admits no point.
+    The component count appears in no rule, so its seed only has to hold
+    an integer.  A seed that holds no integer admits no point.
     """
     seeds = dict(seeds or {})
-    if any(value != int(value) for value in seeds.values()):
+
+    def admits(axis: str, value: int) -> bool:
+        iv = seeds.get(axis)
+        return iv is None or (iv.lo <= value and (iv.hi is None or value <= iv.hi))
+
+    components = seeds.get("components")
+    if components is not None and not admits("components", math.ceil(components.lo)):
         return []
-    ranges = [
-        [int(seeds[axis])] if axis in seeds else range(box + 1) for axis in BOUNDS_AXES
-    ]
-    return [
-        point for point in product(*ranges)
-        if max(point) <= box and catalog_holds(tags, *point)
-    ]
+    ranges = [[v for v in range(box + 1) if admits(axis, v)] for axis in BOUNDS_AXES]
+    return [point for point in product(*ranges) if catalog_holds(tags, *point)]

@@ -12,6 +12,7 @@ import time
 from fractions import Fraction
 
 from surfrep import (
+    Interval,
     MultiCurve,
     PlanarPiece,
     SubjectTags,
@@ -84,7 +85,7 @@ def test_criterion_3_chain_link_certificates():
                 failures.append((p, q, rep.lower, rep.upper, rep.exact))
                 continue
             strings = 6 * p  # recorded bridge string count of the family
-            facts = propagate(SubjectTags(), {"bs": strings})
+            facts = propagate(SubjectTags(), {"bs": Interval(strings, strings)})
             if not contains(facts["r"], rep.exact) or not rep.exact < Fraction(strings, 2):
                 failures.append((p, q, "inconsistent with bs seed"))
     _conclude(3, failures, started, "12 instances certify r = 2p with strict slack")
@@ -183,16 +184,17 @@ def test_criterion_7_bounds_engine():
             if snap["r"] != (m, m) or snap["b"] != (m, m) or snap["bs"] != (2 * m, 2 * m):
                 failures.append(((p, q), snap))
 
-    fs = propagate(SubjectTags.from_strings(("composite",)), {"b": 4})
+    fs = propagate(SubjectTags.from_strings(("composite",)), {"b": Interval(4, 4)})
     if snapshot(fs)["r"] != (2, 2) or snapshot(fs)["bs"] != (8, 8):
         failures.append(("composite b=4", snapshot(fs)))
 
     subjects = [
         (SubjectTags.from_strings(("two_bridge",)), {}),
         (SubjectTags.from_strings(("torus_knot=3,5",)), {}),
-        (SubjectTags.from_strings(("composite",)), {"b": 4}),
-        (SubjectTags.from_strings(("theta_curve", "primitive")), {"beta1": 2, "b": 2}),
-        (SubjectTags.from_strings(("nontrivial_knot",)), {"r": 5}),
+        (SubjectTags.from_strings(("composite",)), {"b": Interval(4, 4)}),
+        (SubjectTags.from_strings(("theta_curve", "primitive")),
+         {"beta1": Interval(2, 2), "b": Interval(2, 2)}),
+        (SubjectTags.from_strings(("nontrivial_knot",)), {"r": Interval(5, 5)}),
     ]
     rng = random.Random(3)
     references = [snapshot(propagate(t, s)) for t, s in subjects]

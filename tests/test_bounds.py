@@ -18,6 +18,7 @@ from surfrep.bounds import (
     Interval,
     SubjectTags,
     propagate,
+    seeds_from_strings,
 )
 from surfrep.certificate import representativity_exact, upper_bound
 from surfrep.families import exact_knot, lpq_link, torus_knot
@@ -25,6 +26,11 @@ from surfrep.families import exact_knot, lpq_link, torus_knot
 
 def F(x) -> Fraction:
     return Fraction(x)
+
+
+def exact(value: int | Fraction) -> Interval:
+    """The seed of a known exact value."""
+    return Interval(value, value)
 
 
 def _tags(*items: str) -> SubjectTags:
@@ -114,6 +120,24 @@ def test_tag_parameters_are_strict_integers():
     assert SubjectTags(frozenset({"pretzel"}), pretzel=(-3, 5, 7)).labels() == ("pretzel=-3,5,7",)
 
 
+def test_seeds_read_as_exact_intervals():
+    """``name=p/q`` reads as the interval [p/q, p/q] with Fraction ends, and
+    tags and seeds share one split: the name stripped, an empty or a
+    repeated name refused."""
+    seeds = seeds_from_strings([" bs = 12/2 ", "r=7/2", "waist=-0"])
+    assert seeds == {"bs": exact(F(6)), "r": exact(Fraction(7, 2)), "waist": exact(F(0))}
+    assert all(type(iv.lo) is Fraction and type(iv.hi) is Fraction for iv in seeds.values())
+    for read, items, message in (
+        (seeds_from_strings, [" = 3"], "seed ' = 3' must look like b=3 or bs=7/2"),
+        (seeds_from_strings, ["b=2", " b =3"], "duplicate seed for 'b'"),
+        (SubjectTags.from_strings, [" =3"],
+         "tag ' =3' must look like two_bridge or torus_knot=3,5"),
+        (SubjectTags.from_strings, ["two_bridge", " two_bridge "], "duplicate tag 'two_bridge'"),
+    ):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            read(items)
+
+
 #-- Fixed points traced by hand --#
 
 def test_torus_knot_fixpoint():
@@ -148,7 +172,7 @@ def test_two_bridge_fixpoint():
 
 
 def test_composite_with_seeded_bridge_number():
-    fs = propagate(_tags("composite"), {"b": 4})
+    fs = propagate(_tags("composite"), {"b": exact(4)})
     assert fs["r"].lo == fs["r"].hi == 2
     assert fs["bs"].lo == fs["bs"].hi == 8
     assert fs["bs"].hi_rules == ("seed:b", "R3")
@@ -158,12 +182,12 @@ def test_composite_with_seeded_bridge_number():
 def test_parity_contradiction():
     # bs = 2b forces even bs; a seeded bs of 3 cannot survive
     with pytest.raises(Contradiction) as default_order:
-        propagate(_tags("nontrivial_knot"), {"bs": 3})
+        propagate(_tags("nontrivial_knot"), {"bs": exact(3)})
     assert "seed:bs" in default_order.value.rules
 
     # under the reversed order R3 halves the seed first: b = [3/2, 3/2]
     with pytest.raises(Contradiction) as reversed_order:
-        propagate(_tags("nontrivial_knot"), {"bs": 3}, rule_order=RULE_ORDER[::-1])
+        propagate(_tags("nontrivial_knot"), {"bs": exact(3)}, rule_order=RULE_ORDER[::-1])
     exc = reversed_order.value
     assert exc.attribute == "b"
     assert exc.lo == exc.hi == Fraction(3, 2)
@@ -172,12 +196,12 @@ def test_parity_contradiction():
 
 def test_relations_read_integer_endpoints():
     """bs = 2b sees that b > 9/2 means b >= 5, so bs >= 10, not 9."""
-    fs = propagate(_tags("algebraic"), {"waist": 3})
+    fs = propagate(_tags("algebraic"), {"waist": exact(3)})
     snap = snapshot(fs)
     assert snap["b"] == (F(5), None) and snap["bs"] == (F(10), None)
     assert fs["bs"].lo_rules == ("seed:waist", "R12", "R3")
     # stored endpoints stay rational where no relation has rounded them
-    assert propagate(SubjectTags(), {"bs": 7})["r"].hi == Fraction(7, 2)
+    assert propagate(SubjectTags(), {"bs": exact(7)})["r"].hi == Fraction(7, 2)
 
 
 def test_every_endpoint_is_a_fraction():
@@ -212,7 +236,7 @@ def test_pretzel_rules():
     with pytest.raises(Contradiction):
         propagate(_tags("pretzel=-2,3,5", "composite"))  # r = 3 vs r = 2
     with pytest.raises(Contradiction):
-        propagate(_tags("pretzel=1,3,7"), {"r": 3})  # seeded onto the excluded value
+        propagate(_tags("pretzel=1,3,7"), {"r": exact(3)})  # seeded onto the excluded value
 
     # a knot can carry both tags when the values agree
     both = propagate(_tags("torus_knot=3,5", "pretzel=-2,3,5"))
@@ -220,7 +244,7 @@ def test_pretzel_rules():
 
 
 def test_theta_curve_rules():
-    fs = propagate(_tags("theta_curve", "primitive"), {"beta1": 2, "b": 2})
+    fs = propagate(_tags("theta_curve", "primitive"), {"beta1": exact(2), "b": exact(2)})
     assert fs["r"].lo == 1 and fs["r"].hi == 2
     assert fs["r"].hi_rules == ("seed:beta1", "R11")
     assert fs["bs"].lo == 2 and fs["bs"].hi == 5
@@ -229,34 +253,99 @@ def test_theta_curve_rules():
     assert fs["waist"].integer_hull() == (0, 1)
 
     # the reverse direction of R10: a string count forces bridges
-    lo = propagate(_tags("theta_curve"), {"bs": 7})
+    lo = propagate(_tags("theta_curve"), {"bs": exact(7)})
     assert lo["b"].lo == 3
     assert lo["b"].lo_rules == ("seed:bs", "R10")
 
 
 def test_seed_and_order_validation():
-    with pytest.raises(ValueError):
-        propagate(_tags(), {"girth": 3})
-    with pytest.raises(ValueError):
-        propagate(_tags(), {"b": -1})
+    with pytest.raises(ValueError, match="^unknown attribute 'girth'$"):
+        propagate(_tags(), {"girth": exact(3)})
+    # the Interval a seed is refuses a negative end before propagate runs
+    with pytest.raises(ValueError, match="must be non-negative"):
+        propagate(_tags(), {"b": exact(-1)})
     with pytest.raises(ValueError):
         propagate(_tags(), rule_order=("R1", "R2"))
     # rational seeds are allowed; integrality then rejects a half bridge number
     with pytest.raises(Contradiction):
-        propagate(_tags(), {"b": Fraction(3, 2)})
+        propagate(_tags(), {"b": exact(Fraction(3, 2))})
 
 
 @pytest.mark.parametrize("seed", ["1e3", "3", 3.0, 2.5, True, False, Decimal("2.5"), Decimal(3)])
 def test_seeds_are_ints_or_fractions(seed):
-    """A seed is exact and a number: no string is parsed, no float or
-    Decimal converted, and a bool is not an int."""
-    with pytest.raises(ValueError, match="must be ints or Fractions"):
+    """A seed is an Interval, and its ends are exact numbers: no string is
+    parsed, no float or Decimal converted, and a bool is not an int."""
+    for lo, hi in ((seed, seed), (seed, None), (0, seed)):
+        with pytest.raises(ValueError, match="must be ints or Fractions"):
+            Interval(lo, hi)
+
+
+@pytest.mark.parametrize("seed", [3, Fraction(7, 2), "3", (3, 3), None])
+def test_a_seed_is_an_interval(seed):
+    """propagate reads an Interval per seed and converts nothing else,
+    not even an exact number."""
+    message = f"seed for 'r' is not an Interval: {seed!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         propagate(_tags(), {"r": seed})
+
+
+#-- One-sided seeds --#
+
+def test_a_one_sided_seed_raises_only_lower_ends():
+    """r >= 3 alone, as a certificate would give it, enters like any fact."""
+    fs = propagate(_tags("nontrivial_knot"), {"r": Interval(3)})
+    assert fs["r"].lo == 3 and fs["r"].hi is None
+    assert fs["r"].lo_rules == ("seed:r",) and fs["r"].hi_rules == ()
+    assert fs["b"].lo == 3 and fs["b"].lo_rules == ("seed:r", "R2")
+    assert fs["bs"].lo == 6
+    assert all(type(iv.lo) is Fraction for iv in fs.values())
+
+
+def test_schubert_consistency():
+    """On the torus knot T(p, q) a certified r >= min(p, q) agrees with R4's
+    r = b = min(p, q), and one more than that contradicts it."""
+    pairs = 0
+    for p in range(2, 41):
+        for q in range(p + 1, 41):
+            if math.gcd(p, q) != 1:
+                continue
+            m = min(p, q)
+            tags = _tags(f"torus_knot={p},{q}")
+            snap = snapshot(propagate(tags, {"r": Interval(m)}))
+            assert snap["r"] == snap["b"] == (m, m), (p, q)
+            with pytest.raises(Contradiction) as above:
+                propagate(tags, {"r": Interval(m + 1)})
+            assert {"seed:r", "R4"} <= set(above.value.rules), (p, q)
+            pairs += 1
+    assert pairs > 400
+
+
+def test_one_sided_seeds_cut_off_no_feasible_point():
+    """Lower bounds alone narrow soundly and confluently: no integer point of
+    the enumerated catalog inside the seeds is cut off, a contradiction
+    leaves none, and the fixed point does not depend on the rule order."""
+    rng = random.Random(20261019)
+    contradictions = with_points = 0
+    for _ in range(200):
+        tags, exact_seeds = _random_subject(rng)
+        seeds = {name: Interval(iv.lo) for name, iv in exact_seeds.items()}
+        points = feasible_points(tags, seeds, 7)
+        reference = _outcome(tags, seeds, RULE_ORDER)
+        assert _outcome(tags, seeds, rng.sample(RULE_ORDER, len(RULE_ORDER))) == reference
+        if reference == "contradiction":
+            assert not points, (tags, seeds, points[:3])
+            contradictions += 1
+            continue
+        for point in points:
+            assert all(lo <= v and (hi is None or v <= hi)
+                       for (lo, hi), v in zip(map(reference.get, BOUNDS_AXES), point))
+        with_points += bool(points)
+    assert 0 < contradictions < 100 and with_points > 0
 
 
 #-- Engine-level properties --#
 
-def _random_subject(rng: random.Random) -> tuple[SubjectTags, dict[str, int]]:
+def _random_subject(rng: random.Random) -> tuple[SubjectTags, dict[str, Interval]]:
     while True:
         names = {name for name in sorted(TAGS_POOL) if rng.random() < 0.25}
         torus = pretzel = None
@@ -273,7 +362,7 @@ def _random_subject(rng: random.Random) -> tuple[SubjectTags, dict[str, int]]:
         except ValueError:
             continue
         seeds = {
-            name: rng.randrange(0, 13) for name in ATTRIBUTES if rng.random() < 0.25
+            name: exact(rng.randrange(0, 13)) for name in ATTRIBUTES if rng.random() < 0.25
         }
         return tags, seeds
 
@@ -328,7 +417,7 @@ def test_extra_seeds_only_narrow():
         lo_int, hi_int = base[attr].integer_hull()
         if attr in extra or (hi_int is not None and lo_int > hi_int):
             continue
-        extra[attr] = lo_int if hi_int is None else rng.randint(lo_int, hi_int)
+        extra[attr] = exact(lo_int if hi_int is None else rng.randint(lo_int, hi_int))
         try:
             tighter = propagate(tags, extra)
         except Contradiction:
@@ -378,7 +467,7 @@ def test_fixed_point_agrees_with_the_enumerated_catalog():
 
 def test_primitive_lifts_beta1_to_r():
     """R11 narrows both ways: r <= beta1 also raises beta1 to r."""
-    fs = propagate(_tags("primitive"), {"r": 3})
+    fs = propagate(_tags("primitive"), {"r": exact(3)})
     assert fs["beta1"].lo == 3
     assert fs["beta1"].lo_rules == ("seed:r", "R11")
 
@@ -404,7 +493,7 @@ def test_family_values_lie_inside_propagated_intervals():
         rep = representativity_exact(lpq_link(p, q).curve)
         assert rep.exact == 2 * p
         # the recorded 6p bridge strings bound r through R1, with slack
-        fs = propagate(SubjectTags(), {"bs": 6 * p})
+        fs = propagate(SubjectTags(), {"bs": exact(6 * p)})
         assert contains(fs["r"], rep.exact)
         assert fs["r"].hi == Fraction(6 * p, 2)
         assert rep.exact < fs["r"].hi

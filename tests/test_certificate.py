@@ -19,6 +19,7 @@ from surfrep.certificate import (
     representativity_exact,
     upper_bound,
 )
+from surfrep.smoothing import trace_components
 from surfrep.surface import MultiCurve, SurfaceModel
 
 
@@ -353,3 +354,41 @@ def test_parity_lemma_at_genus_two_and_up(case):
     rep = representativity_exact(mc)
     assert rep.lower == min(rep.upper, lightest)
     assert rep.exact is None or rep.exact % 2 == 0
+
+
+#-- Symmetries of the chain surface --#
+
+def _invariants(b: tuple[int, ...], a: tuple[int, ...]) -> tuple[int, int, int]:
+    mc = MultiCurve(SurfaceModel.chain(len(b) - 1), b, a)
+    rep = representativity_exact(mc)
+    return trace_components(mc), rep.lower, rep.upper
+
+
+def test_chain_symmetries_keep_components_and_bounds():
+    """m_i meets l_i and l_{i+1} (indices mod g + 1), so three maps of the
+    weights (b, a) keep the pairing, and with it the component count and
+    both certified ends: a cyclic shift of both tuples, the reversal
+    b'_i = b_{-i}, a'_j = a_{1-j}, and the exchange
+    (b', a') = ((a_1, ..., a_g, a_0), b).  The plain exchange (a, b)
+    breaks the pairing and changes them on some draws, so the check can
+    fail."""
+    rng = random.Random(20261019)
+    draws = changed = 0
+    while draws < 3000:
+        g = rng.randint(1, 5)
+        k = g + 1
+        b = tuple(rng.randint(0, 6) for _ in range(k))
+        a = tuple(rng.randint(0, 6) for _ in range(k))
+        if not any(b + a):
+            continue
+        draws += 1
+        reference = _invariants(b, a)
+        s = rng.randrange(1, k)
+        for mapped in (
+            (b[s:] + b[:s], a[s:] + a[:s]),
+            (tuple(b[-i % k] for i in range(k)), tuple(a[(1 - j) % k] for j in range(k))),
+            (a[1:] + a[:1], b),
+        ):
+            assert _invariants(*mapped) == reference, (b, a, mapped)
+        changed += _invariants(a, b) != reference
+    assert changed > 0

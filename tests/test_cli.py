@@ -392,14 +392,17 @@ def test_bounds_without_flags_stays_wide(capsys):
 def test_bounds_rejects_bad_flags(capsys):
     assert run_cli(capsys, "bounds", "--tag", "mystery")[0] == 2
     assert run_cli(capsys, "bounds", "--tag", "torus_knot=1,5")[0] == 2
-    assert run_cli(capsys, "bounds", "--seed", "b")[0] == 2
-    assert run_cli(capsys, "bounds", "--seed", "b=x")[0] == 2
-    assert run_cli(capsys, "bounds", "--seed", "b=1/0")[0] == 2
-    assert run_cli(capsys, "bounds", "--seed", "girth=3")[0] == 2
-    assert run_cli(capsys, "bounds", "--seed", "b=2", "--seed", "b=2")[0] == 2
-    code, out, err = run_cli(capsys, "bounds", "--seed", "b=-3")
-    assert (code, out) == (2, "")
-    assert err.startswith("error:") and err.count("\n") == 1
+    for seeds, message in (
+        (["b"], "seed 'b' must look like b=3 or bs=7/2"),
+        (["b=x"], "seed value 'x' is not a rational number"),
+        (["b=1/0"], "seed value '1/0' is not a rational number"),
+        (["girth=3"], "unknown attribute 'girth'"),
+        (["b=2", "b=2"], "duplicate seed for 'b'"),
+        # the sign is checked once, by the Interval the seed becomes
+        (["b=-3"], "seed for 'b': interval endpoints must be non-negative"),
+    ):
+        argv = [arg for seed in seeds for arg in ("--seed", seed)]
+        assert run_cli(capsys, "bounds", *argv) == (2, "", f"error: {message}\n"), seeds
     # the constructor counts a tag's parameters, for the command line as for a caller
     code, out, err = run_cli(capsys, "bounds", "--tag", "torus_knot=3")
     assert (code, out, err) == (2, "", "error: torus_knot takes exactly 2 parameters\n")
