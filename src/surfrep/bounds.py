@@ -26,7 +26,7 @@ Rule catalog, each rule switched on by one tag or always on:
     R10  bs <= 2 * b + 1                 theta_curve
     R11  r <= beta1                      primitive
     R12  waist <= bs / 3                 always
-    R13  r >= 1                          always
+    R13  r >= 1 and b >= 1               always
 
 The table ``_CATALOG`` is this catalog in executable form.  Each rule
 there is a list of constant pins and linear relations x <= c * y + d,
@@ -130,14 +130,6 @@ class Interval(_Value):
     def integer_hull(self) -> tuple[int, int | None]:
         """Tightest integer endpoints; the display form for integral attributes."""
         return math.ceil(self.lo), None if self.hi is None else math.floor(self.hi)
-
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "lo": str(self.lo),
-            "hi": None if self.hi is None else str(self.hi),
-            "lo_rules": list(self.lo_rules),
-            "hi_rules": list(self.hi_rules),
-        }
 
 
 class SubjectTags(_Value):
@@ -365,7 +357,7 @@ _CATALOG: dict[str, tuple[str | None, Any]] = {
     "R10": ("theta_curve", [("bs", 2, "b", 1)]),
     "R11": ("primitive", [("r", 1, "beta1", 0)]),
     "R12": (None, [("waist", _THIRD, "bs", 0)]),
-    "R13": (None, [("r", 1, None)]),
+    "R13": (None, [("r", 1, None), ("b", 1, None)]),
 }
 
 RULE_ORDER = tuple(_CATALOG)

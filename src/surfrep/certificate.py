@@ -41,6 +41,7 @@ from surfrep.surface import (
 
 __all__ = [
     "PlanarPiece",
+    "pieces_from_json",
     "cut_pieces",
     "PieceBounds",
     "Certificate",
@@ -108,9 +109,22 @@ class PlanarPiece(_Value):
             _json_field(obj, "circles"),
             tuple(
                 (_json_field(e, "a"), _json_field(e, "b"), _json_field(e, "mult"))
-                for e in _json_field(obj, "arcs", list)
+                for e in _json_field(obj, "arcs", array=True)
             ),
         )
+
+
+def pieces_from_json(obj: Any) -> tuple[list[PlanarPiece], int | None]:
+    """Decode a piece file, a list of pieces or ``{"pieces": [...], "n": k}``,
+    into the pieces in file order and the stored level k, None without one."""
+    if isinstance(obj, dict):
+        items, n = obj.get("pieces"), obj.get("n")
+    else:
+        items, n = obj, None
+    if not isinstance(items, list):
+        raise ValueError("piece file must hold a list of pieces")
+    pieces = [PlanarPiece.from_json(item) for item in items]
+    return pieces, None if n is None else _strict_int(n, "stored n")
 
 
 def cut_pieces(mc: MultiCurve, along: str) -> PlanarPiece:

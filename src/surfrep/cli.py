@@ -10,8 +10,9 @@ Every subcommand except ``generate`` prints a versioned run report
 (schema ``run-report/1``) as JSON on standard output, or as indented
 text with ``--pretty``.  Exit codes form a stable contract: 0 for
 success, 1 for a failed check or a contradiction, 2 for unusable input.
-This module is the one home of the report's keys: the envelope, and
-the check rows it builds from the package's ``Check`` values.
+This module is the one home of the report's keys: the envelope, the
+check rows of ``Check`` values and the ``facts`` entries of ``Interval``s.
+The piece file is read in ``certificate``, the map file in ``facewidth``.
 
 Each subcommand reads, then reports.  The read step decodes and
 validates the input (``certify_pieces`` and ``propagate`` validate, so
@@ -90,6 +91,17 @@ def _row(check: Check) -> dict[str, Any]:
     return {"name": check.name, "expected": shown, "actual": check.actual, "pass": check.passed}
 
 
+def _fact(iv: Interval) -> dict[str, Any]:
+    """An interval as a ``facts`` entry: exact endpoints as strings, an
+    open upper end as null, and the rule chain of each end."""
+    return {
+        "lo": str(iv.lo),
+        "hi": None if iv.hi is None else str(iv.hi),
+        "lo_rules": list(iv.lo_rules),
+        "hi_rules": list(iv.hi_rules),
+    }
+
+
 def _load_json(path: str) -> Any:
     try:
         with open(path) as file:
@@ -126,20 +138,10 @@ def _report_verify(args: argparse.Namespace, inst: FamilyInstance) -> tuple[Body
 
 
 def _read_certify(args: argparse.Namespace) -> Certificate:
-    from surfrep.certificate import PlanarPiece, certify_pieces
-    from surfrep.surface import _strict_int
+    from surfrep.certificate import certify_pieces, pieces_from_json
 
-    raw = _load_json(args.pieces)
-    if isinstance(raw, dict):
-        items, file_n = raw.get("pieces"), raw.get("n")
-    else:
-        items, file_n = raw, None
-    if not isinstance(items, list):
-        raise ValueError("piece file must hold a list of pieces")
-    pieces = [PlanarPiece.from_json(item) for item in items]
-    if file_n is not None:
-        file_n = _strict_int(file_n, "stored n")
-    n = file_n if args.n is None else args.n
+    pieces, stored_n = pieces_from_json(_load_json(args.pieces))
+    n = stored_n if args.n is None else args.n
     if n is None:
         raise ValueError("no certificate level: pass --n or store n in the file")
     return certify_pieces(pieces, n)
@@ -235,7 +237,7 @@ def _report_bounds(args: argparse.Namespace, read: Bounds) -> tuple[Body, bool]:
     for name, iv in facts.items():
         lo, hi = iv.integer_hull()
         display[name] = f"[{lo}, {hi}]" if hi is not None else f"[{lo}, inf)"
-    body["results"] = {"facts": {k: iv.to_json() for k, iv in facts.items()}, "display": display}
+    body["results"] = {"facts": {k: _fact(iv) for k, iv in facts.items()}, "display": display}
     return body, True
 
 

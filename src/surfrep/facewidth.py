@@ -7,12 +7,14 @@ recovered as orbits of sigma-after-alpha, which yields the Euler
 characteristic and the genus without any geometry.
 
 Dart names are arbitrary integers, under the package's one integer
-rule, so every map the constructor accepts decodes again from its JSON
-form.  The constructor validates in one pass in reading order, each
-rotation's and edge's shape before its darts, and names the first fault
-it meets; the JSON decoder checks only the two fields, so a map read
-from a file is checked once.  It numbers the darts in sorted name
-order, and vertex, alpha and face-of are lists over those positions.
+rule.  The map file, the JSON form ``to_json`` writes, is read here and
+nowhere else: its decoder checks only the two fields, and the
+constructor validates the rest in one pass in reading order, each
+rotation's and edge's shape before its darts, naming the first fault
+it meets.  So a map read from a file is checked once, and every map the
+constructor accepts reads back from its file.  The constructor numbers
+the darts in sorted name order, and vertex, alpha and face-of are lists
+over those positions.
 Tracing the faces from position 0 upward gives them in their public
 order, least dart first, without a sort.  Position p of a map becomes
 darts 2p (at the vertex node) and 2p + 1 (at the face node) of its
@@ -92,7 +94,8 @@ class RotationSystem(_Value):
                     raise ValueError(f"dart {d} appears twice in the rotations")
                 seen.add(d)
         darts = sorted(seen)
-        pos = dict(zip(darts, range(len(darts))))
+        _set_field(self, "_darts", darts)
+        pos = self._pos
         alpha = [-1] * len(darts)
         for e in edges:
             for d in _row(e, "each edge"):
@@ -111,17 +114,17 @@ class RotationSystem(_Value):
             raise ValueError(f"darts without an opposite: {unpaired}")
         _set_field(self, "rotations", tuple(map(tuple, rotations)))
         _set_field(self, "edges", tuple(map(tuple, edges)))
-        _set_field(self, "_pos", pos)
-        self._trace(darts, [[pos[d] for d in rot] for rot in rotations], alpha)
+        self._trace([[pos[d] for d in rot] for rot in rotations], alpha)
 
-    def _trace(self, darts: Sequence[int], rots: Sequence[Sequence[int]], alpha: list[int]) -> None:
+    def _trace(self, rots: Sequence[Sequence[int]], alpha: list[int]) -> None:
         """Store the dense tables of a valid map numbered 0 .. 2E-1.
 
-        ``darts`` names each position in ascending order, ``rots`` lists
-        the rotations as positions and ``alpha`` the opposite of each
-        position; the vertex, successor and face tables are traced here.
+        ``_darts`` is set and names each position in ascending order;
+        ``rots`` lists the rotations as positions and ``alpha`` the
+        opposite of each position.  The vertex, successor and face
+        tables are traced here.
         """
-        n = len(darts)
+        n = len(alpha)
         vert = [0] * n
         sigma = [0] * n
         for v, rot in enumerate(rots):
@@ -144,16 +147,16 @@ class RotationSystem(_Value):
                 face_of[p] = f
                 p = sigma[alpha[p]]
             faces.append(orbit)
-        for name, value in (("_darts", darts), ("_rots", rots), ("_vert", vert),
-                            ("_alpha", alpha), ("_faces", faces), ("_face_of", face_of)):
+        for name, value in (("_rots", rots), ("_vert", vert), ("_alpha", alpha),
+                            ("_faces", faces), ("_face_of", face_of)):
             _set_field(self, name, value)
         if self.euler_characteristic % 2:
             raise RuntimeError(f"odd Euler characteristic {self.euler_characteristic}")
 
     #-- Derived structure --#
 
-    # _trace sets, over dart positions 0 .. 2E-1 in sorted name order:
-    #   _darts    position -> dart name
+    # over dart positions 0 .. 2E-1 in sorted name order (_darts set first):
+    #   _darts    position -> dart name, inverted by _pos
     #   _rots     the rotations as positions
     #   _vert     position -> vertex
     #   _alpha    position -> position of the opposite dart
@@ -162,7 +165,7 @@ class RotationSystem(_Value):
 
     @cached_property
     def _pos(self) -> dict[int, int]:
-        """Dart name -> position; __init__ keeps the one it validated with."""
+        """Dart name -> position, built from ``_darts`` on first use."""
         return dict(zip(self._darts, range(len(self._darts))))
 
     def _position(self, dart: int) -> int:
@@ -214,7 +217,8 @@ class RotationSystem(_Value):
     @staticmethod
     def from_json(obj: dict[str, Any]) -> "RotationSystem":
         """Decode a map; the constructor checks each rotation, edge and dart."""
-        return RotationSystem(_json_field(obj, "rotations", list), _json_field(obj, "edges", list))
+        return RotationSystem(_json_field(obj, "rotations", array=True),
+                              _json_field(obj, "edges", array=True))
 
 
 #-- Radial map --#
@@ -237,7 +241,8 @@ def radial(rs: RotationSystem) -> RotationSystem:
     out = RotationSystem.__new__(RotationSystem)
     _set_field(out, "rotations", tuple(rotations))
     _set_field(out, "edges", tuple(zip(range(0, n, 2), range(1, n, 2))))
-    out._trace(range(n), rotations, [x ^ 1 for x in range(n)])
+    _set_field(out, "_darts", range(n))
+    out._trace(rotations, [x ^ 1 for x in range(n)])
     if out.euler_characteristic != rs.euler_characteristic:
         raise RuntimeError("radial map changed the Euler characteristic")
     return out

@@ -37,8 +37,8 @@ def _strict_int(value: Any, field: str) -> int:
 
     The one rule for every count, applied by the constructors alone: a
     decoder passes a file's counts on unchecked, so each is checked
-    once, and whatever a constructor accepts its ``to_json`` output
-    decodes again.
+    once, and every piece or map a constructor accepts decodes again
+    from its ``to_json`` output.
     """
     # bool is a subclass of int, but true is not a count
     if not isinstance(value, int) or isinstance(value, bool):
@@ -59,24 +59,21 @@ def _ascii_int(text: str) -> int:
     return int(text)
 
 
-_JSON_TYPES = {dict: "an object", list: "an array"}
+def _json_field(obj: Any, field: str, array: bool = False) -> Any:
+    """``obj[field]`` of a JSON object, checked to be a JSON array when
+    ``array`` is set.
 
-
-def _json_field(obj: Any, field: str, kind: type | None = None) -> Any:
-    """``obj[field]`` of a JSON object, checked to be a JSON object or
-    array (``kind``) when one is given.
-
-    A decoder checks only the JSON shape: a count, name or kind is read
-    as it stands, and the constructor it goes to checks it, each count
-    with :func:`_strict_int`.
+    A decoder checks only the JSON shape: a count or a name is read as
+    it stands, and the constructor it goes to checks it, each count with
+    :func:`_strict_int`.
     """
     if not isinstance(obj, dict):
         raise ValueError(f"expected an object with field {field!r}, got {type(obj).__name__}")
     if field not in obj:
         raise ValueError(f"missing field {field!r}")
     value = obj[field]
-    if kind is not None and not isinstance(value, kind):
-        raise ValueError(f"field {field!r} must be {_JSON_TYPES[kind]}, got {type(value).__name__}")
+    if array and not isinstance(value, list):
+        raise ValueError(f"field {field!r} must be an array, got {type(value).__name__}")
     return value
 
 
@@ -194,11 +191,6 @@ class SurfaceModel(_Value):
     def to_json(self) -> dict[str, Any]:
         return {"kind": self.kind, "genus": self.genus}
 
-    @staticmethod
-    def from_json(obj: dict[str, Any]) -> "SurfaceModel":
-        """Decode a surface; the constructor checks the kind and the genus."""
-        return SurfaceModel(_json_field(obj, "kind"), _json_field(obj, "genus"))
-
 
 class CurveClass(_Value):
     """A reference curve class: family "m" (meridian) or "l" (longitude)."""
@@ -296,13 +288,3 @@ class MultiCurve(_Value):
             "meridians": list(self.meridians),
             "longitudes": list(self.longitudes),
         }
-
-    @staticmethod
-    def from_json(obj: dict[str, Any]) -> "MultiCurve":
-        """Decode a multicurve; every field must be present and of its JSON
-        type, and the constructor checks each weight."""
-        return MultiCurve(
-            SurfaceModel.from_json(_json_field(obj, "surface", dict)),
-            _json_field(obj, "meridians", list),
-            _json_field(obj, "longitudes", list),
-        )

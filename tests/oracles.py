@@ -801,7 +801,7 @@ def catalog_holds(tags, r, b, bs, waist, beta1) -> bool:
         and ("theta_curve" not in names or bs <= 2 * b + 1)  # R10
         and ("primitive" not in names or r <= beta1)  # R11
         and 3 * waist <= bs  # R12
-        and r >= 1  # R13
+        and r >= 1 and b >= 1  # R13
     )
 
 

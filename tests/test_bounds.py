@@ -21,6 +21,7 @@ from surfrep.bounds import (
     seeds_from_strings,
 )
 from surfrep.certificate import representativity_exact, upper_bound
+from surfrep.cli import _fact
 from surfrep.families import exact_knot, lpq_link, torus_knot
 
 
@@ -60,13 +61,19 @@ def test_interval_basics():
     iv = Interval(F(0), Fraction(5, 3))
     assert iv.integer_hull() == (0, 1)
     assert Interval(F(1)).integer_hull() == (1, None)
-    as_json = Interval(Fraction(1, 2), F(4), ("R1",), ("seed:bs", "R3")).to_json()
-    assert as_json == {
+
+
+def test_the_cli_writes_an_interval_as_a_fact():
+    """The bounds report's ``facts`` entries are the CLI's to write:
+    exact endpoints as strings, an open end as null, both chains."""
+    assert _fact(Interval(Fraction(1, 2), F(4), ("R1",), ("seed:bs", "R3"))) == {
         "lo": "1/2",
         "hi": "4",
         "lo_rules": ["R1"],
         "hi_rules": ["seed:bs", "R3"],
     }
+    assert _fact(Interval(F(2))) == {"lo": "2", "hi": None, "lo_rules": [], "hi_rules": []}
+    assert not hasattr(Interval, "to_json")
 
 
 def test_tag_parsing_and_validation():
@@ -177,6 +184,20 @@ def test_composite_with_seeded_bridge_number():
     assert fs["bs"].lo == fs["bs"].hi == 8
     assert fs["bs"].hi_rules == ("seed:b", "R3")
     assert fs["r"].hi_rules == ("R8",)
+
+
+@pytest.mark.parametrize("tags", [(), ("primitive",), ("spatial_graph",), ("theta_curve",)])
+def test_every_subject_has_a_bridge(tags):
+    """R13: every subject has at least one maximum, so b >= 1 with or
+    without a tag that says so; a seeded b = 0 contradicts it."""
+    with pytest.raises(Contradiction) as caught:
+        propagate(_tags(*tags), {"b": exact(0)})
+    exc = caught.value
+    assert (exc.attribute, exc.lo, exc.hi) == ("b", 1, 0)
+    assert exc.rules == ("R13", "seed:b")
+    fs = propagate(_tags(*tags), {"b": exact(1)})
+    assert fs["b"].lo == fs["b"].hi == 1
+    assert propagate(_tags(*tags))["b"].lo >= 1
 
 
 def test_parity_contradiction():

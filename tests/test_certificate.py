@@ -16,6 +16,7 @@ from surfrep.certificate import (
     certify_pieces,
     cut_pieces,
     evaluate_piece,
+    pieces_from_json,
     representativity_exact,
     upper_bound,
 )
@@ -112,6 +113,28 @@ def test_piece_decoder_leaves_every_count_to_the_constructor():
         PlanarPiece("P", 1, ((1.5, 2, 1),))
     with pytest.raises(ValueError, match=f"^{message}$"):
         PlanarPiece.from_json({"piece": "P", "circles": 1, "arcs": [{"a": 1.5, "b": 2, "mult": 1}]})
+
+
+def test_a_piece_file_is_a_list_or_an_object_with_a_level():
+    """The piece file is a bare list of pieces or ``{"pieces": [...], "n": k}``;
+    a stored level is held to the integer rule and its sign is left to
+    the certificate."""
+    piece = PlanarPiece("P", 3, ((0, 1, 2), (1, 2, 2), (0, 2, 2)))
+    stored = json.loads(json.dumps(piece.to_json()))
+    assert pieces_from_json([stored]) == ([piece], None)
+    assert pieces_from_json({"pieces": [stored], "n": 4}) == ([piece], 4)
+    assert pieces_from_json({"pieces": [stored], "n": None}) == ([piece], None)
+    assert pieces_from_json({"pieces": [], "n": -3}) == ([], -3)
+    for raw in (7, "P", {"n": 4}, {"pieces": 7, "n": 4}, {"pieces": {"piece": "P"}}):
+        with pytest.raises(ValueError, match="^piece file must hold a list of pieces$"):
+            pieces_from_json(raw)
+    for n in (4.7, True, "4"):
+        message = f"stored n must be an integer, got {n!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            pieces_from_json({"pieces": [stored], "n": n})
+    # the pieces are decoded before the level is read
+    with pytest.raises(ValueError, match="^missing field 'arcs'$"):
+        pieces_from_json({"pieces": [{"piece": "P", "circles": 3}], "n": 4.7})
 
 
 _LOOSE_COUNTS = st.one_of(st.integers(0, 4), st.booleans(), st.sampled_from([1.0, 3.0]))

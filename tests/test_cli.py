@@ -389,6 +389,18 @@ def test_bounds_without_flags_stays_wide(capsys):
     assert display["bs"] == "[2, inf)"
 
 
+def test_bounds_refuses_a_bridge_number_of_zero(capsys):
+    """Every subject has a maximum: b = 0 is a contradiction, b = 1 is not."""
+    code, out, err = run_cli(capsys, "bounds", "--seed", "b=0")
+    assert (code, err) == (1, "")
+    assert json.loads(out)["results"]["contradiction"] == {
+        "attribute": "b", "lo": "1", "hi": "0", "rules": ["R13", "seed:b"],
+    }
+    code, out, _ = run_cli(capsys, "bounds", "--seed", "b=1")
+    assert code == 0
+    assert json.loads(out)["results"]["display"]["b"] == "[1, 1]"
+
+
 def test_bounds_rejects_bad_flags(capsys):
     assert run_cli(capsys, "bounds", "--tag", "mystery")[0] == 2
     assert run_cli(capsys, "bounds", "--tag", "torus_knot=1,5")[0] == 2

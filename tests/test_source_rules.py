@@ -237,6 +237,36 @@ def test_every_public_name_has_a_user():
     assert not found, f"public names with no user in the package or README: {found}"
 
 
+def test_every_decoder_has_a_reader_in_the_package():
+    """Each ``from_json`` a package class defines is called in the package
+    outside that class: a decoder exists only for a file a command reads,
+    not for a format nothing loads."""
+    trees = [ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(PACKAGE.glob("*.py"))]
+    decoders = {
+        node.name: node
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        and any(isinstance(f, ast.FunctionDef) and f.name == "from_json" for f in node.body)
+    }
+    assert len(decoders) > 1
+
+    def calls(root: ast.AST, name: str) -> set[ast.Call]:
+        return {
+            node for node in ast.walk(root)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "from_json"
+            and isinstance(node.func.value, ast.Name) and node.func.value.id == name
+        }
+
+    found = [
+        name for name, cls in sorted(decoders.items())
+        if not set().union(*(calls(tree, name) for tree in trees)) - calls(cls, name)
+    ]
+    assert not found, f"from_json decoders that nothing in the package calls: {found}"
+
+
 def test_sources_parse_at_the_python_floor():
     """Every module of the package and of the tests parses with the grammar
     of the oldest Python that ``requires-python`` admits, so syntax newer

@@ -3,9 +3,7 @@
 from __future__ import annotations
 
 import itertools
-import json
 import random
-import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -192,47 +190,23 @@ def test_multicurve_validation():
         MultiCurve(SurfaceModel.torus(), (0,), (0,))
 
 
-def test_multicurve_json_roundtrip():
+def test_multicurve_to_json():
+    """``generate`` prints a multicurve in this form; no command reads it back."""
     mc = MultiCurve(SurfaceModel.chain(2), (5, 4, 2), (2, 2, 2))
-    blob = json.dumps(mc.to_json())
-    assert MultiCurve.from_json(json.loads(blob)) == mc
-
-    mc2 = MultiCurve(SurfaceModel.torus(), (5,), (3,))
-    assert MultiCurve.from_json(json.loads(json.dumps(mc2.to_json()))) == mc2
-
-    # weights and genus decode strictly: no float truncation, no bool as 1
-    obj = mc.to_json()
-    for loose in (
-        {**obj, "meridians": [5, 4.0, 2]},
-        {**obj, "longitudes": [2, True, 2]},
-        {**obj, "surface": {"kind": "chain", "genus": 2.0}},
-    ):
-        with pytest.raises(ValueError, match="must be an integer"):
-            MultiCurve.from_json(loose)
-
-    # every field is present and of its JSON type, and the constructor
-    # names a kind it does not know: no KeyError, no coercion of the
-    # kind, no string read as a list of digits
-    for broken, message in (
-        ({k: v for k, v in obj.items() if k != "surface"}, "missing field 'surface'"),
-        ({k: v for k, v in obj.items() if k != "longitudes"}, "missing field 'longitudes'"),
-        ({**obj, "surface": {"genus": 2}}, "missing field 'kind'"),
-        ({**obj, "surface": {"kind": "chain"}}, "missing field 'genus'"),
-        ({**obj, "surface": {"kind": 5, "genus": 2}}, "unknown surface kind 5"),
-        ({**obj, "surface": ["chain", 2]}, "field 'surface' must be an object"),
-        ({**obj, "meridians": "542"}, "field 'meridians' must be an array"),
-        ({**obj, "longitudes": 222}, "field 'longitudes' must be an array"),
-        ([5, 4, 2], "expected an object with field 'surface'"),
-    ):
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
-            MultiCurve.from_json(broken)
-    with pytest.raises(ValueError, match="^unknown surface kind None$"):
-        SurfaceModel.from_json({"kind": None, "genus": 1})
+    assert mc.to_json() == {
+        "surface": {"kind": "chain", "genus": 2},
+        "meridians": [5, 4, 2],
+        "longitudes": [2, 2, 2],
+    }
+    assert MultiCurve(SurfaceModel.torus(), (5,), (3,)).to_json() == {
+        "surface": {"kind": "torus", "genus": 1}, "meridians": [5], "longitudes": [3],
+    }
+    assert not hasattr(MultiCurve, "from_json") and not hasattr(SurfaceModel, "from_json")
 
 
 @pytest.mark.parametrize("bad", [True, 2.0])
 def test_constructors_reject_non_integers(bad):
-    """A constructor takes a count only where ``from_json`` would decode it."""
+    """Each constructor refuses a float or a bool where it takes a count."""
     for build in (
         lambda: SurfaceModel("chain", bad),
         lambda: CurveClass("m", bad),
@@ -241,24 +215,6 @@ def test_constructors_reject_non_integers(bad):
     ):
         with pytest.raises(ValueError, match="must be an integer"):
             build()
-
-
-#: counts as a caller might pass them: integers, and floats and bools that are not
-_LOOSE_COUNTS = st.one_of(st.integers(-1, 4), st.booleans(), st.sampled_from([0.0, 1.0, 2.5]))
-
-
-@given(
-    st.sampled_from([("torus", 1), ("torus", True), ("chain", 1), ("chain", 2),
-                     ("chain", 2.0), ("chain", True)]),
-    st.lists(_LOOSE_COUNTS, min_size=1, max_size=3),
-    st.lists(_LOOSE_COUNTS, min_size=1, max_size=3),
-)
-def test_accepted_multicurves_survive_json(surface, meridians, longitudes):
-    try:
-        mc = MultiCurve(SurfaceModel(*surface), tuple(meridians), tuple(longitudes))
-    except ValueError:
-        return
-    assert MultiCurve.from_json(json.loads(json.dumps(mc.to_json()))) == mc
 
 
 @pytest.mark.parametrize("g", range(1, 9))
