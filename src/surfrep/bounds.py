@@ -17,7 +17,7 @@ Rule catalog, each rule switched on by one tag or always on:
     R2   2 <= r <= b                     nontrivial knots
     R3   bs = 2 * b                      nontrivial knots
     R4   r = b = min(p, q)               torus_knot(p, q)
-    R5   r = 2 and b = 2                 two_bridge
+    R5   b = 2                           two_bridge (r = 2 by R2)
     R6   r <= 3                          algebraic
     R7   r = 3 iff the parameters are +-(-2, 3, 3) or +-(-2, 3, 5),
          otherwise r != 3                pretzel(p, q, s)
@@ -52,7 +52,7 @@ import math
 from fractions import Fraction
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
-from surfrep.surface import _Value, _ascii_int, _set_field, _strict_int
+from surfrep.surface import _Value, _ascii_int, _strict_int
 
 __all__ = [
     "ATTRIBUTES",
@@ -122,10 +122,7 @@ class Interval(_Value):
             raise ValueError("interval endpoints must be non-negative")
         if hi is not None and hi < lo:
             raise ValueError("interval is empty")
-        _set_field(self, "lo", lo)
-        _set_field(self, "hi", hi)
-        _set_field(self, "lo_rules", lo_rules)
-        _set_field(self, "hi_rules", hi_rules)
+        super().__init__(lo, hi, lo_rules, hi_rules)
 
     def integer_hull(self) -> tuple[int, int | None]:
         """Tightest integer endpoints; the display form for integral attributes."""
@@ -145,9 +142,6 @@ class SubjectTags(_Value):
         torus_knot: tuple[int, int] | None = None,
         pretzel: tuple[int, int, int] | None = None,
     ) -> None:
-        _set_field(self, "names", names)
-        _set_field(self, "torus_knot", torus_knot)
-        _set_field(self, "pretzel", pretzel)
         unknown = names - TAG_NAMES
         if unknown:
             raise ValueError(f"unknown tags: {sorted(unknown)}")
@@ -155,11 +149,10 @@ class SubjectTags(_Value):
             raise ValueError("torus_knot requires parameters p,q and no other tag does")
         if ("pretzel" in names) != (pretzel is not None):
             raise ValueError("pretzel requires three strand parameters")
-        for name, arity in _PARAM_ARITY.items():
-            values = getattr(self, name)
+        for name, values in (("torus_knot", torus_knot), ("pretzel", pretzel)):
             if values is not None:
-                if len(values) != arity:
-                    raise ValueError(f"{name} takes exactly {arity} parameters")
+                if len(values) != _PARAM_ARITY[name]:
+                    raise ValueError(f"{name} takes exactly {_PARAM_ARITY[name]} parameters")
                 for value in values:
                     _strict_int(value, f"{name} parameter")
         if torus_knot is not None:
@@ -167,8 +160,13 @@ class SubjectTags(_Value):
             # the curve is a nontrivial knot only for coprime p, q >= 2
             if p < 2 or q < 2 or math.gcd(p, q) != 1:
                 raise ValueError("torus_knot parameters must be coprime and at least 2")
+        # P(p, q, s) has one component per even parameter, and one with
+        # none: it is a knot only when at most one parameter is even
+        if pretzel is not None and sum(x % 2 == 0 for x in pretzel) > 1:
+            raise ValueError("pretzel parameters with two or more even numbers give a link")
         if "theta_curve" in names and names & _KNOT_TAGS:
             raise ValueError("theta_curve is incompatible with knot tags")
+        super().__init__(names, torus_knot, pretzel)
 
     @property
     def effective(self) -> frozenset[str]:
@@ -349,7 +347,7 @@ _CATALOG: dict[str, tuple[str | None, Any]] = {
     "R2": ("nontrivial_knot", [("r", 2, None), ("r", 1, "b", 0)]),
     "R3": ("nontrivial_knot", [("b", _HALF, "bs", 0), ("bs", 2, "b", 0)]),
     "R4": ("torus_knot", _r4),
-    "R5": ("two_bridge", [("r", 2, 2), ("b", 2, 2)]),
+    "R5": ("two_bridge", [("b", 2, 2)]),
     "R6": ("algebraic", [("r", None, 3)]),
     "R7": ("pretzel", _r7),
     "R8": ("composite", [("r", 2, 2)]),

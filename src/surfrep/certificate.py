@@ -34,7 +34,6 @@ from surfrep.surface import (
     _crossed_longitudes,
     _crossed_meridians,
     _json_field,
-    _set_field,
     _strict_int,
     _Value,
 )
@@ -89,9 +88,7 @@ class PlanarPiece(_Value):
             if (a, b) in seen:
                 raise ValueError(f"duplicate arc pair ({a}, {b})")
             seen.add((a, b))
-        _set_field(self, "id", id)
-        _set_field(self, "circles", circles)
-        _set_field(self, "arcs", tuple(sorted(arcs)))
+        super().__init__(id, circles, tuple(sorted(arcs)))
 
     def to_json(self) -> dict[str, Any]:
         return {
@@ -163,9 +160,7 @@ class PieceBounds(_Value):
     arc_min: int | None
 
     def __init__(self, piece_id: str, loop_min: int, arc_min: int | None) -> None:
-        _set_field(self, "piece_id", piece_id)
-        _set_field(self, "loop_min", loop_min)
-        _set_field(self, "arc_min", arc_min)
+        super().__init__(piece_id, loop_min, arc_min)
 
     def conditions(self) -> list[tuple[str, int]]:
         """The (name, value) pairs that are all >= n when the piece certifies
@@ -188,8 +183,7 @@ class Certificate(_Value):
     pieces: tuple[PieceBounds, ...]
 
     def __init__(self, n: int, pieces: tuple[PieceBounds, ...]) -> None:
-        _set_field(self, "n", n)
-        _set_field(self, "pieces", pieces)
+        super().__init__(n, pieces)
 
     @property
     def lower_ok(self) -> bool:
@@ -204,8 +198,7 @@ class Representativity(_Value):
     upper: int
 
     def __init__(self, lower: int, upper: int) -> None:
-        _set_field(self, "lower", lower)
-        _set_field(self, "upper", upper)
+        super().__init__(lower, upper)
 
     @property
     def exact(self) -> int | None:

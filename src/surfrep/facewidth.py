@@ -112,8 +112,7 @@ class RotationSystem(_Value):
         if -1 in alpha:
             unpaired = [darts[p] for p, q in enumerate(alpha) if q < 0]
             raise ValueError(f"darts without an opposite: {unpaired}")
-        _set_field(self, "rotations", tuple(map(tuple, rotations)))
-        _set_field(self, "edges", tuple(map(tuple, edges)))
+        super().__init__(tuple(map(tuple, rotations)), tuple(map(tuple, edges)))
         self._trace([[pos[d] for d in rot] for rot in rotations], alpha)
 
     def _trace(self, rots: Sequence[Sequence[int]], alpha: list[int]) -> None:
@@ -239,8 +238,7 @@ def radial(rs: RotationSystem) -> RotationSystem:
     rotations += [tuple([2 * p + 1 for p in orbit[::-1]]) for orbit in rs._faces]
     n = 2 * len(rs._darts)
     out = RotationSystem.__new__(RotationSystem)
-    _set_field(out, "rotations", tuple(rotations))
-    _set_field(out, "edges", tuple(zip(range(0, n, 2), range(1, n, 2))))
+    _Value.__init__(out, tuple(rotations), tuple(zip(range(0, n, 2), range(1, n, 2))))
     _set_field(out, "_darts", range(n))
     out._trace(rotations, [x ^ 1 for x in range(n)])
     if out.euler_characteristic != rs.euler_characteristic:

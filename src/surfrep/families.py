@@ -19,9 +19,7 @@ from __future__ import annotations
 
 import math
 
-from surfrep.surface import (
-    Check, CurveClass, MultiCurve, SurfaceModel, _Value, _ascii_int, _set_field,
-)
+from surfrep.surface import Check, CurveClass, MultiCurve, SurfaceModel, _Value, _ascii_int
 
 __all__ = [
     "FamilyInstance",
@@ -45,10 +43,7 @@ class FamilyInstance(_Value):
     def __init__(
         self, kind: str, params: tuple[int, int], curve: MultiCurve, extrapolated: bool = False
     ) -> None:
-        _set_field(self, "kind", kind)
-        _set_field(self, "params", params)
-        _set_field(self, "curve", curve)
-        _set_field(self, "extrapolated", extrapolated)
+        super().__init__(kind, params, curve, extrapolated)
 
     @property
     def label(self) -> str:

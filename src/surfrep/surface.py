@@ -90,8 +90,9 @@ class _Value:
     """Base of the package's immutable value classes.
 
     A subclass declares its fields as class annotations, in order, and
-    its ``__init__`` validates the arguments and stores each field with
-    :data:`_set_field`.  The base adds what a frozen record needs:
+    its ``__init__`` checks its own arguments and hands the fields to
+    the base's ``__init__`` in declared order, which stores each one
+    with :data:`_set_field`.  The base adds what a frozen record needs:
     equality and a hash over the declared fields as one tuple (an
     instance of another class is never equal), a ``Name(field=value,
     ...)`` repr, and an AttributeError on assignment or deletion.
@@ -106,6 +107,13 @@ class _Value:
         # a subclass that declares no fields keeps those of its base
         cls._fields = tuple(cls.__dict__.get("__annotations__", cls._fields))
         cls._key = attrgetter(*cls._fields)
+
+    def __init__(self, *values: Any) -> None:
+        fields = self._fields
+        if len(values) != len(fields):
+            raise TypeError(f"{type(self).__name__} stores {len(fields)} fields, got {len(values)}")
+        for name, value in zip(fields, values):
+            _set_field(self, name, value)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -146,8 +154,7 @@ class Check(_Value):
     def __init__(self, name: str, expected: Any, actual: Any, relation: str = "==") -> None:
         if relation not in _RELATIONS:
             raise ValueError(f"relation must be one of {', '.join(_RELATIONS)}, got {relation!r}")
-        for field, value in zip(self._fields, (name, expected, actual, relation)):
-            _set_field(self, field, value)
+        super().__init__(name, expected, actual, relation)
 
     @property
     def passed(self) -> bool:
@@ -172,8 +179,7 @@ class SurfaceModel(_Value):
                 raise ValueError(f"chain genus must be >= 1, got {genus}")
         else:
             raise ValueError(f"unknown surface kind {kind!r}")
-        _set_field(self, "kind", kind)
-        _set_field(self, "genus", genus)
+        super().__init__(kind, genus)
 
     @staticmethod
     def torus() -> "SurfaceModel":
@@ -203,8 +209,7 @@ class CurveClass(_Value):
             raise ValueError(f"family must be 'm' or 'l', got {family!r}")
         if _strict_int(index, "class index") < 0:
             raise ValueError(f"class index must be >= 0, got {index}")
-        _set_field(self, "family", family)
-        _set_field(self, "index", index)
+        super().__init__(family, index)
 
     def __str__(self) -> str:
         return f"{self.family}{self.index}"
@@ -265,9 +270,7 @@ class MultiCurve(_Value):
                 raise ValueError(f"weights must be nonnegative integers, got {w!r}")
         if not any((*meridians, *longitudes)):
             raise ValueError("multicurve needs at least one positive weight")
-        _set_field(self, "surface", surface)
-        _set_field(self, "meridians", meridians)
-        _set_field(self, "longitudes", longitudes)
+        super().__init__(surface, meridians, longitudes)
 
     def boundary_count(self, cls: CurveClass) -> int:
         """Total crossings of the multicurve with one copy of ``cls``.

@@ -27,6 +27,10 @@ for the bounded search of ``face_width``.
 The bounds catalog is restated as one plain predicate per rule, and the
 integer points of a small box that satisfy it are enumerated; it is the
 reference for the interval engine of ``propagate``.
+
+The pretzel walk follows each strand of the standard pretzel diagram
+crossing by crossing and counts the closed strands; it is the reference
+for the knot check on the ``pretzel`` tag's parameters.
 """
 
 from __future__ import annotations
@@ -792,7 +796,7 @@ def catalog_holds(tags, r, b, bs, waist, beta1) -> bool:
         and (not knot or 2 <= r <= b)  # R2
         and (not knot or bs == 2 * b)  # R3
         and (tags.torus_knot is None or r == b == min(tags.torus_knot))  # R4
-        and ("two_bridge" not in names or r == b == 2)  # R5
+        and ("two_bridge" not in names or b == 2)  # R5, r = 2 then by R2
         and ("algebraic" not in names or r <= 3)  # R6
         and (tags.pretzel is None
              or (r == 3) == (tuple(sorted(tags.pretzel)) in _PRETZEL_THREE))  # R7
@@ -823,3 +827,42 @@ def feasible_points(tags, seeds, box: int) -> list[tuple[int, ...]]:
         return []
     ranges = [[v for v in range(box + 1) if admits(axis, v)] for axis in BOUNDS_AXES]
     return [point for point in product(*ranges) if catalog_holds(tags, *point)]
+
+
+#-- Pretzel diagram components by a walk --#
+
+def pretzel_components(params) -> int:
+    """Number of components of the standard diagram of the pretzel link
+    P(p_0, ..., p_{k-1}).
+
+    Column i is a vertical twist of two strands with |p_i| crossings; a
+    strand entering a column on side 0 (left) or 1 (right) switches side
+    at each crossing on its way through.  Above and below the columns,
+    arcs join the right end of each column to the left end of the next,
+    the last back to the first.  An end is (row, column, side), row 0 at
+    the top and 1 at the bottom, and each closed walk is one component.
+    """
+    k = len(params)
+
+    def through(end):
+        row, i, side = end
+        for _ in range(abs(params[i])):
+            side = 1 - side
+        return 1 - row, i, side
+
+    def across(end):
+        row, i, side = end
+        return (row, (i + 1) % k, 0) if side else (row, (i - 1) % k, 1)
+
+    seen = set()
+    count = 0
+    for start in product((0, 1), range(k), (0, 1)):
+        if start in seen:
+            continue
+        count += 1
+        end = start
+        while end not in seen:
+            exit_ = through(end)
+            seen.update((end, exit_))
+            end = across(exit_)
+    return count

@@ -7,10 +7,11 @@ import random
 import re
 from decimal import Decimal
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
-from oracles import BOUNDS_AXES, catalog_holds, feasible_points
+from oracles import BOUNDS_AXES, catalog_holds, feasible_points, pretzel_components
 from surfrep.bounds import (
     ATTRIBUTES,
     RULE_ORDER,
@@ -125,6 +126,21 @@ def test_tag_parameters_are_strict_integers():
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             SubjectTags(frozenset(names), **params)
     assert SubjectTags(frozenset({"pretzel"}), pretzel=(-3, 5, 7)).labels() == ("pretzel=-3,5,7",)
+
+
+def test_pretzel_parameters_close_into_a_knot():
+    """The pretzel tag takes exactly the triples whose diagram P(p, q, s),
+    walked crossing by crossing, closes into one component: with two or
+    three even parameters it is a link."""
+    links = 0
+    for params in product(range(-5, 6), repeat=3):
+        if pretzel_components(params) == 1:
+            assert SubjectTags(frozenset({"pretzel"}), pretzel=params).pretzel == params
+            continue
+        links += 1
+        with pytest.raises(ValueError, match="^pretzel parameters .* give a link$"):
+            SubjectTags(frozenset({"pretzel"}), pretzel=params)
+    assert links == 575  # 450 with two components, 125 with three
 
 
 def test_seeds_read_as_exact_intervals():

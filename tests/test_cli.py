@@ -418,6 +418,10 @@ def test_bounds_rejects_bad_flags(capsys):
     # the constructor counts a tag's parameters, for the command line as for a caller
     code, out, err = run_cli(capsys, "bounds", "--tag", "torus_knot=3")
     assert (code, out, err) == (2, "", "error: torus_knot takes exactly 2 parameters\n")
+    # two even pretzel parameters close into a link, not a knot
+    code, out, err = run_cli(capsys, "bounds", "--tag", "pretzel=2,4,6")
+    assert (code, out) == (2, "")
+    assert err == "error: pretzel parameters with two or more even numbers give a link\n"
 
 
 def test_bounds_integers_are_ascii(capsys):

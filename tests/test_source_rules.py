@@ -5,6 +5,7 @@ from __future__ import annotations
 import ast
 import importlib
 import json
+import pkgutil
 import re
 import subprocess
 import sys
@@ -13,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import surfrep
+from surfrep.surface import _Value
 from test_facewidth import toroidal_grid
 
 PACKAGE = Path(surfrep.__file__).resolve().parent
@@ -128,6 +130,31 @@ def test_the_families_load_only_the_surface():
     imports the certificate and the component counter when it runs."""
     loaded = _package_modules(_modules_after("import surfrep.families"))
     assert loaded == {"surfrep", "surfrep.families", "surfrep.surface"}
+
+
+def test_no_declared_field_is_stored_by_hand():
+    """A value class hands its declared fields to the base's ``__init__`` in
+    declared order, and the base stores them: ``_set_field`` is left for
+    the undeclared tables an instance keeps, so no call of it in the
+    package names a declared field."""
+    for module in pkgutil.iter_modules(surfrep.__path__):
+        importlib.import_module(f"surfrep.{module.name}")
+    declared = {
+        name
+        for cls in _Value.__subclasses__() if cls.__module__.startswith("surfrep.")
+        for name in cls._fields
+    }
+    assert len(declared) > 20
+    found = [
+        f"{path.relative_to(PACKAGE.parent)}:{node.lineno} {arg.value}"
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name) and node.func.id == "_set_field"
+        for arg in node.args
+        if isinstance(arg, ast.Constant) and arg.value in declared
+    ]
+    assert not found, f"_set_field calls that store a declared field: {found}"
 
 
 def test_no_cli_integer_is_read_with_type_int():

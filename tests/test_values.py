@@ -90,6 +90,24 @@ def test_value_class_behaves_as_a_frozen_record(cls, fields, changed, defaults):
     assert cls(**required) == cls(**required, **defaults)
 
 
+def test_the_base_stores_the_fields_in_declared_order():
+    """A class hands its values to the base in declared order, and the base
+    stores each one; a count other than the number of declared fields is a
+    TypeError that names the class."""
+
+    class Pair(_Value):
+        a: int
+        b: str
+
+    pair = Pair(1, "x")
+    assert (pair.a, pair.b) == (1, "x")
+    assert repr(pair) == "Pair(a=1, b='x')"
+    assert pair == Pair(1, "x") and pair != Pair(1, "y")
+    for values in ((1,), (1, "x", None), ()):
+        with pytest.raises(TypeError, match="^Pair stores 2 fields"):
+            Pair(*values)
+
+
 def test_verdicts_derive_from_the_stored_fields():
     assert Representativity(3, 4).exact is None
     assert Representativity(4, 4).exact == 4
