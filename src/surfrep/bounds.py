@@ -164,6 +164,17 @@ class SubjectTags(_Value):
         # none: it is a knot only when at most one parameter is even
         if pretzel is not None and sum(x % 2 == 0 for x in pretzel) > 1:
             raise ValueError("pretzel parameters with two or more even numbers give a link")
+        # With an entry in {-1, 0, 1}, P(p, q, s) is a 2-bridge knot, or for
+        # an entry 0 a sum of two, of determinant |pq + qs + sp|; by Schubert's
+        # classification of 2-bridge knots it is trivial exactly when that is
+        # 1.  With all |entries| >= 2 its bridge number is 3 (Boileau and
+        # Zieschang 1985), so it is never trivial, though P(-2, 3, 5) has
+        # determinant 1.
+        if pretzel is not None and min(map(abs, pretzel)) <= 1:
+            p, q, s = pretzel
+            if abs(p * q + q * s + s * p) == 1:
+                raise ValueError("pretzel parameters with an entry in {-1, 0, 1} "
+                                 "and determinant 1 give the unknot")
         if "theta_curve" in names and names & _KNOT_TAGS:
             raise ValueError("theta_curve is incompatible with knot tags")
         super().__init__(names, torus_knot, pretzel)

@@ -25,7 +25,8 @@ is a bug and propagates.
 
 Package modules are imported inside the step that uses them: a start
 is one process for one subcommand, so it loads and compiles only the
-modules that subcommand calls.
+modules that subcommand calls, and builds only the top-level parser and
+the named subcommand's; top-level help and errors build all five.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import json
 import math
 import sys
 import time
-from typing import TYPE_CHECKING, Any, Sequence, TypeAlias
+from typing import TYPE_CHECKING, Any, Iterable, Sequence, TypeAlias
 
 if TYPE_CHECKING:
     from surfrep.bounds import Contradiction, Interval, SubjectTags
@@ -203,8 +204,8 @@ Bounds: TypeAlias = "tuple[SubjectTags, dict[str, Interval], dict[str, Interval]
 def _read_bounds(args: argparse.Namespace) -> Bounds:
     from surfrep.bounds import Contradiction, SubjectTags, propagate, seeds_from_strings
 
-    tags = SubjectTags.from_strings(args.tag)
-    seeds = seeds_from_strings(args.seed)
+    tags = SubjectTags.from_strings(args.tag or ())
+    seeds = seeds_from_strings(args.seed or ())
     try:
         return tags, seeds, propagate(tags, seeds)
     except Contradiction as exc:
@@ -243,54 +244,53 @@ def _report_bounds(args: argparse.Namespace, read: Bounds) -> tuple[Body, bool]:
 
 #-- Entry point --#
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="surfrep",
-        description="curve families on closed surfaces: generation, certificates, "
-        "face width, and interval bounds",
-    )
+#: name -> (read step, report step, help line, argument specs after --pretty)
+_COMMANDS = {
+    "generate": (_read_family, _report_generate, "emit the multicurve of a family instance",
+                 (("family", {"help": "family string, e.g. torus:3,5 or lpq:2,7"}),)),
+    "verify": (_read_family, _report_verify, "recompute the claimed quantities of an instance",
+               (("family", {"help": "family string, e.g. exactly:4,2"}),)),
+    "certify": (_read_certify, _report_certify, "check the lower-bound conditions on stored pieces",
+                (("pieces", {"help": "JSON file with planar pieces"}),
+                 ("--n", {"type": _level, "help": "certificate level, overrides the file"}))),
+    "facewidth": (_read_facewidth, _report_facewidth, "genus and face width of an embedded graph",
+                  (("map", {"help": "rotation system JSON file"}),)),
+    "bounds": (_read_bounds, _report_bounds, "propagate attribute intervals from tags and seeds",
+               (("--tag", {"action": "append", "metavar": "NAME[=P,Q]",
+                           "help": "subject tag, repeatable (e.g. torus_knot=3,5)"}),
+                ("--seed", {"action": "append", "metavar": "ATTR=VALUE",
+                            "help": "known exact value, repeatable (e.g. b=3)"}))),
+}
+
+
+def build_parser(names: Iterable[str] = tuple(_COMMANDS)) -> argparse.ArgumentParser:
+    """The top-level parser with the subcommand parsers of ``names``."""
+    parser = argparse.ArgumentParser(prog="surfrep", description="curve families on closed "
+                                     "surfaces: generation, certificates, face width, and "
+                                     "interval bounds")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def command(name: str, read, report, help_text: str) -> argparse.ArgumentParser:
+    for name in names:
+        read, report, help_text, specs = _COMMANDS[name]
         p = sub.add_parser(name, help=help_text)
-        p.add_argument(
-            "--pretty", action="store_true", help="indented text instead of JSON"
-        )
+        p.add_argument("--pretty", action="store_true", help="indented text instead of JSON")
         p.set_defaults(read=read, report=report)
-        return p
-
-    generate = command("generate", _read_family, _report_generate,
-                       "emit the multicurve of a family instance")
-    generate.add_argument("family", help="family string, e.g. torus:3,5 or lpq:2,7")
-
-    verify = command("verify", _read_family, _report_verify,
-                     "recompute the claimed quantities of an instance")
-    verify.add_argument("family", help="family string, e.g. exactly:4,2")
-
-    certify = command("certify", _read_certify, _report_certify,
-                      "check the lower-bound conditions on stored pieces")
-    certify.add_argument("pieces", help="JSON file with planar pieces")
-    certify.add_argument("--n", type=_level, help="certificate level, overrides the file")
-
-    facewidth = command("facewidth", _read_facewidth, _report_facewidth,
-                        "genus and face width of an embedded graph")
-    facewidth.add_argument("map", help="rotation system JSON file")
-
-    bounds = command("bounds", _read_bounds, _report_bounds,
-                     "propagate attribute intervals from tags and seeds")
-    bounds.add_argument(
-        "--tag", action="append", default=[], metavar="NAME[=P,Q]",
-        help="subject tag, repeatable (e.g. torus_knot=3,5)",
-    )
-    bounds.add_argument(
-        "--seed", action="append", default=[], metavar="ATTR=VALUE",
-        help="known exact value, repeatable (e.g. b=3)",
-    )
+        for flag, options in specs:
+            p.add_argument(flag, **options)
     return parser
 
 
+def _parse(argv: Sequence[str]) -> argparse.Namespace:
+    """Parse with the named subcommand's parser alone; anything else, or
+    arguments left over, goes to the full tree, whose usage lists all five."""
+    if argv and argv[0] in _COMMANDS:
+        args, extra = build_parser(argv[:1]).parse_known_args(argv)
+        if not extra:
+            return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else argv)
     started = time.perf_counter()
     try:
         read = args.read(args)

@@ -130,17 +130,28 @@ def test_tag_parameters_are_strict_integers():
 
 def test_pretzel_parameters_close_into_a_knot():
     """The pretzel tag takes exactly the triples whose diagram P(p, q, s),
-    walked crossing by crossing, closes into one component: with two or
-    three even parameters it is a link."""
-    links = 0
+    walked crossing by crossing, closes into one nontrivial knot: with two
+    or three even parameters it is a link, and with an entry in {-1, 0, 1}
+    and determinant |pq + qs + sp| = 1 it is the unknot."""
+    links, unknots = 0, set()
     for params in product(range(-5, 6), repeat=3):
-        if pretzel_components(params) == 1:
-            assert SubjectTags(frozenset({"pretzel"}), pretzel=params).pretzel == params
+        if pretzel_components(params) != 1:
+            links += 1
+            with pytest.raises(ValueError, match="^pretzel parameters .* give a link$"):
+                SubjectTags(frozenset({"pretzel"}), pretzel=params)
             continue
-        links += 1
-        with pytest.raises(ValueError, match="^pretzel parameters .* give a link$"):
-            SubjectTags(frozenset({"pretzel"}), pretzel=params)
+        try:
+            assert SubjectTags(frozenset({"pretzel"}), pretzel=params).pretzel == params
+        except ValueError as exc:
+            assert re.fullmatch("pretzel parameters .* give the unknot", str(exc)), params
+            unknots.add(params)
     assert links == 575  # 450 with two components, 125 with three
+    assert len(unknots) == 78
+    assert len({tuple(sorted(params)) for params in unknots}) == 15
+    for unknot in ((-1, 1, 5), (1, -1, 1), (-3, -2, 1), (-1, 2, 3), (0, 1, 1)):
+        assert unknot in unknots
+    # determinant 1 is not enough: with every |entry| >= 2 the bridge number is 3
+    assert {(-2, 3, 5), (-2, 3, 7)}.isdisjoint(unknots)
 
 
 def test_seeds_read_as_exact_intervals():

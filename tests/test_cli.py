@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 import math
 import re
@@ -13,7 +14,7 @@ from oracles import candidate_face_width
 from surfrep import facewidth
 from surfrep.bounds import ATTRIBUTES, TAG_NAMES
 from surfrep.certificate import PlanarPiece, cut_pieces
-from surfrep.cli import main
+from surfrep.cli import _parse, build_parser, main
 from surfrep.families import lpq_link
 from test_facewidth import ONE_VERTEX_TORUS, TETRAHEDRON, toroidal_grid
 
@@ -422,6 +423,10 @@ def test_bounds_rejects_bad_flags(capsys):
     code, out, err = run_cli(capsys, "bounds", "--tag", "pretzel=2,4,6")
     assert (code, out) == (2, "")
     assert err == "error: pretzel parameters with two or more even numbers give a link\n"
+    # P(1, -1, 1) is a knot diagram of the unknot, which is no subject either
+    code, out, err = run_cli(capsys, "bounds", "--tag", "pretzel=1,-1,1")
+    assert (code, out) == (2, "")
+    assert re.fullmatch(r"error: pretzel parameters .* give the unknot\n", err)
 
 
 def test_bounds_integers_are_ascii(capsys):
@@ -665,3 +670,56 @@ def test_usage_errors_exit_two():
     with pytest.raises(SystemExit) as excinfo:
         main(["unknown-command"])
     assert excinfo.value.code == 2
+
+
+#-- Parsing --#
+
+def _outcome(capsys, parse, argv: list[str]):
+    """The namespace a parse returns, or the code it exits with, and what it printed."""
+    try:
+        result = vars(parse(argv))
+    except SystemExit as exc:
+        result = exc.code
+    return result, capsys.readouterr()
+
+
+def _assert_parse_matches_the_full_tree(capsys, argv: list[str]) -> None:
+    """``_parse`` builds one subcommand parser where it can; it must read
+    every argv as the full tree does, printing the same help and errors."""
+    assert _outcome(capsys, _parse, argv) == _outcome(capsys, build_parser().parse_args, argv)
+
+
+def test_parse_matches_the_full_tree(capsys):
+    for argv in ([], ["-h"], ["verify", "-h"], ["bogus"], ["verif", "torus:3,5"], ["verify"],
+                 ["verify", "a", "b"], ["verify", "torus:3,5", "--bogus"],
+                 ["certify", "x", "--n", "q"], ["bounds", "--tag"], ["--pretty", "verify", "x"],
+                 ["verify", "--", "torus:3,5"]):
+        _assert_parse_matches_the_full_tree(capsys, argv)
+
+
+@_fuzz
+@given(argv=st.lists(st.sampled_from(
+    ["generate", "verify", "certify", "facewidth", "bounds", "-h", "--help", "--pretty", "--n",
+     "--tag", "--seed", "--", "-", "torus:3,5", "4"]), max_size=5))
+def test_fuzzed_argv_parses_as_with_the_full_tree(capsys, argv):
+    _assert_parse_matches_the_full_tree(capsys, argv)
+
+
+def test_a_call_builds_only_the_parsers_it_reads(capsys, monkeypatch):
+    """A subcommand call builds the top-level parser and its own; help
+    lists every subcommand, so it builds all six."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    assert run_cli(capsys, "verify", "torus:3,5")[0] == 0
+    assert built == ["surfrep", "surfrep verify"]
+    built.clear()
+    with pytest.raises(SystemExit) as excinfo:
+        main(["--help"])
+    assert excinfo.value.code == 0
+    assert len(built) == 6
