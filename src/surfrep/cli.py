@@ -25,8 +25,8 @@ is a bug and propagates.
 
 Package modules are imported inside the step that uses them: a start
 is one process for one subcommand, so it loads and compiles only the
-modules that subcommand calls, and builds only the top-level parser and
-the named subcommand's; top-level help and errors build all five.
+modules that subcommand calls, and builds one parser, the named
+subcommand's; top-level help and errors build the full tree.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import json
 import math
 import sys
 import time
-from typing import TYPE_CHECKING, Any, Iterable, Sequence, TypeAlias
+from typing import TYPE_CHECKING, Any, Sequence, TypeAlias
 
 if TYPE_CHECKING:
     from surfrep.bounds import Contradiction, Interval, SubjectTags
@@ -58,8 +58,7 @@ def _emit(report: dict[str, Any], pretty: bool) -> None:
         return
     lines = ["command: " + " ".join(report["command"])]
     if report["inputs"]:
-        lines.append("inputs:")
-        lines.extend(_render("  ", report["inputs"]))
+        lines += ["inputs:", *_render("  ", report["inputs"])]
     if report["checks"]:
         lines.append("checks:")
         for check in report["checks"]:
@@ -68,8 +67,7 @@ def _emit(report: dict[str, Any], pretty: bool) -> None:
                 f"  {mark} {check['name']}: expected {check['expected']}, got {check['actual']}"
             )
     if report["results"]:
-        lines.append("results:")
-        lines.extend(_render("  ", report["results"]))
+        lines += ["results:", *_render("  ", report["results"])]
     lines.append(f"verdict: {report['verdict']} ({report['duration_seconds']}s)")
     print("\n".join(lines))
 
@@ -130,12 +128,11 @@ def _report_verify(args: argparse.Namespace, inst: FamilyInstance) -> tuple[Body
     from surfrep.families import verify_family
 
     checks = verify_family(inst)
-    body = {
+    return {
         "command": ["verify", args.family],
         "inputs": {"family": inst.label, "extrapolated": inst.extrapolated},
         "checks": [_row(c) for c in checks],
-    }
-    return body, all(c.passed for c in checks)
+    }, all(c.passed for c in checks)
 
 
 def _read_certify(args: argparse.Namespace) -> Certificate:
@@ -151,7 +148,7 @@ def _read_certify(args: argparse.Namespace) -> Certificate:
 def _report_certify(args: argparse.Namespace, cert: Certificate) -> tuple[Body, bool]:
     from surfrep.surface import Check
 
-    body = {
+    return {
         "command": ["certify", args.pieces],
         "inputs": {"file": args.pieces, "n": cert.n},
         "checks": [
@@ -160,8 +157,7 @@ def _report_certify(args: argparse.Namespace, cert: Certificate) -> tuple[Body, 
             for name, value in piece.conditions()
         ],
         "results": {"lower_bound_holds": cert.lower_ok},
-    }
-    return body, cert.lower_ok
+    }, cert.lower_ok
 
 
 def _read_facewidth(args: argparse.Namespace) -> RotationSystem:
@@ -176,15 +172,14 @@ def _report_facewidth(args: argparse.Namespace, rs: RotationSystem) -> tuple[Bod
     from surfrep.facewidth import face_width
 
     width = face_width(rs)
-    body = {
+    return {
         "command": ["facewidth", args.map],
         "inputs": {"file": args.map},
         "results": {
             "genus": rs.genus(),
             "face_width": "infinite" if width == math.inf else width,
         },
-    }
-    return body, True
+    }, True
 
 
 def _level(text: str) -> int:
@@ -263,27 +258,33 @@ _COMMANDS = {
 }
 
 
-def build_parser(names: Iterable[str] = tuple(_COMMANDS)) -> argparse.ArgumentParser:
-    """The top-level parser with the subcommand parsers of ``names``."""
+def _arguments(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    """``parser`` with the arguments and the steps of subcommand ``name``."""
+    read, report, _, specs = _COMMANDS[name]
+    parser.add_argument("--pretty", action="store_true", help="indented text instead of JSON")
+    parser.set_defaults(read=read, report=report)
+    for flag, options in specs:
+        parser.add_argument(flag, **options)
+    return parser
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The top-level parser with all five subcommand parsers."""
     parser = argparse.ArgumentParser(prog="surfrep", description="curve families on closed "
                                      "surfaces: generation, certificates, face width, and "
                                      "interval bounds")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in names:
-        read, report, help_text, specs = _COMMANDS[name]
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--pretty", action="store_true", help="indented text instead of JSON")
-        p.set_defaults(read=read, report=report)
-        for flag, options in specs:
-            p.add_argument(flag, **options)
+    for name, (_, _, help_text, _) in _COMMANDS.items():
+        _arguments(sub.add_parser(name, help=help_text), name)
     return parser
 
 
 def _parse(argv: Sequence[str]) -> argparse.Namespace:
-    """Parse with the named subcommand's parser alone; anything else, or
-    arguments left over, goes to the full tree, whose usage lists all five."""
+    """Parse what follows a subcommand's name with its parser alone, as ``add_parser``
+    builds it; anything else, or arguments left over, goes to the full tree."""
     if argv and argv[0] in _COMMANDS:
-        args, extra = build_parser(argv[:1]).parse_known_args(argv)
+        lone = _arguments(argparse.ArgumentParser(prog=f"surfrep {argv[0]}"), argv[0])
+        args, extra = lone.parse_known_args(argv[1:], argparse.Namespace(subcommand=argv[0]))
         if not extra:
             return args
     return build_parser().parse_args(argv)

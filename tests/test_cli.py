@@ -684,8 +684,9 @@ def _outcome(capsys, parse, argv: list[str]):
 
 
 def _assert_parse_matches_the_full_tree(capsys, argv: list[str]) -> None:
-    """``_parse`` builds one subcommand parser where it can; it must read
-    every argv as the full tree does, printing the same help and errors."""
+    """``_parse`` reads what follows a subcommand's name with that parser
+    alone, no top-level parser in front; it must read every argv as the
+    full tree does, printing the same help and errors."""
     assert _outcome(capsys, _parse, argv) == _outcome(capsys, build_parser().parse_args, argv)
 
 
@@ -693,21 +694,26 @@ def test_parse_matches_the_full_tree(capsys):
     for argv in ([], ["-h"], ["verify", "-h"], ["bogus"], ["verif", "torus:3,5"], ["verify"],
                  ["verify", "a", "b"], ["verify", "torus:3,5", "--bogus"],
                  ["certify", "x", "--n", "q"], ["bounds", "--tag"], ["--pretty", "verify", "x"],
-                 ["verify", "--", "torus:3,5"]):
+                 ["verify", "--", "torus:3,5"], ["verify", "torus:3,5", "-h"],
+                 ["verify", "--pre", "torus:3,5"], ["certify", "f.json", "--n=3"],
+                 ["bounds", "--seed=b=2", "--ta", "composite"], ["verify", "--", "-3"],
+                 ["generate", "--pretty", "--pretty", "torus:3,5"]):
         _assert_parse_matches_the_full_tree(capsys, argv)
 
 
 @_fuzz
 @given(argv=st.lists(st.sampled_from(
     ["generate", "verify", "certify", "facewidth", "bounds", "-h", "--help", "--pretty", "--n",
-     "--tag", "--seed", "--", "-", "torus:3,5", "4"]), max_size=5))
+     "--tag", "--seed", "--", "-", "torus:3,5", "4", "--pre", "--n=4", "--tag=composite", "-x"]),
+    max_size=5))
 def test_fuzzed_argv_parses_as_with_the_full_tree(capsys, argv):
     _assert_parse_matches_the_full_tree(capsys, argv)
 
 
-def test_a_call_builds_only_the_parsers_it_reads(capsys, monkeypatch):
-    """A subcommand call builds the top-level parser and its own; help
-    lists every subcommand, so it builds all six."""
+def test_a_call_builds_only_the_parsers_it_reads(capsys, tmp_path, monkeypatch):
+    """A subcommand call builds its own parser alone; help lists every
+    subcommand, so it builds all six, and arguments left over are
+    reported by the full tree after the lone parser."""
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -716,10 +722,21 @@ def test_a_call_builds_only_the_parsers_it_reads(capsys, monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
-    assert run_cli(capsys, "verify", "torus:3,5")[0] == 0
-    assert built == ["surfrep", "surfrep verify"]
+    pieces = _write(tmp_path, "pieces.json", {"pieces": _pants_pieces(), "n": 4})
+    grid = _write(tmp_path, "grid3.json", toroidal_grid(3).to_json())
+    for argv in (["generate", "torus:3,5"], ["verify", "torus:3,5"], ["certify", pieces],
+                 ["facewidth", grid], ["bounds", "--tag", "two_bridge"]):
+        built.clear()
+        assert run_cli(capsys, *argv)[0] == 0
+        assert built == [f"surfrep {argv[0]}"]
     built.clear()
     with pytest.raises(SystemExit) as excinfo:
         main(["--help"])
     assert excinfo.value.code == 0
     assert len(built) == 6
+    built.clear()
+    with pytest.raises(SystemExit) as excinfo:
+        main(["verify", "torus:3,5", "extra"])
+    assert excinfo.value.code == 2
+    names = ["generate", "verify", "certify", "facewidth", "bounds"]
+    assert built == ["surfrep verify", "surfrep", *(f"surfrep {name}" for name in names)]

@@ -175,6 +175,30 @@ def test_no_cli_integer_is_read_with_type_int():
     assert not found, f"add_argument(..., type=int) in the package: {found}"
 
 
+def test_subcommand_arguments_are_added_in_one_place():
+    """A subcommand call parses with a lone parser and help goes through
+    the full tree; both get their arguments and defaults from
+    ``cli._arguments``, so no second list of flags can drift from the
+    first.  ``build_parser``'s ``add_subparsers`` adds no argument."""
+    path = PACKAGE / "cli.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    adders = {"add_argument", "add_argument_group", "add_mutually_exclusive_group",
+              "set_defaults"}
+
+    def calls(root: ast.AST) -> list[ast.Call]:
+        return [node for node in ast.walk(root)
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in adders]
+
+    helpers = [node for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef) and node.name == "_arguments"]
+    assert len(helpers) == 1 and calls(helpers[0])
+    inside = set(calls(helpers[0]))
+    found = [f"cli.py:{node.lineno} {node.func.attr}" for node in calls(tree)
+             if node not in inside]
+    assert not found, f"arguments added outside cli._arguments: {found}"
+
+
 def test_every_public_name_resolves():
     """Each name in a module's ``__all__``, and in the package's, is bound:
     the bench tracer reads every entry with ``getattr``, and star imports
