@@ -23,10 +23,9 @@ clock, the ``error:`` line and exit 2 of a failed read, the verdict and
 exit 0 or 1.  An exception from a report step, on input that decoded,
 is a bug and propagates.
 
-Package modules are imported inside the step that uses them: a start
-is one process for one subcommand, so it loads and compiles only the
-modules that subcommand calls, and builds one parser, the named
-subcommand's; top-level help and errors build the full tree.
+Package modules are imported inside the step that uses them: one start
+serves one subcommand, so it loads only that subcommand's modules and
+builds only its parser; top-level help and errors build the full tree.
 """
 
 from __future__ import annotations
