@@ -54,6 +54,9 @@ CORPUS = [
     ["facewidth", "{tmp}/grid.json", "--pretty"],
     ["generate", "lpq:2,7"],
     ["generate", "lpq:2,7", "--pretty"],
+    ["bounds", "--tag", "pretzel=1,3,7", "--tag", "algebraic"],
+    ["bounds", "--tag", "pretzel=-2,3,5"],
+    ["bounds", "--tag", "torus_knot=3,5", "--seed", "r=3"],
 ]
 
 _JSON_DURATION = re.compile(r', "duration_seconds": [-+0-9.e]+')
