@@ -29,13 +29,12 @@ Rule catalog, each rule switched on by one tag or always on:
     R13  r >= 1 and b >= 1               always
 
 The table ``_CATALOG`` is this catalog in executable form.  Each rule
-there is a list of constant pins and linear relations x <= c * y + d,
-and one step function applies every relation in both directions:
-y >= (ceil(x.lo) - d) / c raises the lower end of y, and
-x <= c * floor(y.hi) + d lowers the upper end of x.  Only two rules are
-functions of their own: R4, whose value comes from the tag's
-parameters, and R7, which excludes the single value 3 by shaving
-interval endpoints.
+there is a list of steps, pins, holes x != v and linear relations
+x <= c * y + d, all applied by one step function.  A relation narrows
+both ways: y >= (ceil(x.lo) - d) / c raises the lower end of y, and
+x <= c * floor(y.hi) + d lowers the upper end of x.  R4 builds its pins
+r = b = min(p, q) from the tag's parameters, and R7 the pin r = 3 for
+the listed multisets, or else the hole r != 3.
 
 Subjects are assumed non-trivial throughout; trivial knots and graphs
 are not valid subjects.  A step that empties an interval, either because
@@ -323,44 +322,20 @@ def _floor(q: Fraction) -> Fraction:
     return q if q.denominator == 1 else Fraction(math.floor(q))
 
 
-def _r4(f: dict[str, Interval], tags: SubjectTags) -> bool:
-    m = Fraction(min(tags.torus_knot))  # type: ignore[arg-type]
-    changed = False
-    for name in ("r", "b"):
-        changed |= _raise_lo(f, name, m, ("R4",))
-        changed |= _lower_hi(f, name, m, ("R4",))
-    return changed
-
-
-def _r7(f: dict[str, Interval], tags: SubjectTags) -> bool:
-    r = f["r"]
-    three = Fraction(3)
-    if tuple(sorted(tags.pretzel)) in _PRETZEL_THREE:  # type: ignore[arg-type]
-        return _raise_lo(f, "r", three, ("R7",)) | _lower_hi(f, "r", three, ("R7",))
-    # outside the listed pairs only r != 3 is known: shave endpoints at 3,
-    # leaving interior threes alone (interval arithmetic cannot see them);
-    # lowering hi leaves lo and its chain as read here
-    changed = False
-    if r.hi == three:
-        changed = _lower_hi(f, "r", Fraction(2), _chain(r.hi_rules, "R7"))
-    if r.lo == three:
-        changed |= _raise_lo(f, "r", Fraction(4), _chain(r.lo_rules, "R7"))
-    return changed
-
-
 _HALF, _THIRD = Fraction(1, 2), Fraction(1, 3)
 
 #: rule id -> (tag that switches it on, None for always; steps).  A step
-#: is a pin ``(x, lo, hi)``, a None end left open, or a relation
-#: ``(x, c, y, d)`` meaning x <= c * y + d; R4 and R7 are functions.
+#: is a pin ``(x, lo, hi)``, a None end left open, a hole ``(x, v)``, or a
+#: relation ``(x, c, y, d)`` meaning x <= c * y + d; R4 and R7 hold a
+#: builder that makes their steps from the tag's parameters.
 _CATALOG: dict[str, tuple[str | None, Any]] = {
     "R1": (None, [("r", _HALF, "bs", 0)]),
     "R2": ("nontrivial_knot", [("r", 2, None), ("r", 1, "b", 0)]),
     "R3": ("nontrivial_knot", [("b", _HALF, "bs", 0), ("bs", 2, "b", 0)]),
-    "R4": ("torus_knot", _r4),
+    "R4": ("torus_knot", lambda p: [(x, min(p), min(p)) for x in ("r", "b")]),
     "R5": ("two_bridge", [("b", 2, 2)]),
     "R6": ("algebraic", [("r", None, 3)]),
-    "R7": ("pretzel", _r7),
+    "R7": ("pretzel", lambda p: [("r", 3, 3) if tuple(sorted(p)) in _PRETZEL_THREE else ("r", 3)]),
     "R8": ("composite", [("r", 2, 2)]),
     "R9": ("has_conway_sphere", [("r", None, 4)]),
     "R10": ("theta_curve", [("bs", 2, "b", 1)]),
@@ -372,19 +347,33 @@ _CATALOG: dict[str, tuple[str | None, Any]] = {
 RULE_ORDER = tuple(_CATALOG)
 
 
-def _apply(rule: str, f: dict[str, Interval], tags: SubjectTags) -> bool:
-    """One application of ``rule``; True when it narrowed an interval.
+def _steps(rule: str, tags: SubjectTags) -> Sequence[tuple]:
+    """The steps of ``rule``, built from the tag's parameters for R4 and R7."""
+    tag, steps = _CATALOG[rule]
+    return steps(getattr(tags, tag)) if callable(steps) else steps
 
-    A relation x <= c * y + d narrows both ways: first y.lo up to
+
+def _apply(rule: str, steps: Sequence[tuple], f: dict[str, Interval]) -> bool:
+    """One application of the steps of ``rule``; True when they narrowed an interval.
+
+    A hole x != v moves an endpoint only when it sits at v.  A relation
+    x <= c * y + d narrows both ways: first y.lo up to
     (ceil(x.lo) - d) / c, then x.hi down to c * floor(y.hi) + d.  The
     rounding is sound because every attribute is integral, and it makes
     a chain of relations see parity: bs = 2b with b > 9/2 gives bs >= 10.
     """
-    steps = _CATALOG[rule][1]
-    if callable(steps):
-        return steps(f, tags)
     changed = False
     for step in steps:
+        if len(step) == 2:
+            # interval arithmetic cannot see interior threes; lowering hi
+            # leaves lo and its chain as read here
+            x, v = step
+            iv = f[x]
+            if iv.hi == v:
+                changed |= _lower_hi(f, x, Fraction(v - 1), _chain(iv.hi_rules, rule))
+            if iv.lo == v:
+                changed |= _raise_lo(f, x, Fraction(v + 1), _chain(iv.lo_rules, rule))
+            continue
         if len(step) == 3:
             x, lo, hi = step
             if lo is not None:
@@ -417,8 +406,8 @@ def propagate(
     Returns one interval per attribute, keyed in ``ATTRIBUTES`` order.
     ``seeds`` maps attribute names to known facts, each an
     :class:`Interval`: an exact value v as ``Interval(v, v)``, a lower
-    bound L alone as ``Interval(L)``.  Both ends enter with the chain
-    ``seed:<name>``.  ``rule_order`` affects only which chain gets
+    bound L alone as ``Interval(L)``.  A seed enters as a pin with the
+    chain ``seed:<name>``.  ``rule_order`` affects only which chain gets
     recorded when several rules justify the same endpoint; the interval
     values of the fixed point do not depend on it.  Raises
     :class:`Contradiction` when the facts are inconsistent.
@@ -431,16 +420,13 @@ def propagate(
             raise ValueError(f"unknown attribute {name!r}")
         if not isinstance(seed, Interval):
             raise ValueError(f"seed for {name!r} is not an Interval: {seed!r}")
-        rules = (f"seed:{name}",)
-        _raise_lo(facts, name, Fraction(seed.lo), rules)
-        if seed.hi is not None:
-            _lower_hi(facts, name, Fraction(seed.hi), rules)
+        _apply(f"seed:{name}", [(name, seed.lo, seed.hi)], facts)
     on = tags.effective | {None}
-    active = [rule for rule in rule_order if _CATALOG[rule][0] in on]
+    active = [(rule, _steps(rule, tags)) for rule in rule_order if _CATALOG[rule][0] in on]
     for _ in range(64):
         changed = False
-        for rule in active:
-            changed |= _apply(rule, facts, tags)
+        for rule, steps in active:
+            changed |= _apply(rule, steps, facts)
         if not changed:
             return facts
     raise RuntimeError("propagation failed to stabilise")

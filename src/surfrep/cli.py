@@ -106,6 +106,8 @@ def _load_json(path: str) -> Any:
             return json.load(file)
     except RecursionError:
         raise ValueError(f"{path} is nested too deeply") from None
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path} is not JSON: {exc}") from None
 
 
 #-- Subcommands: read, then report --#

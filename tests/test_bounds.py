@@ -18,6 +18,8 @@ from surfrep.bounds import (
     Contradiction,
     Interval,
     SubjectTags,
+    _CATALOG,
+    _steps,
     propagate,
     seeds_from_strings,
 )
@@ -267,6 +269,26 @@ def test_every_endpoint_is_a_fraction():
         checked += 1
 
 
+def test_every_catalog_entry_builds_steps_of_the_three_kinds():
+    """Each rule, a fixed list or a builder over its tag's parameters,
+    gives steps that ``_apply`` reads: holes (x, v), pins (x, lo, hi) and
+    relations (x, c, y, d), each narrowing an attribute x."""
+    built = {}
+    for label in ("torus_knot=3,5", "pretzel=1,3,7", "pretzel=-2,3,5"):
+        tags = _tags(label)
+        for rule, (tag, _) in _CATALOG.items():
+            if tag in {"torus_knot", "pretzel"} - tags.names:
+                continue
+            steps = built[label, rule] = _steps(rule, tags)
+            assert steps, rule
+            for step in steps:
+                assert isinstance(step, tuple) and len(step) in (2, 3, 4), (rule, step)
+                assert step[0] in ATTRIBUTES, (rule, step)
+    assert built["torus_knot=3,5", "R4"] == [("r", 3, 3), ("b", 3, 3)]
+    assert built["pretzel=1,3,7", "R7"] == [("r", 3)]
+    assert built["pretzel=-2,3,5", "R7"] == [("r", 3, 3)]
+
+
 def test_pretzel_rules():
     for params in ("-2,3,3", "2,-3,-3", "-2,3,5", "2,-3,-5", "3,-2,5"):
         fs = propagate(_tags(f"pretzel={params}"))
@@ -285,6 +307,14 @@ def test_pretzel_rules():
         propagate(_tags("pretzel=-2,3,5", "composite"))  # r = 3 vs r = 2
     with pytest.raises(Contradiction):
         propagate(_tags("pretzel=1,3,7"), {"r": exact(3)})  # seeded onto the excluded value
+
+    # a lower end at 3 moves past the hole to 4, chained after what put it there
+    past = propagate(_tags("pretzel=1,3,7"), {"r": Interval(3)})
+    assert past["r"].lo == 4 and past["r"].hi is None
+    assert past["r"].lo_rules == ("seed:r", "R7")
+    capped = propagate(_tags("pretzel=1,3,7", "has_conway_sphere"), {"r": Interval(3)})
+    assert capped["r"].lo == capped["r"].hi == 4
+    assert capped["r"].hi_rules == ("R9",)
 
     # a knot can carry both tags when the values agree
     both = propagate(_tags("torus_knot=3,5", "pretzel=-2,3,5"))

@@ -160,15 +160,18 @@ def test_certify_rejects_bad_files(capsys, tmp_path):
     code, out, err = run_cli(capsys, "certify", stored, "--n", "-3")
     assert (code, out) == (2, "") and "must be >= 0" in err
     # a missing field is named, a piece id must be a string, and deep
-    # nesting is refused like any other unusable file
+    # nesting or a syntax error is refused like any other unusable file
     no_arcs = {key: value for key, value in pants[0].items() if key != "arcs"}
     unnamed = {**pants[0], "piece": {"x": 1}}
     deep = tmp_path / "deep.json"
     deep.write_text("[" * 200_000)
+    broken = tmp_path / "broken.json"
+    broken.write_text("{")
     for path, message in (
         (_write(tmp_path, "no_arcs.json", {"pieces": [no_arcs], "n": 4}), "missing field 'arcs'"),
         (_write(tmp_path, "object_id.json", {"pieces": [unnamed], "n": 4}), "must be a string"),
         (str(deep), "nested too deeply"),
+        (str(broken), f"{broken} is not JSON"),
         # a wrong shape names the field and the JSON type it needs
         (_write(tmp_path, "bare_list_piece.json", {"pieces": [[1]], "n": 1}),
          "expected an object with field 'piece'"),
@@ -304,6 +307,8 @@ def test_facewidth_rejects_broken_maps(capsys, tmp_path):
     no_edges = _write(tmp_path, "no_edges.json", {"rotations": [[0, 1, 2, 3]]})
     deep = tmp_path / "deep.json"
     deep.write_text("[" * 200_000)
+    broken = tmp_path / "broken.json"
+    broken.write_text("{")
     # a wrong shape names the field and the JSON type it needs
     list_map = _write(tmp_path, "list_map.json", [1, 2])
     int_rotations = _write(tmp_path, "int_rotations.json", {"rotations": 5, "edges": []})
@@ -320,6 +325,7 @@ def test_facewidth_rejects_broken_maps(capsys, tmp_path):
     for path, message in (
         (no_edges, "missing field 'edges'"),
         (str(deep), "nested too deeply"),
+        (str(broken), f"{broken} is not JSON"),
         (list_map, "expected an object with field 'rotations'"),
         (int_rotations, "field 'rotations' must be an array"),
         (int_rotation, "each rotation must be an array"),

@@ -199,6 +199,26 @@ def test_subcommand_arguments_are_added_in_one_place():
     assert not found, f"arguments added outside cli._arguments: {found}"
 
 
+def test_intervals_narrow_only_in_the_step_function():
+    """Every rule and every seed narrows through ``bounds._apply``, the one
+    step function, so no other code in the module names ``_raise_lo`` or
+    ``_lower_hi``: a new fact is a step in the table, not a call of them."""
+    path = PACKAGE / "bounds.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    narrowers = {"_raise_lo", "_lower_hi"}
+
+    def uses(root: ast.AST) -> list[ast.Name]:
+        return [node for node in ast.walk(root)
+                if isinstance(node, ast.Name) and node.id in narrowers]
+
+    steppers = [node for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef) and node.name == "_apply"]
+    assert len(steppers) == 1 and {node.id for node in uses(steppers[0])} == narrowers
+    inside = set(uses(steppers[0]))
+    found = [f"bounds.py:{node.lineno} {node.id}" for node in uses(tree) if node not in inside]
+    assert not found, f"intervals narrowed outside bounds._apply: {found}"
+
+
 def test_every_public_name_resolves():
     """Each name in a module's ``__all__``, and in the package's, is bound:
     the bench tracer reads every entry with ``getattr``, and star imports
