@@ -31,8 +31,7 @@ from typing import Any
 from surfrep.surface import (
     CurveClass,
     MultiCurve,
-    _crossed_longitudes,
-    _crossed_meridians,
+    _crossed,
     _json_field,
     _strict_int,
     _Value,
@@ -136,15 +135,15 @@ def cut_pieces(mc: MultiCurve, along: str) -> PlanarPiece:
     if mc.surface.kind != "chain":
         raise ValueError("cutting along a full reference family needs the chain surface")
     if along == "meridians":
-        label, weights, crossed = "F1+", mc.longitudes, _crossed_meridians
+        label, family, weights = "F1+", "l", mc.longitudes
     elif along == "longitudes":
-        label, weights, crossed = "F2+", mc.meridians, _crossed_longitudes
+        label, family, weights = "F2+", "m", mc.meridians
     else:
         raise ValueError(f"along must be 'meridians' or 'longitudes', got {along!r}")
     mults: dict[tuple[int, ...], int] = {}
     for x, w in enumerate(weights):
         if w:
-            key = tuple(sorted(crossed(mc.surface, x)))
+            key = _crossed(mc.surface, family, x)
             mults[key] = mults.get(key, 0) + w
     arcs = tuple((a, b, m) for (a, b), m in sorted(mults.items()))
     return PlanarPiece(label, mc.surface.num_classes, arcs)

@@ -21,7 +21,7 @@ input.  The report step returns the report body and whether it passed;
 ``generate`` prints its curve and returns None.  :func:`main` owns the
 clock, the ``error:`` line and exit 2 of a failed read, the verdict and
 exit 0 or 1.  An exception from a report step, on input that decoded,
-is a bug and propagates.
+is a bug and propagates; a closed stdout is none, and keeps the verdict.
 
 Package modules are imported inside the step that uses them: one start
 serves one subcommand, so it loads only that subcommand's modules and
@@ -33,6 +33,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 from typing import TYPE_CHECKING, Any, Sequence, TypeAlias
@@ -102,11 +103,11 @@ def _fact(iv: Interval) -> dict[str, Any]:
 
 def _load_json(path: str) -> Any:
     try:
-        with open(path) as file:
+        with open(path, encoding="utf-8") as file:
             return json.load(file)
     except RecursionError:
         raise ValueError(f"{path} is nested too deeply") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise ValueError(f"{path} is not JSON: {exc}") from None
 
 
@@ -300,16 +301,22 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return _USAGE
     # an error raised from here on, on input that decoded, is a bug and not exit 2
-    outcome = args.report(args, read)
-    if outcome is None:
-        return _OK
-    body, passed = outcome
-    # the key order is part of the output; a body fills the slots it has
-    report = {"schema": SCHEMA, "command": [], "inputs": {}, "checks": [], "results": {},
-              **body, "verdict": "pass" if passed else "fail",
-              "duration_seconds": round(time.perf_counter() - started, 6)}
-    _emit(report, args.pretty)
-    return _OK if passed else _FAIL
+    code = _OK
+    try:
+        outcome = args.report(args, read)
+        if outcome is not None:
+            body, passed = outcome
+            code = _OK if passed else _FAIL
+            # the key order is part of the output; a body fills the slots it has
+            report = {"schema": SCHEMA, "command": [], "inputs": {}, "checks": [],
+                      "results": {}, **body, "verdict": "pass" if passed else "fail",
+                      "duration_seconds": round(time.perf_counter() - started, 6)}
+            _emit(report, args.pretty)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: the verdict stands, and the final flush goes nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return code
 
 
 if __name__ == "__main__":

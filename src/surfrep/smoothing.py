@@ -37,7 +37,7 @@ crossing count.
 
 from __future__ import annotations
 
-from surfrep.surface import MultiCurve, _crossed_longitudes, _crossed_meridians
+from surfrep.surface import MultiCurve, _crossed
 
 __all__ = ["trace_components", "trace_orbits"]
 
@@ -81,8 +81,8 @@ def _return_pieces(mc: MultiCurve) -> tuple[list[tuple[int, int]], list[int], li
     a, b = mc.longitudes, mc.meridians
     k = surface.num_classes
     # along m_i after l_j, and along l_j after m_i
-    next_long = [_next_with_copies(_crossed_longitudes(surface, i), a) for i in range(k)]
-    next_mer = [_next_with_copies(_crossed_meridians(surface, j), b) for j in range(k)]
+    next_long = [_next_with_copies(_crossed(surface, "m", i), a) for i in range(k)]
+    next_mer = [_next_with_copies(_crossed(surface, "l", j), b) for j in range(k)]
     blocks = [(j, i) for j in range(k) if a[j] for i in next_mer[j]]
     base: dict[tuple[int, int], int] = {}
     offsets = [0]
@@ -158,14 +158,11 @@ def trace_components(mc: MultiCurve) -> int:
     crossing classes all have weight 0 meets no crossing: it survives
     smoothing untouched and counts one component.
     """
-    surface = mc.surface
     a, b = mc.longitudes, mc.meridians
-    k = surface.num_classes
     untouched = sum(
-        a[j] for j in range(k) if not any(b[i] for i in _crossed_meridians(surface, j))
-    )
-    untouched += sum(
-        b[i] for i in range(k) if not any(a[j] for j in _crossed_longitudes(surface, i))
+        w
+        for family, weights, other in (("l", a, b), ("m", b, a))
+        for x, w in enumerate(weights)
+        if not any(other[y] for y in _crossed(mc.surface, family, x))
     )
     return len(trace_orbits(mc)) + untouched
-

@@ -1,13 +1,12 @@
 """Standard surfaces, curve classes, and multicurves.
 
-Two closed orientable surface models are supported:
-
-* the standard torus, carrying one meridian class and one longitude class
-  that cross exactly once, and
-* the chain surface of genus g, the double of a planar surface with g+1
-  boundary circles.  It carries meridian classes m_0..m_g (the doubled
-  circles) and longitude classes l_0..l_g, where l_j crosses m_{j-1} and
-  m_j (indices cyclic) exactly once each and misses every other meridian.
+Two closed orientable surface models are supported, each with k meridian
+classes m_0..m_{k-1} and k longitude classes l_0..l_{k-1}: the chain
+surface of genus g, the double of a planar surface with g+1 boundary
+circles (the doubled circles are the meridians), with k = g+1, and the
+standard torus, with k = 1.  On both, l_j crosses m_{j-1} and m_j
+(indices mod k) exactly once each and misses every other meridian; at
+k = 1 the two are one class, crossed once.
 
 A multicurve is a nonnegative integer weight per class: b_i parallel
 copies of m_i and a_j parallel copies of l_j, arranged so that every
@@ -217,29 +216,19 @@ class CurveClass(_Value):
 
 #-- Pairing --#
 
-def _crossed_meridians(surface: SurfaceModel, j: int) -> tuple[int, ...]:
-    """Meridian classes met by one copy of l_j, in ascending order.
+def _crossed(surface: SurfaceModel, family: str, index: int) -> tuple[int, ...]:
+    """Classes of the other family met by one copy of class ``family`` ``index``,
+    in ascending order.
 
-    On the chain surface l_j meets m_{j-1} and m_j (indices cyclic), once
-    each; at genus 1 these are m_0 and m_1 for either longitude.  With
-    at most two classes, any listing is their cyclic order along l_j.
+    With k classes per family, m_i meets l_i and l_{i+1} and l_j meets
+    m_{j-1} and m_j (indices mod k), once each: the two lists are each
+    other's transpose.  When the two coincide, as on the torus (k = 1),
+    the one class is listed once.  With at most two classes, any listing
+    is their cyclic order along the copy.
     """
-    if surface.kind == "torus":
-        return (0,)
-    g = surface.genus
-    return (0, g) if j == 0 else (j - 1, j)
-
-
-def _crossed_longitudes(surface: SurfaceModel, i: int) -> tuple[int, ...]:
-    """Longitude classes met by one copy of m_i, in cyclic order along it.
-
-    On the chain surface m_i meets l_i and then l_{i+1} (indices cyclic),
-    once each: the transpose of :func:`_crossed_meridians`.
-    """
-    if surface.kind == "torus":
-        return (0,)
-    g = surface.genus
-    return (g, 0) if i == g else (i, i + 1)
+    k = surface.num_classes
+    x, y = (index, (index + 1) % k) if family == "m" else ((index - 1) % k, index)
+    return (x, y) if x < y else (y, x) if y < x else (x,)
 
 
 #-- Multicurves --#
@@ -281,9 +270,8 @@ class MultiCurve(_Value):
         k = self.surface.num_classes
         if cls.index >= k:
             raise ValueError(f"no class {cls} on a surface with {k} classes per family")
-        if cls.family == "m":
-            return sum(self.longitudes[j] for j in _crossed_longitudes(self.surface, cls.index))
-        return sum(self.meridians[i] for i in _crossed_meridians(self.surface, cls.index))
+        other = self.longitudes if cls.family == "m" else self.meridians
+        return sum(other[x] for x in _crossed(self.surface, cls.family, cls.index))
 
     def to_json(self) -> dict[str, Any]:
         return {

@@ -5,12 +5,17 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from oracles import candidate_face_width
+import surfrep
 from surfrep import facewidth
 from surfrep.bounds import ATTRIBUTES, TAG_NAMES
 from surfrep.certificate import PlanarPiece, cut_pieces
@@ -29,6 +34,20 @@ def _write(tmp_path, name: str, payload) -> str:
     target = tmp_path / name
     target.write_text(json.dumps(payload))
     return str(target)
+
+
+def _undecodable(tmp_path) -> list[tuple[str, str]]:
+    """Files the JSON decoder refuses, each with the message that names it:
+    bytes that are not UTF-8, and, where the interpreter limits the digits
+    of an integer, one past that limit."""
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe{")
+    files = [binary]
+    if hasattr(sys, "get_int_max_str_digits"):
+        huge = tmp_path / "huge.json"
+        huge.write_text("[" + "9" * 5000 + "]")
+        files.append(huge)
+    return [(str(path), f"{path} is not JSON") for path in files]
 
 
 def _pants_pieces() -> list[dict]:
@@ -172,6 +191,7 @@ def test_certify_rejects_bad_files(capsys, tmp_path):
         (_write(tmp_path, "object_id.json", {"pieces": [unnamed], "n": 4}), "must be a string"),
         (str(deep), "nested too deeply"),
         (str(broken), f"{broken} is not JSON"),
+        *_undecodable(tmp_path),
         # a wrong shape names the field and the JSON type it needs
         (_write(tmp_path, "bare_list_piece.json", {"pieces": [[1]], "n": 1}),
          "expected an object with field 'piece'"),
@@ -326,6 +346,7 @@ def test_facewidth_rejects_broken_maps(capsys, tmp_path):
         (no_edges, "missing field 'edges'"),
         (str(deep), "nested too deeply"),
         (str(broken), f"{broken} is not JSON"),
+        *_undecodable(tmp_path),
         (list_map, "expected an object with field 'rotations'"),
         (int_rotations, "field 'rotations' must be an array"),
         (int_rotation, "each rotation must be an array"),
@@ -667,6 +688,27 @@ def test_errors_after_decoding_are_not_usage_errors(tmp_path, monkeypatch, error
     for argv in (["verify", "torus:3,5"], ["facewidth", grid]):
         with pytest.raises(error, match="broken computation"):
             main(argv)
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_a_closed_stdout_keeps_the_verdict(unbuffered):
+    """A reader that leaves early, as ``| head -n 1`` does, is no crash:
+    the exit code is the verdict's, or 0 for ``generate``, and stderr
+    stays empty.  The pipe's read end is closed before the command starts,
+    so every write to stdout fails."""
+    env = {**os.environ, "PYTHONPATH": str(Path(surfrep.__file__).parent.parent),
+           "PYTHONUNBUFFERED": unbuffered}
+    for argv, code in ((["verify", "exactly:4,2", "--pretty"], 0),
+                       (["verify", "exactly:5,2"], 1),
+                       (["generate", "lpq:2,7"], 0)):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run([sys.executable, "-m", "surfrep.cli", *argv], env=env,
+                                  stdout=write_end, stderr=subprocess.PIPE, timeout=60)
+        finally:
+            os.close(write_end)
+        assert (done.returncode, done.stderr) == (code, b""), argv
 
 
 def test_usage_errors_exit_two():

@@ -219,6 +219,21 @@ def test_intervals_narrow_only_in_the_step_function():
     assert not found, f"intervals narrowed outside bounds._apply: {found}"
 
 
+def test_one_crossing_rule_with_no_torus_arm():
+    """``surface._crossed`` is the one pairing rule, for k classes per
+    family with the torus as k = 1: it reads no ``kind``, and, run for
+    every class of a call, it builds no set and sorts nothing."""
+    rules = [(path, node) for path in sorted(PACKAGE.rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             if isinstance(node, ast.FunctionDef) and node.name.startswith("_crossed")]
+    assert [(path.name, node.name) for path, node in rules] == [("surface.py", "_crossed")]
+    found = [f"surface.py:{node.lineno}" for node in ast.walk(rules[0][1])
+             if isinstance(node, ast.Attribute) and node.attr == "kind"
+             or isinstance(node, (ast.Set, ast.SetComp))
+             or isinstance(node, ast.Name) and node.id in {"set", "frozenset", "sorted"}]
+    assert not found, f"a torus arm, a set or a sort in the crossing rule: {found}"
+
+
 def test_every_public_name_resolves():
     """Each name in a module's ``__all__``, and in the package's, is bound:
     the bench tracer reads every entry with ``getattr``, and star imports

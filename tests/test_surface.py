@@ -14,8 +14,7 @@ from surfrep.surface import (
     CurveClass,
     MultiCurve,
     SurfaceModel,
-    _crossed_longitudes,
-    _crossed_meridians,
+    _crossed,
 )
 
 
@@ -25,7 +24,7 @@ def pairing_matrix(surf: SurfaceModel) -> tuple[tuple[int, ...], ...]:
     """P[j][i] = 1 when the package lists m_i among the meridians l_j crosses."""
     k = surf.num_classes
     return tuple(
-        tuple(int(i in _crossed_meridians(surf, j)) for i in range(k)) for j in range(k)
+        tuple(int(i in _crossed(surf, "l", j)) for i in range(k)) for j in range(k)
     )
 
 
@@ -87,19 +86,28 @@ def test_chain_pairing_structure():
 def test_torus_pairing():
     surf = SurfaceModel.torus()
     assert pairing_matrix(surf) == ((1,),)
-    assert _crossed_meridians(surf, 0) == _crossed_longitudes(surf, 0) == (0,)
+    assert _crossed(surf, "l", 0) == _crossed(surf, "m", 0) == (0,)
 
 
-@pytest.mark.parametrize("g", range(1, 7))
-def test_crossed_longitudes_transpose_crossed_meridians(g: int):
+def _surfaces(genera: range) -> list:
+    """The torus and the chain surfaces of ``genera``, each with its own id."""
+    return [pytest.param(SurfaceModel.torus(), id="torus"),
+            *(pytest.param(SurfaceModel.chain(g), id=str(g)) for g in genera)]
+
+
+@pytest.mark.parametrize("surf", _surfaces(range(1, 7)))
+def test_crossed_longitudes_transpose_crossed_meridians(surf: SurfaceModel):
     """j is among the longitudes m_i crosses exactly when i is among the
-    meridians l_j crosses, and each lists two distinct classes."""
-    surf = SurfaceModel.chain(g)
+    meridians l_j crosses.  Each lists its classes once, ascending: two
+    on a chain surface, the one class on the torus."""
     k = surf.num_classes
-    for i in range(k):
-        for j in range(k):
-            assert (j in _crossed_longitudes(surf, i)) == (i in _crossed_meridians(surf, j))
-        assert len(set(_crossed_longitudes(surf, i))) == len(set(_crossed_meridians(surf, i))) == 2
+    for x in range(k):
+        for y in range(k):
+            assert (y in _crossed(surf, "m", x)) == (x in _crossed(surf, "l", y))
+        for family in "ml":
+            crossed = _crossed(surf, family, x)
+            assert list(crossed) == sorted(set(crossed))
+            assert len(crossed) == min(k, 2)
 
 
 #-- Boundary counts --#
@@ -217,13 +225,13 @@ def test_constructors_reject_non_integers(bad):
             build()
 
 
-@pytest.mark.parametrize("g", range(1, 9))
-def test_boundary_count_matches_adjacency_formula(g: int):
+@pytest.mark.parametrize("surf", _surfaces(range(1, 9)))
+def test_boundary_count_matches_adjacency_formula(surf: SurfaceModel):
     """boundary_count is the sum of weight x [l_j adjacent to m_i], with
-    adjacency read from the explicit rule (i - j) % k in (0, k - 1)."""
-    rng = random.Random(g)
-    surf = SurfaceModel.chain(g)
+    adjacency read from the explicit rule (i - j) % k in (0, k - 1); at
+    k = 1 the rule gives the torus's single crossing."""
     k = surf.num_classes
+    rng = random.Random(k - 1)
 
     for _ in range(20):
         a = tuple(rng.randrange(0, 50) for _ in range(k))
