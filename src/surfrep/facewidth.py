@@ -415,63 +415,57 @@ def face_width(rs: RotationSystem) -> int | float:
 
     Infinite on the sphere; elsewhere half the length of a shortest
     noncontractible cycle of the radial map, which is bipartite, so
-    loopless.  The radial nodes are ranked with the roots of
-    :func:`_search_roots` first, and a breadth first search from each
-    root x visits only the vertices of rank >= rank(x).  It gives each
-    one a branch, the first dart out of x on its tree path, and a class
-    h, the XOR of the Z/2 labels along that path.  Each non-tree edge
-    d = vw between two branches closes the simple cycle x..v w..x of
-    class h(v) ^ h(w) ^ label(d), read in O(1).  It is looked at from v
-    when w is one level deeper, which in a bipartite map is every edge
-    to a vertex not yet scanned, so it has length 2 depth(v) + 2.  A
-    nonzero class is noncontractible, so the cycle is taken as the best
-    one yet.  A zero class is skipped on the torus; at genus >= 2 the
-    cycle is cut open, and taken if it does not bound a disk.  The
-    search stops at the first depth whose cycles are no shorter than the
-    best, and the winning cycle is cut once more as an independent
-    check.
+    loopless.  A breadth first search runs from each root of
+    :func:`_search_roots` in turn and skips the roots searched before
+    it.  It gives each node it reaches a branch, the first dart out of
+    the root x on its tree path, and a class h, the XOR of the Z/2
+    labels along that path.  Each non-tree edge d = vw between two
+    branches closes the simple cycle x..v w..x of class
+    h(v) ^ h(w) ^ label(d), read in O(1).  It is looked at from v when w
+    is one level deeper, which in a bipartite map is every edge to a
+    node not yet scanned, so it has length 2 depth(v) + 2.  A nonzero
+    class is noncontractible, so the cycle is taken as the best one
+    yet.  A zero class is skipped on the torus; at genus >= 2 the cycle
+    is cut open, and taken if it does not bound a disk.  The search
+    stops at the first depth whose cycles are no shorter than the best,
+    and the winning cycle is cut once more as an independent check.
 
-    Everything runs on lists over ranks, built once from the radial
-    positions, which are the radial dart names: dart d leaves the vertex
-    of rank node(d) and arrives at that of node(d ^ 1).  Each vertex
-    keeps its (dart, head, label) triples, and the search state of a
-    vertex belongs to root x while its stamp is x, so no per-root table
-    is cleared or rebuilt.
+    The search reads the radial map's own lists, whose positions are
+    the radial dart names: dart d leaves node vert(d), arrives at
+    vert(d ^ 1) and carries label(d).  The search state of a node
+    belongs to root x while its stamp is x, so no per-root table is
+    cleared or rebuilt.
 
     Let C be a shortest noncontractible cycle.  It passes a root: at
     genus >= 2 every vertex node is one, and on the torus C has a
     nonzero class (below), so it uses an edge of nonzero label, whose
-    vertex node is a root.  Roots rank first, so the vertex x of least
-    rank on C is a root.  C lies among the vertices of rank >= rank(x),
-    so tree distances from x are at most those along C.  Based at x, C
-    is the product of the fundamental loops of its non-tree edges, so
-    one of them, L, is noncontractible and at most |C| long.  Were its
-    tree paths to share a first dart, trimming them would give a shorter
-    noncontractible cycle.  So L is a simple cycle between two branches
-    of length |C|, with ends shallow enough for the search to reach, and
-    the search recognises it: a nonzero class outright, a zero class by
-    the cut at genus >= 2.  On the torus neither C nor L can have class
-    zero, since a simple cycle of class zero separates and a separating
-    simple cycle on the torus bounds a disk; at genus >= 2 it may, as a
-    cycle that separates two handles (Cabello & Mohar, DCG 2007), and
-    such a cycle can miss every edge of nonzero label, which is why all
-    vertex nodes stay roots there.
+    vertex node is a root.  Let x be the first root on C that the search
+    takes.  C avoids every root searched before x, so it lies among the
+    nodes the search from x visits, and tree distances from x are at
+    most those along C.  Based at x, C is the product of the fundamental
+    loops of its non-tree edges, so one of them, L, is noncontractible
+    and at most |C| long.  Were its tree paths to share a first dart,
+    trimming them would give a shorter noncontractible cycle.  So L is a
+    simple cycle between two branches of length |C|, with ends shallow
+    enough for the search to reach, and the search recognises it: a
+    nonzero class outright, a zero class by the cut at genus >= 2.  No
+    order of the roots is needed.  On the torus neither C nor L can have
+    class zero, since a simple cycle of class zero separates and a
+    separating simple cycle on the torus bounds a disk; at genus >= 2 it
+    may, as a cycle that separates two handles (Cabello & Mohar, DCG
+    2007), and such a cycle can miss every edge of nonzero label, which
+    is why all vertex nodes stay roots there.
     """
     genus = rs.genus()
     if genus == 0:
         return math.inf
     rad = radial(rs)
+    rots, vert = rad._rots, rad._vert
     labels = _z2_labels(rad)
-    roots = _search_roots(rs, labels)
     n = rad.num_vertices
-    order = roots + sorted(set(range(n)).difference(roots))
-    rank = [0] * n
-    for r, v in enumerate(order):
-        rank[v] = r
-    node = [rank[v] for v in rad._vert]
-    arcs = [[(d, node[d ^ 1], labels[d]) for d in rad._rots[v]] for v in order]
-    # per vertex: the root whose search reached it last, then that search's
-    # depth, dart reached by, branch and class
+    # per node: whether its own search has run, the root whose search
+    # reached it last, then that search's depth, dart reached by, branch and class
+    searched = [False] * n
     stamp = [-1] * n
     depth = [0] * n
     via = [-1] * n
@@ -479,7 +473,7 @@ def face_width(rs: RotationSystem) -> int | float:
     cls = [0] * n
     best: int | float = math.inf
     witness: list[int] = []
-    for x in range(len(roots)):
+    for x in _search_roots(rs, labels):
         stamp[x], depth[x], cls[x] = x, 0, 0
         queue = [x]
         for v in queue:
@@ -487,28 +481,30 @@ def face_width(rs: RotationSystem) -> int | float:
             if 2 * dv + 2 >= best:
                 break
             bv, hv = branch[v], cls[v]
-            for d, w, label in arcs[v]:
-                if w < x:
+            for d in rots[v]:
+                w = vert[d ^ 1]
+                if searched[w]:
                     continue
                 if stamp[w] != x:
-                    stamp[w], depth[w], via[w], cls[w] = x, dv + 1, d, hv ^ label
+                    stamp[w], depth[w], via[w], cls[w] = x, dv + 1, d, hv ^ labels[d]
                     branch[w] = d if v == x else bv
                     queue.append(w)
                 # only from the end scanned first: skips tree edges and repeats
                 elif depth[w] > dv and branch[w] != bv and 2 * dv + 2 < best:
-                    essential = hv ^ cls[w] ^ label
+                    essential = hv ^ cls[w] ^ labels[d]
                     if not essential and genus == 1:
                         continue
                     down, up, u = [d], [], v
                     while u != x:
                         down.append(via[u])
-                        u = node[down[-1]]
+                        u = vert[down[-1]]
                     while w != x:
                         up.append(via[w])
-                        w = node[up[-1]]
+                        w = vert[up[-1]]
                     cycle = down[::-1] + [y ^ 1 for y in up]
                     if essential or not cycle_is_contractible(rad, cycle):
                         best, witness = len(cycle), cycle
+        searched[x] = True
     if not witness:
         raise RuntimeError("no noncontractible cycle on a positive genus surface")
     if cycle_is_contractible(rad, witness):

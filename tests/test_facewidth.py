@@ -551,6 +551,49 @@ def test_every_nonzero_class_cycle_passes_a_root():
         assert _search_roots(rs, _z2_labels(radial(rs))) == list(range(rs.num_vertices))
 
 
+def test_torus_grids_take_the_fast_paths(monkeypatch):
+    """On the torus every zero-class cycle is skipped without a cut, so the
+    witness check is the one cut, and the labels pick fewer roots than
+    there are vertex nodes."""
+    rng = random.Random(29)
+    cuts = []
+    original = facewidth.cycle_is_contractible
+
+    def counting(rad, cycle):
+        cuts.append(cycle)
+        return original(rad, cycle)
+
+    monkeypatch.setattr(facewidth, "cycle_is_contractible", counting)
+    for rows in range(3, 9):
+        for cols in range(rows, 9):
+            for _ in range(2):
+                grid = relabelled(toroidal_grid(rows, cols), rng)
+                cuts.clear()
+                assert face_width(grid) == rows
+                assert len(cuts) == 1
+                roots = _search_roots(grid, _z2_labels(radial(grid)))
+                assert len(roots) < grid.num_vertices
+
+
+@pytest.mark.parametrize("order", ["reversed", "shuffled"])
+def test_face_width_needs_no_root_order(monkeypatch, order):
+    """The search finds a shortest noncontractible cycle from whichever root
+    of it comes first, so any order of the roots gives the same width."""
+    rng = random.Random(30)
+    maps = [relabelled(toroidal_grid(rows, cols), rng)
+            for rows in range(3, 7) for cols in range(rows, 7)]
+    maps += [double_cover(n) for n in range(3, 6)] + [DOUBLE_TORUS]
+    widths = [face_width(rs) for rs in maps]
+    original = facewidth._search_roots
+
+    def reordered(rs, labels):
+        roots = original(rs, labels)
+        return roots[::-1] if order == "reversed" else rng.sample(roots, len(roots))
+
+    monkeypatch.setattr(facewidth, "_search_roots", reordered)
+    assert [face_width(rs) for rs in maps] == widths
+
+
 def test_face_width_refuses_a_contractible_witness(monkeypatch):
     """Labels that call a face essential are caught by the witness cut."""
     grid = toroidal_grid(4)
