@@ -254,6 +254,15 @@ def test_relations_read_integer_endpoints():
     assert propagate(SubjectTags(), {"bs": exact(7)})["r"].hi == Fraction(7, 2)
 
 
+def test_relations_floor_the_upper_endpoint():
+    """bs = 2b sees that b <= 7/2 means b <= 3, so bs <= 6, not 7.  The
+    seed leaves bs.lo open: an exact odd bs contradicts whichever way
+    ``y.hi`` is rounded, so only such a seed shows the floor."""
+    fs = propagate(SubjectTags(frozenset({"nontrivial_knot"})), {"bs": Interval(0, 7)})
+    assert fs["bs"].hi == 6 and fs["b"].hi == 3 and fs["r"].hi == 3
+    assert fs["bs"].hi_rules == fs["b"].hi_rules == ("seed:bs", "R3")
+
+
 def test_every_endpoint_is_a_fraction():
     rng = random.Random(11)
     checked = 0

@@ -57,6 +57,8 @@ CORPUS = [
     ["bounds", "--tag", "pretzel=1,3,7", "--tag", "algebraic"],
     ["bounds", "--tag", "pretzel=-2,3,5"],
     ["bounds", "--tag", "torus_knot=3,5", "--seed", "r=3"],
+    ["verify", "exactly:3,1"],
+    ["verify", "exactly:4,3"],
 ]
 
 _JSON_DURATION = re.compile(r', "duration_seconds": [-+0-9.e]+')
