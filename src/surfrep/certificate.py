@@ -29,7 +29,6 @@ from collections.abc import Iterable
 from typing import Any
 
 from surfrep.surface import (
-    CurveClass,
     MultiCurve,
     _crossed,
     _json_field,
@@ -263,7 +262,7 @@ def upper_bound(mc: MultiCurve) -> int:
     the representativity from above.
     """
     k = mc.surface.num_classes
-    return min(mc.boundary_count(CurveClass(f, i)) for f in ("m", "l") for i in range(k))
+    return min(mc.boundary_count(f, i) for f in ("m", "l") for i in range(k))
 
 
 def representativity_exact(mc: MultiCurve) -> Representativity:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 
-from surfrep.surface import Check, CurveClass, MultiCurve, SurfaceModel, _Value, _ascii_int
+from surfrep.surface import Check, MultiCurve, SurfaceModel, _Value, _ascii_int
 
 __all__ = [
     "FamilyInstance",
@@ -113,32 +113,29 @@ def parse_family(text: str) -> FamilyInstance:
 
 #-- Claimed counts --#
 
-def claimed_counts(inst: FamilyInstance) -> list[tuple[CurveClass, int, str]]:
-    """Expected boundary count for every reference class, with its formula."""
+def claimed_counts(inst: FamilyInstance) -> list[tuple[str, int, int, str]]:
+    """Expected boundary count of every reference class, as rows
+    ``(family, index, expected, formula)``.
+
+    Every expected count is positive: no instance has a class with
+    boundary count 0, so none keeps a copy untouched by smoothing.
+    """
     # the parameters are (p, q) for torus and lpq, (n, g) for exactly
     p, q = n, g = inst.params
     if inst.kind == "torus":
-        return [(CurveClass("m", 0), p, "p"), (CurveClass("l", 0), q, "q")]
+        return [("m", 0, p, "p"), ("l", 0, q, "q")]
     if inst.kind == "lpq":
-        out = [(CurveClass("m", i), 2 * p, "2*p") for i in range(3)]
-        out += [(CurveClass("l", j), 2 * q, "2*q") for j in range(3)]
-        return out
+        out = [("m", i, 2 * p, "2*p") for i in range(3)]
+        return out + [("l", j, 2 * q, "2*q") for j in range(3)]
     c = -(-n // 2)
-    out = [(CurveClass("m", 0), n, "n"), (CurveClass("m", 1), n, "n")]
-    out += [(CurveClass("m", i), 2 * c, "2*ceil(n/2)") for i in range(2, g + 1)]
-    if g == 1:
-        # merged weights: both longitude classes cross everything
-        out += [
-            (CurveClass("l", 0), 2 * n + 1, "2*n+1"),
-            (CurveClass("l", 1), 2 * n + 1, "2*n+1"),
-        ]
-        return out
-    out += [
-        (CurveClass("l", 0), n + 1 + c, "n+1+ceil(n/2)"),
-        (CurveClass("l", 1), 2 * n + 1, "2*n+1"),
-        (CurveClass("l", 2), n + c, "n+ceil(n/2)"),
-    ]
-    out += [(CurveClass("l", j), 2 * c, "2*ceil(n/2)") for j in range(3, g + 1)]
+    out = [("m", 0, n, "n"), ("m", 1, n, "n")]
+    out += [("m", i, 2 * c, "2*ceil(n/2)") for i in range(2, g + 1)]
+    # l0 crosses m0 and m_g, which is m1 at genus 1, so l0 then crosses what l1 does
+    out.append(("l", 0, 2 * n + 1, "2*n+1") if g == 1 else ("l", 0, n + 1 + c, "n+1+ceil(n/2)"))
+    out.append(("l", 1, 2 * n + 1, "2*n+1"))
+    if g > 1:
+        out.append(("l", 2, n + c, "n+ceil(n/2)"))
+    out += [("l", j, 2 * c, "2*ceil(n/2)") for j in range(3, g + 1)]
     return out
 
 
@@ -150,9 +147,10 @@ def verify_family(inst: FamilyInstance) -> tuple[Check, ...]:
     from surfrep.smoothing import trace_components
 
     curve = inst.curve
-    checks: list[Check] = []
-    for cls, expected, formula in claimed_counts(inst):
-        checks.append(Check(f"count {cls} = {formula}", expected, curve.boundary_count(cls)))
+    checks = [
+        Check(f"count {family}{index} = {formula}", expected, curve.boundary_count(family, index))
+        for family, index, expected, formula in claimed_counts(inst)
+    ]
 
     comps = trace_components(curve)
     if inst.kind == "torus":

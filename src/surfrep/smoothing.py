@@ -154,15 +154,14 @@ def trace_orbits(mc: MultiCurve) -> list[list[Crossing]]:
 def trace_components(mc: MultiCurve) -> int:
     """Number of closed components of the coherently smoothed multicurve.
 
-    Each orbit of the reconnection map is one component.  A copy whose
-    crossing classes all have weight 0 meets no crossing: it survives
-    smoothing untouched and counts one component.
+    Each orbit of the reconnection map is one component.  A copy of a
+    class with boundary count 0 meets no crossing: it survives smoothing
+    untouched and counts one component.
     """
-    a, b = mc.longitudes, mc.meridians
     untouched = sum(
         w
-        for family, weights, other in (("l", a, b), ("m", b, a))
+        for family, weights in (("l", mc.longitudes), ("m", mc.meridians))
         for x, w in enumerate(weights)
-        if not any(other[y] for y in _crossed(mc.surface, family, x))
+        if not mc.boundary_count(family, x)
     )
     return len(trace_orbits(mc)) + untouched

@@ -25,7 +25,6 @@ from typing import Any
 
 __all__ = [
     "SurfaceModel",
-    "CurveClass",
     "MultiCurve",
     "Check",
 ]
@@ -197,23 +196,6 @@ class SurfaceModel(_Value):
         return {"kind": self.kind, "genus": self.genus}
 
 
-class CurveClass(_Value):
-    """A reference curve class: family "m" (meridian) or "l" (longitude)."""
-
-    family: str
-    index: int
-
-    def __init__(self, family: str, index: int) -> None:
-        if family not in ("m", "l"):
-            raise ValueError(f"family must be 'm' or 'l', got {family!r}")
-        if _strict_int(index, "class index") < 0:
-            raise ValueError(f"class index must be >= 0, got {index}")
-        super().__init__(family, index)
-
-    def __str__(self) -> str:
-        return f"{self.family}{self.index}"
-
-
 #-- Pairing --#
 
 def _crossed(surface: SurfaceModel, family: str, index: int) -> tuple[int, ...]:
@@ -261,17 +243,19 @@ class MultiCurve(_Value):
             raise ValueError("multicurve needs at least one positive weight")
         super().__init__(surface, meridians, longitudes)
 
-    def boundary_count(self, cls: CurveClass) -> int:
-        """Total crossings of the multicurve with one copy of ``cls``.
+    def boundary_count(self, family: str, index: int) -> int:
+        """Total crossings of the multicurve with one copy of class
+        ``family`` ``index``: m_i for family "m", l_j for family "l".
 
         A copy of m_i is crossed by every longitude copy whose class
         pairs with m_i, and by no meridian copy; symmetrically for l_j.
+        A class with boundary count 0 meets no copy of the multicurve.
         """
         k = self.surface.num_classes
-        if cls.index >= k:
-            raise ValueError(f"no class {cls} on a surface with {k} classes per family")
-        other = self.longitudes if cls.family == "m" else self.meridians
-        return sum(other[x] for x in _crossed(self.surface, cls.family, cls.index))
+        if family not in ("m", "l") or not 0 <= _strict_int(index, "class index") < k:
+            raise ValueError(f"no class {family}{index} on a surface with {k} classes per family")
+        other = self.longitudes if family == "m" else self.meridians
+        return sum(other[x] for x in _crossed(self.surface, family, index))
 
     def to_json(self) -> dict[str, Any]:
         return {

@@ -54,11 +54,11 @@ def test_criterion_1_exact_family_counts():
     for n in range(2, 9):
         for g in range(1, 4):
             inst = exact_knot(n, g)
-            for cls, expected, formula in claimed_counts(inst):
-                actual = inst.curve.boundary_count(cls)
+            for family, index, expected, formula in claimed_counts(inst):
+                actual = inst.curve.boundary_count(family, index)
                 compared += 1
                 if actual != expected:
-                    failures.append((n, g, str(cls), formula, expected, actual))
+                    failures.append((n, g, f"{family}{index}", formula, expected, actual))
     _conclude(1, failures, started, f"{compared} boundary counts over 21 instances")
 
 

@@ -75,28 +75,28 @@ def test_exactly_counts_match_computation():
     for n in range(2, 9):
         for g in range(1, 4):
             inst = exact_knot(n, g)
-            for cls, expected, _ in claimed_counts(inst):
-                assert inst.curve.boundary_count(cls) == expected, (n, g, str(cls))
+            for family, index, expected, _ in claimed_counts(inst):
+                assert inst.curve.boundary_count(family, index) == expected, (n, g, family, index)
 
 
 def test_lpq_counts_match_computation():
     for p in range(1, 4):
         for q in range(3 * p + 1, 3 * p + 5):
             inst = lpq_link(p, q)
-            for cls, expected, _ in claimed_counts(inst):
-                assert inst.curve.boundary_count(cls) == expected
+            for family, index, expected, _ in claimed_counts(inst):
+                assert inst.curve.boundary_count(family, index) == expected
 
 
 def test_torus_counts_match_computation():
     for p in range(1, 7):
         for q in range(1, 7):
             inst = torus_knot(p, q)
-            for cls, expected, _ in claimed_counts(inst):
-                assert inst.curve.boundary_count(cls) == expected
+            for family, index, expected, _ in claimed_counts(inst):
+                assert inst.curve.boundary_count(family, index) == expected
 
 
 def test_exactly_count_values_at_4_2():
-    by_name = {str(cls): (v, f) for cls, v, f in claimed_counts(exact_knot(4, 2))}
+    by_name = {f"{fam}{i}": (v, f) for fam, i, v, f in claimed_counts(exact_knot(4, 2))}
     assert by_name == {
         "m0": (4, "n"),
         "m1": (4, "n"),

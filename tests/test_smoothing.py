@@ -16,12 +16,8 @@ from surfrep.surface import MultiCurve, SurfaceModel
 
 
 def _total_crossings(mc: MultiCurve) -> int:
-    from surfrep.surface import CurveClass
-
     k = mc.surface.num_classes
-    return sum(
-        mc.longitudes[j] * mc.boundary_count(CurveClass("l", j)) for j in range(k)
-    )
+    return sum(mc.longitudes[j] * mc.boundary_count("l", j) for j in range(k))
 
 
 def _diagonal_run_total(mc: MultiCurve, orbits) -> int:

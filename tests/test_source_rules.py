@@ -234,6 +234,28 @@ def test_one_crossing_rule_with_no_torus_arm():
     assert not found, f"a torus arm, a set or a sort in the crossing rule: {found}"
 
 
+def test_the_crossing_count_has_one_home():
+    """``MultiCurve.boundary_count`` is the one place that counts a class's
+    crossings: besides it, ``surface._crossed`` is read only by the walk
+    that builds the reconnection map and by the cut that keys arcs, so a
+    caller that needs a count asks for it instead of summing its own."""
+    callers = set()
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        tops = [(getattr(top, "name", "<module>"), top) for top in tree.body
+                if not isinstance(top, ast.ClassDef)]
+        tops += [(f"{top.name}.{node.name}", node) for top in tree.body
+                 if isinstance(top, ast.ClassDef)
+                 for node in top.body if isinstance(node, ast.FunctionDef)]
+        callers |= {(path.name, name) for name, top in tops for node in ast.walk(top)
+                    if isinstance(node, ast.Name) and node.id == "_crossed"}
+    assert sorted(callers) == [
+        ("certificate.py", "cut_pieces"),
+        ("smoothing.py", "_return_pieces"),
+        ("surface.py", "MultiCurve.boundary_count"),
+    ]
+
+
 def test_every_public_name_resolves():
     """Each name in a module's ``__all__``, and in the package's, is bound:
     the bench tracer reads every entry with ``getattr``, and star imports
@@ -264,7 +286,7 @@ def test_the_package_reads_each_public_name_from_its_module():
     namespace: dict = {}
     exec("from surfrep import *", namespace)
     assert sorted(set(namespace) - {"__builtins__"}) == sorted(surfrep.__all__)
-    assert len(surfrep.__all__) == 24
+    assert len(surfrep.__all__) == 23
     with pytest.raises(AttributeError, match="'nope'"):
         surfrep.nope
     loaded = _modules_after("import surfrep\nsurfrep.propagate")

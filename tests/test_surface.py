@@ -11,7 +11,6 @@ from hypothesis import given, strategies as st
 from oracles import adjacent
 from surfrep.certificate import upper_bound
 from surfrep.surface import (
-    CurveClass,
     MultiCurve,
     SurfaceModel,
     _crossed,
@@ -116,8 +115,8 @@ def test_torus_multicurve_counts():
     """q copies of the meridian and p of the longitude: counts swap."""
     for p, q in [(3, 5), (2, 7), (1, 1), (4, 6)]:
         mc = MultiCurve(SurfaceModel.torus(), (q,), (p,))
-        assert mc.boundary_count(CurveClass("m", 0)) == p
-        assert mc.boundary_count(CurveClass("l", 0)) == q
+        assert mc.boundary_count("m", 0) == p
+        assert mc.boundary_count("l", 0) == q
         assert upper_bound(mc) == min(p, q)
 
 
@@ -126,21 +125,17 @@ def test_chain2_multicurve_counts():
     for a, b, count_m, count_l in _COUNT_CASES:
         mc = MultiCurve(surf, a, b)
         for i in range(3):
-            assert mc.boundary_count(CurveClass("m", i)) == count_m[i]
-            assert mc.boundary_count(CurveClass("l", i)) == count_l[i]
+            assert mc.boundary_count("m", i) == count_m[i]
+            assert mc.boundary_count("l", i) == count_l[i]
     assert upper_bound(MultiCurve(surf, (5, 4, 2), (2, 2, 2))) == 4
-    for cls in (CurveClass("m", 5), CurveClass("l", 3)):
-        message = f"no class {cls} on a surface with 3 classes per family"
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            mc.boundary_count(cls)
 
 
 def test_chain1_counts_merge_families():
     """Genus 1: both meridians meet both longitudes, so counts are sums."""
     mc = MultiCurve(SurfaceModel.chain(1), (3, 4), (2, 5))
     for i in range(2):
-        assert mc.boundary_count(CurveClass("m", i)) == 7
-        assert mc.boundary_count(CurveClass("l", i)) == 7
+        assert mc.boundary_count("m", i) == 7
+        assert mc.boundary_count("l", i) == 7
 
 
 @given(
@@ -159,8 +154,8 @@ def test_double_counting_identity(g: int, seed: int):
     if sum(a) + sum(b) == 0:
         a = (1,) + a[1:]
     mc = MultiCurve(surf, a, b)
-    lhs = sum(a[i] * mc.boundary_count(CurveClass("m", i)) for i in range(k))
-    rhs = sum(b[j] * mc.boundary_count(CurveClass("l", j)) for j in range(k))
+    lhs = sum(a[i] * mc.boundary_count("m", i) for i in range(k))
+    rhs = sum(b[j] * mc.boundary_count("l", j) for j in range(k))
     assert lhs == rhs
 
 
@@ -175,13 +170,21 @@ def test_surface_validation():
         SurfaceModel("sphere", 0)
 
 
-def test_curve_class_validation():
-    assert str(CurveClass("m", 0)) == "m0"
-    assert str(CurveClass("l", 3)) == "l3"
-    with pytest.raises(ValueError):
-        CurveClass("x", 0)
-    with pytest.raises(ValueError):
-        CurveClass("m", -1)
+def test_boundary_count_refuses_a_class_off_the_surface():
+    """A class is a family "m" or "l" and an index in 0..k-1: anything
+    else is refused with one message, and a bool or float index is not
+    an integer."""
+    for surf in (SurfaceModel.torus(), *map(SurfaceModel.chain, range(1, 4))):
+        k = surf.num_classes
+        mc = MultiCurve(surf, (1,) * k, (2,) * k)
+        for family, index in (("x", 0), ("M", 0), ("", 0), ("m", -1), ("l", -1), ("m", k),
+                              ("l", k), ("m", k + 2)):
+            message = f"no class {family}{index} on a surface with {k} classes per family"
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                mc.boundary_count(family, index)
+        for bad in (True, False, 0.0, 2.0):
+            with pytest.raises(ValueError, match="^class index must be an integer"):
+                mc.boundary_count("m", bad)
 
 
 def test_multicurve_validation():
@@ -217,7 +220,6 @@ def test_constructors_reject_non_integers(bad):
     """Each constructor refuses a float or a bool where it takes a count."""
     for build in (
         lambda: SurfaceModel("chain", bad),
-        lambda: CurveClass("m", bad),
         lambda: MultiCurve(SurfaceModel.torus(), (bad,), (2,)),
         lambda: MultiCurve(SurfaceModel.chain(1), (1, 1), (bad, 1)),
     ):
@@ -241,10 +243,10 @@ def test_boundary_count_matches_adjacency_formula(surf: SurfaceModel):
         mc = MultiCurve(surf, a, b)
         for i in range(k):
             want = sum(b[j] * adjacent(k, j, i) for j in range(k))
-            assert mc.boundary_count(CurveClass("m", i)) == want
+            assert mc.boundary_count("m", i) == want
         for j in range(k):
             want = sum(a[i] * adjacent(k, j, i) for i in range(k))
-            assert mc.boundary_count(CurveClass("l", j)) == want
+            assert mc.boundary_count("l", j) == want
     assert pairing_matrix(surf) == tuple(
         tuple(adjacent(k, j, i) for i in range(k)) for j in range(k)
     )

@@ -14,7 +14,7 @@ from surfrep.certificate import Certificate, PieceBounds, PlanarPiece, Represent
 from surfrep.cli import _row
 from surfrep.facewidth import RotationSystem
 from surfrep.families import FamilyInstance
-from surfrep.surface import Check, CurveClass, MultiCurve, SurfaceModel, _Value
+from surfrep.surface import Check, MultiCurve, SurfaceModel, _Value
 
 TORUS = SurfaceModel("torus", 1)
 CURVE = MultiCurve(TORUS, (3,), (5,))
@@ -23,7 +23,6 @@ CURVE = MultiCurve(TORUS, (3,), (5,))
 #: and the fields that have defaults with their default values
 CASES = [
     (SurfaceModel, {"kind": "chain", "genus": 2}, {"genus": 3}, {}),
-    (CurveClass, {"family": "m", "index": 3}, {"index": 4}, {}),
     (MultiCurve, {"surface": TORUS, "meridians": (3,), "longitudes": (5,)},
      {"longitudes": (7,)}, {}),
     (PlanarPiece, {"id": "F1+", "circles": 3, "arcs": ((0, 1, 2), (1, 2, 4))},
@@ -50,7 +49,7 @@ def test_cases_cover_every_value_class():
         importlib.import_module(f"surfrep.{module.name}")
     defined = {cls for cls in _Value.__subclasses__() if cls.__module__.startswith("surfrep.")}
     assert {case[0] for case in CASES} == defined
-    assert len(CASES) == 12
+    assert len(CASES) == 11
 
 
 @pytest.mark.parametrize(
