@@ -13,7 +13,6 @@ import importlib
 
 #: public name -> the module of the package that defines it
 _EXPORTS = {
-    "SurfaceModel": "surface",
     "MultiCurve": "surface",
     "trace_components": "smoothing",
     "PlanarPiece": "certificate",

@@ -129,9 +129,11 @@ def cut_pieces(mc: MultiCurve, along: str) -> PlanarPiece:
     along the meridians turns each longitude copy into an arc joining
     the circles of the two meridian classes it crossed, and
     symmetrically for the other direction.  The mirror piece F1- (or
-    F2-) carries the same arcs, so it is not returned.
+    F2-) carries the same arcs, so it is not returned.  One weight per
+    family is the torus, which is refused.
     """
-    if mc.surface.kind != "chain":
+    k = len(mc.meridians)
+    if k == 1:
         raise ValueError("cutting along a full reference family needs the chain surface")
     if along == "meridians":
         label, family, weights = "F1+", "l", mc.longitudes
@@ -142,10 +144,10 @@ def cut_pieces(mc: MultiCurve, along: str) -> PlanarPiece:
     mults: dict[tuple[int, ...], int] = {}
     for x, w in enumerate(weights):
         if w:
-            key = _crossed(mc.surface, family, x)
+            key = _crossed(k, family, x)
             mults[key] = mults.get(key, 0) + w
     arcs = tuple((a, b, m) for (a, b), m in sorted(mults.items()))
-    return PlanarPiece(label, mc.surface.num_classes, arcs)
+    return PlanarPiece(label, k, arcs)
 
 
 #-- Certificates --#
@@ -261,7 +263,7 @@ def upper_bound(mc: MultiCurve) -> int:
     ``boundary_count`` times, so the least count over both families bounds
     the representativity from above.
     """
-    k = mc.surface.num_classes
+    k = len(mc.meridians)
     return min(mc.boundary_count(f, i) for f in ("m", "l") for i in range(k))
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 
-from surfrep.surface import Check, MultiCurve, SurfaceModel, _Value, _ascii_int
+from surfrep.surface import Check, MultiCurve, _Value, _ascii_int
 
 __all__ = [
     "FamilyInstance",
@@ -54,7 +54,7 @@ def torus_knot(p: int, q: int) -> FamilyInstance:
     """q meridian copies and p longitude copies on the standard torus."""
     if p < 1 or q < 1:
         raise ValueError(f"torus family needs p, q >= 1, got ({p}, {q})")
-    return FamilyInstance("torus", (p, q), MultiCurve(SurfaceModel.torus(), (q,), (p,)))
+    return FamilyInstance("torus", (p, q), MultiCurve((q,), (p,)))
 
 
 def exact_knot(n: int, g: int) -> FamilyInstance:
@@ -74,7 +74,7 @@ def exact_knot(n: int, g: int) -> FamilyInstance:
     # b_i copies of m_i and a_j copies of l_j, as in smoothing
     b = (n + 1, n) + (c,) * (g - 1)
     a = (c, f) + (c,) * (g - 1)
-    curve = MultiCurve(SurfaceModel.chain(g), b, a)
+    curve = MultiCurve(b, a)
     return FamilyInstance("exactly", (n, g), curve, extrapolated=(g == 1))
 
 
@@ -84,9 +84,7 @@ def lpq_link(p: int, q: int) -> FamilyInstance:
         raise ValueError(f"family needs p >= 1, got {p}")
     if q <= 3 * p:
         raise ValueError(f"family needs q > 3p, got q={q} with 3p={3 * p}")
-    return FamilyInstance(
-        "lpq", (p, q), MultiCurve(SurfaceModel.chain(2), (q, q, q), (p, p, p))
-    )
+    return FamilyInstance("lpq", (p, q), MultiCurve((q, q, q), (p, p, p)))
 
 
 _BUILDERS = {"torus": torus_knot, "exactly": exact_knot, "lpq": lpq_link}

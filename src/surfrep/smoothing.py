@@ -77,12 +77,11 @@ def _return_pieces(mc: MultiCurve) -> tuple[list[tuple[int, int]], list[int], li
     The middle piece always has one entry; the others are empty when
     b_i = 1 or a_j = 1.  The cost is linear in the number of blocks.
     """
-    surface = mc.surface
     a, b = mc.longitudes, mc.meridians
-    k = surface.num_classes
+    k = len(b)
     # along m_i after l_j, and along l_j after m_i
-    next_long = [_next_with_copies(_crossed(surface, "m", i), a) for i in range(k)]
-    next_mer = [_next_with_copies(_crossed(surface, "l", j), b) for j in range(k)]
+    next_long = [_next_with_copies(_crossed(k, "m", i), a) for i in range(k)]
+    next_mer = [_next_with_copies(_crossed(k, "l", j), b) for j in range(k)]
     blocks = [(j, i) for j in range(k) if a[j] for i in next_mer[j]]
     base: dict[tuple[int, int], int] = {}
     offsets = [0]

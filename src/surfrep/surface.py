@@ -1,16 +1,18 @@
-"""Standard surfaces, curve classes, and multicurves.
+"""Standard surfaces, their reference classes, and multicurves.
 
-Two closed orientable surface models are supported, each with k meridian
-classes m_0..m_{k-1} and k longitude classes l_0..l_{k-1}: the chain
-surface of genus g, the double of a planar surface with g+1 boundary
-circles (the doubled circles are the meridians), with k = g+1, and the
-standard torus, with k = 1.  On both, l_j crosses m_{j-1} and m_j
-(indices mod k) exactly once each and misses every other meridian; at
-k = 1 the two are one class, crossed once.
+A standard surface carries k meridian classes m_0..m_{k-1} and k
+longitude classes l_0..l_{k-1}, and k alone names it: k = 1 is the
+standard torus, and k >= 2 the chain surface of genus k - 1, the double
+of a planar surface with k boundary circles (the doubled circles are
+the meridians).  On both, l_j crosses m_{j-1} and m_j (indices mod k)
+exactly once each and misses every other meridian; at k = 1 the two are
+one class, crossed once.
 
 A multicurve is a nonnegative integer weight per class: b_i parallel
 copies of m_i and a_j parallel copies of l_j, arranged so that every
 crossing between a longitude copy and a meridian copy is transverse.
+Its k weights per family are its surface, which it stores nowhere else;
+its JSON form derives the ``"surface"`` object from k.
 
 The module is also the base the others build on: the integer rules, the
 value-class base, and ``Check``, one computed quantity compared with
@@ -24,7 +26,6 @@ from operator import attrgetter, eq, ge, lt
 from typing import Any
 
 __all__ = [
-    "SurfaceModel",
     "MultiCurve",
     "Check",
 ]
@@ -159,46 +160,9 @@ class Check(_Value):
         return self.actual is not None and _RELATIONS[self.relation](self.actual, self.expected)
 
 
-#-- Surfaces --#
-
-class SurfaceModel(_Value):
-    """A standard surface: ``kind`` is "torus" or "chain"."""
-
-    kind: str
-    genus: int
-
-    def __init__(self, kind: str, genus: int) -> None:
-        _strict_int(genus, "genus")
-        if kind == "torus":
-            if genus != 1:
-                raise ValueError(f"torus has genus 1, not {genus}")
-        elif kind == "chain":
-            if genus < 1:
-                raise ValueError(f"chain genus must be >= 1, got {genus}")
-        else:
-            raise ValueError(f"unknown surface kind {kind!r}")
-        super().__init__(kind, genus)
-
-    @staticmethod
-    def torus() -> "SurfaceModel":
-        return SurfaceModel("torus", 1)
-
-    @staticmethod
-    def chain(genus: int) -> "SurfaceModel":
-        return SurfaceModel("chain", genus)
-
-    @property
-    def num_classes(self) -> int:
-        """Number of meridian classes (= number of longitude classes)."""
-        return 1 if self.kind == "torus" else self.genus + 1
-
-    def to_json(self) -> dict[str, Any]:
-        return {"kind": self.kind, "genus": self.genus}
-
-
 #-- Pairing --#
 
-def _crossed(surface: SurfaceModel, family: str, index: int) -> tuple[int, ...]:
+def _crossed(k: int, family: str, index: int) -> tuple[int, ...]:
     """Classes of the other family met by one copy of class ``family`` ``index``,
     in ascending order.
 
@@ -208,7 +172,6 @@ def _crossed(surface: SurfaceModel, family: str, index: int) -> tuple[int, ...]:
     the one class is listed once.  With at most two classes, any listing
     is their cyclic order along the copy.
     """
-    k = surface.num_classes
     x, y = (index, (index + 1) % k) if family == "m" else ((index - 1) % k, index)
     return (x, y) if x < y else (y, x) if y < x else (x,)
 
@@ -219,21 +182,19 @@ class MultiCurve(_Value):
     """Weighted reference curves on a surface.
 
     ``meridians[i]`` is the number of parallel copies of m_i and
-    ``longitudes[j]`` the number of copies of l_j.
+    ``longitudes[j]`` the number of copies of l_j.  The weight count k
+    per family names the surface: the torus at k = 1, the chain surface
+    of genus k - 1 above.
     """
 
-    surface: SurfaceModel
     meridians: tuple[int, ...]
     longitudes: tuple[int, ...]
 
-    def __init__(
-        self, surface: SurfaceModel, meridians: Iterable[int], longitudes: Iterable[int]
-    ) -> None:
-        k = surface.num_classes
+    def __init__(self, meridians: Iterable[int], longitudes: Iterable[int]) -> None:
         meridians, longitudes = tuple(meridians), tuple(longitudes)
-        if len(meridians) != k or len(longitudes) != k:
+        if not meridians or len(meridians) != len(longitudes):
             raise ValueError(
-                f"expected {k} weights per family, got "
+                "expected the same positive number of weights per family, got "
                 f"{len(meridians)} meridian and {len(longitudes)} longitude"
             )
         for w in (*meridians, *longitudes):
@@ -241,7 +202,7 @@ class MultiCurve(_Value):
                 raise ValueError(f"weights must be nonnegative integers, got {w!r}")
         if not any((*meridians, *longitudes)):
             raise ValueError("multicurve needs at least one positive weight")
-        super().__init__(surface, meridians, longitudes)
+        super().__init__(meridians, longitudes)
 
     def boundary_count(self, family: str, index: int) -> int:
         """Total crossings of the multicurve with one copy of class
@@ -251,15 +212,16 @@ class MultiCurve(_Value):
         pairs with m_i, and by no meridian copy; symmetrically for l_j.
         A class with boundary count 0 meets no copy of the multicurve.
         """
-        k = self.surface.num_classes
+        k = len(self.meridians)
         if family not in ("m", "l") or not 0 <= _strict_int(index, "class index") < k:
             raise ValueError(f"no class {family}{index} on a surface with {k} classes per family")
         other = self.longitudes if family == "m" else self.meridians
-        return sum(other[x] for x in _crossed(self.surface, family, index))
+        return sum(other[x] for x in _crossed(k, family, index))
 
     def to_json(self) -> dict[str, Any]:
+        k = len(self.meridians)
         return {
-            "surface": self.surface.to_json(),
+            "surface": {"kind": "chain" if k > 1 else "torus", "genus": max(k - 1, 1)},
             "meridians": list(self.meridians),
             "longitudes": list(self.longitudes),
         }

@@ -21,14 +21,14 @@ from surfrep.certificate import (
     upper_bound,
 )
 from surfrep.smoothing import trace_components
-from surfrep.surface import MultiCurve, SurfaceModel
+from surfrep.surface import MultiCurve
 
 
 def _knot_curve(n: int, g: int) -> MultiCurve:
     c, f = -(-n // 2), n // 2
     a = (n + 1, n) + (c,) * (g - 1)
     b = (c, f) + (c,) * (g - 1)
-    return MultiCurve(SurfaceModel.chain(g), a, b)
+    return MultiCurve(a, b)
 
 
 def _all_pieces(mc: MultiCurve) -> list[PlanarPiece]:
@@ -38,7 +38,7 @@ def _all_pieces(mc: MultiCurve) -> list[PlanarPiece]:
 #-- Cutting --#
 
 def test_cut_pieces_chain2():
-    mc = MultiCurve(SurfaceModel.chain(2), (5, 4, 2), (2, 2, 2))
+    mc = MultiCurve((5, 4, 2), (2, 2, 2))
     f1 = cut_pieces(mc, "meridians")
     assert f1.id == "F1+"
     assert f1.circles == 3
@@ -51,7 +51,7 @@ def test_cut_pieces_chain2():
 
 def test_cut_pieces_chain1_merges_pairs():
     """Genus 1: both classes connect the same two circles, so mults add."""
-    mc = MultiCurve(SurfaceModel.chain(1), (5, 4), (2, 3))
+    mc = MultiCurve((5, 4), (2, 3))
     f1 = cut_pieces(mc, "meridians")
     assert f1.circles == 2
     assert f1.arcs == ((0, 1, 5),)
@@ -60,7 +60,7 @@ def test_cut_pieces_chain1_merges_pairs():
 
 
 def test_cut_pieces_drops_zero_weights():
-    mc = MultiCurve(SurfaceModel.chain(2), (3, 0, 1), (0, 0, 2))
+    mc = MultiCurve((3, 0, 1), (0, 0, 2))
     f1 = cut_pieces(mc, "meridians")
     assert f1.arcs == ((1, 2, 2),)
     f2 = cut_pieces(mc, "longitudes")
@@ -68,11 +68,16 @@ def test_cut_pieces_drops_zero_weights():
 
 
 def test_cut_rejects_torus_and_bad_direction():
-    torus = MultiCurve(SurfaceModel.torus(), (2,), (3,))
-    with pytest.raises(ValueError):
-        cut_pieces(torus, "meridians")
-    chain = MultiCurve(SurfaceModel.chain(1), (1, 1), (1, 1))
-    with pytest.raises(ValueError):
+    """One weight per family is the torus, which no full family cuts open,
+    in either direction."""
+    torus = MultiCurve((2,), (3,))
+    for along in ("meridians", "longitudes"):
+        with pytest.raises(ValueError, match="^cutting along a full reference family needs "
+                                             "the chain surface$"):
+            cut_pieces(torus, along)
+    chain = MultiCurve((1, 1), (1, 1))
+    with pytest.raises(ValueError, match="^along must be 'meridians' or 'longitudes', "
+                                         "got 'diagonals'$"):
         cut_pieces(chain, "diagonals")
 
 
@@ -258,7 +263,7 @@ def test_cut_piece_minima_match_oracle():
             b = tuple(rng.randrange(0, 5) for _ in range(k))
             if sum(a) + sum(b):
                 break
-        mc = MultiCurve(SurfaceModel.chain(g), a, b)
+        mc = MultiCurve(a, b)
         for along in ("meridians", "longitudes"):
             piece = cut_pieces(mc, along)
             bounds = evaluate_piece(piece)
@@ -289,7 +294,7 @@ def test_certificate_exact_square_case():
 
 
 def test_certificate_link_case():
-    mc = MultiCurve(SurfaceModel.chain(2), (7, 7, 7), (2, 2, 2))
+    mc = MultiCurve((7, 7, 7), (2, 2, 2))
     rep = representativity_exact(mc)
     assert (rep.lower, rep.upper, rep.exact) == (4, 4, 4)
     cert = certify_pieces(_all_pieces(mc), 4)
@@ -371,7 +376,7 @@ def test_parity_lemma_at_genus_two_and_up(case):
     """
     g, a, b = case
     assume(any(a + b))
-    mc = MultiCurve(SurfaceModel.chain(g), tuple(a), tuple(b))
+    mc = MultiCurve(tuple(a), tuple(b))
     lightest = 2 * min(a + b)
     assert upper_bound(mc) >= lightest
     rep = representativity_exact(mc)
@@ -382,7 +387,7 @@ def test_parity_lemma_at_genus_two_and_up(case):
 #-- Symmetries of the chain surface --#
 
 def _invariants(b: tuple[int, ...], a: tuple[int, ...]) -> tuple[int, int, int]:
-    mc = MultiCurve(SurfaceModel.chain(len(b) - 1), b, a)
+    mc = MultiCurve(b, a)
     rep = representativity_exact(mc)
     return trace_components(mc), rep.lower, rep.upper
 

@@ -16,7 +16,7 @@ from surfrep.families import (
     torus_knot,
     verify_family,
 )
-from surfrep.surface import MultiCurve, SurfaceModel
+from surfrep.surface import MultiCurve
 
 
 #-- Construction --#
@@ -38,17 +38,11 @@ def test_constructor_validation():
 
 
 def test_weight_vectors():
-    assert torus_knot(3, 5).curve == MultiCurve(SurfaceModel.torus(), (5,), (3,))
-    assert exact_knot(4, 2).curve == MultiCurve(
-        SurfaceModel.chain(2), (5, 4, 2), (2, 2, 2)
-    )
-    assert exact_knot(5, 3).curve == MultiCurve(
-        SurfaceModel.chain(3), (6, 5, 3, 3), (3, 2, 3, 3)
-    )
-    assert exact_knot(4, 1).curve == MultiCurve(SurfaceModel.chain(1), (5, 4), (2, 2))
-    assert lpq_link(2, 7).curve == MultiCurve(
-        SurfaceModel.chain(2), (7, 7, 7), (2, 2, 2)
-    )
+    assert torus_knot(3, 5).curve == MultiCurve((5,), (3,))
+    assert exact_knot(4, 2).curve == MultiCurve((5, 4, 2), (2, 2, 2))
+    assert exact_knot(5, 3).curve == MultiCurve((6, 5, 3, 3), (3, 2, 3, 3))
+    assert exact_knot(4, 1).curve == MultiCurve((5, 4), (2, 2))
+    assert lpq_link(2, 7).curve == MultiCurve((7, 7, 7), (2, 2, 2))
 
 
 def test_extrapolation_flag():

@@ -12,11 +12,11 @@ from oracles import adjacent, entry_walk_orbits, smoothing_state_orbits
 from surfrep import smoothing
 from surfrep.families import torus_knot
 from surfrep.smoothing import trace_components, trace_orbits
-from surfrep.surface import MultiCurve, SurfaceModel
+from surfrep.surface import MultiCurve
 
 
 def _total_crossings(mc: MultiCurve) -> int:
-    k = mc.surface.num_classes
+    k = len(mc.meridians)
     return sum(mc.longitudes[j] * mc.boundary_count("l", j) for j in range(k))
 
 
@@ -32,13 +32,13 @@ def test_torus_components_are_gcd():
     """q meridian copies against p longitude copies close into gcd(p, q) curves."""
     for p in range(1, 13):
         for q in range(1, 13):
-            mc = MultiCurve(SurfaceModel.torus(), (q,), (p,))
+            mc = MultiCurve((q,), (p,))
             assert trace_components(mc) == math.gcd(p, q)
 
 
 def test_torus_zero_weight_copies_are_untouched():
-    assert trace_components(MultiCurve(SurfaceModel.torus(), (4,), (0,))) == 4
-    assert trace_components(MultiCurve(SurfaceModel.torus(), (0,), (3,))) == 3
+    assert trace_components(MultiCurve((4,), (0,))) == 4
+    assert trace_components(MultiCurve((0,), (3,))) == 3
 
 
 #-- Genus-1 chain --#
@@ -51,7 +51,7 @@ def test_chain1_components_merge_to_gcd():
         b = (rng.randrange(0, 7), rng.randrange(0, 7))
         if sum(a) + sum(b) == 0:
             continue
-        mc = MultiCurve(SurfaceModel.chain(1), a, b)
+        mc = MultiCurve(a, b)
         if sum(a) > 0 and sum(b) > 0:
             assert trace_components(mc) == math.gcd(sum(a), sum(b))
         else:
@@ -67,7 +67,7 @@ def test_knot_weightings_trace_to_one_component():
             c, f = -(-n // 2), n // 2
             a = (n + 1, n) + (c,) * (g - 1)
             b = (c, f) + (c,) * (g - 1)
-            mc = MultiCurve(SurfaceModel.chain(g), a, b)
+            mc = MultiCurve(a, b)
             assert trace_components(mc) == 1
 
 
@@ -78,7 +78,7 @@ def test_small_chain2_walk_detail():
     crossing is an entry and the entry walk lists all 12, each the start
     of a diagonal run of length one.
     """
-    mc = MultiCurve(SurfaceModel.chain(2), (3, 2, 1), (1, 1, 1))
+    mc = MultiCurve((3, 2, 1), (1, 1, 1))
     assert _total_crossings(mc) == 12
     full = smoothing_state_orbits("chain", mc.meridians, mc.longitudes)
     assert [len(orbit) for orbit in full] == [24]
@@ -89,11 +89,11 @@ def test_small_chain2_walk_detail():
 
 
 def test_untouched_copies_counted():
-    mc = MultiCurve(SurfaceModel.chain(1), (0, 0), (3, 2))
+    mc = MultiCurve((0, 0), (3, 2))
     assert trace_components(mc) == 5
     # l_1 on a genus-3 chain meets only m_0 and m_1; zero those out and
     # its copies survive while the rest still close up.
-    mc2 = MultiCurve(SurfaceModel.chain(3), (0, 0, 2, 2), (0, 4, 1, 1))
+    mc2 = MultiCurve((0, 0, 2, 2), (0, 4, 1, 1))
     orbits = trace_orbits(mc2)
     assert trace_components(mc2) == len(orbits) + 4
 
@@ -113,7 +113,7 @@ def test_orbits_partition_all_states(g: int, seed: int):
     b = tuple(rng.randrange(0, 6) for _ in range(k))
     if sum(a) + sum(b) == 0:
         a = (1,) + a[1:]
-    mc = MultiCurve(SurfaceModel.chain(g), a, b)
+    mc = MultiCurve(a, b)
     full = smoothing_state_orbits("chain", mc.meridians, mc.longitudes)
     states = [s for orbit in full for s in orbit]
     assert len(states) == len(set(states)) == 2 * _total_crossings(mc)
@@ -143,11 +143,10 @@ def test_orbits_match_the_full_walk(g: int, weights: list[int]):
     the full walk, lists no entry twice, and the diagonal runs starting
     at its entries cover every crossing exactly once.
     """
-    kind, surface = ("torus", SurfaceModel.torus()) if g == 0 else ("chain", SurfaceModel.chain(g))
-    k = surface.num_classes
+    kind, k = ("torus", 1) if g == 0 else ("chain", g + 1)
     meridians, longitudes = tuple(weights[:k]), tuple(weights[5:5 + k])
     assume(any(meridians + longitudes))
-    mc = MultiCurve(surface, meridians, longitudes)
+    mc = MultiCurve(meridians, longitudes)
     orbits = trace_orbits(mc)
     assert len(orbits) == len(smoothing_state_orbits(kind, meridians, longitudes))
     entries = [x for orbit in orbits for x in orbit]
@@ -163,8 +162,7 @@ def test_orbits_equal_the_entry_walk(g: int):
     g = 0 stands for the torus.  Weights run from 0 to a few hundred, and
     some classes are zeroed so that the next class with copies skips.
     """
-    kind, surface = ("torus", SurfaceModel.torus()) if g == 0 else ("chain", SurfaceModel.chain(g))
-    k = surface.num_classes
+    kind, k = ("torus", 1) if g == 0 else ("chain", g + 1)
     rng = random.Random(1000 + g)
     for trial in range(60):
         top = (2, 4, 12, 300)[trial % 4]
@@ -172,7 +170,7 @@ def test_orbits_equal_the_entry_walk(g: int):
         longitudes = tuple(0 if rng.random() < 0.2 else rng.randrange(1, top) for _ in range(k))
         if not any(meridians + longitudes):
             continue
-        mc = MultiCurve(surface, meridians, longitudes)
+        mc = MultiCurve(meridians, longitudes)
         assert trace_orbits(mc) == entry_walk_orbits(kind, meridians, longitudes)
 
 
@@ -198,8 +196,7 @@ def test_corrupted_pieces_do_not_close(monkeypatch):
         return blocks, offsets, pieces
 
     monkeypatch.setattr(smoothing, "_return_pieces", corrupted)
-    for mc in (MultiCurve(SurfaceModel.chain(2), (3, 4, 5), (2, 6, 1)),
-               MultiCurve(SurfaceModel.chain(1), (1, 1), (1, 1))):
+    for mc in (MultiCurve((3, 4, 5), (2, 6, 1)), MultiCurve((1, 1), (1, 1))):
         with pytest.raises(RuntimeError, match="does not close"):
             trace_orbits(mc)
 
@@ -209,5 +206,5 @@ def test_large_weights():
     assert trace_components(torus_knot(9973, 10007).curve) == 1
     assert trace_components(torus_knot(12000, 18000).curve) == 6000
     a, b = (1234, 2000), (3001, 2999)
-    mc = MultiCurve(SurfaceModel.chain(1), a, b)
+    mc = MultiCurve(a, b)
     assert trace_components(mc) == math.gcd(sum(a), sum(b)) == 6

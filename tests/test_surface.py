@@ -1,4 +1,4 @@
-"""Surface models, the crossing pairing, and multicurve counts."""
+"""The crossing pairing, multicurve counts, and the surface a weight count names."""
 
 from __future__ import annotations
 
@@ -10,20 +10,16 @@ from hypothesis import given, strategies as st
 
 from oracles import adjacent
 from surfrep.certificate import upper_bound
-from surfrep.surface import (
-    MultiCurve,
-    SurfaceModel,
-    _crossed,
-)
+from surfrep.surface import MultiCurve, _crossed
 
 
 #-- Pairing oracle --#
 
-def pairing_matrix(surf: SurfaceModel) -> tuple[tuple[int, ...], ...]:
-    """P[j][i] = 1 when the package lists m_i among the meridians l_j crosses."""
-    k = surf.num_classes
+def pairing_matrix(k: int) -> tuple[tuple[int, ...], ...]:
+    """P[j][i] = 1 when the package lists m_i among the meridians l_j crosses,
+    with k classes per family."""
     return tuple(
-        tuple(int(i in _crossed(surf, "l", j)) for i in range(k)) for j in range(k)
+        tuple(int(i in _crossed(k, "l", j)) for i in range(k)) for j in range(k)
     )
 
 
@@ -65,15 +61,13 @@ def test_chain2_pairing_is_unique_solution_of_count_equations():
             and all(sum(a[i] * m[j][i] for i in range(3)) == count_l[j] for j in range(3))
         ]
         assert len(surviving) == 1
-        assert surviving[0] == pairing_matrix(SurfaceModel.chain(2))
+        assert surviving[0] == pairing_matrix(3)
 
 
 def test_chain_pairing_structure():
     """Row/column sums, cyclic symmetry, and self-adjacency for all genera."""
-    for g in range(1, 6):
-        surf = SurfaceModel.chain(g)
-        k = surf.num_classes
-        p = pairing_matrix(surf)
+    for k in range(2, 7):
+        p = pairing_matrix(k)
         assert all(sum(row) == 2 for row in p)
         assert all(sum(p[j][i] for j in range(k)) == 2 for i in range(k))
         for j in range(k):
@@ -83,28 +77,26 @@ def test_chain_pairing_structure():
 
 
 def test_torus_pairing():
-    surf = SurfaceModel.torus()
-    assert pairing_matrix(surf) == ((1,),)
-    assert _crossed(surf, "l", 0) == _crossed(surf, "m", 0) == (0,)
+    assert pairing_matrix(1) == ((1,),)
+    assert _crossed(1, "l", 0) == _crossed(1, "m", 0) == (0,)
 
 
 def _surfaces(genera: range) -> list:
-    """The torus and the chain surfaces of ``genera``, each with its own id."""
-    return [pytest.param(SurfaceModel.torus(), id="torus"),
-            *(pytest.param(SurfaceModel.chain(g), id=str(g)) for g in genera)]
+    """The weight count k of the torus, 1, and of the chain surfaces of
+    ``genera``, g + 1, each with the surface as its id."""
+    return [pytest.param(1, id="torus"), *(pytest.param(g + 1, id=str(g)) for g in genera)]
 
 
-@pytest.mark.parametrize("surf", _surfaces(range(1, 7)))
-def test_crossed_longitudes_transpose_crossed_meridians(surf: SurfaceModel):
+@pytest.mark.parametrize("k", _surfaces(range(1, 7)))
+def test_crossed_longitudes_transpose_crossed_meridians(k: int):
     """j is among the longitudes m_i crosses exactly when i is among the
     meridians l_j crosses.  Each lists its classes once, ascending: two
     on a chain surface, the one class on the torus."""
-    k = surf.num_classes
     for x in range(k):
         for y in range(k):
-            assert (y in _crossed(surf, "m", x)) == (x in _crossed(surf, "l", y))
+            assert (y in _crossed(k, "m", x)) == (x in _crossed(k, "l", y))
         for family in "ml":
-            crossed = _crossed(surf, family, x)
+            crossed = _crossed(k, family, x)
             assert list(crossed) == sorted(set(crossed))
             assert len(crossed) == min(k, 2)
 
@@ -114,25 +106,24 @@ def test_crossed_longitudes_transpose_crossed_meridians(surf: SurfaceModel):
 def test_torus_multicurve_counts():
     """q copies of the meridian and p of the longitude: counts swap."""
     for p, q in [(3, 5), (2, 7), (1, 1), (4, 6)]:
-        mc = MultiCurve(SurfaceModel.torus(), (q,), (p,))
+        mc = MultiCurve((q,), (p,))
         assert mc.boundary_count("m", 0) == p
         assert mc.boundary_count("l", 0) == q
         assert upper_bound(mc) == min(p, q)
 
 
 def test_chain2_multicurve_counts():
-    surf = SurfaceModel.chain(2)
     for a, b, count_m, count_l in _COUNT_CASES:
-        mc = MultiCurve(surf, a, b)
+        mc = MultiCurve(a, b)
         for i in range(3):
             assert mc.boundary_count("m", i) == count_m[i]
             assert mc.boundary_count("l", i) == count_l[i]
-    assert upper_bound(MultiCurve(surf, (5, 4, 2), (2, 2, 2))) == 4
+    assert upper_bound(MultiCurve((5, 4, 2), (2, 2, 2))) == 4
 
 
 def test_chain1_counts_merge_families():
     """Genus 1: both meridians meet both longitudes, so counts are sums."""
-    mc = MultiCurve(SurfaceModel.chain(1), (3, 4), (2, 5))
+    mc = MultiCurve((3, 4), (2, 5))
     for i in range(2):
         assert mc.boundary_count("m", i) == 7
         assert mc.boundary_count("l", i) == 7
@@ -147,13 +138,12 @@ def test_double_counting_identity(g: int, seed: int):
     import random
 
     rng = random.Random(seed)
-    surf = SurfaceModel.chain(g)
-    k = surf.num_classes
+    k = g + 1
     a = tuple(rng.randrange(0, 11) for _ in range(k))
     b = tuple(rng.randrange(0, 11) for _ in range(k))
     if sum(a) + sum(b) == 0:
         a = (1,) + a[1:]
-    mc = MultiCurve(surf, a, b)
+    mc = MultiCurve(a, b)
     lhs = sum(a[i] * mc.boundary_count("m", i) for i in range(k))
     rhs = sum(b[j] * mc.boundary_count("l", j) for j in range(k))
     assert lhs == rhs
@@ -161,22 +151,12 @@ def test_double_counting_identity(g: int, seed: int):
 
 #-- Validation and serialization --#
 
-def test_surface_validation():
-    with pytest.raises(ValueError):
-        SurfaceModel("torus", 2)
-    with pytest.raises(ValueError):
-        SurfaceModel("chain", 0)
-    with pytest.raises(ValueError):
-        SurfaceModel("sphere", 0)
-
-
 def test_boundary_count_refuses_a_class_off_the_surface():
     """A class is a family "m" or "l" and an index in 0..k-1: anything
     else is refused with one message, and a bool or float index is not
     an integer."""
-    for surf in (SurfaceModel.torus(), *map(SurfaceModel.chain, range(1, 4))):
-        k = surf.num_classes
-        mc = MultiCurve(surf, (1,) * k, (2,) * k)
+    for k in range(1, 5):
+        mc = MultiCurve((1,) * k, (2,) * k)
         for family, index in (("x", 0), ("M", 0), ("", 0), ("m", -1), ("l", -1), ("m", k),
                               ("l", k), ("m", k + 2)):
             message = f"no class {family}{index} on a surface with {k} classes per family"
@@ -188,51 +168,54 @@ def test_boundary_count_refuses_a_class_off_the_surface():
 
 
 def test_multicurve_validation():
-    surf = SurfaceModel.chain(2)
-    with pytest.raises(ValueError):
-        MultiCurve(surf, (1, 2), (1, 2, 3))
-    with pytest.raises(ValueError):
-        MultiCurve(surf, (1, 2, -1), (1, 2, 3))
-    with pytest.raises(ValueError):
-        MultiCurve(surf, (1, 2, 3), (1, 2.5, 3))  # type: ignore[arg-type]
-    with pytest.raises(ValueError):
-        MultiCurve(surf, (0, 0, 0), (0, 0, 0))
-    with pytest.raises(ValueError):
-        MultiCurve(SurfaceModel.torus(), (0,), (0,))
+    """The weight count names the surface, so no count names none: an empty
+    family, or two families of different lengths, is refused with one
+    message."""
+    for meridians, longitudes in (((), ()), ((1, 2), (1, 2, 3)), ((1,), ()), ((), (1,))):
+        message = ("^expected the same positive number of weights per family, got "
+                   f"{len(meridians)} meridian and {len(longitudes)} longitude$")
+        with pytest.raises(ValueError, match=message):
+            MultiCurve(meridians, longitudes)
+    with pytest.raises(ValueError, match="^weights must be nonnegative"):
+        MultiCurve((1, 2, -1), (1, 2, 3))
+    with pytest.raises(ValueError, match="^weight must be an integer"):
+        MultiCurve((1, 2, 3), (1, 2.5, 3))  # type: ignore[arg-type]
+    for k in (1, 3):
+        with pytest.raises(ValueError, match="^multicurve needs at least one positive weight$"):
+            MultiCurve((0,) * k, (0,) * k)
 
 
-def test_multicurve_to_json():
-    """``generate`` prints a multicurve in this form; no command reads it back."""
-    mc = MultiCurve(SurfaceModel.chain(2), (5, 4, 2), (2, 2, 2))
-    assert mc.to_json() == {
-        "surface": {"kind": "chain", "genus": 2},
-        "meridians": [5, 4, 2],
-        "longitudes": [2, 2, 2],
+@pytest.mark.parametrize("k", _surfaces(range(1, 8)))
+def test_multicurve_to_json(k: int):
+    """``generate`` prints a multicurve in this form; no command reads it
+    back.  The surface is derived from the weight count k: the torus at
+    k = 1, the chain surface of genus k - 1 above."""
+    meridians, longitudes = tuple(range(5, 5 + k)), (2,) * k
+    surface = {"kind": "torus", "genus": 1} if k == 1 else {"kind": "chain", "genus": k - 1}
+    assert MultiCurve(meridians, longitudes).to_json() == {
+        "surface": surface,
+        "meridians": list(meridians),
+        "longitudes": list(longitudes),
     }
-    assert MultiCurve(SurfaceModel.torus(), (5,), (3,)).to_json() == {
-        "surface": {"kind": "torus", "genus": 1}, "meridians": [5], "longitudes": [3],
-    }
-    assert not hasattr(MultiCurve, "from_json") and not hasattr(SurfaceModel, "from_json")
+    assert not hasattr(MultiCurve, "from_json")
 
 
 @pytest.mark.parametrize("bad", [True, 2.0])
 def test_constructors_reject_non_integers(bad):
     """Each constructor refuses a float or a bool where it takes a count."""
     for build in (
-        lambda: SurfaceModel("chain", bad),
-        lambda: MultiCurve(SurfaceModel.torus(), (bad,), (2,)),
-        lambda: MultiCurve(SurfaceModel.chain(1), (1, 1), (bad, 1)),
+        lambda: MultiCurve((bad,), (2,)),
+        lambda: MultiCurve((1, 1), (bad, 1)),
     ):
         with pytest.raises(ValueError, match="must be an integer"):
             build()
 
 
-@pytest.mark.parametrize("surf", _surfaces(range(1, 9)))
-def test_boundary_count_matches_adjacency_formula(surf: SurfaceModel):
+@pytest.mark.parametrize("k", _surfaces(range(1, 9)))
+def test_boundary_count_matches_adjacency_formula(k: int):
     """boundary_count is the sum of weight x [l_j adjacent to m_i], with
     adjacency read from the explicit rule (i - j) % k in (0, k - 1); at
     k = 1 the rule gives the torus's single crossing."""
-    k = surf.num_classes
     rng = random.Random(k - 1)
 
     for _ in range(20):
@@ -240,13 +223,13 @@ def test_boundary_count_matches_adjacency_formula(surf: SurfaceModel):
         b = tuple(rng.randrange(0, 50) for _ in range(k))
         if not any(a + b):
             continue
-        mc = MultiCurve(surf, a, b)
+        mc = MultiCurve(a, b)
         for i in range(k):
             want = sum(b[j] * adjacent(k, j, i) for j in range(k))
             assert mc.boundary_count("m", i) == want
         for j in range(k):
             want = sum(a[i] * adjacent(k, j, i) for i in range(k))
             assert mc.boundary_count("l", j) == want
-    assert pairing_matrix(surf) == tuple(
+    assert pairing_matrix(k) == tuple(
         tuple(adjacent(k, j, i) for i in range(k)) for j in range(k)
     )

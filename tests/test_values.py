@@ -14,17 +14,14 @@ from surfrep.certificate import Certificate, PieceBounds, PlanarPiece, Represent
 from surfrep.cli import _row
 from surfrep.facewidth import RotationSystem
 from surfrep.families import FamilyInstance
-from surfrep.surface import Check, MultiCurve, SurfaceModel, _Value
+from surfrep.surface import Check, MultiCurve, _Value
 
-TORUS = SurfaceModel("torus", 1)
-CURVE = MultiCurve(TORUS, (3,), (5,))
+CURVE = MultiCurve((3,), (5,))
 
 #: per class: every field by keyword in declared order, one field changed,
 #: and the fields that have defaults with their default values
 CASES = [
-    (SurfaceModel, {"kind": "chain", "genus": 2}, {"genus": 3}, {}),
-    (MultiCurve, {"surface": TORUS, "meridians": (3,), "longitudes": (5,)},
-     {"longitudes": (7,)}, {}),
+    (MultiCurve, {"meridians": (3,), "longitudes": (5,)}, {"longitudes": (7,)}, {}),
     (PlanarPiece, {"id": "F1+", "circles": 3, "arcs": ((0, 1, 2), (1, 2, 4))},
      {"id": "F2+"}, {}),
     (PieceBounds, {"piece_id": "F1+", "loop_min": 4, "arc_min": 2}, {"arc_min": None}, {}),
@@ -49,7 +46,7 @@ def test_cases_cover_every_value_class():
         importlib.import_module(f"surfrep.{module.name}")
     defined = {cls for cls in _Value.__subclasses__() if cls.__module__.startswith("surfrep.")}
     assert {case[0] for case in CASES} == defined
-    assert len(CASES) == 11
+    assert len(CASES) == 10
 
 
 @pytest.mark.parametrize(
