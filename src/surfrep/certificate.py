@@ -13,14 +13,45 @@ boundary must cross the multicurve:
 * every essential arc in every piece crosses >= n/2 arcs
 
 together certify that no disk boundary meets the multicurve fewer than
-n times.  Combined with the cheapest reference class as an upper bound
-this often pins the representativity exactly.
+n times.  The same pieces give the upper end: the loop that attains a
+piece's loop minimum bounds a compressing disk, so the least loop
+minimum over both cuts bounds the representativity from above, and the
+two ends often pin it exactly.
 
 Pieces here are necklace-shaped: boundary circles sit in a cyclic order
 and every arc class joins two cyclically adjacent circles, so a piece is
 a cycle of k sector weights.  The piece constructor refuses any other
 arc, and both minima have closed forms in those weights, proved in the
 docstring of :func:`evaluate_piece`; no drawing is ever constructed.
+
+Why a loop minimum is an upper end.  Take the chain surface of genus
+g as F = boundary(P x I), with P a planar surface with k = g + 1
+boundary circles c_0..c_{k-1} in a plane of the 3-sphere: the meridian
+m_i is c_i x {1/2} on the wall c_i x I, and the longitude l_j is the
+boundary of alpha_j x I, where the necklace arcs alpha_j in P join c_{j-1}
+to c_j.  Both sides of F are handlebodies, so F is a Heegaard surface.
+
+* Cut along the meridians, the piece is P x {1} with the upper half of
+  each wall.  A loop there that splits the circles into two nonempty
+  groups bounds a flat disk in the plane of P x {1}; lifted just above
+  the slab, its interior lies outside P x I.
+* Cut along the longitudes, P falls into two disks D along the
+  necklace arcs, and the piece is the sphere boundary(D x I) minus the
+  k disks alpha_j x I.  A loop in it bounds a disk in the ball D x I,
+  inside P x I.
+* Such a loop is essential in F: each side of it in the piece holds a
+  cut circle, and the mirror piece joins the two sides, so the loop
+  does not separate F and bounds no disk there.  The disk is therefore
+  a compressing disk.
+* Every crossing of the multicurve lies on a copy of the cut family,
+  in a collar of the cut circles, so smoothing changes the multicurve
+  only there.  A loop kept off the collars meets it in the arcs alone,
+  as many times as the loop minimum counts, so r(F) <= loop minimum
+  holds for the multicurve as smoothed.
+* A loop around one circle is parallel to that circle's class and
+  crosses the two sectors touching it, the class's boundary count.
+  So a loop minimum is never above the cheapest class of its family,
+  and :func:`upper_bound` is never below the least loop minimum.
 """
 
 from __future__ import annotations
@@ -198,6 +229,9 @@ class Representativity(_Value):
     upper: int
 
     def __init__(self, lower: int, upper: int) -> None:
+        if _strict_int(lower, "lower end") < 0 or lower > _strict_int(upper, "upper end"):
+            fault = "is negative" if lower < 0 else f"is above upper end {upper}"
+            raise ValueError(f"lower end {lower} {fault}")
         super().__init__(lower, upper)
 
     @property
@@ -268,15 +302,15 @@ def upper_bound(mc: MultiCurve) -> int:
 
 
 def representativity_exact(mc: MultiCurve) -> Representativity:
-    """Best certified window around the representativity.
+    """Best certified window around the representativity, from the cut pieces.
 
-    The upper bound is the cheapest reference class; the lower bound is
-    the largest level the cut pieces certify, capped by the upper bound.
-    One piece per cut direction is evaluated, as its mirror carries the
-    same arcs.  ``exact`` is the value when the bounds meet.
+    The lower end is the largest level both pieces certify, the least
+    score; the upper end is the least loop minimum, which bounds a
+    compressing disk (module docstring).  A score is the least of the
+    loop minimum and twice the arc minimum, so lower <= upper holds
+    piece by piece.  One piece per cut direction is evaluated, as its
+    mirror carries the same arcs.  ``exact`` is the value when the ends
+    meet.
     """
-    upper = upper_bound(mc)
-    scores = [
-        evaluate_piece(cut_pieces(mc, along)).score for along in ("meridians", "longitudes")
-    ]
-    return Representativity(min(upper, *scores), upper)
+    bounds = [evaluate_piece(cut_pieces(mc, along)) for along in ("meridians", "longitudes")]
+    return Representativity(min(pb.score for pb in bounds), min(pb.loop_min for pb in bounds))

@@ -20,6 +20,7 @@ from surfrep.certificate import (
     representativity_exact,
     upper_bound,
 )
+from surfrep.families import exact_knot, lpq_link
 from surfrep.smoothing import trace_components
 from surfrep.surface import MultiCurve
 
@@ -304,6 +305,53 @@ def test_certificate_link_case():
     assert (by_id["F2+"].loop_min, by_id["F2+"].arc_min) == (14, 7)
 
 
+def test_a_light_meridian_piece_closes_the_window():
+    """The meridian piece's loop around two circles crosses one arc of each
+    weight-1 sector, a disk of cost 2, where every reference class costs
+    at least 6: the window [2, 6] of the cheapest class closes to [2, 2]."""
+    mc = MultiCurve((9, 9, 9, 9), (1, 5, 1, 5))
+    assert upper_bound(mc) == 6
+    rep = representativity_exact(mc)
+    assert (rep.lower, rep.upper, rep.exact) == (2, 2, 2)
+
+
+def test_the_upper_end_is_the_least_loop_minimum_of_both_cuts():
+    """On random chain curves the upper end is the least loop minimum over
+    both cuts, re-derived by enumeration, never above the cheapest class,
+    and the lower end is what the cheapest class capped before: every
+    score is at most its piece's loop minimum, so the cap never bit."""
+    rng = random.Random(32)
+    below = 0
+    for _ in range(300):
+        k = rng.randint(2, 7)
+        weights = [0 if rng.random() < 0.3 else rng.randint(1, 9) for _ in range(2 * k)]
+        if not any(weights):
+            continue
+        mc = MultiCurve(weights[:k], weights[k:])
+        pieces = _all_pieces(mc)
+        scores = [evaluate_piece(p).score for p in pieces]
+        rep = representativity_exact(mc)
+        assert rep.upper == min(necklace_loop_min(k, p.arcs) for p in pieces)
+        assert rep.lower == min(upper_bound(mc), *scores) <= rep.upper <= upper_bound(mc)
+        below += rep.upper < upper_bound(mc)
+    assert below > 0
+
+
+def test_family_upper_ends_are_the_cheapest_class():
+    """On the chain families the least loop minimum is the cheapest class:
+    on ``exactly:n,g`` the meridian piece's two lightest sectors are
+    floor(n/2) + ceil(n/2) = n, the count of m0, and on ``lpq:p,q`` it is
+    2p.  So no family's certified window moved with the upper end's source."""
+    for n in range(2, 41):
+        for g in range(1, 11):
+            mc = exact_knot(n, g).curve
+            assert representativity_exact(mc).upper == upper_bound(mc) == n
+    for p in range(1, 21):
+        for q in range(3 * p + 1, 3 * p + 12):
+            mc = lpq_link(p, q).curve
+            assert representativity_exact(mc).upper == upper_bound(mc) == 2 * p
+
+
 def test_certificate_genus1_has_no_arc_condition():
     for n in range(2, 9):
         mc = _knot_curve(n, 1)
@@ -320,8 +368,8 @@ def test_odd_weights_leave_a_gap_at_higher_genus():
 
     The cheapest essential arc crosses only the lighter half of the
     split sector, so for odd n the arc condition stops at n-1 while the
-    reference-class upper bound stays at n.  The window is reported
-    honestly instead of being rounded shut.
+    upper end, the meridian piece's loop minimum, stays at n.  The window
+    is reported honestly instead of being rounded shut.
     """
     for n, g in [(3, 2), (5, 2), (7, 2), (3, 3), (5, 3), (7, 3)]:
         rep = representativity_exact(_knot_curve(n, g))
@@ -368,7 +416,8 @@ def test_certify_pieces_is_monotone_in_the_level():
     )
 ))
 def test_parity_lemma_at_genus_two_and_up(case):
-    """At genus >= 2 every class count is at least twice the lightest weight.
+    """At genus >= 2 every class count and every loop minimum is at least
+    twice the lightest weight, each being a sum of two weights.
 
     Each cut piece then scores twice its lightest sector, so the
     certified window is min(upper, 2 * min weight) and any exact value

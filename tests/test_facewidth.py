@@ -551,51 +551,6 @@ def test_every_nonzero_class_cycle_passes_a_root():
         assert _search_roots(rs, _z2_labels(radial(rs))) == list(range(rs.num_vertices))
 
 
-def test_torus_grids_take_the_fast_paths(monkeypatch):
-    """On the torus every zero-class cycle is skipped without a cut, so the
-    witness check is the one cut, and the labels pick fewer roots than
-    there are vertex nodes."""
-    rng = random.Random(29)
-    cuts = []
-    original = facewidth.cycle_is_contractible
-
-    def counting(rad, cycle):
-        cuts.append(cycle)
-        return original(rad, cycle)
-
-    monkeypatch.setattr(facewidth, "cycle_is_contractible", counting)
-    for rows in range(3, 9):
-        for cols in range(rows, 9):
-            for _ in range(2):
-                grid = relabelled(toroidal_grid(rows, cols), rng)
-                cuts.clear()
-                assert face_width(grid) == rows
-                assert len(cuts) == 1
-                roots = _search_roots(grid, _z2_labels(radial(grid)))
-                assert len(roots) < grid.num_vertices
-
-
-def test_genus_two_searches_skip_the_nodes_of_earlier_roots(monkeypatch):
-    """At genus 2 every vertex node is a root and each zero-class candidate
-    costs one cut, so the cuts count the search's work: these are the
-    counts per map, the witness check included.  A search that walked
-    back into the nodes of earlier roots would find the same widths with
-    5/258/405/1154/1 cuts; a change that lowers the counts updates them."""
-    cuts = []
-    original = facewidth.cycle_is_contractible
-
-    def counting(rad, cycle):
-        cuts.append(cycle)
-        return original(rad, cycle)
-
-    monkeypatch.setattr(facewidth, "cycle_is_contractible", counting)
-    found = []
-    for rs in (*map(double_cover, range(3, 7)), DOUBLE_TORUS):
-        cuts.clear()
-        found.append((face_width(rs), len(cuts)))
-    assert found == [(2, 5), (4, 111), (4, 172), (6, 406), (1, 1)]
-
-
 @pytest.mark.parametrize("order", ["reversed", "shuffled"])
 def test_face_width_needs_no_root_order(monkeypatch, order):
     """The search finds a shortest noncontractible cycle from whichever root

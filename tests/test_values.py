@@ -127,6 +127,22 @@ def test_verdicts_derive_from_the_stored_fields():
             Check("smoothed components", 1, 2, relation)
 
 
+def test_a_window_refuses_ends_out_of_order_or_below_zero():
+    """A certified window reads both ends as integers and refuses a negative
+    lower end or a lower end above the upper one, naming the fault."""
+    assert Representativity(0, 0).exact == 0
+    for lower, upper in ((-1, 3), (-2, -1)):
+        with pytest.raises(ValueError, match=rf"^lower end {lower} is negative$"):
+            Representativity(lower, upper)
+    for lower, upper in ((5, 4), (0, -1)):
+        with pytest.raises(ValueError, match=rf"^lower end {lower} is above upper end {upper}$"):
+            Representativity(lower, upper)
+    for lower, upper, name in ((2.0, 3, "lower end"), (True, 3, "lower end"),
+                               (2, "3", "upper end"), (2, 3.5, "upper end")):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            Representativity(lower, upper)
+
+
 def test_check_shows_its_relation_in_the_expected_value():
     """A check's report row, built by the CLI: ``==`` shows the bare claim;
     any other relation prefixes it, as the reports print ``>= 4`` and ``< 12``."""

@@ -1,0 +1,154 @@
+"""Work counts pinned exactly: performance regressions caught without a clock.
+
+Each test counts calls of one layer on fixed inputs, by wrapping the
+function that does the work, and pins the count.  A count reads the
+same on any machine, where a timing drifts with the machine's state.
+A change that moves a count updates it here and says why; a rise is a
+regression unless the change argues otherwise.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import random
+
+from surfrep import bounds, facewidth, smoothing
+from surfrep.cli import main
+from surfrep.facewidth import _search_roots, _z2_labels, face_width, radial
+from surfrep.families import parse_family, verify_family
+from surfrep.surface import MultiCurve
+from test_facewidth import DOUBLE_TORUS, double_cover, relabelled, toroidal_grid
+from test_golden import CORPUS
+
+
+#-- Face width --#
+
+def test_torus_grids_take_the_fast_paths(monkeypatch):
+    """On the torus every zero-class cycle is skipped without a cut, so the
+    witness check is the one cut, and the labels pick fewer roots than
+    there are vertex nodes."""
+    rng = random.Random(29)
+    cuts = []
+    original = facewidth.cycle_is_contractible
+
+    def counting(rad, cycle):
+        cuts.append(cycle)
+        return original(rad, cycle)
+
+    monkeypatch.setattr(facewidth, "cycle_is_contractible", counting)
+    for rows in range(3, 9):
+        for cols in range(rows, 9):
+            for _ in range(2):
+                grid = relabelled(toroidal_grid(rows, cols), rng)
+                cuts.clear()
+                assert face_width(grid) == rows
+                assert len(cuts) == 1
+                roots = _search_roots(grid, _z2_labels(radial(grid)))
+                assert len(roots) < grid.num_vertices
+
+
+def test_genus_two_searches_skip_the_nodes_of_earlier_roots(monkeypatch):
+    """At genus 2 every vertex node is a root and each zero-class candidate
+    costs one cut, so the cuts count the search's work: these are the
+    counts per map, the witness check included.  A search that walked
+    back into the nodes of earlier roots would find the same widths with
+    5/258/405/1154/1 cuts; a change that lowers the counts updates them."""
+    cuts = []
+    original = facewidth.cycle_is_contractible
+
+    def counting(rad, cycle):
+        cuts.append(cycle)
+        return original(rad, cycle)
+
+    monkeypatch.setattr(facewidth, "cycle_is_contractible", counting)
+    found = []
+    for rs in (*map(double_cover, range(3, 7)), DOUBLE_TORUS):
+        cuts.clear()
+        found.append((face_width(rs), len(cuts)))
+    assert found == [(2, 5), (4, 111), (4, 172), (6, 406), (1, 1)]
+
+
+#-- Verify and smoothing --#
+
+def test_verify_reads_each_class_count_twice(monkeypatch):
+    """``verify`` counts every reference class once for its claimed row and
+    once more in ``trace_components``: 4k calls on a chain surface with
+    k classes per family.  The certificate reads none, as both of its
+    ends come from the cut pieces; only the torus row "crossing upper
+    bound" reads ``upper_bound``, two more calls."""
+    calls = []
+    original = MultiCurve.boundary_count
+
+    def counting(self, family, index):
+        calls.append((family, index))
+        return original(self, family, index)
+
+    monkeypatch.setattr(MultiCurve, "boundary_count", counting)
+    found = {}
+    for text in ("exactly:4,3", "exactly:5,2", "lpq:2,7", "torus:3,5"):
+        calls.clear()
+        verify_family(parse_family(text))
+        found[text] = len(calls)
+    assert found == {"exactly:4,3": 16, "exactly:5,2": 12, "lpq:2,7": 12, "torus:3,5": 6}
+
+
+def test_smoothing_builds_three_pieces_per_block_and_steps_once_per_entry(monkeypatch):
+    """``_return_pieces`` writes three translation pieces per block, and the
+    cycle walk takes one successor step per entry, so the work follows
+    the blocks and the weights, not the crossings (90,300 at
+    ``torus:300,301``)."""
+    pieces, steps = [], []
+    build, walk = smoothing._return_pieces, smoothing.trace_orbits
+
+    def counting_pieces(mc):
+        out = build(mc)
+        pieces.append(len(out[2]))
+        return out
+
+    def counting_steps(mc):
+        orbits = walk(mc)
+        steps.append(sum(map(len, orbits)))
+        return orbits
+
+    monkeypatch.setattr(smoothing, "_return_pieces", counting_pieces)
+    monkeypatch.setattr(smoothing, "trace_orbits", counting_steps)
+    for text in ("exactly:4,3", "lpq:2,7", "torus:300,301"):
+        smoothing.trace_components(parse_family(text).curve)
+    assert pieces == [24, 18, 3]
+    assert steps == [34, 48, 600]
+
+
+#-- Bounds --#
+
+def test_bounds_applies_each_rule_a_pinned_number_of_times(monkeypatch):
+    """Rule applications per distinct ``bounds`` input of the golden corpus,
+    seeds included: each pass applies every active rule once, until a
+    pass changes nothing or a contradiction ends the run."""
+    calls = []
+    original = bounds._apply
+
+    def counting(rule, steps, facts):
+        calls.append(rule)
+        return original(rule, steps, facts)
+
+    monkeypatch.setattr(bounds, "_apply", counting)
+    found = {}
+    for argv in CORPUS:
+        if argv[0] == "bounds":
+            calls.clear()
+            with contextlib.redirect_stdout(io.StringIO()):
+                main(argv)
+            found[" ".join(a for a in argv[1:] if a != "--pretty")] = len(calls)
+    assert found == {
+        "": 9,
+        "--tag torus_knot=3,5": 18,
+        "--tag two_bridge": 18,
+        "--tag composite --seed b=4": 13,
+        "--tag algebraic --seed waist=3": 25,
+        "--tag primitive": 12,
+        "--tag nontrivial_knot --seed bs=3": 3,
+        "--tag pretzel=1,3,7 --tag algebraic": 14,
+        "--tag pretzel=-2,3,5": 18,
+        "--tag torus_knot=3,5 --seed r=3": 19,
+    }
