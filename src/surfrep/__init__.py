@@ -1,9 +1,10 @@
 """Tools for multicurves on standard closed surfaces.
 
-Provides surface models with reference curve systems, component counting
-for smoothed intersections, lower-bound certificates from cut-open planar
-pieces, face width of embedded graphs, an interval engine for classical
-curve invariants, and parametric families tying these together.
+Provides weighted multicurves on the torus and the chain surfaces,
+component counting for smoothed intersections, lower-bound certificates
+from cut-open planar pieces, face width of embedded graphs, an interval
+engine for classical curve invariants, and parametric families tying
+these together.
 
 Each public name is imported from its module on first access, so
 ``import surfrep`` loads no module of the package until a name is read.

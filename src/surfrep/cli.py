@@ -25,7 +25,9 @@ is a bug and propagates; a closed stdout is none, and keeps the verdict.
 
 Package modules are imported inside the step that uses them: one start
 serves one subcommand, so it loads only that subcommand's modules and
-builds only its parser; top-level help and errors build the full tree.
+builds only its reader, a parser with no ``-h`` that prints nothing.
+The full tree prints every help, usage and error text: a call the
+reader refuses is parsed again by it.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ import math
 import os
 import sys
 import time
-from typing import TYPE_CHECKING, Any, Sequence, TypeAlias
+from typing import TYPE_CHECKING, Any, NoReturn, Sequence, TypeAlias
 
 if TYPE_CHECKING:
     from surfrep.bounds import Contradiction, Interval, SubjectTags
@@ -281,14 +283,40 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _Refused(Exception):
+    """A call the reader does not take; the full tree parses it again and reports it."""
+
+
+class _FixedWidth(argparse.HelpFormatter):
+    """A formatter that never asks the terminal its width; the reader prints no text."""
+
+    def __init__(self, prog: str) -> None:
+        super().__init__(prog, width=80)
+
+
+class _Reader(argparse.ArgumentParser):
+    """A subcommand's parser without ``-h`` and without text: it reads a valid call
+    as ``add_parser``'s parser does, and raises on anything it would report."""
+
+    def __init__(self, name: str) -> None:
+        super().__init__(prog=f"surfrep {name}", add_help=False, formatter_class=_FixedWidth)
+
+    def error(self, message: str) -> NoReturn:
+        raise _Refused(message)
+
+
 def _parse(argv: Sequence[str]) -> argparse.Namespace:
-    """Parse what follows a subcommand's name with its parser alone, as ``add_parser``
-    builds it; anything else, or arguments left over, goes to the full tree."""
+    """Read what follows a subcommand's name with that subcommand's reader alone.
+    Anything it refuses or leaves over, and anything else, goes to the full tree,
+    which prints every help, usage and error text."""
     if argv and argv[0] in _COMMANDS:
-        lone = _arguments(argparse.ArgumentParser(prog=f"surfrep {argv[0]}"), argv[0])
-        args, extra = lone.parse_known_args(argv[1:], argparse.Namespace(subcommand=argv[0]))
-        if not extra:
-            return args
+        reader = _arguments(_Reader(argv[0]), argv[0])
+        try:
+            args, extra = reader.parse_known_args(argv[1:], argparse.Namespace(subcommand=argv[0]))
+            if not extra:
+                return args
+        except _Refused:
+            pass
     return build_parser().parse_args(argv)
 
 

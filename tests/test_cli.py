@@ -732,9 +732,10 @@ def _outcome(capsys, parse, argv: list[str]):
 
 
 def _assert_parse_matches_the_full_tree(capsys, argv: list[str]) -> None:
-    """``_parse`` reads what follows a subcommand's name with that parser
-    alone, no top-level parser in front; it must read every argv as the
-    full tree does, printing the same help and errors."""
+    """``_parse`` reads what follows a subcommand's name with a reader that
+    has no ``-h`` and prints nothing, and hands every call it refuses to the
+    full tree; it must read every argv as the full tree does, printing the
+    same help and errors."""
     assert _outcome(capsys, _parse, argv) == _outcome(capsys, build_parser().parse_args, argv)
 
 
@@ -745,23 +746,29 @@ def test_parse_matches_the_full_tree(capsys):
                  ["verify", "--", "torus:3,5"], ["verify", "torus:3,5", "-h"],
                  ["verify", "--pre", "torus:3,5"], ["certify", "f.json", "--n=3"],
                  ["bounds", "--seed=b=2", "--ta", "composite"], ["verify", "--", "-3"],
-                 ["generate", "--pretty", "--pretty", "torus:3,5"]):
+                 ["generate", "--pretty", "--pretty", "torus:3,5"],
+                 # the reader has no -h: help, and prefixes of --help, go to the tree
+                 ["verify", "-h", "torus:3,5"], ["verify", "--he", "torus:3,5"],
+                 ["bounds", "--h"], ["bounds", "--tag", "-h"], ["certify", "f.json", "--n", "-h"],
+                 ["certify", "f.json", "--n", "-3"], ["verify", "--", "-h"], ["facewidth"],
+                 ["generate", "--pretty"]):
         _assert_parse_matches_the_full_tree(capsys, argv)
 
 
 @_fuzz
 @given(argv=st.lists(st.sampled_from(
     ["generate", "verify", "certify", "facewidth", "bounds", "-h", "--help", "--pretty", "--n",
-     "--tag", "--seed", "--", "-", "torus:3,5", "4", "--pre", "--n=4", "--tag=composite", "-x"]),
+     "--tag", "--seed", "--", "-", "torus:3,5", "4", "--pre", "--n=4", "--tag=composite", "-x",
+     "--he", "--h", "-hx"]),
     max_size=5))
 def test_fuzzed_argv_parses_as_with_the_full_tree(capsys, argv):
     _assert_parse_matches_the_full_tree(capsys, argv)
 
 
 def test_a_call_builds_only_the_parsers_it_reads(capsys, tmp_path, monkeypatch):
-    """A subcommand call builds its own parser alone; help lists every
-    subcommand, so it builds all six, and arguments left over are
-    reported by the full tree after the lone parser."""
+    """A valid subcommand call builds its own reader alone; help lists every
+    subcommand, so it builds all six, and a call the reader refuses or
+    leaves arguments over is reported by the full tree after the reader."""
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -782,9 +789,11 @@ def test_a_call_builds_only_the_parsers_it_reads(capsys, tmp_path, monkeypatch):
         main(["--help"])
     assert excinfo.value.code == 0
     assert len(built) == 6
-    built.clear()
-    with pytest.raises(SystemExit) as excinfo:
-        main(["verify", "torus:3,5", "extra"])
-    assert excinfo.value.code == 2
     names = ["generate", "verify", "certify", "facewidth", "bounds"]
-    assert built == ["surfrep verify", "surfrep", *(f"surfrep {name}" for name in names)]
+    for argv, code in ((["verify", "torus:3,5", "extra"], 2), (["verify", "-h"], 0),
+                       (["certify", "x", "--n", "q"], 2)):
+        built.clear()
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == code
+        assert built == [f"surfrep {argv[0]}", "surfrep", *(f"surfrep {name}" for name in names)]

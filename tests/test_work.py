@@ -9,15 +9,17 @@ regression unless the change argues otherwise.
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import random
+import shutil
 
 from surfrep import bounds, facewidth, smoothing
-from surfrep.cli import main
+from surfrep.cli import _parse, main
 from surfrep.facewidth import _search_roots, _z2_labels, face_width, radial
 from surfrep.families import parse_family, verify_family
-from surfrep.surface import MultiCurve
+from surfrep.surface import MultiCurve, _set_field
 from test_facewidth import DOUBLE_TORUS, double_cover, relabelled, toroidal_grid
 from test_golden import CORPUS
 
@@ -67,6 +69,50 @@ def test_genus_two_searches_skip_the_nodes_of_earlier_roots(monkeypatch):
         cuts.clear()
         found.append((face_width(rs), len(cuts)))
     assert found == [(2, 5), (4, 111), (4, 172), (6, 406), (1, 1)]
+
+
+def test_face_width_expands_a_pinned_number_of_radial_nodes(monkeypatch):
+    """Each node a search expands reads its radial rotation once, so the
+    reads of the radial map's rotations, less the one read per node of the
+    Z/2 labelling, count the search's work: per row count r, summed over
+    the torus grids r x c with r <= c <= 8 and two relabellings each, and
+    per genus-2 map."""
+    reads = []
+
+    class Counted(list):
+        def __getitem__(self, node):
+            reads.append(node)
+            return super().__getitem__(node)
+
+    build, label = facewidth.radial, facewidth._z2_labels
+
+    def counting_radial(rs):
+        rad = build(rs)
+        _set_field(rad, "_rots", Counted(rad._rots))
+        return rad
+
+    def uncounted_labels(rad):
+        before = len(reads)
+        labels = label(rad)
+        del reads[before:]
+        return labels
+
+    monkeypatch.setattr(facewidth, "radial", counting_radial)
+    monkeypatch.setattr(facewidth, "_z2_labels", uncounted_labels)
+    rng = random.Random(29)
+    rows_found: dict[int, int] = {}
+    for rows in range(3, 9):
+        for cols in range(rows, 9):
+            for _ in range(2):
+                reads.clear()
+                assert face_width(relabelled(toroidal_grid(rows, cols), rng)) == rows
+                rows_found[rows] = rows_found.get(rows, 0) + len(reads)
+    assert rows_found == {3: 612, 4: 1169, 5: 2104, 6: 2772, 7: 3133, 8: 2354}
+    found = []
+    for rs in (*map(double_cover, range(3, 7)), DOUBLE_TORUS):
+        reads.clear()
+        found.append((face_width(rs), len(reads)))
+    assert found == [(2, 22), (4, 329), (4, 496), (6, 1903), (1, 1)]
 
 
 #-- Verify and smoothing --#
@@ -152,3 +198,41 @@ def test_bounds_applies_each_rule_a_pinned_number_of_times(monkeypatch):
         "--tag pretzel=-2,3,5": 18,
         "--tag torus_knot=3,5 --seed r=3": 19,
     }
+
+
+#-- Parse --#
+
+def test_a_valid_call_builds_one_reader_and_never_asks_the_terminal(monkeypatch):
+    """A valid call builds one parser, with no ``-h`` action: ``--pretty``
+    and the subcommand's own arguments, 2/2/3/2/3 ``add_argument`` calls.
+    Its formatter has a fixed width, so ``add_argument``'s metavar check
+    never reads the terminal's size; help and errors are the full tree's."""
+    built, added, probes = [], [], []
+    init, add, size = (argparse.ArgumentParser.__init__,
+                       argparse._ActionsContainer.add_argument, shutil.get_terminal_size)
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    def counting_add(self, *args, **kwargs):
+        added.append(args[0])
+        return add(self, *args, **kwargs)
+
+    def counting_size(*args, **kwargs):
+        probes.append(args)
+        return size(*args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    monkeypatch.setattr(argparse._ActionsContainer, "add_argument", counting_add)
+    monkeypatch.setattr(shutil, "get_terminal_size", counting_size)
+    found = {}
+    for argv in (["generate", "torus:3,5"], ["verify", "torus:3,5"],
+                 ["certify", "p.json", "--n", "4"], ["facewidth", "m.json"],
+                 ["bounds", "--tag", "two_bridge", "--seed", "b=2"]):
+        for counts in (built, added, probes):
+            counts.clear()
+        _parse(argv)
+        found[argv[0]] = (len(built), len(probes), len(added))
+    assert found == {"generate": (1, 0, 2), "verify": (1, 0, 2), "certify": (1, 0, 3),
+                     "facewidth": (1, 0, 2), "bounds": (1, 0, 3)}
