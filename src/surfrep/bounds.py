@@ -3,10 +3,11 @@
 Tracks six integer-valued quantities per subject: the representativity r,
 the bridge number b, the bridge string number bs, the waist, the first
 Betti number beta1 of the underlying graph, and the number of link
-components.  Each fact is a closed interval with non-negative rational
-endpoints; :func:`propagate` narrows the intervals to the fixed point of
-a fixed rule catalog, recording for every endpoint the chain of rules
-that produced it, and returns one :class:`Interval` per attribute in
+components.  Each fact is a closed interval with non-negative exact
+endpoints, an integral one stored as an int and any other as a Fraction
+in lowest terms; :func:`propagate` narrows the intervals to the fixed
+point of a fixed rule catalog, recording for every endpoint the chain of
+rules that produced it, and returns one :class:`Interval` per attribute in
 ``ATTRIBUTES`` order.  Known facts enter as seeds, also Intervals: an
 exact value as :func:`seeds_from_strings` reads ``b=4``, [4, 4], or a
 one-sided bound such as r >= L, ``Interval(L)``.
@@ -41,8 +42,10 @@ are not valid subjects.  A step that empties an interval, either because
 the lower bound exceeds the upper bound or because no integer point
 remains, raises :class:`Contradiction` carrying the responsible chain.
 Every attribute is integral, so a relation reads the integer endpoints
-ceil(x.lo) and floor(y.hi); the stored endpoints stay rational, and
-integer hulls are taken when displaying results.
+ceil(x.lo) and floor(y.hi), and only its division by a coefficient
+other than 1 makes a Fraction; a stored endpoint is a Fraction only
+where it is not an integer, and integer hulls are taken when displaying
+results.
 """
 
 from __future__ import annotations
@@ -94,23 +97,31 @@ _PRETZEL_THREE = frozenset(
 
 #-- Facts --#
 
-class Interval(_Value):
-    """Closed interval with non-negative exact endpoints, ints or Fractions.
+def _exact(q: int | Fraction | None) -> int | Fraction | None:
+    """``q`` in canonical form: an int where integral, else the Fraction."""
+    return q if q is None or q.denominator != 1 else q.numerator
 
-    ``hi`` is None when the attribute is unbounded above.  The rule
-    chains record which rules justified each endpoint, seed facts
-    appearing as ``seed:<attribute>``.
+
+class Interval(_Value):
+    """Closed interval with non-negative exact endpoints.
+
+    Either end is given as an int or a Fraction and stored as an int
+    where it is integral, else as a Fraction in lowest terms; this
+    constructor is the one place that decides it.  ``hi`` is None when
+    the attribute is unbounded above.  The rule chains record which
+    rules justified each endpoint, seed facts appearing as
+    ``seed:<attribute>``.
     """
 
-    lo: Fraction
-    hi: Fraction | None
+    lo: int | Fraction
+    hi: int | Fraction | None
     lo_rules: tuple[str, ...]
     hi_rules: tuple[str, ...]
 
     def __init__(
         self,
-        lo: Fraction = Fraction(0),
-        hi: Fraction | None = None,
+        lo: int | Fraction = 0,
+        hi: int | Fraction | None = None,
         lo_rules: tuple[str, ...] = (),
         hi_rules: tuple[str, ...] = (),
     ) -> None:
@@ -121,7 +132,7 @@ class Interval(_Value):
             raise ValueError("interval endpoints must be non-negative")
         if hi is not None and hi < lo:
             raise ValueError("interval is empty")
-        super().__init__(lo, hi, lo_rules, hi_rules)
+        super().__init__(_exact(lo), _exact(hi), lo_rules, hi_rules)
 
     def integer_hull(self) -> tuple[int, int | None]:
         """Tightest integer endpoints; the display form for integral attributes."""
@@ -236,7 +247,8 @@ def _split(
 def seeds_from_strings(items: Iterable[str]) -> dict[str, Interval]:
     """Parse seeds ``name=p`` or ``name=p/q``, with p and q ASCII decimal
     integers, q unsigned and spaces allowed around ``=``, each as the
-    exact interval [p/q, p/q]; the constructor checks the sign."""
+    exact interval [p/q, p/q]; the constructor checks the sign and stores
+    an integral value such as ``12/2`` as the int 6."""
     seeds: dict[str, Interval] = {}
     form = "seed {!r} must look like b=3 or bs=7/2"
     for name, raw in _split(items, form, "duplicate seed for {!r}", valued=True):
@@ -260,20 +272,21 @@ class Contradiction(Exception):
 
     ``rules``, derived from ``lo_rules`` and ``hi_rules``, is the
     deduplicated union of the lower and upper chains of the offending
-    attribute, in derivation order.
+    attribute, in derivation order.  ``lo`` and ``hi`` are stored as an
+    :class:`Interval` stores its ends: an int where integral.
     """
 
     def __init__(
         self,
         attribute: str,
-        lo: Fraction,
-        hi: Fraction,
+        lo: int | Fraction,
+        hi: int | Fraction,
         lo_rules: tuple[str, ...],
         hi_rules: tuple[str, ...],
     ) -> None:
         self.attribute = attribute
-        self.lo = lo
-        self.hi = hi
+        self.lo = _exact(lo)
+        self.hi = _exact(hi)
         self.lo_rules = lo_rules
         self.hi_rules = hi_rules
         reason = "no integer point" if lo <= hi else "lower bound exceeds upper bound"
@@ -287,7 +300,9 @@ class Contradiction(Exception):
 
 #-- Propagation --#
 
-def _raise_lo(f: dict[str, Interval], name: str, value: Fraction, rules: tuple[str, ...]) -> bool:
+def _raise_lo(
+    f: dict[str, Interval], name: str, value: int | Fraction, rules: tuple[str, ...]
+) -> bool:
     """Raise the lower end of ``f[name]`` to ``value``; True when it moved."""
     iv = f[name]
     if value <= iv.lo:
@@ -299,7 +314,9 @@ def _raise_lo(f: dict[str, Interval], name: str, value: Fraction, rules: tuple[s
     return True
 
 
-def _lower_hi(f: dict[str, Interval], name: str, value: Fraction, rules: tuple[str, ...]) -> bool:
+def _lower_hi(
+    f: dict[str, Interval], name: str, value: int | Fraction, rules: tuple[str, ...]
+) -> bool:
     """Lower the upper end of ``f[name]`` to ``value``; True when it moved."""
     iv = f[name]
     if iv.hi is not None and value >= iv.hi:
@@ -312,14 +329,6 @@ def _lower_hi(f: dict[str, Interval], name: str, value: Fraction, rules: tuple[s
 
 def _chain(source: tuple[str, ...], rule: str) -> tuple[str, ...]:
     return source if source and source[-1] == rule else (*source, rule)
-
-
-def _ceil(q: Fraction) -> Fraction:
-    return q if q.denominator == 1 else Fraction(math.ceil(q))
-
-
-def _floor(q: Fraction) -> Fraction:
-    return q if q.denominator == 1 else Fraction(math.floor(q))
 
 
 _HALF, _THIRD = Fraction(1, 2), Fraction(1, 3)
@@ -370,28 +379,24 @@ def _apply(rule: str, steps: Sequence[tuple], f: dict[str, Interval]) -> bool:
             x, v = step
             iv = f[x]
             if iv.hi == v:
-                changed |= _lower_hi(f, x, Fraction(v - 1), _chain(iv.hi_rules, rule))
+                changed |= _lower_hi(f, x, v - 1, _chain(iv.hi_rules, rule))
             if iv.lo == v:
-                changed |= _raise_lo(f, x, Fraction(v + 1), _chain(iv.lo_rules, rule))
+                changed |= _raise_lo(f, x, v + 1, _chain(iv.lo_rules, rule))
             continue
         if len(step) == 3:
             x, lo, hi = step
             if lo is not None:
-                changed |= _raise_lo(f, x, Fraction(lo), (rule,))
+                changed |= _raise_lo(f, x, lo, (rule,))
             if hi is not None:
-                changed |= _lower_hi(f, x, Fraction(hi), (rule,))
+                changed |= _lower_hi(f, x, hi, (rule,))
             continue
         x, c, y, d = step
         # raising y.lo leaves y.hi and its chain as read here
         xi, yi = f[x], f[y]
-        # a unit coefficient or a zero offset skips its Fraction operation
-        lo = _ceil(xi.lo)
-        lo = lo - d if d else lo
-        changed |= _raise_lo(f, y, lo if c == 1 else lo / c, _chain(xi.lo_rules, rule))
+        lo = math.ceil(xi.lo) - d
+        changed |= _raise_lo(f, y, lo if c == 1 else Fraction(lo, c), _chain(xi.lo_rules, rule))
         if yi.hi is not None:
-            hi = _floor(yi.hi)
-            hi = hi if c == 1 else c * hi
-            changed |= _lower_hi(f, x, hi + d if d else hi, _chain(yi.hi_rules, rule))
+            changed |= _lower_hi(f, x, c * math.floor(yi.hi) + d, _chain(yi.hi_rules, rule))
     return changed
 
 

@@ -41,9 +41,17 @@ def _tags(*items: str) -> SubjectTags:
     return SubjectTags.from_strings(items)
 
 
-def snapshot(facts: dict[str, Interval]) -> dict[str, tuple[Fraction, Fraction | None]]:
+def snapshot(
+    facts: dict[str, Interval],
+) -> dict[str, tuple[int | Fraction, int | Fraction | None]]:
     """Endpoint values only; the order-independent part of a fixed point."""
     return {name: (iv.lo, iv.hi) for name, iv in facts.items()}
+
+
+def canonical(q: int | Fraction) -> bool:
+    """Whether ``q`` is in the one stored form: an int, or a Fraction that
+    is not integral; ``Fraction(6)`` is not."""
+    return type(q) is int or (type(q) is Fraction and q.denominator != 1)
 
 
 def contains(iv: Interval, value: int | Fraction) -> bool:
@@ -157,12 +165,13 @@ def test_pretzel_parameters_close_into_a_knot():
 
 
 def test_seeds_read_as_exact_intervals():
-    """``name=p/q`` reads as the interval [p/q, p/q] with Fraction ends, and
-    tags and seeds share one split: the name stripped, an empty or a
-    repeated name refused."""
+    """``name=p/q`` reads as the interval [p/q, p/q], stored as the int
+    where p/q is integral, and tags and seeds share one split: the name
+    stripped, an empty or a repeated name refused."""
     seeds = seeds_from_strings([" bs = 12/2 ", "r=7/2", "waist=-0"])
-    assert seeds == {"bs": exact(F(6)), "r": exact(Fraction(7, 2)), "waist": exact(F(0))}
-    assert all(type(iv.lo) is Fraction and type(iv.hi) is Fraction for iv in seeds.values())
+    assert seeds == {"bs": exact(6), "r": exact(Fraction(7, 2)), "waist": exact(0)}
+    assert all(canonical(iv.lo) and canonical(iv.hi) for iv in seeds.values())
+    assert type(seeds["bs"].lo) is int and type(seeds["r"].lo) is Fraction
     for read, items, message in (
         (seeds_from_strings, [" = 3"], "seed ' = 3' must look like b=3 or bs=7/2"),
         (seeds_from_strings, ["b=2", " b =3"], "duplicate seed for 'b'"),
@@ -263,19 +272,33 @@ def test_relations_floor_the_upper_endpoint():
     assert fs["bs"].hi_rules == fs["b"].hi_rules == ("seed:bs", "R3")
 
 
-def test_every_endpoint_is_a_fraction():
+def test_every_endpoint_is_stored_in_canonical_form():
+    """Fixed points and contradictions store an integral end as an int and
+    any other as a Fraction: R13 refutes b = 0 with int ends, and R1's
+    r <= bs/2 refutes bs = 3 for a knot at the Fraction 3/2."""
+    with pytest.raises(Contradiction) as bridgeless:
+        propagate(_tags(), seeds_from_strings(["b=0"]))
+    assert bridgeless.value.attribute == "b"
+    assert [type(end) for end in (bridgeless.value.lo, bridgeless.value.hi)] == [int, int]
+    with pytest.raises(Contradiction) as odd:
+        propagate(_tags("nontrivial_knot"), seeds_from_strings(["bs=3"]))
+    assert (odd.value.attribute, odd.value.lo, odd.value.hi) == ("r", 2, Fraction(3, 2))
+    assert canonical(odd.value.lo) and canonical(odd.value.hi)
     rng = random.Random(11)
-    checked = 0
+    checked = refuted = 0
     while checked < 200:
         tags, seeds = _random_subject(rng)
         try:
             fs = propagate(tags, seeds)
-        except Contradiction:
+        except Contradiction as exc:
+            assert canonical(exc.lo) and canonical(exc.hi), (tags, seeds)
+            refuted += 1
             continue
         for name in ATTRIBUTES:
-            assert type(fs[name].lo) is Fraction, (tags, seeds, name)
-            assert fs[name].hi is None or type(fs[name].hi) is Fraction, (tags, seeds, name)
+            assert canonical(fs[name].lo), (tags, seeds, name)
+            assert fs[name].hi is None or canonical(fs[name].hi), (tags, seeds, name)
         checked += 1
+    assert refuted > 0
 
 
 def test_every_catalog_entry_builds_steps_of_the_three_kinds():
@@ -385,7 +408,7 @@ def test_a_one_sided_seed_raises_only_lower_ends():
     assert fs["r"].lo_rules == ("seed:r",) and fs["r"].hi_rules == ()
     assert fs["b"].lo == 3 and fs["b"].lo_rules == ("seed:r", "R2")
     assert fs["bs"].lo == 6
-    assert all(type(iv.lo) is Fraction for iv in fs.values())
+    assert all(canonical(iv.lo) for iv in fs.values())
 
 
 def test_schubert_consistency():

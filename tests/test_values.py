@@ -33,9 +33,8 @@ CASES = [
      {"extrapolated": True}, {"extrapolated": False}),
     (Check, {"name": "smoothed components", "expected": 1, "actual": 1, "relation": ">="},
      {"relation": "=="}, {"relation": "=="}),
-    (Interval, {"lo": Fraction(1), "hi": Fraction(7, 2), "lo_rules": ("seed:r",),
-                "hi_rules": ()}, {"hi": None},
-     {"lo": Fraction(0), "hi": None, "lo_rules": (), "hi_rules": ()}),
+    (Interval, {"lo": 1, "hi": Fraction(7, 2), "lo_rules": ("seed:r",), "hi_rules": ()},
+     {"hi": None}, {"lo": 0, "hi": None, "lo_rules": (), "hi_rules": ()}),
     (SubjectTags, {"names": frozenset({"torus_knot"}), "torus_knot": (2, 3), "pretzel": None},
      {"torus_knot": (2, 5)}, {"names": frozenset(), "torus_knot": None, "pretzel": None}),
 ]
