@@ -59,6 +59,8 @@ CORPUS = [
     ["bounds", "--tag", "torus_knot=3,5", "--seed", "r=3"],
     ["verify", "exactly:3,1"],
     ["verify", "exactly:4,3"],
+    ["bounds", "--tag", "pretzel=1,3,7", "--seed", "r=3"],
+    ["bounds", "--tag", "torus_knot=3,5", "--seed", "bs=6"],
 ]
 
 _JSON_DURATION = re.compile(r', "duration_seconds": [-+0-9.e]+')

@@ -197,6 +197,8 @@ def test_bounds_applies_each_rule_a_pinned_number_of_times(monkeypatch):
         "--tag pretzel=1,3,7 --tag algebraic": 14,
         "--tag pretzel=-2,3,5": 18,
         "--tag torus_knot=3,5 --seed r=3": 19,
+        "--tag pretzel=1,3,7 --seed r=3": 5,
+        "--tag torus_knot=3,5 --seed bs=6": 13,
     }
 
 
