@@ -41,6 +41,8 @@ Subjects are assumed non-trivial throughout; trivial knots and graphs
 are not valid subjects.  A step that empties an interval, either because
 the lower bound exceeds the upper bound or because no integer point
 remains, raises :class:`Contradiction` carrying the responsible chain.
+Every step narrows through ``_narrow``, the one place that tests an
+interval for emptiness and raises it.
 Every attribute is integral, so a relation reads the integer endpoints
 ceil(x.lo) and floor(y.hi), and only its division by a coefficient
 other than 1 makes a Fraction; a stored endpoint is a Fraction only
@@ -300,30 +302,26 @@ class Contradiction(Exception):
 
 #-- Propagation --#
 
-def _raise_lo(
-    f: dict[str, Interval], name: str, value: int | Fraction, rules: tuple[str, ...]
+def _narrow(
+    f: dict[str, Interval], name: str, lo: int | Fraction | None, hi: int | Fraction | None,
+    lo_rules: tuple[str, ...], hi_rules: tuple[str, ...],
 ) -> bool:
-    """Raise the lower end of ``f[name]`` to ``value``; True when it moved."""
-    iv = f[name]
-    if value <= iv.lo:
-        return False
-    # integral attribute: empty also when no integer fits
-    if iv.hi is not None and math.ceil(value) > math.floor(iv.hi):
-        raise Contradiction(name, value, iv.hi, rules, iv.hi_rules)
-    f[name] = Interval(value, iv.hi, rules, iv.hi_rules)
-    return True
+    """Narrow ``f[name]`` to [lo, hi] with these chains; True when it moved.
 
-
-def _lower_hi(
-    f: dict[str, Interval], name: str, value: int | Fraction, rules: tuple[str, ...]
-) -> bool:
-    """Lower the upper end of ``f[name]`` to ``value``; True when it moved."""
+    An end that is None, or that would not tighten, keeps its value and
+    its chain.  This is the one test for emptiness: the attribute is
+    integral, so the interval is empty also when no integer fits.
+    """
     iv = f[name]
-    if iv.hi is not None and value >= iv.hi:
+    if lo is None or lo <= iv.lo:
+        lo, lo_rules = iv.lo, iv.lo_rules
+    if hi is None or iv.hi is not None and hi >= iv.hi:
+        hi, hi_rules = iv.hi, iv.hi_rules
+    if lo == iv.lo and hi == iv.hi:
         return False
-    if math.ceil(iv.lo) > math.floor(value):
-        raise Contradiction(name, iv.lo, value, iv.lo_rules, rules)
-    f[name] = Interval(iv.lo, value, iv.lo_rules, rules)
+    if hi is not None and math.ceil(lo) > math.floor(hi):
+        raise Contradiction(name, lo, hi, lo_rules, hi_rules)
+    f[name] = Interval(lo, hi, lo_rules, hi_rules)
     return True
 
 
@@ -365,8 +363,11 @@ def _steps(rule: str, tags: SubjectTags) -> Sequence[tuple]:
 def _apply(rule: str, steps: Sequence[tuple], f: dict[str, Interval]) -> bool:
     """One application of the steps of ``rule``; True when they narrowed an interval.
 
-    A hole x != v moves an endpoint only when it sits at v.  A relation
-    x <= c * y + d narrows both ways: first y.lo up to
+    Every step narrows through ``_narrow``.  A pin narrows both ends in
+    one call.  A hole x != v moves an endpoint only when it sits at v:
+    the upper end first, then the lower, both found at v in the interval
+    as read, so a hole at the point v reports [v, v - 1].  A relation
+    x <= c * y + d narrows both ways, one call each: first y.lo up to
     (ceil(x.lo) - d) / c, then x.hi down to c * floor(y.hi) + d.  The
     rounding is sound because every attribute is integral, and it makes
     a chain of relations see parity: bs = 2b with b > 9/2 gives bs >= 10.
@@ -379,24 +380,21 @@ def _apply(rule: str, steps: Sequence[tuple], f: dict[str, Interval]) -> bool:
             x, v = step
             iv = f[x]
             if iv.hi == v:
-                changed |= _lower_hi(f, x, v - 1, _chain(iv.hi_rules, rule))
+                changed |= _narrow(f, x, None, v - 1, (), _chain(iv.hi_rules, rule))
             if iv.lo == v:
-                changed |= _raise_lo(f, x, v + 1, _chain(iv.lo_rules, rule))
-            continue
-        if len(step) == 3:
+                changed |= _narrow(f, x, v + 1, None, _chain(iv.lo_rules, rule), ())
+        elif len(step) == 3:
             x, lo, hi = step
-            if lo is not None:
-                changed |= _raise_lo(f, x, lo, (rule,))
-            if hi is not None:
-                changed |= _lower_hi(f, x, hi, (rule,))
-            continue
-        x, c, y, d = step
-        # raising y.lo leaves y.hi and its chain as read here
-        xi, yi = f[x], f[y]
-        lo = math.ceil(xi.lo) - d
-        changed |= _raise_lo(f, y, lo if c == 1 else Fraction(lo, c), _chain(xi.lo_rules, rule))
-        if yi.hi is not None:
-            changed |= _lower_hi(f, x, c * math.floor(yi.hi) + d, _chain(yi.hi_rules, rule))
+            changed |= _narrow(f, x, lo, hi, (rule,), (rule,))
+        else:
+            x, c, y, d = step
+            # raising y.lo leaves y.hi and its chain as read here
+            xi, yi = f[x], f[y]
+            lo = math.ceil(xi.lo) - d
+            lo = lo if c == 1 else Fraction(lo, c)
+            hi = None if yi.hi is None else c * math.floor(yi.hi) + d
+            changed |= _narrow(f, y, lo, None, _chain(xi.lo_rules, rule), ())
+            changed |= _narrow(f, x, None, hi, (), _chain(yi.hi_rules, rule))
     return changed
 
 

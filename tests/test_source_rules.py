@@ -201,22 +201,34 @@ def test_subcommand_arguments_are_added_in_one_place():
 
 def test_intervals_narrow_only_in_the_step_function():
     """Every rule and every seed narrows through ``bounds._apply``, the one
-    step function, so no other code in the module names ``_raise_lo`` or
-    ``_lower_hi``: a new fact is a step in the table, not a call of them."""
+    step function, and it through ``_narrow``, the one narrower: no other
+    code in the module names ``_narrow``, so a new fact is a step in the
+    table, not a call of it.  ``_narrow`` alone decides that an interval
+    is empty: ``Contradiction(`` is called at one site of the module, the
+    ``raise`` inside it."""
     path = PACKAGE / "bounds.py"
     tree = ast.parse(path.read_text(), filename=str(path))
-    narrowers = {"_raise_lo", "_lower_hi"}
 
-    def uses(root: ast.AST) -> list[ast.Name]:
+    def functions(name: str) -> list[ast.FunctionDef]:
+        return [node for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef) and node.name == name]
+
+    def uses(root: ast.AST, name: str) -> list[ast.Name]:
         return [node for node in ast.walk(root)
-                if isinstance(node, ast.Name) and node.id in narrowers]
+                if isinstance(node, ast.Name) and node.id == name]
 
-    steppers = [node for node in ast.walk(tree)
-                if isinstance(node, ast.FunctionDef) and node.name == "_apply"]
-    assert len(steppers) == 1 and {node.id for node in uses(steppers[0])} == narrowers
-    inside = set(uses(steppers[0]))
-    found = [f"bounds.py:{node.lineno} {node.id}" for node in uses(tree) if node not in inside]
+    steppers, narrowers = functions("_apply"), functions("_narrow")
+    assert len(steppers) == 1 and len(narrowers) == 1 and uses(steppers[0], "_narrow")
+    inside = set(uses(steppers[0], "_narrow"))
+    found = [f"bounds.py:{node.lineno}" for node in uses(tree, "_narrow") if node not in inside]
     assert not found, f"intervals narrowed outside bounds._apply: {found}"
+    raised = [node.exc for node in ast.walk(narrowers[0]) if isinstance(node, ast.Raise)]
+    sites = [node for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id == "Contradiction"]
+    assert len(sites) == 1 and sites[0] in raised, (
+        f"Contradiction( called at {[node.lineno for node in sites]}, "
+        "not once in a raise inside bounds._narrow")
 
 
 def test_one_crossing_rule_with_no_torus_arm():
