@@ -364,13 +364,14 @@ def _apply(rule: str, steps: Sequence[tuple], f: dict[str, Interval]) -> bool:
     """One application of the steps of ``rule``; True when they narrowed an interval.
 
     Every step narrows through ``_narrow``.  A pin narrows both ends in
-    one call.  A hole x != v moves an endpoint only when it sits at v:
-    the upper end first, then the lower, both found at v in the interval
-    as read, so a hole at the point v reports [v, v - 1].  A relation
-    x <= c * y + d narrows both ways, one call each: first y.lo up to
-    (ceil(x.lo) - d) / c, then x.hi down to c * floor(y.hi) + d.  The
-    rounding is sound because every attribute is integral, and it makes
-    a chain of relations see parity: bs = 2b with b > 9/2 gives bs >= 10.
+    one call.  A hole x != v moves an endpoint only when its integer end
+    is v, floor(hi) = v or ceil(lo) = v: the upper end first, then the
+    lower, both found at v in the interval as read, so a hole at the
+    point v reports [v, v - 1].  A relation x <= c * y + d narrows both
+    ways, one call each: first y.lo up to (ceil(x.lo) - d) / c, then
+    x.hi down to c * floor(y.hi) + d.  The rounding is sound because
+    every attribute is integral, and it makes a chain of relations see
+    parity: bs = 2b with b > 9/2 gives bs >= 10.
     """
     changed = False
     for step in steps:
@@ -379,9 +380,9 @@ def _apply(rule: str, steps: Sequence[tuple], f: dict[str, Interval]) -> bool:
             # leaves lo and its chain as read here
             x, v = step
             iv = f[x]
-            if iv.hi == v:
+            if iv.hi is not None and math.floor(iv.hi) == v:
                 changed |= _narrow(f, x, None, v - 1, (), _chain(iv.hi_rules, rule))
-            if iv.lo == v:
+            if math.ceil(iv.lo) == v:
                 changed |= _narrow(f, x, v + 1, None, _chain(iv.lo_rules, rule), ())
         elif len(step) == 3:
             x, lo, hi = step

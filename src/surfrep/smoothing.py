@@ -31,8 +31,9 @@ how s compares with b_i - a_j, so on each block the first return is a
 translation on at most three intervals of s, one of them a single
 entry.  These pieces are built in time linear in the number of blocks
 and written into a flat successor list over positions, whose cycles are
-then followed; the walk is linear in the weights rather than in the
-crossing count.
+then followed.  An orbit is listed by the positions of its entries and
+no crossing is named; the walk is linear in the weights rather than in
+the crossing count.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ from surfrep.surface import MultiCurve, _crossed
 
 __all__ = ["trace_components", "trace_orbits"]
 
-Crossing = tuple[int, int, int, int]
 #: positions lo .. hi-1 go to to .. to + hi - lo - 1 under the first return
 Piece = tuple[int, int, int]
 
@@ -98,53 +98,39 @@ def _return_pieces(mc: MultiCurve) -> tuple[list[tuple[int, int]], list[int], li
     return blocks, offsets, pieces
 
 
-def trace_orbits(mc: MultiCurve) -> list[list[Crossing]]:
+def trace_orbits(mc: MultiCurve) -> list[list[int]]:
     """Orbits of the smoothing reconnection map, one per closed walk.
 
-    Each orbit is listed by its entry crossings (j, c, i, d), those with
-    c = 1 or d = 1, in walking order.  Inside the block of l_j and m_i
-    the return map G sends (c, d) to (c+1, d+1) while c < a_j and
-    d < b_i, and that diagonal predecessor is the only preimage of a
-    crossing with c > 1 and d > 1; so walking an orbit backwards always
-    reaches an entry, and the orbits of G correspond one to one to the
-    orbits of its first return to the entries.  The first return is
-    built by :func:`_return_pieces` as translations of entry positions
-    and written out into a flat successor list; the cycles are then
-    followed over integer positions.  Starts are tried per block in the
-    order d = 1 .. b_i (with c = 1), then c = 2 .. a_j (with d = 1).
-    Pieces that do not form a bijection leave some cycle that never
-    returns to its start, and that raises RuntimeError.  Copies that
-    meet no crossings at all are handled by trace_components.
+    Each orbit is listed by the positions of its entries, the crossings
+    with c = 1 or d = 1, in walking order; a position indexes the flat
+    successor list laid out by :func:`_return_pieces`, and no crossing
+    is named.  Every orbit of the return map G meets an entry (module
+    docstring), so the orbits of G correspond one to one to the orbits
+    of its first return to the entries.  The pieces are written out
+    into the successor list, and one scan over the positions 0 .. n-1
+    follows each cycle from its least position.  Pieces that do not form
+    a bijection leave some cycle that never returns to its start, and
+    that raises RuntimeError.  Copies that meet no crossings at all are
+    handled by trace_components.
     """
-    a, b = mc.longitudes, mc.meridians
-    blocks, offsets, pieces = _return_pieces(mc)
+    _, offsets, pieces = _return_pieces(mc)
     n = offsets[-1]
     succ = [0] * n
     for lo, hi, to in pieces:
         succ[lo:hi] = range(to, to + hi - lo)
-    # names: position -> crossing, s ascending; starts: positions in start order
-    names: list[Crossing] = []
-    starts: list[int] = []
-    for (j, i), lo in zip(blocks, offsets):
-        aj, bi = a[j], b[i]
-        names += [(j, c, i, 1) for c in range(aj, 1, -1)]
-        names += [(j, 1, i, d) for d in range(1, bi + 1)]
-        starts += range(lo + aj - 1, lo + aj + bi - 1)
-        starts += range(lo + aj - 2, lo - 1, -1)
-
     seen = [False] * n
-    orbits: list[list[Crossing]] = []
-    for start in starts:
+    orbits: list[list[int]] = []
+    for start in range(n):
         if seen[start]:
             continue
         seen[start] = True
-        orbit = [names[start]]
+        orbit = [start]
         p = succ[start]
         while p != start:
             if seen[p]:
-                raise RuntimeError(f"first-return cycle from entry {names[start]} does not close")
+                raise RuntimeError(f"first-return cycle from position {start} does not close")
             seen[p] = True
-            orbit.append(names[p])
+            orbit.append(p)
             p = succ[p]
         orbits.append(orbit)
     return orbits

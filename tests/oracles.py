@@ -394,8 +394,10 @@ def entry_walk_orbits(kind: str, meridians, longitudes) -> list[list[tuple]]:
     when c = a_j, and the longitude step to copy 1 of the next meridian
     class with copies along l_j when d = b_i.  Starts are tried per block
     (l_j, m_i), j ascending and then i ascending, as d = 1 .. b_i with
-    c = 1 and then c = 2 .. a_j with d = 1; this is the exact-order
-    reference for ``trace_orbits``.  Crossing orders are the same as in
+    c = 1 and then c = 2 .. a_j with d = 1.  This is the reference for
+    ``trace_orbits``, which lists the same cycles by entry position and
+    from other starts, so the two agree as cycles of named entries, not
+    in the order of the starts.  Crossing orders are the same as in
     :func:`smoothing_state_orbits`: a curve meets at most two classes,
     so the cyclic order along it does not depend on where it starts.
     """

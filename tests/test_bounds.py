@@ -353,6 +353,20 @@ def test_pretzel_rules():
     assert both["r"].lo == both["r"].hi == 3
 
 
+def test_the_hole_reads_a_fractional_lower_end_at_its_ceiling():
+    """r >= 5/2 holds for an integer r exactly when r >= 3, so r != 3 leaves r >= 4."""
+    facts = propagate(_tags("pretzel=1,3,7"), {"r": Interval(Fraction(5, 2))})
+    assert facts["r"].integer_hull() == (4, None)
+    assert facts["r"].lo_rules == ("seed:r", "R7")
+
+
+def test_the_hole_reads_a_fractional_upper_end_at_its_floor():
+    """r <= 7/2 holds for an integer r exactly when r <= 3, so r != 3 leaves r <= 2."""
+    facts = propagate(_tags("pretzel=1,3,7"), {"r": Interval(0, Fraction(7, 2))})
+    assert facts["r"].integer_hull() == (2, 2)
+    assert facts["r"].hi_rules == ("seed:r", "R7")
+
+
 def test_theta_curve_rules():
     fs = propagate(_tags("theta_curve", "primitive"), {"beta1": exact(2), "b": exact(2)})
     assert fs["r"].lo == 1 and fs["r"].hi == 2
