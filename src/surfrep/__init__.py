@@ -21,7 +21,6 @@ _EXPORTS = {
     "Certificate": "certificate",
     "Representativity": "certificate",
     "certify_pieces": "certificate",
-    "upper_bound": "certificate",
     "representativity_exact": "certificate",
     "RotationSystem": "facewidth",
     "radial": "facewidth",

@@ -50,8 +50,24 @@ to c_j.  Both sides of F are handlebodies, so F is a Heegaard surface.
   holds for the multicurve as smoothed.
 * A loop around one circle is parallel to that circle's class and
   crosses the two sectors touching it, the class's boundary count.
-  So a loop minimum is never above the cheapest class of its family,
-  and :func:`upper_bound` is never below the least loop minimum.
+  So a loop minimum is never above the cheapest class of its family.
+
+Why genus 1 is exact.  The torus is the genus-1 chain surface: a curve
+with one weight per family is read at k = 2 with the second class of
+each family empty, so the torus is cut along two parallel meridians or
+along two parallel longitudes, and both pieces are annuli.  At k = 2, P
+is an annulus and F = boundary(P x I) is the standard torus, which
+bounds a solid torus on each side.  Up to isotopy its compressing disks
+are the meridian disks of those two solid tori, and their boundaries
+are parallel to a meridian or to a longitude.  The multicurve as
+smoothed is homologous to the sum of its copies, all oriented alike, so
+a curve parallel to a meridian crosses it at least as often as there
+are longitude copies, and symmetrically.  A piece with two circles has
+no essential arc, and its loop minimum is its one merged sector, that
+same count.  So both ends of :func:`representativity_exact` equal r(F):
+min(p, q) on the torus with q meridian and p longitude copies, and n on
+``exactly:n,1``.  At genus >= 2 not every compressing disk is parallel
+to a reference class, and whether the lower end is r(F) stays open.
 """
 
 from __future__ import annotations
@@ -76,7 +92,6 @@ __all__ = [
     "Representativity",
     "evaluate_piece",
     "certify_pieces",
-    "upper_bound",
     "representativity_exact",
 ]
 
@@ -161,11 +176,11 @@ def cut_pieces(mc: MultiCurve, along: str) -> PlanarPiece:
     the circles of the two meridian classes it crossed, and
     symmetrically for the other direction.  The mirror piece F1- (or
     F2-) carries the same arcs, so it is not returned.  One weight per
-    family is the torus, which is refused.
+    family is the torus, cut as the genus-1 chain surface whose second
+    class in each family is empty: both pieces are annuli (module
+    docstring).
     """
-    k = len(mc.meridians)
-    if k == 1:
-        raise ValueError("cutting along a full reference family needs the chain surface")
+    k = max(len(mc.meridians), 2)
     if along == "meridians":
         label, family, weights = "F1+", "l", mc.longitudes
     elif along == "longitudes":
@@ -288,17 +303,6 @@ def certify_pieces(pieces: list[PlanarPiece], n: int) -> Certificate:
     if _strict_int(n, "certificate level") < 0:
         raise ValueError(f"certificate level must be >= 0, got {n}")
     return Certificate(n, tuple(evaluate_piece(p) for p in pieces))
-
-
-def upper_bound(mc: MultiCurve) -> int:
-    """Cheapest reference class: an embedded upper bound for the representativity.
-
-    Each reference class is an embedded curve crossing the multicurve
-    ``boundary_count`` times, so the least count over both families bounds
-    the representativity from above.
-    """
-    k = len(mc.meridians)
-    return min(mc.boundary_count(f, i) for f in ("m", "l") for i in range(k))
 
 
 def representativity_exact(mc: MultiCurve) -> Representativity:

@@ -31,6 +31,10 @@ reference for the interval engine of ``propagate``.
 The pretzel walk follows each strand of the standard pretzel diagram
 crossing by crossing and counts the closed strands; it is the reference
 for the knot check on the ``pretzel`` tag's parameters.
+
+The cheapest reference class is the least boundary count over both
+families, the embedded upper bound on the representativity that the
+certificate's upper end is compared with.
 """
 
 from __future__ import annotations
@@ -868,3 +872,8 @@ def pretzel_components(params) -> int:
             seen.update((end, exit_))
             end = across(exit_)
     return count
+
+
+def cheapest_class(mc) -> int:
+    """The least boundary count of any reference class of ``mc``."""
+    return min(mc.boundary_count(f, i) for f in "ml" for i in range(len(mc.meridians)))

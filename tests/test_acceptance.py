@@ -20,7 +20,6 @@ from surfrep import (
     propagate,
     representativity_exact,
     trace_components,
-    upper_bound,
 )
 from surfrep.bounds import RULE_ORDER
 from surfrep.certificate import evaluate_piece
@@ -92,7 +91,7 @@ def test_criterion_3_chain_link_certificates():
 
 
 def test_criterion_4_torus_knot_suite():
-    """Crossing bound and component counts on the standard torus."""
+    """Certified representativity and component counts on the standard torus."""
     started = time.perf_counter()
     failures = []
     coprime = 0
@@ -102,8 +101,9 @@ def test_criterion_4_torus_knot_suite():
                 continue
             coprime += 1
             curve = torus_knot(p, q).curve
-            if upper_bound(curve) != p or trace_components(curve) != 1:
-                failures.append((p, q, upper_bound(curve), trace_components(curve)))
+            r = representativity_exact(curve).exact
+            if r != p or trace_components(curve) != 1:
+                failures.append((p, q, r, trace_components(curve)))
     checked = 0
     for p in range(1, 13):
         for q in range(1, 13):
@@ -214,7 +214,7 @@ def test_criterion_8_half_string_inequality():
         for q in range(p + 1, 10):
             if math.gcd(p, q) != 1:
                 continue
-            r = upper_bound(torus_knot(p, q).curve)
+            r = representativity_exact(torus_knot(p, q).curve).exact
             strings = 2 * min(p, q)  # doubled bridge number
             if 2 * r != strings:
                 failures.append(("torus", p, q, r, strings))

@@ -23,7 +23,7 @@ from surfrep.bounds import (
     propagate,
     seeds_from_strings,
 )
-from surfrep.certificate import representativity_exact, upper_bound
+from surfrep.certificate import representativity_exact
 from surfrep.cli import _fact
 from surfrep.families import exact_knot, lpq_link, torus_knot
 
@@ -602,7 +602,7 @@ def test_family_values_lie_inside_propagated_intervals():
     for p, q in ((2, 3), (3, 5), (4, 5), (2, 7)):
         inst = torus_knot(p, q)
         fs = propagate(_tags(f"torus_knot={p},{q}"))
-        value = upper_bound(inst.curve)
+        value = representativity_exact(inst.curve).exact
         assert value == min(p, q)
         assert contains(fs["r"], value)
         assert contains(fs["bs"], 2 * value)

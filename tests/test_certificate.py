@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import random
 import re
 
@@ -10,15 +11,15 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from oracles import necklace_arc_min, necklace_loop_min
+from oracles import cheapest_class, necklace_arc_min, necklace_loop_min
 from surfrep.certificate import (
     PlanarPiece,
+    Representativity,
     certify_pieces,
     cut_pieces,
     evaluate_piece,
     pieces_from_json,
     representativity_exact,
-    upper_bound,
 )
 from surfrep.families import exact_knot, lpq_link
 from surfrep.smoothing import trace_components
@@ -68,18 +69,25 @@ def test_cut_pieces_drops_zero_weights():
     assert f2.arcs == ((0, 1, 3), (0, 2, 1))
 
 
-def test_cut_rejects_torus_and_bad_direction():
-    """One weight per family is the torus, which no full family cuts open,
-    in either direction."""
-    torus = MultiCurve((2,), (3,))
-    for along in ("meridians", "longitudes"):
-        with pytest.raises(ValueError, match="^cutting along a full reference family needs "
-                                             "the chain surface$"):
-            cut_pieces(torus, along)
+def test_cut_rejects_a_bad_direction():
     chain = MultiCurve((1, 1), (1, 1))
     with pytest.raises(ValueError, match="^along must be 'meridians' or 'longitudes', "
                                          "got 'diagonals'$"):
         cut_pieces(chain, "diagonals")
+
+
+def test_torus_is_the_genus_one_chain_surface():
+    """One weight per family is cut as two weights per family whose second
+    class is empty: both pieces are annuli, the window closes at the
+    torus's r = min(p, q), and the components are gcd(p, q) either way."""
+    for p in range(1, 40):
+        for q in range(1, 40):
+            torus, chain = MultiCurve((q,), (p,)), MultiCurve((q, 0), (p, 0))
+            assert representativity_exact(torus) == Representativity(min(p, q), min(p, q))
+            assert representativity_exact(chain) == representativity_exact(torus)
+            assert trace_components(torus) == trace_components(chain) == math.gcd(p, q)
+    pieces = _all_pieces(MultiCurve((3,), (5,)))
+    assert pieces == [PlanarPiece("F1+", 2, ((0, 1, 5),)), PlanarPiece("F2+", 2, ((0, 1, 3),))]
 
 
 def test_piece_validation_and_json():
@@ -282,7 +290,7 @@ def test_certificate_exact_square_case():
     mc = _knot_curve(4, 2)
     cert = certify_pieces(_all_pieces(mc), 4)
     assert cert.lower_ok is True
-    assert upper_bound(mc) == 4
+    assert cheapest_class(mc) == 4
     by_id = {p.piece_id: p for p in cert.pieces}
     assert set(by_id) == {"F1+", "F2+"}
     assert (by_id["F1+"].loop_min, by_id["F1+"].arc_min) == (4, 2)
@@ -310,7 +318,7 @@ def test_a_light_meridian_piece_closes_the_window():
     weight-1 sector, a disk of cost 2, where every reference class costs
     at least 6: the window [2, 6] of the cheapest class closes to [2, 2]."""
     mc = MultiCurve((9, 9, 9, 9), (1, 5, 1, 5))
-    assert upper_bound(mc) == 6
+    assert cheapest_class(mc) == 6
     rep = representativity_exact(mc)
     assert (rep.lower, rep.upper, rep.exact) == (2, 2, 2)
 
@@ -332,8 +340,9 @@ def test_the_upper_end_is_the_least_loop_minimum_of_both_cuts():
         scores = [evaluate_piece(p).score for p in pieces]
         rep = representativity_exact(mc)
         assert rep.upper == min(necklace_loop_min(k, p.arcs) for p in pieces)
-        assert rep.lower == min(upper_bound(mc), *scores) <= rep.upper <= upper_bound(mc)
-        below += rep.upper < upper_bound(mc)
+        cheapest = cheapest_class(mc)
+        assert rep.lower == min(cheapest, *scores) <= rep.upper <= cheapest
+        below += rep.upper < cheapest
     assert below > 0
 
 
@@ -345,11 +354,11 @@ def test_family_upper_ends_are_the_cheapest_class():
     for n in range(2, 41):
         for g in range(1, 11):
             mc = exact_knot(n, g).curve
-            assert representativity_exact(mc).upper == upper_bound(mc) == n
+            assert representativity_exact(mc).upper == cheapest_class(mc) == n
     for p in range(1, 21):
         for q in range(3 * p + 1, 3 * p + 12):
             mc = lpq_link(p, q).curve
-            assert representativity_exact(mc).upper == upper_bound(mc) == 2 * p
+            assert representativity_exact(mc).upper == cheapest_class(mc) == 2 * p
 
 
 def test_certificate_genus1_has_no_arc_condition():
@@ -402,7 +411,7 @@ def test_certify_pieces_is_monotone_in_the_level():
     results = [certify_pieces(_all_pieces(mc), n).lower_ok for n in range(0, 9)]
     assert all(cert_ok or not later
                for cert_ok, later in zip(results, results[1:]))
-    assert upper_bound(mc) == 5
+    assert cheapest_class(mc) == 5
     # certified level tops out one below the upper bound for odd weights
     assert results == [True] * 5 + [False] * 4
 
@@ -427,7 +436,7 @@ def test_parity_lemma_at_genus_two_and_up(case):
     assume(any(a + b))
     mc = MultiCurve(tuple(a), tuple(b))
     lightest = 2 * min(a + b)
-    assert upper_bound(mc) >= lightest
+    assert cheapest_class(mc) >= lightest
     rep = representativity_exact(mc)
     assert rep.lower == min(rep.upper, lightest)
     assert rep.exact is None or rep.exact % 2 == 0

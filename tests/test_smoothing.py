@@ -220,6 +220,31 @@ def test_pieces_of_one_torus_block():
     assert pieces == [(0, 2, 5), (2, 3, 4), (3, 7, 0)]
 
 
+@pytest.mark.parametrize("g", range(7))
+def test_pieces_tile_the_positions(g: int):
+    """The pieces cover the positions 0 .. n-1 in order, each once: every
+    piece starts where the one before it ends, none runs backwards, and
+    the last ends at the entry count.  The walk's successor list alone
+    would not notice two pieces that overlap, as the later one writes
+    over the earlier.
+
+    g = 0 stands for the torus; weights run from 0 to 9, zero about one
+    time in three."""
+    k = g + 1
+    rng = random.Random(3700 + g)
+    for _ in range(200):
+        meridians = tuple(0 if rng.random() < 0.3 else rng.randint(1, 9) for _ in range(k))
+        longitudes = tuple(0 if rng.random() < 0.3 else rng.randint(1, 9) for _ in range(k))
+        if not any(meridians + longitudes):
+            continue
+        _, offsets, pieces = smoothing._return_pieces(MultiCurve(meridians, longitudes))
+        end = 0
+        for lo, hi, _ in pieces:
+            assert lo == end <= hi
+            end = hi
+        assert end == offsets[-1]
+
+
 def test_corrupted_pieces_do_not_close(monkeypatch):
     """Two entries sent to one position leave a cycle that never returns to
     its start; the walk raises instead of looping or dropping entries."""

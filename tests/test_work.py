@@ -119,10 +119,10 @@ def test_face_width_expands_a_pinned_number_of_radial_nodes(monkeypatch):
 
 def test_verify_reads_each_class_count_twice(monkeypatch):
     """``verify`` counts every reference class once for its claimed row and
-    once more in ``trace_components``: 4k calls on a chain surface with
-    k classes per family.  The certificate reads none, as both of its
-    ends come from the cut pieces; only the torus row "crossing upper
-    bound" reads ``upper_bound``, two more calls."""
+    once more in ``trace_components``: 4k calls on every surface with k
+    classes per family.  The certificate reads none, as both of its ends
+    come from the cut pieces, and the torus row "crossing upper bound"
+    reads the least of the count rows."""
     calls = []
     original = MultiCurve.boundary_count
 
@@ -136,7 +136,7 @@ def test_verify_reads_each_class_count_twice(monkeypatch):
         calls.clear()
         verify_family(parse_family(text))
         found[text] = len(calls)
-    assert found == {"exactly:4,3": 16, "exactly:5,2": 12, "lpq:2,7": 12, "torus:3,5": 6}
+    assert found == {"exactly:4,3": 16, "exactly:5,2": 12, "lpq:2,7": 12, "torus:3,5": 4}
 
 
 def test_smoothing_builds_three_pieces_per_block_and_steps_once_per_entry(monkeypatch):
