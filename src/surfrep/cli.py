@@ -14,20 +14,23 @@ This module is the one home of the report's keys: the envelope, the
 check rows of ``Check`` values and the ``facts`` entries of ``Interval``s.
 The piece file is read in ``certificate``, the map file in ``facewidth``.
 
-Each subcommand reads, then reports.  The read step decodes and
-validates the input (``certify_pieces`` and ``propagate`` validate, so
-they run there) and raises OSError, ValueError or TypeError on unusable
-input.  The report step returns the report body and whether it passed;
-``generate`` prints its curve and returns None.  :func:`main` owns the
-clock, the ``error:`` line and exit 2 of a failed read, the verdict and
-exit 0 or 1.  An exception from a report step, on input that decoded,
-is a bug and propagates; a closed stdout is none, and keeps the verdict.
+Each subcommand reads, then reports.  ``_COMMANDS`` is the one map
+from a subcommand's name to its two steps: a parse records the name
+alone, and :func:`main` looks the steps up by it.  The read step
+decodes and validates the input (``certify_pieces`` and ``propagate``
+validate, so they run there) and raises OSError, ValueError or
+TypeError on unusable input.  The report step returns the report body
+and whether it passed; ``generate`` prints its curve and returns None.
+:func:`main` owns the clock, the ``error:`` line and exit 2 of a failed
+read, the verdict and exit 0 or 1.  An exception from a report step, on
+input that decoded, is a bug and propagates; a closed stdout is none,
+and keeps the verdict.
 
 Package modules are imported inside the step that uses them: one start
 serves one subcommand, so it loads only that subcommand's modules and
 builds only its reader, a parser with no ``-h`` that prints nothing.
 The full tree prints every help, usage and error text: a call the
-reader refuses is parsed again by it.
+reader refuses, a leftover argument included, is parsed again by it.
 """
 
 from __future__ import annotations
@@ -263,11 +266,9 @@ _COMMANDS = {
 
 
 def _arguments(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
-    """``parser`` with the arguments and the steps of subcommand ``name``."""
-    read, report, _, specs = _COMMANDS[name]
+    """``parser`` with the arguments of subcommand ``name``."""
     parser.add_argument("--pretty", action="store_true", help="indented text instead of JSON")
-    parser.set_defaults(read=read, report=report)
-    for flag, options in specs:
+    for flag, options in _COMMANDS[name][3]:
         parser.add_argument(flag, **options)
     return parser
 
@@ -307,14 +308,12 @@ class _Reader(argparse.ArgumentParser):
 
 def _parse(argv: Sequence[str]) -> argparse.Namespace:
     """Read what follows a subcommand's name with that subcommand's reader alone.
-    Anything it refuses or leaves over, and anything else, goes to the full tree,
-    which prints every help, usage and error text."""
+    Anything it refuses, leftover arguments included, and anything else goes to
+    the full tree, which prints every help, usage and error text."""
     if argv and argv[0] in _COMMANDS:
         reader = _arguments(_Reader(argv[0]), argv[0])
         try:
-            args, extra = reader.parse_known_args(argv[1:], argparse.Namespace(subcommand=argv[0]))
-            if not extra:
-                return args
+            return reader.parse_args(argv[1:], argparse.Namespace(subcommand=argv[0]))
         except _Refused:
             pass
     return build_parser().parse_args(argv)
@@ -322,16 +321,17 @@ def _parse(argv: Sequence[str]) -> argparse.Namespace:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = _parse(sys.argv[1:] if argv is None else argv)
+    read, report, _, _ = _COMMANDS[args.subcommand]
     started = time.perf_counter()
     try:
-        read = args.read(args)
+        decoded = read(args)
     except (OSError, ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _USAGE
     # an error raised from here on, on input that decoded, is a bug and not exit 2
     code = _OK
     try:
-        outcome = args.report(args, read)
+        outcome = report(args, decoded)
         if outcome is not None:
             body, passed = outcome
             code = _OK if passed else _FAIL

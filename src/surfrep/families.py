@@ -11,8 +11,10 @@ certified representativity, and returns one ``Check`` per claim.  The
 CLI turns the checks into report rows and their verdict.
 
 Only ``surface`` is imported at module top: ``verify_family`` imports
-the certificate and the component counter when it runs, so building an
-instance, as ``generate`` does, loads neither.
+the component counter when it runs, and the certificate only for the
+chain families, the ones it certifies.  Building an instance, as
+``generate`` does, loads neither, and verifying a torus instance loads
+no certificate.
 """
 
 from __future__ import annotations
@@ -141,7 +143,6 @@ def claimed_counts(inst: FamilyInstance) -> list[tuple[str, int, int, str]]:
 
 def verify_family(inst: FamilyInstance) -> tuple[Check, ...]:
     """Recompute every claimed quantity of the instance and compare."""
-    from surfrep.certificate import representativity_exact
     from surfrep.smoothing import trace_components
 
     curve = inst.curve
@@ -157,14 +158,18 @@ def verify_family(inst: FamilyInstance) -> tuple[Check, ...]:
         cheapest = min(check.actual for check in checks)
         checks.append(Check("smoothed components = gcd(p, q)", math.gcd(p, q), comps))
         checks.append(Check("crossing upper bound = min(p, q)", min(p, q), cheapest))
-    elif inst.kind == "exactly":
+        return tuple(checks)
+    # only the chain families certify, so only they load the certificate
+    from surfrep.certificate import representativity_exact
+
+    exact = representativity_exact(curve).exact
+    if inst.kind == "exactly":
         n, _ = inst.params
         checks.append(Check("smoothed components", 1, comps))
-        checks.append(Check("certified representativity", n, representativity_exact(curve).exact))
+        checks.append(Check("certified representativity", n, exact))
     else:
         p, _ = inst.params
         checks.append(Check("smoothed components", 1, comps, ">="))
-        exact = representativity_exact(curve).exact
         checks.append(Check("certified representativity = 2p", 2 * p, exact))
         # the family records 6p bridge strings; the certified value must
         # sit strictly below half of that

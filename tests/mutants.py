@@ -1,0 +1,158 @@
+"""A catalog of mutants the test suite must kill.
+
+Each entry breaks one module of the package in one place: an exact
+snippet of its source, the replacement, the test files that must each
+fail on the broken copy, and the fault the replacement stands for.  Run
+from anywhere, with pytest installed::
+
+    python tests/mutants.py
+
+It copies the repo without ``.git`` and ``bench`` to a temporary
+directory and checks that every listed test file passes there.  Then,
+one mutant at a time, it writes the replacement into the copy, runs
+pytest on each listed file in turn, and restores the module.  A run
+that fails, or outlasts ``TIMEOUT_S``, kills the mutant.  Each run has
+an address-space cap, since a mutant that breaks a loop's exit can
+grow a list without end.  The script prints one line per mutant and a
+total, and exits 1 if a mutant survives one of its files.
+
+The catalog is kept out of tier-1 because each entry runs whole test
+files; ``tests/test_source_rules.py`` checks in tier-1 that every
+snippet occurs exactly once in its module, so an entry cannot go stale
+unseen.  Only the standard library is imported here.
+"""
+
+from __future__ import annotations
+
+import os
+import resource
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+TIMEOUT_S = 120
+MEMORY_CAP = 1 << 30
+
+
+class Mutant(NamedTuple):
+    module: str  # file name under src/surfrep
+    snippet: str  # exact source text, found once in the module
+    replacement: str
+    killers: tuple[str, ...]  # test files under tests/, each of which must fail
+    reason: str
+
+
+MUTANTS = (
+    Mutant("smoothing.py",
+           "pieces.append((lo, lo + bi - 1, base[jn, i] + a[jn]))",
+           "pieces.append((lo, lo + bi, base[jn, i] + a[jn]))",
+           ("test_smoothing.py",),
+           "the first piece of a block overruns the middle one by a position"),
+    Mutant("smoothing.py",
+           "    for start in range(n):\n",
+           "    for start in range(n - 1):\n",
+           ("test_smoothing.py", "test_families.py"),
+           "the scan skips the last position, so a cycle through it alone is lost"),
+    Mutant("smoothing.py",
+           "            if seen[p]:\n"
+           "                raise RuntimeError(f\"first-return cycle from position {start} "
+           "does not close\")\n",
+           "",
+           ("test_smoothing.py",),
+           "a cycle that never returns to its start loops instead of raising"),
+    Mutant("bounds.py",
+           "if iv.hi is not None and math.floor(iv.hi) == v:",
+           "if iv.hi is not None and iv.hi == v:",
+           ("test_bounds.py",),
+           "a hole misses a fractional upper end whose floor it is"),
+    Mutant("bounds.py",
+           "if math.ceil(iv.lo) == v:",
+           "if iv.lo == v:",
+           ("test_bounds.py",),
+           "a hole misses a fractional lower end whose ceiling it is"),
+    Mutant("certificate.py",
+           "k = max(len(mc.meridians), 2)",
+           "k = len(mc.meridians)",
+           ("test_certificate.py",),
+           "a torus curve is cut with one class per family, not as the genus-1 chain surface"),
+    Mutant("families.py",
+           "cheapest = min(check.actual for check in checks)",
+           "cheapest = max(check.actual for check in checks)",
+           ("test_families.py", "test_cli.py", "test_golden.py"),
+           "the torus row reads the dearest reference class, not the cheapest"),
+    Mutant("cli.py",
+           "return reader.parse_args(argv[1:], argparse.Namespace(subcommand=argv[0]))",
+           "return reader.parse_known_args(argv[1:], argparse.Namespace(subcommand=argv[0]))[0]",
+           ("test_cli.py",),
+           "the reader drops leftover arguments instead of handing the call to the full tree"),
+    Mutant("cli.py",
+           "    for flag, options in _COMMANDS[name][3]:\n",
+           "    parser.set_defaults(read=_COMMANDS[name][0], report=_COMMANDS[name][1])\n"
+           "    for flag, options in _COMMANDS[name][3]:\n",
+           ("test_cli.py", "test_source_rules.py"),
+           "the steps ride on the parse again, a second map from a subcommand to its steps"),
+    Mutant("families.py",
+           "    from surfrep.smoothing import trace_components\n",
+           "    from surfrep.certificate import representativity_exact\n"
+           "    from surfrep.smoothing import trace_components\n",
+           ("test_source_rules.py",),
+           "verify on a torus loads the certificate, which it never calls"),
+)
+
+
+def _cap_memory() -> None:
+    resource.setrlimit(resource.RLIMIT_AS, (MEMORY_CAP, MEMORY_CAP))
+
+
+def _fails(tree: Path, test_file: str) -> bool:
+    """Whether pytest fails on one test file of the copy ``tree``; a run
+    past the timeout counts as failed."""
+    env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+             f"tests/{test_file}"],
+            cwd=tree, env=env, capture_output=True, timeout=TIMEOUT_S, preexec_fn=_cap_memory,
+        )
+    except subprocess.TimeoutExpired:
+        return True
+    return done.returncode != 0
+
+
+def main() -> int:
+    started = time.perf_counter()
+    survivors = 0
+    with tempfile.TemporaryDirectory() as scratch:
+        tree = Path(scratch) / "repo"
+        shutil.copytree(ROOT, tree, ignore=shutil.ignore_patterns(
+            ".git", "bench", "__pycache__", ".hypothesis", ".pytest_cache"))
+        files = sorted({name for mutant in MUTANTS for name in mutant.killers})
+        broken = [name for name in files if _fails(tree, name)]
+        if broken:
+            print(f"the unmutated copy fails {broken}: no mutant can be judged", file=sys.stderr)
+            return 2
+        for mutant in MUTANTS:
+            path = tree / "src" / "surfrep" / mutant.module
+            source = path.read_text()
+            if source.count(mutant.snippet) != 1:
+                raise ValueError(f"{mutant.module}: snippet not found once: {mutant.snippet!r}")
+            path.write_text(source.replace(mutant.snippet, mutant.replacement))
+            try:
+                passed = [name for name in mutant.killers if not _fails(tree, name)]
+            finally:
+                path.write_text(source)
+            survivors += bool(passed)
+            verdict = f"SURVIVED {', '.join(passed)}" if passed else "killed"
+            print(f"{verdict}: {mutant.module}: {mutant.reason}", flush=True)
+    print(f"{len(MUTANTS) - survivors} of {len(MUTANTS)} mutants killed "
+          f"in {time.perf_counter() - started:.0f} s")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

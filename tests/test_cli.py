@@ -755,6 +755,19 @@ def test_parse_matches_the_full_tree(capsys):
         _assert_parse_matches_the_full_tree(capsys, argv)
 
 
+def test_a_valid_call_parses_to_plain_values():
+    """The parse records a call's subcommand by name alone: ``main`` takes
+    its two steps from ``cli._COMMANDS``, so the namespace of a valid call
+    of each subcommand is the full tree's and holds no callable."""
+    for argv in (["generate", "torus:3,5"], ["verify", "--pretty", "lpq:2,7"],
+                 ["certify", "f.json", "--n", "4"], ["facewidth", "map.json"],
+                 ["bounds", "--tag", "two_bridge", "--seed", "b=2"]):
+        parsed = vars(_parse(argv))
+        assert parsed == vars(build_parser().parse_args(argv)), argv
+        assert parsed["subcommand"] == argv[0]
+        assert not [key for key, value in parsed.items() if callable(value)], argv
+
+
 @_fuzz
 @given(argv=st.lists(st.sampled_from(
     ["generate", "verify", "certify", "facewidth", "bounds", "-h", "--help", "--pretty", "--n",

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from mutants import MUTANTS
 import surfrep
 from surfrep.surface import _Value
 from test_facewidth import toroidal_grid
@@ -94,18 +95,20 @@ def test_start_up_loads_no_package_module_but_the_cli():
 def test_a_subcommand_loads_only_the_modules_it_calls(tmp_path):
     """Each subcommand loads exactly the package modules it calls: the CLI
     builds the report rows itself, so ``generate`` loads no certificate
-    and ``certify`` no families."""
+    and ``certify`` no families, and only the chain families certify, so
+    ``verify`` on a torus loads no certificate either."""
     grid = tmp_path / "grid3.json"
     grid.write_text(json.dumps(toroidal_grid(3).to_json()))
     # one pair of pants with each arc doubled: it certifies level 4
     piece = tmp_path / "piece.json"
     piece.write_text(json.dumps({"n": 4, "pieces": [{"piece": "P", "circles": 3, "arcs": [
         {"a": a, "b": b, "mult": 2} for a, b in ((0, 1), (1, 2), (0, 2))]}]}))
-    verify = {"families", "surface", "certificate", "smoothing"}
+    verify = {"families", "surface", "smoothing"}
     expected = {
         ("generate", "exactly:4,2"): {"families", "surface"},
         ("verify", "torus:3,5"): verify,
-        ("verify", "exactly:4,2"): verify,
+        ("verify", "exactly:4,2"): verify | {"certificate"},
+        ("verify", "lpq:2,7"): verify | {"certificate"},
         ("certify", str(piece)): {"certificate", "surface"},
         ("bounds", "--tag", "two_bridge"): {"bounds", "surface"},
         ("facewidth", str(grid)): {"facewidth", "surface"},
@@ -127,7 +130,8 @@ def test_the_certificate_loads_no_smoothing():
 
 def test_the_families_load_only_the_surface():
     """Building an instance needs only the surface module: ``verify_family``
-    imports the certificate and the component counter when it runs."""
+    imports the component counter, and for a chain family the certificate,
+    when it runs."""
     loaded = _package_modules(_modules_after("import surfrep.families"))
     assert loaded == {"surfrep", "surfrep.families", "surfrep.surface"}
 
@@ -177,9 +181,10 @@ def test_no_cli_integer_is_read_with_type_int():
 
 def test_subcommand_arguments_are_added_in_one_place():
     """A subcommand call parses with a lone parser and help goes through
-    the full tree; both get their arguments and defaults from
-    ``cli._arguments``, so no second list of flags can drift from the
-    first.  ``build_parser``'s ``add_subparsers`` adds no argument."""
+    the full tree; both get their arguments from ``cli._arguments``, so no
+    second list of flags can drift from the first.  ``build_parser``'s
+    ``add_subparsers`` adds no argument, and no parser sets defaults:
+    ``main`` takes a call's steps from ``cli._COMMANDS`` by its name."""
     path = PACKAGE / "cli.py"
     tree = ast.parse(path.read_text(), filename=str(path))
     adders = {"add_argument", "add_argument_group", "add_mutually_exclusive_group",
@@ -195,8 +200,8 @@ def test_subcommand_arguments_are_added_in_one_place():
     assert len(helpers) == 1 and calls(helpers[0])
     inside = set(calls(helpers[0]))
     found = [f"cli.py:{node.lineno} {node.func.attr}" for node in calls(tree)
-             if node not in inside]
-    assert not found, f"arguments added outside cli._arguments: {found}"
+             if node not in inside or node.func.attr == "set_defaults"]
+    assert not found, f"arguments added outside cli._arguments, or defaults set: {found}"
 
 
 def test_intervals_narrow_only_in_the_step_function():
@@ -404,3 +409,16 @@ def test_sources_parse_at_the_python_floor():
         except SyntaxError as exc:
             found.append(f"{path.name}:{exc.lineno} {exc.msg}")
     assert not found, f"syntax newer than Python 3.{minor}: {found}"
+
+
+def test_every_mutant_snippet_occurs_once():
+    """Each entry of the mutant catalog in ``tests/mutants.py`` breaks one
+    place: its snippet occurs exactly once in its module, its replacement
+    differs, and each file that must kill it is a test file of the suite."""
+    assert len(MUTANTS) >= 10
+    for mutant in MUTANTS:
+        source = (PACKAGE / mutant.module).read_text()
+        assert source.count(mutant.snippet) == 1, mutant.reason
+        assert mutant.replacement != mutant.snippet and mutant.killers, mutant.reason
+        for name in mutant.killers:
+            assert (Path(__file__).parent / name).is_file(), (mutant.reason, name)
