@@ -18,7 +18,6 @@ _EXPORTS = {
     "trace_components": "smoothing",
     "PlanarPiece": "certificate",
     "cut_pieces": "certificate",
-    "Certificate": "certificate",
     "Representativity": "certificate",
     "certify_pieces": "certificate",
     "representativity_exact": "certificate",

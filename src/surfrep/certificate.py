@@ -76,6 +76,7 @@ from collections.abc import Iterable
 from typing import Any
 
 from surfrep.surface import (
+    Check,
     MultiCurve,
     _crossed,
     _json_field,
@@ -88,7 +89,6 @@ __all__ = [
     "pieces_from_json",
     "cut_pieces",
     "PieceBounds",
-    "Certificate",
     "Representativity",
     "evaluate_piece",
     "certify_pieces",
@@ -168,32 +168,27 @@ def pieces_from_json(obj: Any) -> tuple[list[PlanarPiece], int | None]:
     return pieces, None if n is None else _strict_int(n, "stored n")
 
 
-def cut_pieces(mc: MultiCurve, along: str) -> PlanarPiece:
-    """Cut the chain surface along one reference family.
+def cut_pieces(mc: MultiCurve) -> tuple[PlanarPiece, PlanarPiece]:
+    """Cut the chain surface along each reference family: the pair (F1+, F2+).
 
-    ``along`` is "meridians" (piece F1+) or "longitudes" (F2+).  Cutting
-    along the meridians turns each longitude copy into an arc joining
-    the circles of the two meridian classes it crossed, and
-    symmetrically for the other direction.  The mirror piece F1- (or
-    F2-) carries the same arcs, so it is not returned.  One weight per
-    family is the torus, cut as the genus-1 chain surface whose second
-    class in each family is empty: both pieces are annuli (module
-    docstring).
+    Cutting along the meridians (F1+) turns each longitude copy into an
+    arc joining the circles of the two meridian classes it crossed, and
+    cutting along the longitudes (F2+) does the same for the meridian
+    copies.  Each mirror piece, F1- or F2-, carries the same arcs, so it
+    is not returned.  One weight per family is the torus, cut as the
+    genus-1 chain surface whose second class in each family is empty:
+    both pieces are annuli (module docstring).
     """
     k = max(len(mc.meridians), 2)
-    if along == "meridians":
-        label, family, weights = "F1+", "l", mc.longitudes
-    elif along == "longitudes":
-        label, family, weights = "F2+", "m", mc.meridians
-    else:
-        raise ValueError(f"along must be 'meridians' or 'longitudes', got {along!r}")
-    mults: dict[tuple[int, ...], int] = {}
-    for x, w in enumerate(weights):
-        if w:
-            key = _crossed(k, family, x)
-            mults[key] = mults.get(key, 0) + w
-    arcs = tuple((a, b, m) for (a, b), m in sorted(mults.items()))
-    return PlanarPiece(label, k, arcs)
+    pieces = []
+    for label, family, weights in (("F1+", "l", mc.longitudes), ("F2+", "m", mc.meridians)):
+        mults: dict[tuple[int, ...], int] = {}
+        for x, w in enumerate(weights):
+            if w:
+                key = _crossed(k, family, x)
+                mults[key] = mults.get(key, 0) + w
+        pieces.append(PlanarPiece(label, k, (pair + (m,) for pair, m in mults.items())))
+    return pieces[0], pieces[1]
 
 
 #-- Certificates --#
@@ -220,21 +215,6 @@ class PieceBounds(_Value):
     def score(self) -> int:
         """Largest level n the piece certifies: the least of its conditions."""
         return min(value for _, value in self.conditions())
-
-
-class Certificate(_Value):
-    """Evaluation of the two lower-bound conditions at level n."""
-
-    n: int
-    pieces: tuple[PieceBounds, ...]
-
-    def __init__(self, n: int, pieces: tuple[PieceBounds, ...]) -> None:
-        super().__init__(n, pieces)
-
-    @property
-    def lower_ok(self) -> bool:
-        """Whether every piece certifies level n."""
-        return all(pb.score >= self.n for pb in self.pieces)
 
 
 class Representativity(_Value):
@@ -296,13 +276,15 @@ def evaluate_piece(piece: PlanarPiece) -> PieceBounds:
     return PieceBounds(piece.id, lightest + runner_up, lightest if k >= 3 else None)
 
 
-def certify_pieces(pieces: list[PlanarPiece], n: int) -> Certificate:
-    """Evaluate the certificate conditions at level n on explicit pieces."""
+def certify_pieces(pieces: list[PlanarPiece], n: int) -> list[Check]:
+    """One ``>=`` check against level n per condition of each piece, in
+    file order; the pieces certify n when every check passes."""
     if not pieces:
         raise ValueError("no pieces to certify")
     if _strict_int(n, "certificate level") < 0:
         raise ValueError(f"certificate level must be >= 0, got {n}")
-    return Certificate(n, tuple(evaluate_piece(p) for p in pieces))
+    return [Check(f"{pb.piece_id} {name}", n, value, ">=")
+            for pb in map(evaluate_piece, pieces) for name, value in pb.conditions()]
 
 
 def representativity_exact(mc: MultiCurve) -> Representativity:
@@ -316,5 +298,5 @@ def representativity_exact(mc: MultiCurve) -> Representativity:
     mirror carries the same arcs.  ``exact`` is the value when the ends
     meet.
     """
-    bounds = [evaluate_piece(cut_pieces(mc, along)) for along in ("meridians", "longitudes")]
+    bounds = [evaluate_piece(piece) for piece in cut_pieces(mc)]
     return Representativity(min(pb.score for pb in bounds), min(pb.loop_min for pb in bounds))

@@ -21,6 +21,8 @@ decodes and validates the input (``certify_pieces`` and ``propagate``
 validate, so they run there) and raises OSError, ValueError or
 TypeError on unusable input.  The report step returns the report body
 and whether it passed; ``generate`` prints its curve and returns None.
+``verify`` and ``certify`` both read that verdict off their check rows,
+``Check`` values from the domain: it passes when every row passes.
 :func:`main` owns the clock, the ``error:`` line and exit 2 of a failed
 read, the verdict and exit 0 or 1.  An exception from a report step, on
 input that decoded, is a bug and propagates; a closed stdout is none,
@@ -45,7 +47,6 @@ from typing import TYPE_CHECKING, Any, NoReturn, Sequence, TypeAlias
 
 if TYPE_CHECKING:
     from surfrep.bounds import Contradiction, Interval, SubjectTags
-    from surfrep.certificate import Certificate
     from surfrep.facewidth import RotationSystem
     from surfrep.families import FamilyInstance
     from surfrep.surface import Check
@@ -142,29 +143,25 @@ def _report_verify(args: argparse.Namespace, inst: FamilyInstance) -> tuple[Body
     }, all(c.passed for c in checks)
 
 
-def _read_certify(args: argparse.Namespace) -> Certificate:
+def _read_certify(args: argparse.Namespace) -> tuple[int, list[Check]]:
     from surfrep.certificate import certify_pieces, pieces_from_json
 
     pieces, stored_n = pieces_from_json(_load_json(args.pieces))
     n = stored_n if args.n is None else args.n
     if n is None:
         raise ValueError("no certificate level: pass --n or store n in the file")
-    return certify_pieces(pieces, n)
+    return n, certify_pieces(pieces, n)
 
 
-def _report_certify(args: argparse.Namespace, cert: Certificate) -> tuple[Body, bool]:
-    from surfrep.surface import Check
-
+def _report_certify(args: argparse.Namespace, read: tuple[int, list[Check]]) -> tuple[Body, bool]:
+    n, checks = read
+    holds = all(c.passed for c in checks)
     return {
         "command": ["certify", args.pieces],
-        "inputs": {"file": args.pieces, "n": cert.n},
-        "checks": [
-            _row(Check(f"{piece.piece_id} {name}", cert.n, value, ">="))
-            for piece in cert.pieces
-            for name, value in piece.conditions()
-        ],
-        "results": {"lower_bound_holds": cert.lower_ok},
-    }, cert.lower_ok
+        "inputs": {"file": args.pieces, "n": n},
+        "checks": [_row(c) for c in checks],
+        "results": {"lower_bound_holds": holds},
+    }, holds
 
 
 def _read_facewidth(args: argparse.Namespace) -> RotationSystem:

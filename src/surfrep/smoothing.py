@@ -108,10 +108,12 @@ def trace_orbits(mc: MultiCurve) -> list[list[int]]:
     docstring), so the orbits of G correspond one to one to the orbits
     of its first return to the entries.  The pieces are written out
     into the successor list, and one scan over the positions 0 .. n-1
-    follows each cycle from its least position.  Pieces that do not form
-    a bijection leave some cycle that never returns to its start, and
-    that raises RuntimeError.  Copies that meet no crossings at all are
-    handled by trace_components.
+    follows each cycle from its least position until it meets a position
+    already seen; each step marks a new position, so every walk ends
+    within n steps.  Pieces that do not form a bijection leave some walk
+    that ends on a position other than its start, and that raises
+    RuntimeError.  Copies that meet no crossings at all are handled by
+    trace_components.
     """
     _, offsets, pieces = _return_pieces(mc)
     n = offsets[-1]
@@ -123,15 +125,14 @@ def trace_orbits(mc: MultiCurve) -> list[list[int]]:
     for start in range(n):
         if seen[start]:
             continue
-        seen[start] = True
-        orbit = [start]
-        p = succ[start]
-        while p != start:
-            if seen[p]:
-                raise RuntimeError(f"first-return cycle from position {start} does not close")
+        orbit = []
+        p = start
+        while not seen[p]:
             seen[p] = True
             orbit.append(p)
             p = succ[p]
+        if p != start:
+            raise RuntimeError(f"first-return cycle from position {start} does not close")
         orbits.append(orbit)
     return orbits
 

@@ -59,12 +59,12 @@ MUTANTS = (
            ("test_smoothing.py", "test_families.py"),
            "the scan skips the last position, so a cycle through it alone is lost"),
     Mutant("smoothing.py",
-           "            if seen[p]:\n"
-           "                raise RuntimeError(f\"first-return cycle from position {start} "
+           "        if p != start:\n"
+           "            raise RuntimeError(f\"first-return cycle from position {start} "
            "does not close\")\n",
            "",
            ("test_smoothing.py",),
-           "a cycle that never returns to its start loops instead of raising"),
+           "a walk that ends short of its start is listed as an orbit instead of raising"),
     Mutant("bounds.py",
            "if iv.hi is not None and math.floor(iv.hi) == v:",
            "if iv.hi is not None and iv.hi == v:",
@@ -80,6 +80,41 @@ MUTANTS = (
            "k = len(mc.meridians)",
            ("test_certificate.py",),
            "a torus curve is cut with one class per family, not as the genus-1 chain surface"),
+    Mutant("certificate.py",
+           "min(pb.loop_min for pb in bounds)",
+           "bounds[0].loop_min",
+           ("test_certificate.py",),
+           "the upper end is read from the meridian cut alone"),
+    Mutant("certificate.py",
+           "min(pb.loop_min for pb in bounds)",
+           "max(pb.loop_min for pb in bounds)",
+           ("test_certificate.py", "test_families.py", "test_golden.py"),
+           "the upper end is the larger of the two loop minima, not the least"),
+    Mutant("certificate.py",
+           "or lower > _strict_int(upper, \"upper end\")",
+           "or _strict_int(upper, \"upper end\") is None",
+           ("test_values.py",),
+           "a window whose lower end is above its upper end is built"),
+    Mutant("certificate.py",
+           "PieceBounds(piece.id, lightest + runner_up,",
+           "PieceBounds(piece.id, runner_up + runner_up,",
+           ("test_certificate.py", "test_families.py", "test_golden.py"),
+           "the loop minimum sums the runner-up sector twice, not the two lightest"),
+    Mutant("certificate.py",
+           "Check(f\"{pb.piece_id} {name}\", n, value, \">=\")",
+           "Check(f\"{pb.piece_id} {name}\", n, value, \"==\")",
+           ("test_certificate.py", "test_cli.py", "test_golden.py"),
+           "a certify row asks for the level exactly instead of at least"),
+    Mutant("cli.py",
+           "holds = all(c.passed for c in checks)",
+           "holds = any(c.passed for c in checks)",
+           ("test_cli.py", "test_golden.py"),
+           "certify passes when one row passes, not when every row does"),
+    Mutant("certificate.py",
+           "    return pieces[0], pieces[1]\n",
+           "    return pieces[1], pieces[0]\n",
+           ("test_certificate.py", "test_cli.py", "test_golden.py"),
+           "the cut pieces come in the order (F2+, F1+)"),
     Mutant("families.py",
            "cheapest = min(check.actual for check in checks)",
            "cheapest = max(check.actual for check in checks)",

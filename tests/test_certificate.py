@@ -33,20 +33,14 @@ def _knot_curve(n: int, g: int) -> MultiCurve:
     return MultiCurve(a, b)
 
 
-def _all_pieces(mc: MultiCurve) -> list[PlanarPiece]:
-    return [cut_pieces(mc, "meridians"), cut_pieces(mc, "longitudes")]
-
-
 #-- Cutting --#
 
 def test_cut_pieces_chain2():
     mc = MultiCurve((5, 4, 2), (2, 2, 2))
-    f1 = cut_pieces(mc, "meridians")
+    f1, f2 = cut_pieces(mc)
     assert f1.id == "F1+"
     assert f1.circles == 3
     assert f1.arcs == ((0, 1, 2), (0, 2, 2), (1, 2, 2))
-
-    f2 = cut_pieces(mc, "longitudes")
     assert f2.id == "F2+"
     assert f2.arcs == ((0, 1, 5), (0, 2, 2), (1, 2, 4))
 
@@ -54,26 +48,17 @@ def test_cut_pieces_chain2():
 def test_cut_pieces_chain1_merges_pairs():
     """Genus 1: both classes connect the same two circles, so mults add."""
     mc = MultiCurve((5, 4), (2, 3))
-    f1 = cut_pieces(mc, "meridians")
+    f1, f2 = cut_pieces(mc)
     assert f1.circles == 2
     assert f1.arcs == ((0, 1, 5),)
-    f2 = cut_pieces(mc, "longitudes")
     assert f2.arcs == ((0, 1, 9),)
 
 
 def test_cut_pieces_drops_zero_weights():
     mc = MultiCurve((3, 0, 1), (0, 0, 2))
-    f1 = cut_pieces(mc, "meridians")
+    f1, f2 = cut_pieces(mc)
     assert f1.arcs == ((1, 2, 2),)
-    f2 = cut_pieces(mc, "longitudes")
     assert f2.arcs == ((0, 1, 3), (0, 2, 1))
-
-
-def test_cut_rejects_a_bad_direction():
-    chain = MultiCurve((1, 1), (1, 1))
-    with pytest.raises(ValueError, match="^along must be 'meridians' or 'longitudes', "
-                                         "got 'diagonals'$"):
-        cut_pieces(chain, "diagonals")
 
 
 def test_torus_is_the_genus_one_chain_surface():
@@ -86,8 +71,8 @@ def test_torus_is_the_genus_one_chain_surface():
             assert representativity_exact(torus) == Representativity(min(p, q), min(p, q))
             assert representativity_exact(chain) == representativity_exact(torus)
             assert trace_components(torus) == trace_components(chain) == math.gcd(p, q)
-    pieces = _all_pieces(MultiCurve((3,), (5,)))
-    assert pieces == [PlanarPiece("F1+", 2, ((0, 1, 5),)), PlanarPiece("F2+", 2, ((0, 1, 3),))]
+    pieces = cut_pieces(MultiCurve((3,), (5,)))
+    assert pieces == (PlanarPiece("F1+", 2, ((0, 1, 5),)), PlanarPiece("F2+", 2, ((0, 1, 3),)))
 
 
 def test_piece_validation_and_json():
@@ -241,25 +226,42 @@ def test_arc_min_far_side_shortcut():
 #-- Oracle agreement --#
 
 def test_minima_match_enumeration_oracle():
-    """Closed-form minima equal the explicit dual-graph enumeration."""
+    """Closed-form minima equal the explicit dual-graph enumeration, and
+    ``certify_pieces`` lists one ``>=`` row per condition of each piece in
+    file order: the loop minimum, and the doubled arc minimum from three
+    circles up.  Every row passes exactly when the level is at most the
+    least score."""
     rng = random.Random(20260825)
     for _ in range(150):
-        k = rng.randrange(2, 8)
-        while True:
-            mults = [rng.randrange(0, 5) for _ in range(k)]
-            if sum(mults) <= 12:
-                break
-        merged: dict[tuple[int, int], int] = {}
-        for u, mlt in enumerate(mults):
-            if mlt:
-                a, b = sorted((u, (u + 1) % k))
-                merged[(a, b)] = merged.get((a, b), 0) + mlt
-        arcs = tuple((a, b, mlt) for (a, b), mlt in sorted(merged.items()))
-        piece = PlanarPiece("R", k, arcs)
-        arc_minima = [necklace_arc_min(k, arcs, b) for b in range(k)] if k >= 3 else []
-        bounds = evaluate_piece(piece)
-        assert bounds.loop_min == necklace_loop_min(k, arcs)
-        assert bounds.arc_min == (min(arc_minima) if arc_minima else None)
+        pieces, rows = [], []
+        for t in range(rng.randint(1, 3)):
+            k = rng.randrange(2, 8)
+            while True:
+                mults = [rng.randrange(0, 5) for _ in range(k)]
+                if sum(mults) <= 12:
+                    break
+            merged: dict[tuple[int, int], int] = {}
+            for u, mlt in enumerate(mults):
+                if mlt:
+                    a, b = sorted((u, (u + 1) % k))
+                    merged[(a, b)] = merged.get((a, b), 0) + mlt
+            arcs = tuple((a, b, mlt) for (a, b), mlt in sorted(merged.items()))
+            piece = PlanarPiece(f"R{t}", k, arcs)
+            loop = necklace_loop_min(k, arcs)
+            arc = min(necklace_arc_min(k, arcs, b) for b in range(k)) if k >= 3 else None
+            bounds = evaluate_piece(piece)
+            assert (bounds.loop_min, bounds.arc_min) == (loop, arc)
+            pieces.append(piece)
+            rows.append((f"R{t} loop minimum", loop))
+            if arc is not None:
+                rows.append((f"R{t} doubled arc minimum", 2 * arc))
+        least = min(value for _, value in rows)
+        for n in range(least + 2):
+            checks = certify_pieces(pieces, n)
+            assert [(c.name, c.expected, c.actual, c.relation) for c in checks] == [
+                (name, n, value, ">=") for name, value in rows
+            ]
+            assert all(c.passed for c in checks) == (n <= least)
 
 
 def test_cut_piece_minima_match_oracle():
@@ -273,8 +275,7 @@ def test_cut_piece_minima_match_oracle():
             if sum(a) + sum(b):
                 break
         mc = MultiCurve(a, b)
-        for along in ("meridians", "longitudes"):
-            piece = cut_pieces(mc, along)
+        for piece in cut_pieces(mc):
             bounds = evaluate_piece(piece)
             assert bounds.loop_min == necklace_loop_min(k, piece.arcs)
             if k >= 3:
@@ -288,15 +289,14 @@ def test_cut_piece_minima_match_oracle():
 
 def test_certificate_exact_square_case():
     mc = _knot_curve(4, 2)
-    cert = certify_pieces(_all_pieces(mc), 4)
-    assert cert.lower_ok is True
+    assert all(c.passed for c in certify_pieces(cut_pieces(mc), 4))
     assert cheapest_class(mc) == 4
-    by_id = {p.piece_id: p for p in cert.pieces}
+    by_id = {p.piece_id: p for p in map(evaluate_piece, cut_pieces(mc))}
     assert set(by_id) == {"F1+", "F2+"}
     assert (by_id["F1+"].loop_min, by_id["F1+"].arc_min) == (4, 2)
     assert (by_id["F2+"].loop_min, by_id["F2+"].arc_min) == (6, 2)
     assert (by_id["F1+"].score, by_id["F2+"].score) == (4, 4)
-    assert certify_pieces(_all_pieces(mc), 5).lower_ok is False
+    assert not all(c.passed for c in certify_pieces(cut_pieces(mc), 5))
 
     rep = representativity_exact(mc)
     assert (rep.lower, rep.upper, rep.exact) == (4, 4, 4)
@@ -306,9 +306,8 @@ def test_certificate_link_case():
     mc = MultiCurve((7, 7, 7), (2, 2, 2))
     rep = representativity_exact(mc)
     assert (rep.lower, rep.upper, rep.exact) == (4, 4, 4)
-    cert = certify_pieces(_all_pieces(mc), 4)
-    assert cert.lower_ok is True
-    by_id = {p.piece_id: p for p in cert.pieces}
+    assert all(c.passed for c in certify_pieces(cut_pieces(mc), 4))
+    by_id = {p.piece_id: p for p in map(evaluate_piece, cut_pieces(mc))}
     assert (by_id["F1+"].loop_min, by_id["F1+"].arc_min) == (4, 2)
     assert (by_id["F2+"].loop_min, by_id["F2+"].arc_min) == (14, 7)
 
@@ -336,7 +335,7 @@ def test_the_upper_end_is_the_least_loop_minimum_of_both_cuts():
         if not any(weights):
             continue
         mc = MultiCurve(weights[:k], weights[k:])
-        pieces = _all_pieces(mc)
+        pieces = cut_pieces(mc)
         scores = [evaluate_piece(p).score for p in pieces]
         rep = representativity_exact(mc)
         assert rep.upper == min(necklace_loop_min(k, p.arcs) for p in pieces)
@@ -364,12 +363,12 @@ def test_family_upper_ends_are_the_cheapest_class():
 def test_certificate_genus1_has_no_arc_condition():
     for n in range(2, 9):
         mc = _knot_curve(n, 1)
-        cert = certify_pieces(_all_pieces(mc), n)
-        assert cert.lower_ok is True
+        checks = certify_pieces(cut_pieces(mc), n)
+        assert all(c.passed for c in checks)
         assert representativity_exact(mc).exact == n
-        assert all(p.arc_min is None for p in cert.pieces)
-        assert all(p.score == p.loop_min for p in cert.pieces)
-        assert {p.loop_min for p in cert.pieces} == {n, 2 * n + 1}
+        # one loop row per piece and no arc row
+        assert [c.name for c in checks] == ["F1+ loop minimum", "F2+ loop minimum"]
+        assert {c.actual for c in checks} == {n, 2 * n + 1}
 
 
 def test_odd_weights_leave_a_gap_at_higher_genus():
@@ -395,10 +394,9 @@ def test_certify_explicit_pieces():
         PlanarPiece("F1+", 3, ((0, 1, 2), (1, 2, 2), (0, 2, 2))),
         PlanarPiece("F1-", 3, ((0, 1, 2), (1, 2, 2), (0, 2, 2))),
     ]
-    cert = certify_pieces(pieces, 4)
-    assert cert.lower_ok is True
-    assert certify_pieces(pieces, 5).lower_ok is False
-    with pytest.raises(ValueError):
+    assert all(c.passed for c in certify_pieces(pieces, 4))
+    assert not all(c.passed for c in certify_pieces(pieces, 5))
+    with pytest.raises(ValueError, match="^no pieces to certify$"):
         certify_pieces([], 4)
     for level in (2.5, True, "4"):
         with pytest.raises(ValueError, match="certificate level must be an integer"):
@@ -408,7 +406,7 @@ def test_certify_explicit_pieces():
 
 def test_certify_pieces_is_monotone_in_the_level():
     mc = _knot_curve(5, 2)
-    results = [certify_pieces(_all_pieces(mc), n).lower_ok for n in range(0, 9)]
+    results = [all(c.passed for c in certify_pieces(cut_pieces(mc), n)) for n in range(0, 9)]
     assert all(cert_ok or not later
                for cert_ok, later in zip(results, results[1:]))
     assert cheapest_class(mc) == 5

@@ -52,7 +52,7 @@ def _undecodable(tmp_path) -> list[tuple[str, str]]:
 
 def _pants_pieces() -> list[dict]:
     curve = lpq_link(2, 7).curve
-    pieces = [cut_pieces(curve, "meridians"), cut_pieces(curve, "longitudes")]
+    pieces = cut_pieces(curve)
     assert [p.id for p in pieces] == ["F1+", "F2+"]
     return [p.to_json() for p in pieces]
 

@@ -70,7 +70,7 @@ _TEXT_DURATION = re.compile(r"^(verdict: \w+) \([-+0-9.e]+s\)$", re.MULTILINE)
 
 def _write_inputs(directory: Path) -> None:
     curve = lpq_link(2, 7).curve
-    pieces = [cut_pieces(curve, along).to_json() for along in ("meridians", "longitudes")]
+    pieces = [piece.to_json() for piece in cut_pieces(curve)]
     files = {
         "level4.json": {"pieces": pieces, "n": 4},
         "level6.json": {"pieces": pieces, "n": 6},

@@ -303,7 +303,7 @@ def test_the_package_reads_each_public_name_from_its_module():
     namespace: dict = {}
     exec("from surfrep import *", namespace)
     assert sorted(set(namespace) - {"__builtins__"}) == sorted(surfrep.__all__)
-    assert len(surfrep.__all__) == 21
+    assert len(surfrep.__all__) == 20
     with pytest.raises(AttributeError, match="'nope'"):
         surfrep.nope
     loaded = _modules_after("import surfrep\nsurfrep.propagate")

@@ -10,7 +10,7 @@ import pytest
 
 import surfrep
 from surfrep.bounds import Interval, SubjectTags
-from surfrep.certificate import Certificate, PieceBounds, PlanarPiece, Representativity
+from surfrep.certificate import PieceBounds, PlanarPiece, Representativity
 from surfrep.cli import _row
 from surfrep.facewidth import RotationSystem
 from surfrep.families import FamilyInstance
@@ -25,7 +25,6 @@ CASES = [
     (PlanarPiece, {"id": "F1+", "circles": 3, "arcs": ((0, 1, 2), (1, 2, 4))},
      {"id": "F2+"}, {}),
     (PieceBounds, {"piece_id": "F1+", "loop_min": 4, "arc_min": 2}, {"arc_min": None}, {}),
-    (Certificate, {"n": 4, "pieces": (PieceBounds("F1+", 4, 2),)}, {"n": 5}, {}),
     (Representativity, {"lower": 3, "upper": 4}, {"upper": 5}, {}),
     (RotationSystem, {"rotations": ((0, 1, 2, 3),), "edges": ((0, 2), (1, 3))},
      {"edges": ((0, 1), (2, 3))}, {}),
@@ -45,7 +44,7 @@ def test_cases_cover_every_value_class():
         importlib.import_module(f"surfrep.{module.name}")
     defined = {cls for cls in _Value.__subclasses__() if cls.__module__.startswith("surfrep.")}
     assert {case[0] for case in CASES} == defined
-    assert len(CASES) == 10
+    assert len(CASES) == 9
 
 
 @pytest.mark.parametrize(
@@ -106,9 +105,6 @@ def test_the_base_stores_the_fields_in_declared_order():
 def test_verdicts_derive_from_the_stored_fields():
     assert Representativity(3, 4).exact is None
     assert Representativity(4, 4).exact == 4
-    pieces = (PieceBounds("F1+", 4, 2), PieceBounds("F2+", 6, None))
-    assert Certificate(4, pieces).lower_ok is True
-    assert Certificate(5, pieces).lower_ok is False
     assert Check("smoothed components", 1, 1).passed is True
     assert Check("smoothed components", 1, 2).passed is False
     assert Check("smoothed components", 1, 2, ">=").passed is True
