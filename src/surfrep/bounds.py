@@ -44,10 +44,14 @@ remains, raises :class:`Contradiction` carrying the responsible chain.
 Every step narrows through ``_narrow``, the one place that tests an
 interval for emptiness and raises it.
 Every attribute is integral, so a relation reads the integer endpoints
-ceil(x.lo) and floor(y.hi), and only its division by a coefficient
-other than 1 makes a Fraction; a stored endpoint is a Fraction only
-where it is not an integer, and integer hulls are taken when displaying
-results.
+ceil(x.lo) and floor(y.hi), and it computes in integers from the
+numerator n and denominator m of c: y.lo >= (ceil(x.lo) - d) * m / n and
+x.hi <= (n * floor(y.hi) + d * m) / m, each an integer division where it
+is exact.  Only an end that is not an integer is made a Fraction, so a
+stored endpoint is a Fraction only where it is not an integer, and
+integer hulls are taken when displaying results.  A rule extends a
+chain only for an end that moves; a step that changes nothing builds
+nothing.
 """
 
 from __future__ import annotations
@@ -304,20 +308,28 @@ class Contradiction(Exception):
 
 def _narrow(
     f: dict[str, Interval], name: str, lo: int | Fraction | None, hi: int | Fraction | None,
-    lo_rules: tuple[str, ...], hi_rules: tuple[str, ...],
+    lo_rules: tuple[str, ...], hi_rules: tuple[str, ...], rule: str,
 ) -> bool:
-    """Narrow ``f[name]`` to [lo, hi] with these chains; True when it moved.
+    """Narrow ``f[name]`` to [lo, hi] by ``rule``; True when it moved.
 
-    An end that is None, or that would not tighten, keeps its value and
-    its chain.  This is the one test for emptiness: the attribute is
-    integral, so the interval is empty also when no integer fits.
+    ``lo_rules`` and ``hi_rules`` are the chains the new ends derive
+    from: an end that moves takes its chain extended by ``rule``.  An end
+    that is None, or that would not tighten, keeps its value and its
+    chain, and builds none.  This is the one test for emptiness: the
+    attribute is integral, so the interval is empty also when no integer
+    fits.
     """
     iv = f[name]
     if lo is None or lo <= iv.lo:
         lo, lo_rules = iv.lo, iv.lo_rules
+    else:
+        lo_rules = _chain(lo_rules, rule)
     if hi is None or iv.hi is not None and hi >= iv.hi:
         hi, hi_rules = iv.hi, iv.hi_rules
-    if lo == iv.lo and hi == iv.hi:
+    else:
+        hi_rules = _chain(hi_rules, rule)
+    # an end that did not move is the stored object itself
+    if lo is iv.lo and hi is iv.hi:
         return False
     if hi is not None and math.ceil(lo) > math.floor(hi):
         raise Contradiction(name, lo, hi, lo_rules, hi_rules)
@@ -330,6 +342,10 @@ def _chain(source: tuple[str, ...], rule: str) -> tuple[str, ...]:
 
 
 _HALF, _THIRD = Fraction(1, 2), Fraction(1, 3)
+
+#: the start of every attribute, [0, inf) with empty chains; an Interval
+#: is immutable, so every run shares it
+_UNKNOWN = Interval()
 
 #: rule id -> (tag that switches it on, None for always; steps).  A step
 #: is a pin ``(x, lo, hi)``, a None end left open, a hole ``(x, v)``, or a
@@ -381,21 +397,25 @@ def _apply(rule: str, steps: Sequence[tuple], f: dict[str, Interval]) -> bool:
             x, v = step
             iv = f[x]
             if iv.hi is not None and math.floor(iv.hi) == v:
-                changed |= _narrow(f, x, None, v - 1, (), _chain(iv.hi_rules, rule))
+                changed |= _narrow(f, x, None, v - 1, (), iv.hi_rules, rule)
             if math.ceil(iv.lo) == v:
-                changed |= _narrow(f, x, v + 1, None, _chain(iv.lo_rules, rule), ())
+                changed |= _narrow(f, x, v + 1, None, iv.lo_rules, (), rule)
         elif len(step) == 3:
             x, lo, hi = step
-            changed |= _narrow(f, x, lo, hi, (rule,), (rule,))
+            changed |= _narrow(f, x, lo, hi, (), (), rule)
         else:
             x, c, y, d = step
             # raising y.lo leaves y.hi and its chain as read here
+            n, m = c.numerator, c.denominator
             xi, yi = f[x], f[y]
-            lo = math.ceil(xi.lo) - d
-            lo = lo if c == 1 else Fraction(lo, c)
-            hi = None if yi.hi is None else c * math.floor(yi.hi) + d
-            changed |= _narrow(f, y, lo, None, _chain(xi.lo_rules, rule), ())
-            changed |= _narrow(f, x, None, hi, (), _chain(yi.hi_rules, rule))
+            lo = (math.ceil(xi.lo) - d) * m
+            lo = lo // n if lo % n == 0 else Fraction(lo, n)
+            hi = yi.hi
+            if hi is not None:
+                hi = n * math.floor(hi) + d * m
+                hi = hi // m if hi % m == 0 else Fraction(hi, m)
+            changed |= _narrow(f, y, lo, None, xi.lo_rules, (), rule)
+            changed |= _narrow(f, x, None, hi, (), yi.hi_rules, rule)
     return changed
 
 
@@ -418,7 +438,7 @@ def propagate(
     """
     if sorted(rule_order) != sorted(RULE_ORDER):
         raise ValueError("rule_order must be a permutation of the rule ids")
-    facts = {name: Interval() for name in ATTRIBUTES}
+    facts = dict.fromkeys(ATTRIBUTES, _UNKNOWN)
     for name, seed in (seeds or {}).items():
         if name not in facts:
             raise ValueError(f"unknown attribute {name!r}")

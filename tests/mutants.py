@@ -75,6 +75,57 @@ MUTANTS = (
            "if iv.lo == v:",
            ("test_bounds.py",),
            "a hole misses a fractional lower end whose ceiling it is"),
+    Mutant("bounds.py",
+           "if lo is None or lo <= iv.lo:",
+           "if lo is None or lo < iv.lo:",
+           ("test_bounds.py", "test_golden.py"),
+           "a lower end equal to the stored one counts as a move"),
+    Mutant("bounds.py",
+           "if hi is None or iv.hi is not None and hi >= iv.hi:",
+           "if hi is None or iv.hi is not None and hi > iv.hi:",
+           ("test_bounds.py", "test_golden.py"),
+           "an upper end equal to the stored one counts as a move"),
+    Mutant("bounds.py",
+           "if hi is not None and math.ceil(lo) > math.floor(hi):",
+           "if hi is not None and lo > hi:",
+           ("test_bounds.py",),
+           "an interval with no integer point is kept, as only crossed ends are tested"),
+    Mutant("bounds.py",
+           "    if lo is iv.lo and hi is iv.hi:\n"
+           "        return False\n",
+           "",
+           ("test_bounds.py", "test_golden.py"),
+           "a step that moves no end still reports a change, so no run reaches its fixed point"),
+    Mutant("bounds.py",
+           "            if iv.hi is not None and math.floor(iv.hi) == v:\n"
+           "                changed |= _narrow(f, x, None, v - 1, (), iv.hi_rules, rule)\n"
+           "            if math.ceil(iv.lo) == v:\n"
+           "                changed |= _narrow(f, x, v + 1, None, iv.lo_rules, (), rule)\n",
+           "            lo = v + 1 if math.ceil(iv.lo) == v else None\n"
+           "            hi = v - 1 if iv.hi is not None and math.floor(iv.hi) == v else None\n"
+           "            changed |= _narrow(f, x, lo, hi, iv.lo_rules, iv.hi_rules, rule)\n",
+           ("test_bounds.py", "test_golden.py"),
+           "a hole narrows both ends in one call, so a hole at the point reports [v + 1, v - 1]"),
+    Mutant("bounds.py",
+           "super().__init__(_exact(lo), _exact(hi), lo_rules, hi_rules)",
+           "super().__init__(lo, hi, lo_rules, hi_rules)",
+           ("test_bounds.py",),
+           "an Interval keeps an integral Fraction end as given"),
+    Mutant("bounds.py",
+           "self.lo = _exact(lo)\n        self.hi = _exact(hi)",
+           "self.lo = lo\n        self.hi = hi",
+           ("test_bounds.py",),
+           "a Contradiction keeps an integral Fraction end as given"),
+    Mutant("bounds.py",
+           "lo = lo // n if lo % n == 0 else Fraction(lo, n)",
+           "lo = lo // n",
+           ("test_bounds.py", "test_golden.py"),
+           "a relation's lower end is truncated to an integer where it does not divide"),
+    Mutant("bounds.py",
+           "lo, lo_rules = iv.lo, iv.lo_rules",
+           "lo, lo_rules = iv.lo, _chain(iv.lo_rules, rule)",
+           ("test_bounds.py", "test_golden.py"),
+           "a lower end that did not move takes the rule onto its chain"),
     Mutant("certificate.py",
            "k = max(len(mc.meridians), 2)",
            "k = len(mc.meridians)",

@@ -19,6 +19,8 @@ from surfrep.bounds import (
     Interval,
     SubjectTags,
     _CATALOG,
+    _apply,
+    _chain,
     _steps,
     propagate,
     seeds_from_strings,
@@ -272,10 +274,70 @@ def test_relations_floor_the_upper_endpoint():
     assert fs["bs"].hi_rules == fs["b"].hi_rules == ("seed:bs", "R3")
 
 
+def test_a_relation_step_computes_the_rational_formulas_in_integers():
+    """One relation step x <= c * y + d, for c in {1, 2, 1/2, 1/3} and d in
+    {0, 1}, on random intervals with int and Fraction ends, one-sided ones
+    included: y.lo rises to (ceil(x.lo) - d) / c and x.hi falls to
+    c * floor(y.hi) + d, computed here in Fractions, each end stored as an
+    int exactly when it is integral.  An end that moves takes its source
+    chain extended by the rule, as ``_chain`` builds it; one that does not
+    keeps its chain, and a moved interval with no integer point raises."""
+    rng = random.Random(40)
+    chains = [(), ("seed:r",), ("R13",), ("seed:bs", "R9")]
+
+    def draw() -> Interval:
+        lo = Fraction(rng.randint(0, 30), rng.choice((1, 2, 3, 6)))
+        hi = None if rng.random() < 0.3 else lo + Fraction(rng.randint(0, 30), rng.choice((1, 2, 3)))
+        return Interval(lo, hi, rng.choice(chains), rng.choice(chains))
+
+    def narrowed(name, iv, lo, hi, lo_rules, hi_rules):
+        """``iv`` narrowed to [lo, hi] by R9 and whether an end moved."""
+        lo_moves = lo is not None and lo > iv.lo
+        hi_moves = hi is not None and (iv.hi is None or hi < iv.hi)
+        if not (lo_moves or hi_moves):
+            return iv, False
+        lo, lo_rules = (lo, _chain(lo_rules, "R9")) if lo_moves else (iv.lo, iv.lo_rules)
+        hi, hi_rules = (hi, _chain(hi_rules, "R9")) if hi_moves else (iv.hi, iv.hi_rules)
+        if hi is not None and math.ceil(lo) > math.floor(hi):
+            raise Contradiction(name, lo, hi, lo_rules, hi_rules)
+        return Interval(lo, hi, lo_rules, hi_rules), True
+
+    moved = raised = 0
+    for c, d in product((1, 2, Fraction(1, 2), Fraction(1, 3)), (0, 1)):
+        for _ in range(300):
+            x, y = rng.sample(ATTRIBUTES, 2)
+            xi, yi = draw(), draw()
+            facts = {x: xi, y: yi}
+            try:
+                y_new, y_moved = narrowed(y, yi, Fraction(math.ceil(xi.lo) - d) / c, None,
+                                          xi.lo_rules, ())
+                x_hi = None if yi.hi is None else c * math.floor(yi.hi) + d
+                x_new, x_moved = narrowed(x, xi, None, x_hi, (), yi.hi_rules)
+            except Contradiction as want:
+                with pytest.raises(Contradiction) as got:
+                    _apply("R9", [(x, c, y, d)], facts)
+                fields = ("attribute", "lo", "hi", "lo_rules", "hi_rules")
+                assert [getattr(got.value, f) for f in fields] == [getattr(want, f) for f in fields]
+                assert canonical(got.value.lo) and canonical(got.value.hi)
+                raised += 1
+                continue
+            assert _apply("R9", [(x, c, y, d)], facts) == (y_moved or x_moved)
+            assert facts == {x: x_new, y: y_new}, (c, d, xi, yi)
+            for iv in facts.values():
+                assert canonical(iv.lo) and (iv.hi is None or canonical(iv.hi))
+            moved += y_moved or x_moved
+    assert moved > 500 and raised > 50
+
+
 def test_every_endpoint_is_stored_in_canonical_form():
     """Fixed points and contradictions store an integral end as an int and
     any other as a Fraction: R13 refutes b = 0 with int ends, and R1's
-    r <= bs/2 refutes bs = 3 for a knot at the Fraction 3/2."""
+    r <= bs/2 refutes bs = 3 for a knot at the Fraction 3/2.  Both
+    constructors store an integral Fraction they are given as the int."""
+    given = Interval(Fraction(4, 2), Fraction(6))
+    refuted_at = Contradiction("b", Fraction(6, 2), Fraction(4, 2), (), ())
+    for end in (given.lo, given.hi, refuted_at.lo, refuted_at.hi):
+        assert type(end) is int
     with pytest.raises(Contradiction) as bridgeless:
         propagate(_tags(), seeds_from_strings(["b=0"]))
     assert bridgeless.value.attribute == "b"
@@ -337,8 +399,10 @@ def test_pretzel_rules():
 
     with pytest.raises(Contradiction):
         propagate(_tags("pretzel=-2,3,5", "composite"))  # r = 3 vs r = 2
-    with pytest.raises(Contradiction):
-        propagate(_tags("pretzel=1,3,7"), {"r": exact(3)})  # seeded onto the excluded value
+    # seeded onto the excluded value: the hole lowers hi first, one end per narrowing
+    with pytest.raises(Contradiction) as point:
+        propagate(_tags("pretzel=1,3,7"), {"r": exact(3)})
+    assert (point.value.lo, point.value.hi, point.value.rules) == (3, 2, ("seed:r", "R7"))
 
     # a lower end at 3 moves past the hole to 4, chained after what put it there
     past = propagate(_tags("pretzel=1,3,7"), {"r": Interval(3)})

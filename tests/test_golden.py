@@ -62,6 +62,8 @@ CORPUS = [
     ["bounds", "--tag", "pretzel=1,3,7", "--seed", "r=3"],
     ["bounds", "--tag", "torus_knot=3,5", "--seed", "bs=6"],
     ["verify", "torus:12000,18000"],
+    ["bounds", "--tag", "theta_curve", "--seed", "bs=6"],
+    ["bounds", "--seed", "bs=7"],
 ]
 
 _JSON_DURATION = re.compile(r', "duration_seconds": [-+0-9.e]+')

@@ -167,6 +167,19 @@ def test_smoothing_builds_three_pieces_per_block_and_steps_once_per_entry(monkey
 
 #-- Bounds --#
 
+def _per_bounds_input(work: list) -> dict[str, int]:
+    """The length of ``work`` after each distinct ``bounds`` input of the
+    golden corpus, cleared before each; keyed by the arguments."""
+    found = {}
+    for argv in CORPUS:
+        if argv[0] == "bounds":
+            work.clear()
+            with contextlib.redirect_stdout(io.StringIO()):
+                main(argv)
+            found[" ".join(a for a in argv[1:] if a != "--pretty")] = len(work)
+    return found
+
+
 def test_bounds_applies_each_rule_a_pinned_number_of_times(monkeypatch):
     """Rule applications per distinct ``bounds`` input of the golden corpus,
     seeds included: each pass applies every active rule once, until a
@@ -179,14 +192,7 @@ def test_bounds_applies_each_rule_a_pinned_number_of_times(monkeypatch):
         return original(rule, steps, facts)
 
     monkeypatch.setattr(bounds, "_apply", counting)
-    found = {}
-    for argv in CORPUS:
-        if argv[0] == "bounds":
-            calls.clear()
-            with contextlib.redirect_stdout(io.StringIO()):
-                main(argv)
-            found[" ".join(a for a in argv[1:] if a != "--pretty")] = len(calls)
-    assert found == {
+    assert _per_bounds_input(calls) == {
         "": 9,
         "--tag torus_knot=3,5": 18,
         "--tag two_bridge": 18,
@@ -199,6 +205,39 @@ def test_bounds_applies_each_rule_a_pinned_number_of_times(monkeypatch):
         "--tag torus_knot=3,5 --seed r=3": 19,
         "--tag pretzel=1,3,7 --seed r=3": 5,
         "--tag torus_knot=3,5 --seed bs=6": 13,
+        "--tag theta_curve --seed bs=6": 9,
+        "--seed bs=7": 7,
+    }
+
+
+def test_bounds_builds_an_interval_only_for_a_move(monkeypatch):
+    """``Interval`` constructions per distinct ``bounds`` input of the
+    golden corpus: one per seed read, and one per ``_narrow`` call that
+    moves an end.  Every run starts from one shared [0, inf), so a run of
+    no seed and no move builds none; six fresh starts would add 6 to each."""
+    built = []
+    original = bounds.Interval.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(bounds.Interval, "__init__", counting)
+    assert _per_bounds_input(built) == {
+        "": 3,
+        "--tag torus_knot=3,5": 8,
+        "--tag two_bridge": 7,
+        "--tag composite --seed b=4": 8,
+        "--tag algebraic --seed waist=3": 10,
+        "--tag primitive": 4,
+        "--tag nontrivial_knot --seed bs=3": 3,
+        "--tag pretzel=1,3,7 --tag algebraic": 5,
+        "--tag pretzel=-2,3,5": 6,
+        "--tag torus_knot=3,5 --seed r=3": 7,
+        "--tag pretzel=1,3,7 --seed r=3": 4,
+        "--tag torus_knot=3,5 --seed bs=6": 9,
+        "--tag theta_curve --seed bs=6": 6,
+        "--seed bs=7": 6,
     }
 
 
