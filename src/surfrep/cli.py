@@ -138,7 +138,7 @@ def _report_verify(args: argparse.Namespace, inst: FamilyInstance) -> tuple[Body
     checks = verify_family(inst)
     return {
         "command": ["verify", args.family],
-        "inputs": {"family": inst.label, "extrapolated": inst.extrapolated},
+        "inputs": {"family": inst.label},
         "checks": [_row(c) for c in checks],
     }, all(c.passed for c in checks)
 

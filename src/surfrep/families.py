@@ -40,12 +40,9 @@ class FamilyInstance(_Value):
     kind: str
     params: tuple[int, int]
     curve: MultiCurve
-    extrapolated: bool
 
-    def __init__(
-        self, kind: str, params: tuple[int, int], curve: MultiCurve, extrapolated: bool = False
-    ) -> None:
-        super().__init__(kind, params, curve, extrapolated)
+    def __init__(self, kind: str, params: tuple[int, int], curve: MultiCurve) -> None:
+        super().__init__(kind, params, curve)
 
     @property
     def label(self) -> str:
@@ -65,8 +62,8 @@ def exact_knot(n: int, g: int) -> FamilyInstance:
     Meridian weights start at n+1 and n and settle to ceil(n/2) on the
     remaining circles; longitude weights split n as ceil(n/2), floor(n/2)
     and continue with ceil(n/2).  At genus 1 only the leading weights
-    survive and the construction is an extrapolation, which the returned
-    instance flags.
+    survive, and the genus-1 argument in the ``certificate`` module
+    docstring shows that both ends of the certified window equal n.
     """
     if n < 2:
         raise ValueError(f"family needs n >= 2, got {n}")
@@ -76,8 +73,7 @@ def exact_knot(n: int, g: int) -> FamilyInstance:
     # b_i copies of m_i and a_j copies of l_j, as in smoothing
     b = (n + 1, n) + (c,) * (g - 1)
     a = (c, f) + (c,) * (g - 1)
-    curve = MultiCurve(b, a)
-    return FamilyInstance("exactly", (n, g), curve, extrapolated=(g == 1))
+    return FamilyInstance("exactly", (n, g), MultiCurve(b, a))
 
 
 def lpq_link(p: int, q: int) -> FamilyInstance:

@@ -65,6 +65,11 @@ MUTANTS = (
            "",
            ("test_smoothing.py",),
            "a walk that ends short of its start is listed as an orbit instead of raising"),
+    Mutant("smoothing.py",
+           "succ[lo:hi] = range(to, to + hi - lo)",
+           "succ[lo:hi] = range(to, to + hi + lo)",
+           ("test_smoothing.py",),
+           "each piece writes 2 lo extra successors, which grow the list but change no orbit"),
     Mutant("bounds.py",
            "if iv.hi is not None and math.floor(iv.hi) == v:",
            "if iv.hi is not None and iv.hi == v:",
@@ -142,6 +147,16 @@ MUTANTS = (
            ("test_certificate.py", "test_families.py", "test_golden.py"),
            "the upper end is the larger of the two loop minima, not the least"),
     Mutant("certificate.py",
+           "min(pb.loop_min for pb in bounds)",
+           "bounds[1].loop_min",
+           ("test_certificate.py", "test_families.py", "test_golden.py"),
+           "the upper end is read from the longitude cut alone"),
+    Mutant("certificate.py",
+           "0 <= _strict_int(a, \"a\") < _strict_int(b, \"b\") < circles",
+           "0 <= _strict_int(a, \"a\") <= _strict_int(b, \"b\") < circles",
+           ("test_certificate.py",),
+           "an arc (a, a) passes the endpoint check and is refused only as not adjacent"),
+    Mutant("certificate.py",
            "or lower > _strict_int(upper, \"upper end\")",
            "or _strict_int(upper, \"upper end\") is None",
            ("test_values.py",),
@@ -171,6 +186,18 @@ MUTANTS = (
            "cheapest = max(check.actual for check in checks)",
            ("test_families.py", "test_cli.py", "test_golden.py"),
            "the torus row reads the dearest reference class, not the cheapest"),
+    Mutant("families.py",
+           "        cheapest = min(check.actual for check in checks)\n"
+           "        checks.append(Check(\"smoothed components = gcd(p, q)\", math.gcd(p, q), comps))\n",
+           "        checks.append(Check(\"smoothed components = gcd(p, q)\", math.gcd(p, q), comps))\n"
+           "        cheapest = min(check.actual for check in checks)\n",
+           ("test_families.py", "test_cli.py", "test_golden.py"),
+           "the torus row is read after the components row, so gcd(p, q) counts as a class"),
+    Mutant("cli.py",
+           "\"inputs\": {\"family\": inst.label},",
+           "\"inputs\": {\"family\": inst.label, \"kind\": inst.kind},",
+           ("test_cli.py", "test_golden.py"),
+           "a verify report's inputs hold a key beside the canonical family label"),
     Mutant("cli.py",
            "return reader.parse_args(argv[1:], argparse.Namespace(subcommand=argv[0]))",
            "return reader.parse_known_args(argv[1:], argparse.Namespace(subcommand=argv[0]))[0]",

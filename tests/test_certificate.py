@@ -78,7 +78,7 @@ def test_torus_is_the_genus_one_chain_surface():
 def test_piece_validation_and_json():
     with pytest.raises(ValueError):
         PlanarPiece("X", 1, ())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^bad arc endpoints \(0, 0\) for 3 circles$"):
         PlanarPiece("X", 3, ((0, 0, 1),))
     with pytest.raises(ValueError):
         PlanarPiece("X", 3, ((1, 0, 1),))

@@ -97,7 +97,7 @@ def test_verify_reports_pass(capsys):
     report = json.loads(out)
     assert report["schema"] == "run-report/1"
     assert report["command"] == ["verify", "exactly:4,2"]
-    assert report["inputs"] == {"family": "exactly:4,2", "extrapolated": False}
+    assert report["inputs"] == {"family": "exactly:4,2"}
     assert report["verdict"] == "pass"
     assert report["checks"] and all(c["pass"] for c in report["checks"])
     assert isinstance(report["duration_seconds"], float)

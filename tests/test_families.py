@@ -45,12 +45,6 @@ def test_weight_vectors():
     assert lpq_link(2, 7).curve == MultiCurve((7, 7, 7), (2, 2, 2))
 
 
-def test_extrapolation_flag():
-    assert exact_knot(4, 1).extrapolated is True
-    assert exact_knot(4, 2).extrapolated is False
-    assert torus_knot(2, 3).extrapolated is False
-
-
 def test_parse_family():
     assert parse_family("torus:3,5") == torus_knot(3, 5)
     assert parse_family("exactly:4,2") == exact_knot(4, 2)
@@ -150,10 +144,10 @@ def test_lpq_reports_pass():
 def test_report_json_shape(capsys):
     """The verify report names the instance in its inputs and shows one
     row per check, in order."""
-    for family, extrapolated in (("torus:2,3", False), ("exactly:4,1", True)):
+    for family in ("torus:2,3", "exactly:4,1"):
         assert main(["verify", family]) == 0
         report = json.loads(capsys.readouterr().out)
-        assert report["inputs"] == {"family": family, "extrapolated": extrapolated}
+        assert report["inputs"] == {"family": family}
         checks = report["checks"]
         assert all(set(c) == {"name", "expected", "actual", "pass"} for c in checks)
         inst = parse_family(family)

@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import assume, given, strategies as st
 
 from oracles import adjacent, entry_walk_orbits, smoothing_state_orbits
 from surfrep import smoothing
-from surfrep.families import torus_knot
+from surfrep.families import exact_knot, torus_knot
 from surfrep.smoothing import trace_components, trace_orbits
 from surfrep.surface import MultiCurve
 
@@ -269,3 +270,21 @@ def test_large_weights():
     a, b = (1234, 2000), (3001, 2999)
     mc = MultiCurve(a, b)
     assert trace_components(mc) == math.gcd(sum(a), sum(b)) == 6
+
+
+def test_walk_memory_is_linear_in_the_entries():
+    """The successor list holds one slot per entry position and nothing
+    more: ``exactly:1000,32`` has 67,936 positions, and the whole count
+    peaks near 56 bytes per position.  A slice that writes more items
+    than it replaces grows the list with the piece offsets, hundreds of
+    MiB here, and leaves every orbit as it was."""
+    curve = exact_knot(1000, 32).curve
+    n = smoothing._return_pieces(curve)[1][-1]
+    assert n == 67_936
+    tracemalloc.start()
+    try:
+        assert trace_components(curve) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * n, f"peak {peak} bytes for {n} positions"

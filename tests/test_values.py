@@ -28,8 +28,7 @@ CASES = [
     (Representativity, {"lower": 3, "upper": 4}, {"upper": 5}, {}),
     (RotationSystem, {"rotations": ((0, 1, 2, 3),), "edges": ((0, 2), (1, 3))},
      {"edges": ((0, 1), (2, 3))}, {}),
-    (FamilyInstance, {"kind": "torus", "params": (5, 3), "curve": CURVE, "extrapolated": False},
-     {"extrapolated": True}, {"extrapolated": False}),
+    (FamilyInstance, {"kind": "torus", "params": (5, 3), "curve": CURVE}, {"params": (3, 5)}, {}),
     (Check, {"name": "smoothed components", "expected": 1, "actual": 1, "relation": ">="},
      {"relation": "=="}, {"relation": "=="}),
     (Interval, {"lo": 1, "hi": Fraction(7, 2), "lo_rules": ("seed:r",), "hi_rules": ()},
