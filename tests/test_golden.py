@@ -64,6 +64,8 @@ CORPUS = [
     ["verify", "torus:12000,18000"],
     ["bounds", "--tag", "theta_curve", "--seed", "bs=6"],
     ["bounds", "--seed", "bs=7"],
+    ["verify", "torus:1000000,1000001"],
+    ["verify", "exactly:100000,8"],
 ]
 
 _JSON_DURATION = re.compile(r', "duration_seconds": [-+0-9.e]+')
