@@ -384,10 +384,10 @@ def _apply(rule: str, steps: Sequence[tuple], f: dict[str, Interval]) -> bool:
     is v, floor(hi) = v or ceil(lo) = v: the upper end first, then the
     lower, both found at v in the interval as read, so a hole at the
     point v reports [v, v - 1].  A relation x <= c * y + d narrows both
-    ways, one call each: first y.lo up to (ceil(x.lo) - d) / c, then
-    x.hi down to c * floor(y.hi) + d.  The rounding is sound because
-    every attribute is integral, and it makes a chain of relations see
-    parity: bs = 2b with b > 9/2 gives bs >= 10.
+    ways, one call each: first y.lo up to (ceil(x.lo) - d) / c, then,
+    when y has an upper end, x.hi down to c * floor(y.hi) + d.  The
+    rounding is sound because every attribute is integral, and it makes
+    a chain of relations see parity: bs = 2b with b > 9/2 gives bs >= 10.
     """
     changed = False
     for step in steps:
@@ -410,12 +410,11 @@ def _apply(rule: str, steps: Sequence[tuple], f: dict[str, Interval]) -> bool:
             xi, yi = f[x], f[y]
             lo = (math.ceil(xi.lo) - d) * m
             lo = lo // n if lo % n == 0 else Fraction(lo, n)
-            hi = yi.hi
-            if hi is not None:
-                hi = n * math.floor(hi) + d * m
-                hi = hi // m if hi % m == 0 else Fraction(hi, m)
             changed |= _narrow(f, y, lo, None, xi.lo_rules, (), rule)
-            changed |= _narrow(f, x, None, hi, (), yi.hi_rules, rule)
+            if yi.hi is not None:
+                hi = n * math.floor(yi.hi) + d * m
+                hi = hi // m if hi % m == 0 else Fraction(hi, m)
+                changed |= _narrow(f, x, None, hi, (), yi.hi_rules, rule)
     return changed
 
 

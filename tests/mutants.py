@@ -70,6 +70,22 @@ MUTANTS = (
            "succ[lo:hi] = range(to, to + hi + lo)",
            ("test_smoothing.py",),
            "each piece writes 2 lo extra successors, which grow the list but change no orbit"),
+    Mutant("smoothing.py",
+           "left -= (left - 1) // tail * tail",
+           "left -= left // tail * tail",
+           ("test_smoothing.py", "test_golden.py"),
+           "whole rounds run one too far when the winner is a multiple of the tail, leaving it empty"),
+    Mutant("smoothing.py",
+           "        return length[t]\n",
+           "        return 1\n",
+           ("test_smoothing.py", "test_golden.py"),
+           "a piece that is its own top and bottom closes one cycle, not one per position"),
+    Mutant("smoothing.py",
+           "    if not (_tiles(top, los, length, n) and _tiles(bottom, tos, length, n)):\n"
+           "        raise RuntimeError(f\"the pieces do not tile the positions 0 .. {n - 1} twice\")\n",
+           "",
+           ("test_smoothing.py",),
+           "pieces that are no bijection are counted as the exchange of their lengths"),
     Mutant("bounds.py",
            "if iv.hi is not None and math.floor(iv.hi) == v:",
            "if iv.hi is not None and iv.hi == v:",
@@ -209,6 +225,34 @@ MUTANTS = (
            "    for flag, options in _COMMANDS[name][3]:\n",
            ("test_cli.py", "test_source_rules.py"),
            "the steps ride on the parse again, a second map from a subcommand to its steps"),
+    Mutant("cli.py",
+           "add_help=False, formatter_class=_FixedWidth",
+           "add_help=True, formatter_class=_FixedWidth",
+           ("test_work.py", "test_cli.py"),
+           "the reader adds its own -h, one more argument per call and a help that is not the tree's"),
+    Mutant("cli.py",
+           "add_help=False, formatter_class=_FixedWidth",
+           "add_help=False",
+           ("test_work.py",),
+           "the reader takes argparse's default formatter, which reads the terminal's size"),
+    Mutant("cli.py",
+           "    def error(self, message: str) -> NoReturn:\n"
+           "        raise _Refused(message)\n",
+           "",
+           ("test_cli.py",),
+           "the reader reports a bad call itself, with its own usage, instead of the full tree"),
+    Mutant("cli.py",
+           "        except _Refused:\n"
+           "            pass\n",
+           "        except _Refused:\n"
+           "            return argparse.Namespace(subcommand=argv[0])\n",
+           ("test_cli.py",),
+           "a call the reader refuses is run as a valid call with no arguments read"),
+    Mutant("facewidth.py",
+           "        searched[x] = True\n",
+           "",
+           ("test_work.py",),
+           "a searched root is never marked, so later searches walk back into its nodes"),
     Mutant("families.py",
            "    from surfrep.smoothing import trace_components\n",
            "    from surfrep.certificate import representativity_exact\n"

@@ -274,7 +274,7 @@ def test_large_weights():
 
 def test_walk_memory_is_linear_in_the_entries():
     """The successor list holds one slot per entry position and nothing
-    more: ``exactly:1000,32`` has 67,936 positions, and the whole count
+    more: ``exactly:1000,32`` has 67,936 positions, and the whole walk
     peaks near 56 bytes per position.  A slice that writes more items
     than it replaces grows the list with the piece offsets, hundreds of
     MiB here, and leaves every orbit as it was."""
@@ -283,8 +283,174 @@ def test_walk_memory_is_linear_in_the_entries():
     assert n == 67_936
     tracemalloc.start()
     try:
-        assert trace_components(curve) == 1
+        assert len(trace_orbits(curve)) == 1
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 256 * n, f"peak {peak} bytes for {n} positions"
+
+
+#-- Induction --#
+
+def _induction_count(mc: MultiCurve) -> int:
+    _, offsets, pieces = smoothing._return_pieces(mc)
+    return smoothing._count_orbits(pieces, offsets[-1])
+
+
+def _induction_steps(mc: MultiCurve, monkeypatch) -> int:
+    """The steps ``_count_orbits`` takes on the pieces of ``mc``."""
+    steps = []
+    induce = smoothing._induce
+
+    def counting(top, bottom, length):
+        steps.append(None)
+        return induce(top, bottom, length)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(smoothing, "_induce", counting)
+        _induction_count(mc)
+    return len(steps)
+
+
+def _walks(mc: MultiCurve) -> bool:
+    """Whether ``trace_components`` walks ``mc`` rather than inducing."""
+    k = len(mc.meridians)
+    return sum(mc.meridians + mc.longitudes) <= smoothing._WALK_MEAN_WEIGHT * 2 * k
+
+
+@pytest.mark.parametrize("g", range(7))
+def test_induction_counts_the_orbits_of_the_walks(g: int):
+    """The induction counts as many cycles as the piece walk lists, and as
+    the tuple-by-tuple entry walk of tests/oracles.py, on curves on both
+    sides of ``trace_components``'s rule; and as the state-by-state walk
+    where the crossings are few.  g = 0 stands for the torus; about one
+    weight in five is zero, so that the next class with copies skips."""
+    kind, k = ("torus", 1) if g == 0 else ("chain", g + 1)
+    rng = random.Random(4200 + g)
+    sides = set()
+    for trial in range(120):
+        top = (3, 8, 40, 400)[trial % 4]
+        meridians = tuple(0 if rng.random() < 0.2 else rng.randrange(1, top) for _ in range(k))
+        longitudes = tuple(0 if rng.random() < 0.2 else rng.randrange(1, top) for _ in range(k))
+        if not any(meridians + longitudes):
+            continue
+        mc = MultiCurve(meridians, longitudes)
+        count = _induction_count(mc)
+        assert count == len(trace_orbits(mc)), mc
+        assert count == len(entry_walk_orbits(kind, meridians, longitudes)), mc
+        if top <= 8:
+            assert count == len(smoothing_state_orbits(kind, meridians, longitudes)), mc
+        untouched = sum(w for family, weights in (("m", meridians), ("l", longitudes))
+                        for x, w in enumerate(weights) if not mc.boundary_count(family, x))
+        assert trace_components(mc) == count + untouched
+        sides.add(_walks(mc))
+    assert sides == {True, False}
+
+
+def test_induction_counts_fixed_pieces_by_their_length():
+    """Pieces that map positions onto themselves are cycles of one position
+    each, however long: a piece of length 3 that moves nothing is 3 cycles.
+    Swapping 0, 1 with 3, 4 and fixing 2 is 3 cycles (an empty piece is
+    dropped), a rotation of 0 .. 5 by 2 is 2, and two fixed pieces of 5
+    and 2 positions are 7."""
+    assert smoothing._count_orbits([(0, 3, 0)], 3) == 3
+    assert smoothing._count_orbits([(0, 2, 3), (2, 3, 2), (3, 5, 0), (5, 5, 9)], 5) == 3
+    assert smoothing._count_orbits([(0, 4, 2), (4, 6, 0)], 6) == 2
+    assert smoothing._count_orbits([(0, 5, 0), (5, 7, 5)], 7) == 7
+    assert smoothing._count_orbits([], 0) == 0
+
+
+def test_induction_refuses_pieces_that_are_no_bijection():
+    """The pieces must tile 0 .. n-1 as domains and as images.  Two pieces
+    sent onto one image, a gap, a domain overlap and a wrong n are each
+    refused before any step, where the induction on the lengths alone
+    would count some bijection that the pieces are not."""
+    for pieces, n in (
+        ([(0, 2, 3), (2, 3, 3), (3, 5, 0)], 5),  # image 3 twice, 2 never
+        ([(0, 2, 2), (2, 4, 0)], 5),  # position 4 is no domain and no image
+        ([(0, 3, 2), (2, 5, 0)], 5),  # domains overlap at 2
+        ([(0, 2, 2), (2, 4, 0)], 3),
+    ):
+        with pytest.raises(RuntimeError, match="do not tile"):
+            smoothing._count_orbits(pieces, n)
+
+
+def test_corrupted_pieces_are_refused_by_the_induction(monkeypatch):
+    """The corruption that the walk finds as a cycle that does not close
+    fails the induction's tiling check, on curves past the walk's side."""
+    real = smoothing._return_pieces
+
+    def corrupted(mc):
+        blocks, offsets, pieces = real(mc)
+        lo, hi, _ = pieces[1]
+        pieces[1] = (lo, hi, pieces[4][2])
+        return blocks, offsets, pieces
+
+    monkeypatch.setattr(smoothing, "_return_pieces", corrupted)
+    for mc in (MultiCurve((300, 400, 500), (200, 600, 100)), MultiCurve((700, 1), (1, 900))):
+        assert not _walks(mc)
+        with pytest.raises(RuntimeError, match="do not tile"):
+            trace_components(mc)
+
+
+def _fibonacci(count: int) -> list[int]:
+    out = [1, 2]
+    while len(out) < count:
+        out.append(out[-1] + out[-2])
+    return out
+
+
+def test_torus_counts_are_gcd_up_to_a_trillion():
+    """q meridian copies against p longitude copies close into gcd(p, q)
+    curves for p, q up to 10**12: random pairs, pairs with a large common
+    factor, consecutive Fibonacci numbers (Euclid's slowest case) and the
+    edges p = q and p = 1."""
+    rng = random.Random(1012)
+    pairs = [(rng.randint(1, 10**12), rng.randint(1, 10**12)) for _ in range(300)]
+    for _ in range(300):
+        f = rng.randint(1, 10**6)
+        pairs.append((f * rng.randint(1, 10**6), f * rng.randint(1, 10**6)))
+    fib = _fibonacci(58)
+    assert fib[-1] < 10**12 < fib[-1] + fib[-2]
+    pairs += list(zip(fib, fib[1:])) + [(10**12, 10**12), (1, 10**12), (10**12, 1)]
+    for p, q in pairs:
+        assert trace_components(MultiCurve((q,), (p,))) == math.gcd(p, q), (p, q)
+
+
+def test_induction_steps_grow_with_log_n(monkeypatch):
+    """The induction's steps stay within pieces * log2(n): on the Fibonacci
+    tori, where each step is one division of Euclid's algorithm, and on
+    seeded chains of genus 1 to 16 with weights up to 10**12, zeros
+    included.  A walk would take n steps."""
+    for p, q in zip(_fibonacci(58), _fibonacci(59)[1:]):
+        mc = MultiCurve((q,), (p,))
+        n = p + q - 1
+        assert _induction_steps(mc, monkeypatch) <= 3 * math.log2(n) + 1, (p, q)
+    rng = random.Random(2006)
+    for _ in range(60):
+        k = rng.randint(2, 17)
+        meridians = tuple(0 if rng.random() < 0.1 else rng.randint(1, 10**12) for _ in range(k))
+        longitudes = tuple(0 if rng.random() < 0.1 else rng.randint(1, 10**12) for _ in range(k))
+        if not any(meridians + longitudes):
+            continue
+        mc = MultiCurve(meridians, longitudes)
+        _, offsets, pieces = smoothing._return_pieces(mc)
+        live = sum(lo < hi for lo, hi, _ in pieces)
+        steps = _induction_steps(mc, monkeypatch)
+        assert steps <= live * math.log2(offsets[-1]), (meridians, longitudes, steps)
+
+
+def test_induction_memory_is_linear_in_the_pieces():
+    """``exactly:100000,8`` has 1,999,984 entry positions in 54 pieces.  The
+    count keeps the pieces' lengths and two orders of them, a few KiB;
+    the walk would hold a successor list of about 100 MiB."""
+    curve = exact_knot(100_000, 8).curve
+    blocks, offsets, pieces = smoothing._return_pieces(curve)
+    assert (len(pieces), offsets[-1]) == (54, 1_999_984)
+    tracemalloc.start()
+    try:
+        assert trace_components(curve) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024, f"peak {peak} bytes for {len(pieces)} pieces"

@@ -251,6 +251,20 @@ def test_one_crossing_rule_with_no_torus_arm():
     assert not found, f"a torus arm, a set or a sort in the crossing rule: {found}"
 
 
+def test_the_smoothing_names_no_gcd():
+    """The torus count must come from the induction, never from gcd(p, q),
+    which is the value the tests and ``verify``'s torus row check it
+    against: ``smoothing.py`` names no ``gcd``, as a variable, an
+    attribute or an imported name."""
+    path = PACKAGE / "smoothing.py"
+    found = [f"smoothing.py:{node.lineno}"
+             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             if isinstance(node, ast.Name) and "gcd" in node.id.lower()
+             or isinstance(node, ast.Attribute) and "gcd" in node.attr.lower()
+             or isinstance(node, ast.alias) and "gcd" in node.name.lower()]
+    assert not found, f"the smoothing names gcd: {found}"
+
+
 def test_the_crossing_count_has_one_home():
     """``MultiCurve.boundary_count`` is the one place that counts a class's
     crossings: besides it, ``surface._crossed`` is read only by the walk

@@ -139,30 +139,38 @@ def test_verify_reads_each_class_count_twice(monkeypatch):
     assert found == {"exactly:4,3": 16, "exactly:5,2": 12, "lpq:2,7": 12, "torus:3,5": 4}
 
 
-def test_smoothing_builds_three_pieces_per_block_and_steps_once_per_entry(monkeypatch):
-    """``_return_pieces`` writes three translation pieces per block, and the
-    cycle walk takes one successor step per entry, so the work follows
-    the blocks and the weights, not the crossings (90,300 at
-    ``torus:300,301``)."""
+def test_smoothing_builds_three_pieces_per_block_and_pins_its_steps(monkeypatch):
+    """``_return_pieces`` writes three translation pieces per block.  The
+    cycle walk takes one successor step per entry, 34 and 48 on the two
+    chains, so its work follows the blocks and the weights, not the
+    crossings (90,300 at ``torus:300,301``).  ``torus:300,301`` has 600
+    entries in 3 pieces, too many per piece for the walk: the induction
+    counts it in 5 steps, where the walk took 600."""
     pieces, steps = [], []
-    build, walk = smoothing._return_pieces, smoothing.trace_orbits
+    build, walk, induce = smoothing._return_pieces, smoothing.trace_orbits, smoothing._induce
 
     def counting_pieces(mc):
         out = build(mc)
         pieces.append(len(out[2]))
         return out
 
-    def counting_steps(mc):
+    def counting_walk(mc):
         orbits = walk(mc)
-        steps.append(sum(map(len, orbits)))
+        steps[-1] += sum(map(len, orbits))
         return orbits
 
+    def counting_induction(top, bottom, length):
+        steps[-1] += 1
+        return induce(top, bottom, length)
+
     monkeypatch.setattr(smoothing, "_return_pieces", counting_pieces)
-    monkeypatch.setattr(smoothing, "trace_orbits", counting_steps)
+    monkeypatch.setattr(smoothing, "trace_orbits", counting_walk)
+    monkeypatch.setattr(smoothing, "_induce", counting_induction)
     for text in ("exactly:4,3", "lpq:2,7", "torus:300,301"):
+        steps.append(0)
         smoothing.trace_components(parse_family(text).curve)
     assert pieces == [24, 18, 3]
-    assert steps == [34, 48, 600]
+    assert steps == [34, 48, 5]
 
 
 #-- Bounds --#
@@ -238,6 +246,37 @@ def test_bounds_builds_an_interval_only_for_a_move(monkeypatch):
         "--tag torus_knot=3,5 --seed bs=6": 9,
         "--tag theta_curve --seed bs=6": 6,
         "--seed bs=7": 6,
+    }
+
+
+def test_bounds_narrows_only_where_a_step_offers_an_end(monkeypatch):
+    """``_narrow`` calls per distinct ``bounds`` input of the golden corpus.
+    A relation x <= c * y + d offers x an upper end only when y has one,
+    so a relation whose y is unbounded makes one call, not two: 7 of 45
+    calls go on ``torus_knot=3,5``, 45 -> 38."""
+    calls = []
+    original = bounds._narrow
+
+    def counting(*args):
+        calls.append(args[1])
+        return original(*args)
+
+    monkeypatch.setattr(bounds, "_narrow", counting)
+    assert _per_bounds_input(calls) == {
+        "": 12,
+        "--tag torus_knot=3,5": 38,
+        "--tag two_bridge": 35,
+        "--tag composite --seed b=4": 27,
+        "--tag algebraic --seed waist=3": 37,
+        "--tag primitive": 15,
+        "--tag nontrivial_knot --seed bs=3": 4,
+        "--tag pretzel=1,3,7 --tag algebraic": 19,
+        "--tag pretzel=-2,3,5": 27,
+        "--tag torus_knot=3,5 --seed r=3": 39,
+        "--tag pretzel=1,3,7 --seed r=3": 7,
+        "--tag torus_knot=3,5 --seed bs=6": 30,
+        "--tag theta_curve --seed bs=6": 15,
+        "--seed bs=7": 13,
     }
 
 
