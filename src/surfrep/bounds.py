@@ -51,12 +51,14 @@ is exact.  Only an end that is not an integer is made a Fraction, so a
 stored endpoint is a Fraction only where it is not an integer, and
 integer hulls are taken when displaying results.  A rule extends a
 chain only for an end that moves; a step that changes nothing builds
-nothing.
+nothing.  So an interval is replaced exactly when an end moves, and a
+pass that replaces no stored interval ends the run.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
@@ -64,7 +66,6 @@ from surfrep.surface import _Value, _ascii_int, _strict_int
 
 __all__ = [
     "ATTRIBUTES",
-    "RULE_ORDER",
     "TAG_NAMES",
     "Contradiction",
     "Interval",
@@ -309,13 +310,14 @@ class Contradiction(Exception):
 def _narrow(
     f: dict[str, Interval], name: str, lo: int | Fraction | None, hi: int | Fraction | None,
     lo_rules: tuple[str, ...], hi_rules: tuple[str, ...], rule: str,
-) -> bool:
-    """Narrow ``f[name]`` to [lo, hi] by ``rule``; True when it moved.
+) -> None:
+    """Narrow ``f[name]`` to [lo, hi] by ``rule``.
 
     ``lo_rules`` and ``hi_rules`` are the chains the new ends derive
     from: an end that moves takes its chain extended by ``rule``.  An end
     that is None, or that would not tighten, keeps its value and its
-    chain, and builds none.  This is the one test for emptiness: the
+    chain, and builds none; when neither end moves, ``f[name]`` stays
+    the stored object itself.  This is the one test for emptiness: the
     attribute is integral, so the interval is empty also when no integer
     fits.
     """
@@ -330,11 +332,10 @@ def _narrow(
         hi_rules = _chain(hi_rules, rule)
     # an end that did not move is the stored object itself
     if lo is iv.lo and hi is iv.hi:
-        return False
+        return
     if hi is not None and math.ceil(lo) > math.floor(hi):
         raise Contradiction(name, lo, hi, lo_rules, hi_rules)
     f[name] = Interval(lo, hi, lo_rules, hi_rules)
-    return True
 
 
 def _chain(source: tuple[str, ...], rule: str) -> tuple[str, ...]:
@@ -367,8 +368,6 @@ _CATALOG: dict[str, tuple[str | None, Any]] = {
     "R13": (None, [("r", 1, None), ("b", 1, None)]),
 }
 
-RULE_ORDER = tuple(_CATALOG)
-
 
 def _steps(rule: str, tags: SubjectTags) -> Sequence[tuple]:
     """The steps of ``rule``, built from the tag's parameters for R4 and R7."""
@@ -376,8 +375,8 @@ def _steps(rule: str, tags: SubjectTags) -> Sequence[tuple]:
     return steps(getattr(tags, tag)) if callable(steps) else steps
 
 
-def _apply(rule: str, steps: Sequence[tuple], f: dict[str, Interval]) -> bool:
-    """One application of the steps of ``rule``; True when they narrowed an interval.
+def _apply(rule: str, steps: Sequence[tuple], f: dict[str, Interval]) -> None:
+    """One application of the steps of ``rule``.
 
     Every step narrows through ``_narrow``.  A pin narrows both ends in
     one call.  A hole x != v moves an endpoint only when its integer end
@@ -389,7 +388,6 @@ def _apply(rule: str, steps: Sequence[tuple], f: dict[str, Interval]) -> bool:
     rounding is sound because every attribute is integral, and it makes
     a chain of relations see parity: bs = 2b with b > 9/2 gives bs >= 10.
     """
-    changed = False
     for step in steps:
         if len(step) == 2:
             # interval arithmetic cannot see interior threes; lowering hi
@@ -397,12 +395,12 @@ def _apply(rule: str, steps: Sequence[tuple], f: dict[str, Interval]) -> bool:
             x, v = step
             iv = f[x]
             if iv.hi is not None and math.floor(iv.hi) == v:
-                changed |= _narrow(f, x, None, v - 1, (), iv.hi_rules, rule)
+                _narrow(f, x, None, v - 1, (), iv.hi_rules, rule)
             if math.ceil(iv.lo) == v:
-                changed |= _narrow(f, x, v + 1, None, iv.lo_rules, (), rule)
+                _narrow(f, x, v + 1, None, iv.lo_rules, (), rule)
         elif len(step) == 3:
             x, lo, hi = step
-            changed |= _narrow(f, x, lo, hi, (), (), rule)
+            _narrow(f, x, lo, hi, (), (), rule)
         else:
             x, c, y, d = step
             # raising y.lo leaves y.hi and its chain as read here
@@ -410,19 +408,15 @@ def _apply(rule: str, steps: Sequence[tuple], f: dict[str, Interval]) -> bool:
             xi, yi = f[x], f[y]
             lo = (math.ceil(xi.lo) - d) * m
             lo = lo // n if lo % n == 0 else Fraction(lo, n)
-            changed |= _narrow(f, y, lo, None, xi.lo_rules, (), rule)
+            _narrow(f, y, lo, None, xi.lo_rules, (), rule)
             if yi.hi is not None:
                 hi = n * math.floor(yi.hi) + d * m
                 hi = hi // m if hi % m == 0 else Fraction(hi, m)
-                changed |= _narrow(f, x, None, hi, (), yi.hi_rules, rule)
-    return changed
+                _narrow(f, x, None, hi, (), yi.hi_rules, rule)
 
 
 def propagate(
-    tags: SubjectTags,
-    seeds: Mapping[str, Interval] | None = None,
-    *,
-    rule_order: Sequence[str] = RULE_ORDER,
+    tags: SubjectTags, seeds: Mapping[str, Interval] | None = None
 ) -> dict[str, Interval]:
     """Narrow the attribute intervals to the fixed point of the rule catalog.
 
@@ -430,13 +424,14 @@ def propagate(
     ``seeds`` maps attribute names to known facts, each an
     :class:`Interval`: an exact value v as ``Interval(v, v)``, a lower
     bound L alone as ``Interval(L)``.  A seed enters as a pin with the
-    chain ``seed:<name>``.  ``rule_order`` affects only which chain gets
-    recorded when several rules justify the same endpoint; the interval
-    values of the fixed point do not depend on it.  Raises
-    :class:`Contradiction` when the facts are inconsistent.
+    chain ``seed:<name>``.  Each pass applies the active rules in
+    ``_CATALOG``'s order, and the run ends after a pass that leaves every
+    stored interval the object it was.  That order decides only which
+    chain gets recorded when several rules justify the same endpoint; the
+    interval values of the fixed point do not depend on it, and the tests
+    permute it.  Raises :class:`Contradiction` when the facts are
+    inconsistent.
     """
-    if sorted(rule_order) != sorted(RULE_ORDER):
-        raise ValueError("rule_order must be a permutation of the rule ids")
     facts = dict.fromkeys(ATTRIBUTES, _UNKNOWN)
     for name, seed in (seeds or {}).items():
         if name not in facts:
@@ -445,11 +440,11 @@ def propagate(
             raise ValueError(f"seed for {name!r} is not an Interval: {seed!r}")
         _apply(f"seed:{name}", [(name, seed.lo, seed.hi)], facts)
     on = tags.effective | {None}
-    active = [(rule, _steps(rule, tags)) for rule in rule_order if _CATALOG[rule][0] in on]
+    active = [(rule, _steps(rule, tags)) for rule, (tag, _) in _CATALOG.items() if tag in on]
     for _ in range(64):
-        changed = False
+        before = tuple(facts.values())
         for rule, steps in active:
-            changed |= _apply(rule, steps, facts)
-        if not changed:
+            _apply(rule, steps, facts)
+        if all(map(operator.is_, before, facts.values())):
             return facts
     raise RuntimeError("propagation failed to stabilise")

@@ -113,18 +113,23 @@ MUTANTS = (
            "an interval with no integer point is kept, as only crossed ends are tested"),
     Mutant("bounds.py",
            "    if lo is iv.lo and hi is iv.hi:\n"
-           "        return False\n",
+           "        return\n",
            "",
            ("test_bounds.py", "test_golden.py"),
-           "a step that moves no end still reports a change, so no run reaches its fixed point"),
+           "a step that moves no end still stores a new interval, so no run reaches its fixed point"),
+    Mutant("bounds.py",
+           "if all(map(operator.is_, before, facts.values())):",
+           "if any(map(operator.is_, before, facts.values())):",
+           ("test_bounds.py", "test_work.py", "test_golden.py"),
+           "a run stops after a pass that left any interval in place, not only after one that left all"),
     Mutant("bounds.py",
            "            if iv.hi is not None and math.floor(iv.hi) == v:\n"
-           "                changed |= _narrow(f, x, None, v - 1, (), iv.hi_rules, rule)\n"
+           "                _narrow(f, x, None, v - 1, (), iv.hi_rules, rule)\n"
            "            if math.ceil(iv.lo) == v:\n"
-           "                changed |= _narrow(f, x, v + 1, None, iv.lo_rules, (), rule)\n",
+           "                _narrow(f, x, v + 1, None, iv.lo_rules, (), rule)\n",
            "            lo = v + 1 if math.ceil(iv.lo) == v else None\n"
            "            hi = v - 1 if iv.hi is not None and math.floor(iv.hi) == v else None\n"
-           "            changed |= _narrow(f, x, lo, hi, iv.lo_rules, iv.hi_rules, rule)\n",
+           "            _narrow(f, x, lo, hi, iv.lo_rules, iv.hi_rules, rule)\n",
            ("test_bounds.py", "test_golden.py"),
            "a hole narrows both ends in one call, so a hole at the point reports [v + 1, v - 1]"),
     Mutant("bounds.py",
@@ -147,6 +152,49 @@ MUTANTS = (
            "lo, lo_rules = iv.lo, _chain(iv.lo_rules, rule)",
            ("test_bounds.py", "test_golden.py"),
            "a lower end that did not move takes the rule onto its chain"),
+    Mutant("bounds.py",
+           "return source if source and source[-1] == rule else (*source, rule)",
+           "return (*source, rule)",
+           ("test_bounds.py", "test_golden.py"),
+           "a chain that already ends with the rule takes it a second time in a row"),
+    Mutant("bounds.py",
+           "\"R13\": (None, [(\"r\", 1, None), (\"b\", 1, None)]),",
+           "\"R13\": (None, [(\"r\", 1, None)]),",
+           ("test_bounds.py", "test_cli.py", "test_golden.py"),
+           "R13 drops b >= 1, so a bridge number of 0 is no contradiction"),
+    Mutant("bounds.py",
+           "sum(x % 2 == 0 for x in pretzel) > 1",
+           "sum(x % 2 == 0 for x in pretzel) > 2",
+           ("test_bounds.py",),
+           "a pretzel with two even parameters, a two-component link, is taken as a knot"),
+    Mutant("bounds.py",
+           "abs(p * q + q * s + s * p) == 1",
+           "abs(p * q + q * s + s * p) == 0",
+           ("test_bounds.py", "test_cli.py"),
+           "a pretzel diagram of the unknot, of determinant 1, is taken as a subject"),
+    Mutant("bounds.py",
+           "        if \"theta_curve\" in names and names & _KNOT_TAGS:\n"
+           "            raise ValueError(\"theta_curve is incompatible with knot tags\")\n",
+           "",
+           ("test_bounds.py",),
+           "a theta curve may carry knot tags, so knot rules run on a graph"),
+    Mutant("bounds.py",
+           "        if name in seen:\n"
+           "            raise ValueError(duplicate.format(name))\n",
+           "",
+           ("test_bounds.py", "test_cli.py"),
+           "a repeated tag or seed name is read, the later value silently winning"),
+    Mutant("bounds.py",
+           "            if q.startswith(\"-\"):\n"
+           "                raise ValueError\n",
+           "",
+           ("test_cli.py",),
+           "a sign on a seed's denominator is read, so b=-6/-2 enters as 3"),
+    Mutant("surface.py",
+           "digits = text.removeprefix(\"-\")",
+           "digits = text.lstrip(\"+-\")",
+           ("test_bounds.py", "test_cli.py"),
+           "an integer on the command line may carry a plus sign, so +3 runs as 3"),
     Mutant("certificate.py",
            "k = max(len(mc.meridians), 2)",
            "k = len(mc.meridians)",

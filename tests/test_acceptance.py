@@ -21,12 +21,11 @@ from surfrep import (
     representativity_exact,
     trace_components,
 )
-from surfrep.bounds import RULE_ORDER
 from surfrep.certificate import evaluate_piece
 from surfrep.families import claimed_counts, exact_knot, lpq_link, torus_knot
 
 from oracles import enumerated_face_width, necklace_arc_min, necklace_loop_min
-from test_bounds import contains, snapshot
+from test_bounds import RULE_ORDER, catalog_order, contains, snapshot
 from test_facewidth import K33_TORUS, ONE_VERTEX_TORUS, toroidal_grid
 
 BUDGETS = {1: 1.0, 2: 5.0, 3: 5.0, 4: 1.0, 5: 30.0, 6: 30.0, 7: 1.0, 8: 1.0}
@@ -201,7 +200,9 @@ def test_criterion_7_bounds_engine():
     for _ in range(100):
         order = tuple(rng.sample(RULE_ORDER, len(RULE_ORDER)))
         for (tags, seeds), reference in zip(subjects, references):
-            if snapshot(propagate(tags, seeds, rule_order=order)) != reference:
+            with catalog_order(order):
+                fixed_point = snapshot(propagate(tags, seeds))
+            if fixed_point != reference:
                 failures.append(("order", order, tags.labels()))
     _conclude(7, failures, started, "catalog fixed points reproduced under 100 rule orders")
 

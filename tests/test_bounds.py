@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import math
 import random
 import re
@@ -12,9 +13,9 @@ from itertools import product
 import pytest
 
 from oracles import BOUNDS_AXES, catalog_holds, feasible_points, pretzel_components
+from surfrep import bounds
 from surfrep.bounds import (
     ATTRIBUTES,
-    RULE_ORDER,
     Contradiction,
     Interval,
     SubjectTags,
@@ -41,6 +42,24 @@ def exact(value: int | Fraction) -> Interval:
 
 def _tags(*items: str) -> SubjectTags:
     return SubjectTags.from_strings(items)
+
+
+#: the rule ids in the order a pass applies them
+RULE_ORDER = tuple(_CATALOG)
+
+
+@contextlib.contextmanager
+def catalog_order(order):
+    """Run ``propagate`` with the rule catalog reordered to ``order``, a
+    permutation of ``RULE_ORDER``: a pass applies ``_CATALOG`` as it
+    iterates, so the reordered dict is the rule order."""
+    assert sorted(order) == sorted(RULE_ORDER), order
+    original = bounds._CATALOG
+    bounds._CATALOG = {rule: original[rule] for rule in order}
+    try:
+        yield
+    finally:
+        bounds._CATALOG = original
 
 
 def snapshot(
@@ -247,8 +266,8 @@ def test_parity_contradiction():
     assert "seed:bs" in default_order.value.rules
 
     # under the reversed order R3 halves the seed first: b = [3/2, 3/2]
-    with pytest.raises(Contradiction) as reversed_order:
-        propagate(_tags("nontrivial_knot"), {"bs": exact(3)}, rule_order=RULE_ORDER[::-1])
+    with pytest.raises(Contradiction) as reversed_order, catalog_order(RULE_ORDER[::-1]):
+        propagate(_tags("nontrivial_knot"), {"bs": exact(3)})
     exc = reversed_order.value
     assert exc.attribute == "b"
     assert exc.lo == exc.hi == Fraction(3, 2)
@@ -321,12 +340,59 @@ def test_a_relation_step_computes_the_rational_formulas_in_integers():
                 assert canonical(got.value.lo) and canonical(got.value.hi)
                 raised += 1
                 continue
-            assert _apply("R9", [(x, c, y, d)], facts) == (y_moved or x_moved)
+            _apply("R9", [(x, c, y, d)], facts)
             assert facts == {x: x_new, y: y_new}, (c, d, xi, yi)
+            # an interval is replaced exactly when one of its ends moved
+            assert (facts[y] is not yi, facts[x] is not xi) == (y_moved, x_moved)
             for iv in facts.values():
                 assert canonical(iv.lo) and (iv.hi is None or canonical(iv.hi))
             moved += y_moved or x_moved
     assert moved > 500 and raised > 50
+
+
+def test_a_step_replaces_an_interval_exactly_when_an_end_moves():
+    """``propagate`` ends a run after a pass that replaces no stored
+    interval, so it rests on this: one application of steps leaves
+    ``facts[x]`` the very object it was when no end of x moves, and stores
+    a new object when one does.  Random facts and every step kind: pins
+    with either end None, holes at and beside integer ends, and relations.
+    Narrowing only tightens, so an end moved exactly when its value
+    changed."""
+    rng = random.Random(43)
+    chains = [(), ("seed:r",), ("R13",), ("seed:bs", "R9")]
+
+    def draw() -> Interval:
+        lo = Fraction(rng.randint(0, 12), rng.choice((1, 2, 3)))
+        hi = None if rng.random() < 0.3 else lo + Fraction(rng.randint(0, 12), rng.choice((1, 2)))
+        return Interval(lo, hi, rng.choice(chains), rng.choice(chains))
+
+    def step(facts: dict[str, Interval]) -> tuple:
+        x, y = rng.sample(ATTRIBUTES, 2)
+        iv = facts[x]
+        kind = rng.randrange(3)
+        if kind == 0:
+            lo, hi = (None if rng.random() < 0.4 else rng.randint(0, 14) for _ in "lh")
+            return (x, lo, hi)
+        if kind == 1:
+            ends = [math.ceil(iv.lo)] + ([] if iv.hi is None else [math.floor(iv.hi)])
+            return (x, rng.choice(ends) + rng.choice((-1, 0, 0, 1)))
+        return (x, rng.choice((1, 2, Fraction(1, 2), Fraction(1, 3))), y, rng.randrange(2))
+
+    counts = {"kept": 0, "replaced": 0}
+    for _ in range(3000):
+        facts = {name: draw() for name in ATTRIBUTES}
+        before = dict(facts)
+        steps = [step(facts) for _ in range(rng.randint(1, 3))]
+        try:
+            _apply("R9", steps, facts)
+        except Contradiction:
+            continue
+        for name in ATTRIBUTES:
+            old, new = before[name], facts[name]
+            moved = (new.lo, new.hi) != (old.lo, old.hi)
+            assert (new is not old) == moved, (steps, old, new)
+            counts["replaced" if moved else "kept"] += 1
+    assert counts["kept"] > 5000 and counts["replaced"] > 1000, counts
 
 
 def test_every_endpoint_is_stored_in_canonical_form():
@@ -446,14 +512,12 @@ def test_theta_curve_rules():
     assert lo["b"].lo_rules == ("seed:bs", "R10")
 
 
-def test_seed_and_order_validation():
+def test_seed_validation():
     with pytest.raises(ValueError, match="^unknown attribute 'girth'$"):
         propagate(_tags(), {"girth": exact(3)})
     # the Interval a seed is refuses a negative end before propagate runs
     with pytest.raises(ValueError, match="must be non-negative"):
         propagate(_tags(), {"b": exact(-1)})
-    with pytest.raises(ValueError):
-        propagate(_tags(), rule_order=("R1", "R2"))
     # rational seeds are allowed; integrality then rejects a half bridge number
     with pytest.raises(Contradiction):
         propagate(_tags(), {"b": exact(Fraction(3, 2))})
@@ -571,7 +635,8 @@ TAGS_POOL = (
 
 def _outcome(tags, seeds, order):
     try:
-        return snapshot(propagate(tags, seeds, rule_order=tuple(order)))
+        with catalog_order(order):
+            return snapshot(propagate(tags, seeds))
     except Contradiction:
         return "contradiction"
 

@@ -236,6 +236,21 @@ def test_intervals_narrow_only_in_the_step_function():
         "not once in a raise inside bounds._narrow")
 
 
+def test_progress_is_read_only_in_the_pass_loop():
+    """Whether a pass moved anything is decided in ``bounds.propagate``
+    alone, from the identity of the stored intervals: neither ``_narrow``
+    nor ``_apply`` returns a value, so no flag of progress runs beside
+    the facts."""
+    path = PACKAGE / "bounds.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    steppers = [node for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef) and node.name in ("_narrow", "_apply")]
+    assert sorted(node.name for node in steppers) == ["_apply", "_narrow"]
+    found = [f"bounds.py:{ret.lineno} in {node.name}" for node in steppers
+             for ret in ast.walk(node) if isinstance(ret, ast.Return) and ret.value is not None]
+    assert not found, f"a step function returns a value: {found}"
+
+
 def test_one_crossing_rule_with_no_torus_arm():
     """``surface._crossed`` is the one pairing rule, for k classes per
     family with the torus as k = 1: it reads no ``kind``, and, run for
