@@ -29,6 +29,9 @@ Rule catalog, each rule switched on by one tag or always on:
     R12  waist <= bs / 3                 always
     R13  r >= 1 and b >= 1               always
 
+The tag ``spatial_graph`` is accepted and echoed but switches on no
+rule: ``bounds --tag spatial_graph`` gives the same facts as no tag.
+
 The table ``_CATALOG`` is this catalog in executable form.  Each rule
 there is a list of steps, pins, holes x != v and linear relations
 x <= c * y + d, all applied by one step function.  A relation narrows

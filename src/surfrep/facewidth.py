@@ -3,7 +3,8 @@
 A map is encoded combinatorially: every edge contributes two darts,
 each vertex carries the counterclockwise cyclic order of its darts, and
 the involution alpha swaps the two darts of each edge.  Faces are
-recovered as orbits of sigma-after-alpha, which yields the Euler
+recovered as orbits of sigma-after-alpha, listed by the package's one
+permutation walk, ``surface._cycles``, which yields the Euler
 characteristic and the genus without any geometry.
 
 Dart names are arbitrary integers, under the package's one integer
@@ -14,13 +15,14 @@ rotation's and edge's shape before its darts, naming the first fault
 it meets.  So a map read from a file is checked once, and every map the
 constructor accepts reads back from its file.  The constructor numbers
 the darts in sorted name order, and vertex, alpha and face-of are lists
-over those positions.
-Tracing the faces from position 0 upward gives them in their public
-order, least dart first, without a sort.  Position p of a map becomes
-darts 2p (at the vertex node) and 2p + 1 (at the face node) of its
-radial map, so the radial alpha is x ^ 1 and the radial map's names
+over those positions.  One method, ``_trace``, traces the faces and
+stores every such table, the dart names and their inverse included.
+The walk lists the faces from position 0 upward, so they come in their
+public order, least dart first, without a sort.  Position p of a map
+becomes darts 2p (at the vertex node) and 2p + 1 (at the face node) of
+its radial map, so the radial alpha is x ^ 1 and the radial map's names
 are its own positions: the radial map is built by arithmetic, with no
-sort, name table or validation.
+sort or validation, and its name table is the identity.
 
 The face-width of a map is the smallest number of intersections a
 noncontractible closed curve on the surface must have with the graph.
@@ -46,7 +48,7 @@ from collections.abc import Iterable, Sequence
 from functools import cached_property
 from typing import Any
 
-from surfrep.surface import _Value, _json_field, _set_field, _strict_int
+from surfrep.surface import _Value, _cycles, _json_field, _set_field, _strict_int
 
 __all__ = [
     "RotationSystem",
@@ -94,8 +96,7 @@ class RotationSystem(_Value):
                     raise ValueError(f"dart {d} appears twice in the rotations")
                 seen.add(d)
         darts = sorted(seen)
-        _set_field(self, "_darts", darts)
-        pos = self._pos
+        pos = dict(zip(darts, range(len(darts))))
         alpha = [-1] * len(darts)
         for e in edges:
             for d in _row(e, "each edge"):
@@ -113,15 +114,19 @@ class RotationSystem(_Value):
             unpaired = [darts[p] for p, q in enumerate(alpha) if q < 0]
             raise ValueError(f"darts without an opposite: {unpaired}")
         super().__init__(tuple(map(tuple, rotations)), tuple(map(tuple, edges)))
-        self._trace([[pos[d] for d in rot] for rot in rotations], alpha)
+        self._trace(darts, pos, [[pos[d] for d in rot] for rot in rotations], alpha)
 
-    def _trace(self, rots: Sequence[Sequence[int]], alpha: list[int]) -> None:
-        """Store the dense tables of a valid map numbered 0 .. 2E-1.
+    def _trace(self, darts: Sequence[int], pos: dict[int, int],
+               rots: Sequence[Sequence[int]], alpha: list[int]) -> None:
+        """Trace the faces of a valid map numbered 0 .. 2E-1, and store
+        its dense tables; the one place that stores them.
 
-        ``_darts`` is set and names each position in ascending order;
-        ``rots`` lists the rotations as positions and ``alpha`` the
-        opposite of each position.  The vertex, successor and face
-        tables are traced here.
+        ``darts`` names each position in ascending order and ``pos``
+        inverts it; ``rots`` lists the rotations as positions and
+        ``alpha`` the opposite of each position.  The vertex table is
+        read off the rotations, and the faces are the cycles of
+        sigma-after-alpha as :func:`surface._cycles` lists them, each
+        from its least position, in ascending order of those positions.
         """
         n = len(alpha)
         vert = [0] * n
@@ -132,40 +137,23 @@ class RotationSystem(_Value):
                 vert[p] = v
                 sigma[prev] = p
                 prev = p
-        face_of = [-1] * n
-        faces: list[list[int]] = []
-        for start in range(n):
-            if face_of[start] >= 0:
-                continue
-            f = len(faces)
-            orbit = [start]
-            face_of[start] = f
-            p = sigma[alpha[start]]
-            while p != start:
-                orbit.append(p)
-                face_of[p] = f
-                p = sigma[alpha[p]]
-            faces.append(orbit)
-        for name, value in (("_rots", rots), ("_vert", vert), ("_alpha", alpha),
-                            ("_faces", faces), ("_face_of", face_of)):
+        faces, face_of = _cycles([sigma[a] for a in alpha])
+        for name, value in (("_darts", darts), ("_pos", pos), ("_rots", rots), ("_vert", vert),
+                            ("_alpha", alpha), ("_faces", faces), ("_face_of", face_of)):
             _set_field(self, name, value)
         if self.euler_characteristic % 2:
             raise RuntimeError(f"odd Euler characteristic {self.euler_characteristic}")
 
     #-- Derived structure --#
 
-    # over dart positions 0 .. 2E-1 in sorted name order (_darts set first):
-    #   _darts    position -> dart name, inverted by _pos
+    # over dart positions 0 .. 2E-1 in sorted name order, all stored by _trace:
+    #   _darts    position -> dart name
+    #   _pos      dart name -> position
     #   _rots     the rotations as positions
     #   _vert     position -> vertex
     #   _alpha    position -> position of the opposite dart
     #   _faces    face orbits as positions, in the order of ``faces``
     #   _face_of  position -> index of its face
-
-    @cached_property
-    def _pos(self) -> dict[int, int]:
-        """Dart name -> position, built from ``_darts`` on first use."""
-        return dict(zip(self._darts, range(len(self._darts))))
 
     def _position(self, dart: int) -> int:
         """Position of a dart name, or a ValueError naming a dart not in the map."""
@@ -239,8 +227,7 @@ def radial(rs: RotationSystem) -> RotationSystem:
     n = 2 * len(rs._darts)
     out = RotationSystem.__new__(RotationSystem)
     _Value.__init__(out, tuple(rotations), tuple(zip(range(0, n, 2), range(1, n, 2))))
-    _set_field(out, "_darts", range(n))
-    out._trace(rotations, [x ^ 1 for x in range(n)])
+    out._trace(range(n), dict(zip(range(n), range(n))), rotations, [x ^ 1 for x in range(n)])
     if out.euler_characteristic != rs.euler_characteristic:
         raise RuntimeError("radial map changed the Euler characteristic")
     return out

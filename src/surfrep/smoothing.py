@@ -33,12 +33,13 @@ entry.  These pieces are built in time linear in the number of blocks.
 
 The cycles of the pieces are counted in one of two ways.  The walk,
 ``trace_orbits``, writes them into a flat successor list over positions
-and follows its cycles; it lists each orbit by the positions of its
-entries, names no crossing, and is linear in the weights.  The
-induction, ``_count_orbits``, only counts, in time polynomial in the
-number of pieces and in log n, as Rauzy induction and the orbit
-counting of Agol, Hass & Thurston (Trans. AMS 2006) do; on the torus it
-is Euclid's algorithm.  It works on the n positions [0, n) and keeps
+and lists its cycles with the package's one permutation walk,
+``surface._cycles``, which also traces a map's faces; it lists each
+orbit by the positions of its entries, names no crossing, and is linear
+in the weights.  The induction, ``_count_orbits``, only counts, in time
+polynomial in the number of pieces and in log n, as Rauzy induction and
+the orbit counting of Agol, Hass & Thurston (Trans. AMS 2006) do; on the
+torus it is Euclid's algorithm.  It works on the n positions [0, n) and keeps
 only the pieces' lengths and their two orders, by domain and by image.
 Call top the piece whose domain ends at n, bottom the piece whose image
 ends at n, and L the lesser of their lengths.  The last L positions,
@@ -76,7 +77,7 @@ docstring has the rule).
 
 from __future__ import annotations
 
-from surfrep.surface import MultiCurve, _crossed
+from surfrep.surface import MultiCurve, _crossed, _cycles
 
 __all__ = ["trace_components", "trace_orbits"]
 
@@ -145,34 +146,18 @@ def trace_orbits(mc: MultiCurve) -> list[list[int]]:
     is named.  Every orbit of the return map G meets an entry (module
     docstring), so the orbits of G correspond one to one to the orbits
     of its first return to the entries.  The pieces are written out
-    into the successor list, and one scan over the positions 0 .. n-1
-    follows each cycle from its least position until it meets a position
-    already seen; each step marks a new position, so every walk ends
-    within n steps.  Pieces that do not form a bijection leave some walk
-    that ends on a position other than its start, and that raises
-    RuntimeError.  Copies that meet no crossings at all are handled by
+    into the successor list, whose cycles :func:`surface._cycles` lists,
+    each from its least position, in ascending order of those positions.
+    Pieces that do not form a bijection leave a walk that ends on a
+    position other than its start, and that raises RuntimeError.
+    Copies that meet no crossings at all are handled by
     trace_components.
     """
     _, offsets, pieces = _return_pieces(mc)
-    n = offsets[-1]
-    succ = [0] * n
+    succ = [0] * offsets[-1]
     for lo, hi, to in pieces:
         succ[lo:hi] = range(to, to + hi - lo)
-    seen = [False] * n
-    orbits: list[list[int]] = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        orbit = []
-        p = start
-        while not seen[p]:
-            seen[p] = True
-            orbit.append(p)
-            p = succ[p]
-        if p != start:
-            raise RuntimeError(f"first-return cycle from position {start} does not close")
-        orbits.append(orbit)
-    return orbits
+    return _cycles(succ)[0]
 
 
 def _tiles(order: list[int], starts: list[int], length: list[int], n: int) -> bool:

@@ -15,13 +15,15 @@ Its k weights per family are its surface, which it stores nowhere else;
 its JSON form derives the ``"surface"`` object from k.
 
 The module is also the base the others build on: the integer rules, the
-value-class base, and ``Check``, one computed quantity compared with
-its claim, from which the CLI builds its report rows.
+value-class base, ``Check``, one computed quantity compared with its
+claim, from which the CLI builds its report rows, and ``_cycles``, the
+one walk over a permutation's cycles, which traces a map's faces and
+the smoothed components alike.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from operator import attrgetter, eq, ge, lt
 from typing import Any
 
@@ -158,6 +160,40 @@ class Check(_Value):
     @property
     def passed(self) -> bool:
         return self.actual is not None and _RELATIONS[self.relation](self.actual, self.expected)
+
+
+#-- Permutations --#
+
+def _cycles(perm: Sequence[int]) -> tuple[list[list[int]], list[int]]:
+    """The cycles of a permutation of 0 .. n-1, and the cycle of each element.
+
+    Each cycle starts at its least element and follows ``perm`` from
+    there, the cycles come in ascending order of their starts, and
+    ``index[p]`` is the number of p's cycle.  One scan over 0 .. n-1
+    walks each cycle from the least element not yet reached; each step
+    marks a new element, so every walk ends within n steps.  A walk that
+    stops on an element other than its start shows two elements with one
+    image, and raises RuntimeError.
+    """
+    n = len(perm)
+    # None marks an element no walk has reached: in the inner loop an
+    # `is None` test costs less than a comparison with -1
+    index: list[Any] = [None] * n
+    cycles: list[list[int]] = []
+    for start in range(n):
+        if index[start] is not None:
+            continue
+        k = len(cycles)
+        cycle = []
+        p = start
+        while index[p] is None:
+            index[p] = k
+            cycle.append(p)
+            p = perm[p]
+        if p != start:
+            raise RuntimeError(f"the cycle from element {start} does not close")
+        cycles.append(cycle)
+    return cycles, index
 
 
 #-- Pairing --#

@@ -53,23 +53,52 @@ MUTANTS = (
            "pieces.append((lo, lo + bi, base[jn, i] + a[jn]))",
            ("test_smoothing.py",),
            "the first piece of a block overruns the middle one by a position"),
-    Mutant("smoothing.py",
+    Mutant("surface.py",
            "    for start in range(n):\n",
            "    for start in range(n - 1):\n",
-           ("test_smoothing.py", "test_families.py"),
-           "the scan skips the last position, so a cycle through it alone is lost"),
-    Mutant("smoothing.py",
+           ("test_surface.py", "test_smoothing.py", "test_families.py", "test_facewidth.py"),
+           "the cycle scan skips the last element, so a cycle through it alone is lost"),
+    Mutant("surface.py",
            "        if p != start:\n"
-           "            raise RuntimeError(f\"first-return cycle from position {start} "
-           "does not close\")\n",
+           "            raise RuntimeError(f\"the cycle from element {start} does not close\")\n",
            "",
+           ("test_surface.py", "test_smoothing.py"),
+           "a walk that ends short of its start is listed as a cycle instead of raising"),
+    Mutant("surface.py",
+           "index[p] = k",
+           "index[p] = 0",
+           ("test_surface.py", "test_facewidth.py", "test_golden.py"),
+           "every element is put in the first cycle, so each dart lies on the first face"),
+    Mutant("facewidth.py",
+           "(\"_pos\", pos), ",
+           "",
+           ("test_facewidth.py",),
+           "a map stores no name table, so no dart of a cycle to cut can be looked up"),
+    Mutant("smoothing.py",
+           "for family, weights in ((\"l\", mc.longitudes), (\"m\", mc.meridians))",
+           "for family, weights in ((\"l\", mc.meridians), (\"m\", mc.longitudes))",
            ("test_smoothing.py",),
-           "a walk that ends short of its start is listed as an orbit instead of raising"),
+           "the untouched copies are counted with the families swapped"),
+    Mutant("smoothing.py",
+           "if not mc.boundary_count(family, x)",
+           "if not mc.boundary_count(\"m\" if family == \"l\" else \"l\", x)",
+           ("test_smoothing.py",),
+           "a copy counts as untouched by the crossing count of the other family's class"),
+    Mutant("surface.py",
+           "return sum(other[x] for x in _crossed(k, family, index))",
+           "return other[_crossed(k, family, index)[0]]",
+           ("test_surface.py", "test_families.py", "test_golden.py"),
+           "a boundary count reads one crossed class, not both"),
+    Mutant("surface.py",
+           "if len(values) != len(fields):",
+           "if len(values) > len(fields):",
+           ("test_values.py",),
+           "a value class built with too few fields is stored short instead of refused"),
     Mutant("smoothing.py",
            "succ[lo:hi] = range(to, to + hi - lo)",
            "succ[lo:hi] = range(to, to + hi + lo)",
            ("test_smoothing.py",),
-           "each piece writes 2 lo extra successors, which grow the list but change no orbit"),
+           "each piece writes 2 lo extra successors, so the walk runs on past the last entry"),
     Mutant("smoothing.py",
            "left -= (left - 1) // tail * tail",
            "left -= left // tail * tail",
@@ -215,6 +244,22 @@ MUTANTS = (
            "bounds[1].loop_min",
            ("test_certificate.py", "test_families.py", "test_golden.py"),
            "the upper end is read from the longitude cut alone"),
+    Mutant("certificate.py",
+           "if b - a != 1 and b - a != circles - 1:",
+           "if b - a not in (1, 2, circles - 1):",
+           ("test_certificate.py", "test_cli.py"),
+           "an arc that skips one circle is taken as joining two adjacent circles"),
+    Mutant("certificate.py",
+           "    if not pieces:\n"
+           "        raise ValueError(\"no pieces to certify\")\n",
+           "",
+           ("test_certificate.py", "test_cli.py"),
+           "an empty piece list certifies every level, as no check fails"),
+    Mutant("certificate.py",
+           "_strict_int(n, \"certificate level\") < 0",
+           "_strict_int(n, \"certificate level\") < -1",
+           ("test_certificate.py", "test_cli.py"),
+           "a certificate level of -1 is accepted"),
     Mutant("certificate.py",
            "0 <= _strict_int(a, \"a\") < _strict_int(b, \"b\") < circles",
            "0 <= _strict_int(a, \"a\") <= _strict_int(b, \"b\") < circles",

@@ -259,6 +259,14 @@ def test_every_subject_has_a_bridge(tags):
     assert propagate(_tags(*tags))["b"].lo >= 1
 
 
+def test_the_spatial_graph_tag_switches_on_no_rule():
+    """``spatial_graph`` names a subject but no rule reads it: alone, or
+    beside any seed, it gives the same facts as no tag."""
+    assert propagate(_tags("spatial_graph")) == propagate(_tags())
+    for seeds in ({"r": exact(3)}, {"bs": Interval(7)}, {"b": exact(4), "waist": exact(2)}):
+        assert propagate(_tags("spatial_graph"), seeds) == propagate(_tags(), seeds)
+
+
 def test_parity_contradiction():
     # bs = 2b forces even bs; a seeded bs of 3 cannot survive
     with pytest.raises(Contradiction) as default_order:

@@ -401,6 +401,10 @@ def test_certify_explicit_pieces():
     for level in (2.5, True, "4"):
         with pytest.raises(ValueError, match="certificate level must be an integer"):
             certify_pieces(pieces, level)
+    for level in (-1, -3):
+        with pytest.raises(ValueError, match=f"^certificate level must be >= 0, got {level}$"):
+            certify_pieces(pieces, level)
+    assert all(c.passed for c in certify_pieces(pieces, 0))
     assert [evaluate_piece(p).score for p in pieces] == [4, 4]
 
 

@@ -171,13 +171,17 @@ def test_certify_rejects_bad_files(capsys, tmp_path):
     override = _write(tmp_path, "override.json", {"pieces": pants, "n": 4.7})
     code, out, err = run_cli(capsys, "certify", override, "--n", "4")
     assert (code, out) == (2, "") and "stored n must be an integer" in err
-    # a level below 0 certifies nothing
-    negative = _write(tmp_path, "negative.json", {"pieces": pants, "n": -3})
-    code, out, err = run_cli(capsys, "certify", negative)
-    assert (code, out) == (2, "") and "must be >= 0" in err
+    # every level below 0 is refused, -1 included, and 0 is a level
     stored = _write(tmp_path, "four.json", {"pieces": pants, "n": 4})
-    code, out, err = run_cli(capsys, "certify", stored, "--n", "-3")
-    assert (code, out) == (2, "") and "must be >= 0" in err
+    for level in (-3, -1):
+        negative = _write(tmp_path, "negative.json", {"pieces": pants, "n": level})
+        refused = f"error: certificate level must be >= 0, got {level}\n"
+        assert run_cli(capsys, "certify", negative) == (2, "", refused)
+        assert run_cli(capsys, "certify", stored, "--n", str(level)) == (2, "", refused)
+    zero = _write(tmp_path, "zero.json", {"pieces": pants, "n": 0})
+    for argv in ((zero,), (stored, "--n", "0")):
+        code, out, err = run_cli(capsys, "certify", *argv)
+        assert (code, err) == (0, "") and json.loads(out)["inputs"]["n"] == 0
     # a missing field is named, a piece id must be a string, and deep
     # nesting or a syntax error is refused like any other unusable file
     no_arcs = {key: value for key, value in pants[0].items() if key != "arcs"}

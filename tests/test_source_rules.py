@@ -280,12 +280,11 @@ def test_the_smoothing_names_no_gcd():
     assert not found, f"the smoothing names gcd: {found}"
 
 
-def test_the_crossing_count_has_one_home():
-    """``MultiCurve.boundary_count`` is the one place that counts a class's
-    crossings: besides it, ``surface._crossed`` is read only by the walk
-    that builds the reconnection map and by the cut that keys arcs, so a
-    caller that needs a count asks for it instead of summing its own."""
-    callers = set()
+def _readers(name: str) -> set[tuple[str, str]]:
+    """The (module file, function) pairs of the package that read ``name``:
+    a top-level function, a method as ``Class.method``, or ``<module>`` for
+    other top-level code."""
+    readers = set()
     for path in sorted(PACKAGE.rglob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         tops = [(getattr(top, "name", "<module>"), top) for top in tree.body
@@ -293,13 +292,40 @@ def test_the_crossing_count_has_one_home():
         tops += [(f"{top.name}.{node.name}", node) for top in tree.body
                  if isinstance(top, ast.ClassDef)
                  for node in top.body if isinstance(node, ast.FunctionDef)]
-        callers |= {(path.name, name) for name, top in tops for node in ast.walk(top)
-                    if isinstance(node, ast.Name) and node.id == "_crossed"}
-    assert sorted(callers) == [
+        readers |= {(path.name, top_name) for top_name, top in tops for node in ast.walk(top)
+                    if isinstance(node, ast.Name) and node.id == name
+                    and isinstance(node.ctx, ast.Load)}
+    return readers
+
+
+def test_the_crossing_count_has_one_home():
+    """``MultiCurve.boundary_count`` is the one place that counts a class's
+    crossings: besides it, ``surface._crossed`` is read only by the walk
+    that builds the reconnection map and by the cut that keys arcs, so a
+    caller that needs a count asks for it instead of summing its own."""
+    assert sorted(_readers("_crossed")) == [
         ("certificate.py", "cut_pieces"),
         ("smoothing.py", "_return_pieces"),
         ("surface.py", "MultiCurve.boundary_count"),
     ]
+
+
+def test_one_cycle_walk_and_one_store_for_a_maps_tables():
+    """``surface._cycles`` is the package's one walk over a permutation's
+    cycles: it is defined once, in ``surface.py``, and read only where a
+    map traces its faces and where the smoothing lists its orbits.  In
+    ``facewidth.py`` only ``RotationSystem._trace`` stores a map's
+    undeclared tables with ``_set_field``."""
+    defined = [(path.name, node.name) for path in sorted(PACKAGE.rglob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == "_cycles"]
+    assert defined == [("surface.py", "_cycles")]
+    assert sorted(_readers("_cycles")) == [
+        ("facewidth.py", "RotationSystem._trace"),
+        ("smoothing.py", "trace_orbits"),
+    ]
+    stores = {reader for reader in _readers("_set_field") if reader[0] == "facewidth.py"}
+    assert stores == {("facewidth.py", "RotationSystem._trace")}
 
 
 def test_every_public_name_resolves():

@@ -1,4 +1,5 @@
-"""The crossing pairing, multicurve counts, and the surface a weight count names."""
+"""The crossing pairing, multicurve counts, the surface a weight count names,
+and the permutation cycle walk."""
 
 from __future__ import annotations
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from oracles import adjacent, cheapest_class
-from surfrep.surface import MultiCurve, _crossed
+from surfrep.surface import MultiCurve, _crossed, _cycles
 
 
 #-- Pairing oracle --#
@@ -232,3 +233,28 @@ def test_boundary_count_matches_adjacency_formula(k: int):
     assert pairing_matrix(k) == tuple(
         tuple(adjacent(k, j, i) for i in range(k)) for j in range(k)
     )
+
+
+#-- Permutation cycles --#
+
+@given(st.integers(0, 60).flatmap(lambda n: st.permutations(range(n))))
+def test_cycles_partition_a_permutation_from_their_least_elements(perm):
+    """The cycles partition 0 .. n-1; each starts at its least element and
+    follows ``perm``, closing at its start, the starts ascend, and
+    ``index`` names each element's cycle."""
+    cycles, index = _cycles(perm)
+    assert sorted(p for cycle in cycles for p in cycle) == list(range(len(perm)))
+    assert all(cycle[0] == min(cycle) for cycle in cycles)
+    assert [cycle[0] for cycle in cycles] == sorted(cycle[0] for cycle in cycles)
+    assert len(index) == len(perm)
+    for k, cycle in enumerate(cycles):
+        assert all(index[p] == k for p in cycle)
+        assert [perm[p] for p in cycle] == cycle[1:] + cycle[:1]
+
+
+@pytest.mark.parametrize("perm", [[1, 1], [0, 0], [1, 2, 1], [2, 0, 0, 3]])
+def test_cycles_refuse_two_elements_with_one_image(perm):
+    """A list that sends two elements to one image is no permutation: some
+    walk stops on an element seen before other than its start."""
+    with pytest.raises(RuntimeError, match="does not close"):
+        _cycles(perm)
